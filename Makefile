@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/dasf -run='^$$' -fuzz='^FuzzOpenAppendedVCA$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/dass -run='^$$' -fuzz='^FuzzIndexCache$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/dass -run='^$$' -fuzz='^FuzzSearchRegex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/lint -run='^$$' -fuzz='^FuzzFindingsJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/daslib -run='^$$' -fuzz='^FuzzRFFTRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 

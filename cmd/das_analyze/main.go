@@ -258,7 +258,7 @@ func main() {
 		if err := p.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDF: p.UDF()}, *out)
+		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, *out)
 		if err != nil {
 			fatalData(err)
 		}
@@ -355,7 +355,7 @@ func main() {
 		if err := params.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDF: params.UDF()}, *out)
+		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, *out)
 		if err != nil {
 			fatalData(err)
 		}

@@ -58,7 +58,7 @@ func main() {
 	// Algorithm 2 over the whole record with the hybrid engine.
 	params := detect.LocalSimiParams{M: 12, K: 1, L: 4, Stride: 10}
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: 4, Mode: haee.Hybrid})
-	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDF: params.UDF()}, "")
+	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,40 +41,30 @@ func (s *Stencil) At(dt, dch int) float64 {
 	return s.block.At(ch, t)
 }
 
-// Window copies the samples S(tLo:tHi, dch) — time offsets [tLo, tHi]
-// inclusive on the channel dch away from the current one — into a new
-// slice, clamping at edges. This is the access pattern of the paper's
-// Algorithm 2 (W = S(−M:M, 0), W1 = S(l−M:l+M, +K)).
-func (s *Stencil) Window(tLo, tHi, dch int) []float64 {
+// Span returns the samples S(tLo:tHi, dch) — time offsets [tLo, tHi]
+// inclusive on the channel dch away from the current one — the access
+// pattern of the paper's Algorithm 2 (W = S(−M:M, 0), W1 = S(l−M:l+M, +K)).
+//
+// A range inside the time extent comes back as a sub-slice of the block
+// row: nothing is copied and buf is not touched (nil will do). The slice is
+// read-only and lives as long as the block. Only a range that crosses the
+// first or last sample is materialized, clamped sample by sample, into
+// buf[:tHi-tLo+1], which must have that capacity and is what Span returns
+// (DESIGN.md §14).
+func (s *Stencil) Span(buf []float64, tLo, tHi, dch int) []float64 {
 	if tHi < tLo {
-		panic(fmt.Sprintf("arrayudf: Window range [%d,%d] inverted", tLo, tHi))
+		panic(fmt.Sprintf("arrayudf: Span range [%d,%d] inverted", tLo, tHi))
 	}
-	out := make([]float64, tHi-tLo+1)
-	s.WindowInto(out, tLo, tHi, dch)
-	return out
-}
-
-// WindowInto is Window writing into dst (len(dst) == tHi-tLo+1) — the
-// allocation-free form hot UDFs use with a scratch-owned buffer. Windows
-// entirely inside the time extent take a straight copy; only edge windows
-// pay the per-sample clamp.
-func (s *Stencil) WindowInto(dst []float64, tLo, tHi, dch int) {
-	if tHi < tLo {
-		panic(fmt.Sprintf("arrayudf: Window range [%d,%d] inverted", tLo, tHi))
+	row := s.Row(dch)
+	lo, n := s.t+tLo, tHi-tLo+1
+	if lo >= 0 && lo+n <= len(row) {
+		return row[lo : lo+n : lo+n]
 	}
-	if len(dst) != tHi-tLo+1 {
-		panic(fmt.Sprintf("arrayudf: WindowInto dst length %d, want %d", len(dst), tHi-tLo+1))
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = row[clamp(lo+i, 0, len(row)-1)]
 	}
-	ch := clamp(s.chOff+s.ch+dch, 0, s.block.Channels-1)
-	row := s.block.Row(ch)
-	lo := s.t + tLo
-	if lo >= 0 && lo+len(dst) <= s.block.Samples {
-		copy(dst, row[lo:lo+len(dst)])
-		return
-	}
-	for i := range dst {
-		dst[i] = row[clamp(lo+i, 0, s.block.Samples-1)]
-	}
+	return buf
 }
 
 // Row returns the full time series of the channel dch away from the

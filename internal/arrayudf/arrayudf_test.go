@@ -65,19 +65,33 @@ func TestStencilAccess(t *testing.T) {
 	if got := s.At(0, +100); got != 405 {
 		t.Errorf("channel clamp = %g, want 405", got)
 	}
-	w := s.Window(-2, 2, 0)
+	// An interior span borrows the block row: no copy, buf untouched.
+	w := s.Span(nil, -2, 2, 0)
 	want := []float64{203, 204, 205, 206, 207}
 	for i := range want {
 		if w[i] != want[i] {
-			t.Errorf("Window[%d] = %g, want %g", i, w[i], want[i])
+			t.Errorf("Span[%d] = %g, want %g", i, w[i], want[i])
 		}
 	}
-	// Window clamped at the start of the series.
+	if len(w) != 5 || cap(w) != 5 || &w[0] != &s.Row(0)[3] {
+		t.Errorf("interior Span is not a capped view of the row (len %d cap %d)", len(w), cap(w))
+	}
+	// Spans crossing either end of the series are clamped into buf.
+	buf := make([]float64, 8)
 	s2 := blk.Stencil(0, 0)
-	w2 := s2.Window(-3, 0, 0)
+	w2 := s2.Span(buf, -3, 0, 0)
 	for i, want := range []float64{100, 100, 100, 100} {
 		if w2[i] != want {
-			t.Errorf("clamped Window[%d] = %g, want %g", i, w2[i], want)
+			t.Errorf("clamped Span[%d] = %g, want %g", i, w2[i], want)
+		}
+	}
+	if len(w2) != 4 || &w2[0] != &buf[0] {
+		t.Error("edge Span did not fill the caller's buffer")
+	}
+	s2.SetPos(0, 9)
+	for i, got := range s2.Span(buf, -1, 2, +1) {
+		if want := []float64{208, 209, 209, 209}[i]; got != want {
+			t.Errorf("end-clamped Span[%d] = %g, want %g", i, got, want)
 		}
 	}
 	if row := s.Row(0); len(row) != 10 || row[5] != 205 {

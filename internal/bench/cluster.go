@@ -10,6 +10,7 @@ import (
 	"dassa/internal/cluster"
 	"dassa/internal/core"
 	"dassa/internal/dass"
+	"dassa/internal/haee"
 )
 
 // ClusterRow is one execution-layout measurement of the distributed
@@ -45,9 +46,9 @@ func RunCluster(o Options) ([]ClusterRow, error) {
 	var rows []ClusterRow
 
 	// Baseline: the in-process engine at the same core budget.
-	fw := core.New(core.Config{Nodes: 1, CoresPerNode: o.CoresPerNode, FailPolicy: dass.FailDegrade})
+	eng := haee.New(haee.Config{Nodes: 1, CoresPerNode: o.CoresPerNode, Mode: haee.Hybrid, FailPolicy: dass.FailDegrade})
 	t0 := time.Now()
-	_, rep, err := fw.Apply(v, p.Spec().GhostChannels, p.Spec().TimeStride, p.UDF(), "")
+	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, "")
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func RunFig10(o Options) ([]Fig10Event, error) {
 		return nil, err
 	}
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: o.CoresPerNode, Mode: haee.Hybrid})
-	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDF: params.UDF()}, "")
+	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, "")
 	if err != nil {
 		return nil, err
 	}

@@ -125,19 +125,19 @@ func TestClusterReadMatchesLocal(t *testing.T) {
 func TestClusterLocalSimiMatchesLocal(t *testing.T) {
 	leakcheck.Check(t)
 	v, rate := makeView(t, 24, 2)
-	p := core.DefaultLocalSimi(rate).LocalSimiParams
+	opt := core.DefaultLocalSimi(rate)
 	_, a1 := startWorker(t, WorkerConfig{})
 	_, a2 := startWorker(t, WorkerConfig{})
 	co := newCoord(t, []string{a1, a2}, nil)
 
 	res, err := co.Run(context.Background(), Request{
-		View: v, Op: OpLocalSimi, Rate: rate, LocalSimi: p, Shards: 6,
+		View: v, Op: OpLocalSimi, Rate: rate, LocalSimi: opt.LocalSimiParams, Shards: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 4})
-	want, _, err := fw.Apply(v, p.Spec().GhostChannels, p.Spec().TimeStride, p.UDF(), "")
+	want, _, _, err := fw.LocalSimilarity(v, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestClusterSTALTAOnSubsetWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 4})
-	want, _, err := fw.Apply(sub, 0, p.Stride, p.UDF(), "")
+	want, _, err := fw.STALTA(sub, p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,5 +259,38 @@ func TestExecuteShardDeadline(t *testing.T) {
 	defer cancel()
 	if _, _, err := executeShard(ctx, req, 2); !dass.IsCancellation(err) {
 		t.Fatalf("expired deadline: want cancellation, got %v", err)
+	}
+}
+
+// TestExecuteShardAllocsPerShardNotPerCell: the worker runs the same
+// scratch-aware engine loop as an in-process /detect, so what a shard
+// allocates is set-up (view, block read, thread team, output) and does not
+// grow with the number of cells it evaluates. The nil-scratch shim the
+// worker used to pass allocated a stencil plus three windows per cell.
+func TestExecuteShardAllocsPerShardNotPerCell(t *testing.T) {
+	v, _ := makeView(t, 8, 2)
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nch, nt := v.Shape()
+	for _, op := range []Op{OpLocalSimi, OpSTALTA} {
+		allocs := func(stride int) float64 {
+			req := wire.ShardRequest{
+				ID: 1, Op: string(op), Files: files, ChLo: 0, ChHi: nch, T0: 0, T1: nt,
+				M: 3, K: 1, L: 1, STA: 2, LTA: 8, Stride: stride, Halo: 1,
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := executeShard(context.Background(), req, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		coarse, fine := allocs(nt), allocs(1) // nch cells vs nch×nt cells
+		cells := float64(nch * nt)
+		t.Logf("%s: %.0f allocs for %d cells, %.0f for %.0f cells", op, coarse, nch, fine, cells)
+		if fine-coarse > cells/50 {
+			t.Errorf("%s: %.0f more allocations for %.0f more cells: the shard allocates per cell", op, fine-coarse, cells-float64(nch))
+		}
 	}
 }

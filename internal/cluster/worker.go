@@ -10,11 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dassa/internal/arrayudf"
-	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
+	"dassa/internal/haee"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/pfs"
@@ -437,13 +436,13 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 		if verr := p.Validate(); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
-		out, tr, gaps, err = applyShard(sub, p.Spec().GhostChannels, p.Spec().TimeStride, p.UDF(), cores)
+		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)
 	case OpSTALTA:
 		p := detect.STALTAParams{STASamples: req.STA, LTASamples: req.LTA, Stride: req.Stride}
 		if verr := p.Validate(); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
-		out, tr, gaps, err = applyShard(sub, 0, p.Spec().TimeStride, p.UDF(), cores)
+		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)
 	default:
 		return wire.ShardResult{}, nil, fmt.Errorf("cluster: unknown op %q", req.Op)
 	}
@@ -484,10 +483,11 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 }
 
 // applyShard runs a stencil op over the shard's sub-view under FailDegrade
-// and normalizes the engine's report to (output, trace, gaps).
-func applyShard(sub *dass.View, ghost, stride int, udf arrayudf.PointUDF, cores int) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
-	fw := core.New(core.Config{Nodes: 1, CoresPerNode: cores, FailPolicy: dass.FailDegrade})
-	out, rep, err := fw.Apply(sub, ghost, stride, udf, "")
+// — the same engine loop, on the same scratch-aware UDF, as an in-process
+// /detect — and normalizes the engine's report to (output, trace, gaps).
+func applyShard(sub *dass.View, w haee.PointsWorkload, cores int) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+	eng := haee.New(haee.Config{Nodes: 1, CoresPerNode: cores, Mode: haee.Hybrid, FailPolicy: dass.FailDegrade})
+	rep, err := eng.RunPoints(sub, w, "")
 	if err != nil {
 		return nil, rep.ReadTrace, nil, err
 	}
@@ -495,5 +495,5 @@ func applyShard(sub *dass.View, ghost, stride int, udf arrayudf.PointUDF, cores 
 	if rep.Quality != nil {
 		gaps = rep.Quality.Gaps
 	}
-	return out, rep.ReadTrace, gaps, nil
+	return rep.Output, rep.ReadTrace, gaps, nil
 }

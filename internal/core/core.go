@@ -430,8 +430,8 @@ func (f *Framework) apply(v *dass.View, ghostChannels, timeStride int, udf func(
 		return nil, Report{}, fmt.Errorf("core: Apply needs a UDF")
 	}
 	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
-		Spec: arrayudf.Spec{GhostChannels: ghostChannels, TimeStride: timeStride},
-		UDF:  udf,
+		Spec:       arrayudf.Spec{GhostChannels: ghostChannels, TimeStride: timeStride},
+		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 { return udf(s) },
 	}, outPath)
 	if err != nil {
 		return nil, Report{}, err

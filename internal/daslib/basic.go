@@ -80,10 +80,84 @@ func AbsCorr(c1, c2 []float64) float64 {
 		n1 += c1[i] * c1[i]
 		n2 += c2[i] * c2[i]
 	}
+	return absCorr(dot, n1, n2)
+}
+
+// absCorr finishes AbsCorr from the accumulated dot product and squared
+// norms.
+func absCorr(dot, n1, n2 float64) float64 {
 	if n1 == 0 || n2 == 0 {
 		return 0
 	}
 	return math.Abs(dot) / math.Sqrt(n1*n2)
+}
+
+// SumSquares returns Σ x², accumulated in index order — the squared norm
+// AbsCorr derives for each argument. The sum is NaN exactly when x holds a
+// NaN: squares are never negative, so nothing cancels into one.
+func SumSquares(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return s
+}
+
+// MaxAbsCorrLags returns the maximum over lags l = 0 … len(span)−len(w) of
+// AbsCorr(w, span[l:l+len(w)]), skipping windows that hold a NaN gap marker
+// — Algorithm 2's scan of one neighbour channel (0 when every window is
+// masked). wSq is SumSquares(w): it is the same at every lag, so the caller
+// derives it once per cell.
+//
+// Each lag's dot product and squared norm are accumulated in index order,
+// exactly as AbsCorr accumulates them, so every lag's value is bit-identical
+// to the AbsCorr call it replaces (DESIGN.md §14). Only the schedule
+// differs: three lags advance per pass, keeping six independent add chains
+// in flight where one AbsCorr call waits on the floating-point add latency
+// of its own three. The squared norm doubles as the NaN scan (see
+// SumSquares), so no window is read twice.
+func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
+	n := len(w)
+	lags := len(span) - n + 1
+	if lags < 1 {
+		panic(fmt.Sprintf("daslib: MaxAbsCorrLags span length %d shorter than window %d", len(span), n))
+	}
+	var best float64
+	l := 0
+	for ; l+3 <= lags; l += 3 {
+		a0, a1, a2 := span[l:][:n], span[l+1:][:n], span[l+2:][:n]
+		var d0, d1, d2, s0, s1, s2 float64
+		for i, c := range w {
+			x0, x1, x2 := a0[i], a1[i], a2[i]
+			d0 += c * x0
+			s0 += x0 * x0
+			d1 += c * x1
+			s1 += x1 * x1
+			d2 += c * x2
+			s2 += x2 * x2
+		}
+		best = foldLag(foldLag(foldLag(best, d0, wSq, s0), d1, wSq, s1), d2, wSq, s2)
+	}
+	for ; l < lags; l++ {
+		a0 := span[l:][:n]
+		var d0, s0 float64
+		for i, c := range w {
+			d0 += c * a0[i]
+			s0 += a0[i] * a0[i]
+		}
+		best = foldLag(best, d0, wSq, s0)
+	}
+	return best
+}
+
+// foldLag is one step of the lag scan: a window whose squared norm is NaN is
+// masked and leaves best alone, any other folds its |corr| in with math.Max
+// (NaN- and Inf-propagating, like the per-lag loop it replaces).
+func foldLag(best, dot, wSq, sSq float64) float64 {
+	if math.IsNaN(sSq) {
+		return best
+	}
+	return math.Max(best, absCorr(dot, wSq, sSq))
 }
 
 // AbsCorrComplex is AbsCorr for spectra: |⟨c1, c2⟩| / (‖c1‖‖c2‖).
@@ -178,11 +252,7 @@ func RMS(x []float64) float64 {
 	if len(x) == 0 {
 		return 0
 	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
+	return math.Sqrt(SumSquares(x) / float64(len(x)))
 }
 
 // hannCache holds the shared Hann window per length, built once like the

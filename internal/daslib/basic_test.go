@@ -107,6 +107,76 @@ func TestAbsCorr(t *testing.T) {
 	}
 }
 
+// TestMaxAbsCorrLagsMatchesAbsCorr pins the multi-lag kernel to the loop it
+// fuses — one AbsCorr per lag, NaN-holding windows skipped, folded with
+// math.Max — by bit pattern, over every lag-count remainder of its
+// three-lag pass and with NaN, ±Inf and all-zero windows in the span.
+func TestMaxAbsCorrLagsMatchesAbsCorr(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 2000; iter++ {
+		w := make([]float64, 1+rng.Intn(40))
+		span := make([]float64, len(w)+rng.Intn(9))
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		for i := range span {
+			switch rng.Intn(40) {
+			case 0:
+				span[i] = math.NaN()
+			case 1:
+				span[i] = math.Inf(1 - 2*rng.Intn(2))
+			default:
+				span[i] = rng.NormFloat64()
+			}
+		}
+		switch iter % 10 {
+		case 0:
+			clear(span)
+		case 1:
+			clear(w)
+		}
+		var want float64
+		for l := 0; l+len(w) <= len(span); l++ {
+			win := span[l : l+len(w)]
+			if !math.IsNaN(SumSquares(win)) {
+				want = math.Max(want, AbsCorr(w, win))
+			}
+		}
+		got := MaxAbsCorrLags(w, SumSquares(w), span)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("iter %d (window %d, %d lags): %v, per-lag AbsCorr gives %v",
+				iter, len(w), len(span)-len(w)+1, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a span shorter than the window should panic")
+		}
+	}()
+	MaxAbsCorrLags(make([]float64, 4), 0, make([]float64, 3))
+}
+
+func TestSumSquaresNaNIffInputNaN(t *testing.T) {
+	for _, tc := range []struct {
+		x   []float64
+		nan bool
+	}{
+		{nil, false},
+		{[]float64{1, -2, 3}, false},
+		{[]float64{math.Inf(1), math.Inf(-1), 0}, false},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, false},
+		{[]float64{1, math.NaN(), 3}, true},
+		{[]float64{math.Inf(1), math.NaN()}, true},
+	} {
+		if got := math.IsNaN(SumSquares(tc.x)); got != tc.nan {
+			t.Errorf("SumSquares(%v) NaN = %v, want %v", tc.x, got, tc.nan)
+		}
+	}
+	if got := SumSquares([]float64{3, 4}); got != 25 {
+		t.Errorf("SumSquares(3,4) = %g", got)
+	}
+}
+
 func TestAbsCorrRangeProperty(t *testing.T) {
 	f := func(a, b []float64) bool {
 		n := min(len(a), len(b))

@@ -54,36 +54,31 @@ func (p LocalSimiParams) UDF() arrayudf.PointUDF {
 	return func(s *arrayudf.Stencil) float64 { return udf(s, nil) }
 }
 
-// UDFScratch is UDF with the three comparison windows borrowed from a
-// per-thread scratch arena — the fig10 hot path evaluates this once per
-// cell per lag, so the arena removes three window allocations per lag
-// scan.
+// UDFScratch is UDF on the fused kernel: the cell's window and the two
+// neighbour spans S(−M−L:M+L, ±K) are borrowed from the block in place
+// (arrayudf.Stencil.Span) and daslib.MaxAbsCorrLags scans each span's 2L+1
+// lags in one call, every lag bit-identical to the AbsCorr of the copied
+// windows it replaces. Only cells within M+L samples of either time edge,
+// whose spans need clamped copies, borrow from the scratch arena.
 func (p LocalSimiParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-	width := 2*p.M + 1
+	width, reach := 2*p.M+1, p.M+p.L
+	span := 2*reach + 1
 	return func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-		w := scr.Float(width)
-		s.WindowInto(w, -p.M, p.M, 0)
-		if hasNaN(w) {
-			scr.ReleaseFloat(w)
-			return 0
+		var edge, wBuf, plusBuf, minusBuf []float64
+		if t := s.T(); t < reach || t+reach >= s.Samples() {
+			edge = scr.Float(width + 2*span)
+			wBuf, plusBuf, minusBuf = edge[:width], edge[width:width+span], edge[width+span:]
 		}
-		w1 := scr.Float(width)
-		w2 := scr.Float(width)
-		var cPlus, cMinus float64
-		for l := -p.L; l <= p.L; l++ {
-			s.WindowInto(w1, l-p.M, l+p.M, +p.K)
-			s.WindowInto(w2, l-p.M, l+p.M, -p.K)
-			if !hasNaN(w1) {
-				cPlus = math.Max(cPlus, daslib.AbsCorr(w, w1))
-			}
-			if !hasNaN(w2) {
-				cMinus = math.Max(cMinus, daslib.AbsCorr(w, w2))
-			}
+		var sim float64
+		w := s.Span(wBuf, -p.M, p.M, 0)
+		// A NaN squared norm is a masked window: the cell scores 0.
+		if wSq := daslib.SumSquares(w); !math.IsNaN(wSq) {
+			cPlus := daslib.MaxAbsCorrLags(w, wSq, s.Span(plusBuf, -reach, reach, +p.K))
+			cMinus := daslib.MaxAbsCorrLags(w, wSq, s.Span(minusBuf, -reach, reach, -p.K))
+			sim = (cPlus + cMinus) / 2
 		}
-		scr.ReleaseFloat(w2)
-		scr.ReleaseFloat(w1)
-		scr.ReleaseFloat(w)
-		return (cPlus + cMinus) / 2
+		scr.ReleaseFloat(edge)
+		return sim
 	}
 }
 

@@ -39,18 +39,11 @@ func (p STALTAParams) Spec() arrayudf.Spec {
 	return arrayudf.Spec{TimeStride: p.Stride}
 }
 
-// UDF returns the trigger as a PointUDF: the ratio of mean squared
-// amplitude in the trailing short window to the trailing long window.
-// NaN-masked gaps count as silence, so a degraded span cannot trigger.
-//
-// UDF is a thin shim over UDFScratch with a nil (allocate-fresh) arena.
-func (p STALTAParams) UDF() arrayudf.PointUDF {
-	udf := p.UDFScratch()
-	return func(s *arrayudf.Stencil) float64 { return udf(s, nil) }
-}
-
-// UDFScratch is UDF with the two windows borrowed from a per-thread
-// scratch arena.
+// UDFScratch returns the trigger as a scratch-aware point UDF: the ratio of
+// mean squared amplitude in the trailing short window to the trailing long
+// window. NaN-masked gaps count as silence, so a degraded span cannot
+// trigger. Only the first LTASamples−1 cells of a row, whose windows reach
+// before sample 0, borrow from the thread's scratch arena.
 func (p STALTAParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 	return func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 		sta := meanSquareWindow(s, scr, p.STASamples)
@@ -63,27 +56,22 @@ func (p STALTAParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch
 }
 
 // meanSquareWindow computes the mean squared amplitude of the trailing
-// n-sample window, skipping NaN gap markers — numerically identical to
-// zeroing them (adding 0.0 is exact) without materializing a cleaned copy.
+// n-sample window, summed in place on the block row and skipping NaN gap
+// markers — numerically identical to zeroing them (adding 0.0 is exact)
+// without materializing a cleaned copy.
 func meanSquareWindow(s *arrayudf.Stencil, scr *daslib.Scratch, n int) float64 {
-	w := scr.Float(n)
-	s.WindowInto(w, -(n - 1), 0, 0)
+	var edge []float64
+	if s.T() < n-1 {
+		edge = scr.Float(n)
+	}
 	var sum float64
-	for _, v := range w {
+	for _, v := range s.Span(edge, -(n - 1), 0, 0) {
 		if !math.IsNaN(v) {
 			sum += v * v
 		}
 	}
-	scr.ReleaseFloat(w)
+	scr.ReleaseFloat(edge)
 	return sum / float64(n)
-}
-
-func meanSquare(w []float64) float64 {
-	var s float64
-	for _, v := range w {
-		s += v * v
-	}
-	return s / float64(len(w))
 }
 
 // Ratio computes the STA/LTA series for one channel directly (serial

@@ -65,10 +65,10 @@ func TestSTALTARatioMatchesUDF(t *testing.T) {
 	data := dasf.NewArray2D(1, n)
 	copy(data.Row(0), x)
 	blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: 1}
-	udf := p.UDF()
+	udf := p.UDFScratch()
 	for i := range fast {
 		s := blk.Stencil(0, i*3)
-		want := udf(s)
+		want := udf(s, nil)
 		if d := math.Abs(fast[i] - want); d > 1e-9*(1+want) {
 			t.Fatalf("prefix-sum ratio[%d] = %g, UDF = %g", i, fast[i], want)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
+	"dassa/internal/daslib"
 	"dassa/internal/omp"
 )
 
@@ -19,31 +20,35 @@ func benchBlock(channels, samples int) arrayudf.Block {
 func BenchmarkApplyMTMovingAverage(b *testing.B) {
 	blk := benchBlock(32, 2000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) float64 {
+	udf := func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 		return (s.At(-1, 0) + s.Value() + s.At(1, 0)) / 3
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyMT(team, blk, arrayudf.Spec{}, 2000, udf)
+		ApplyMTScratch(team, blk, arrayudf.Spec{}, 2000, udf)
 	}
 }
 
 func BenchmarkApplyMTLocalSimiWindow(b *testing.B) {
 	blk := benchBlock(16, 1000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) float64 {
-		w := s.Window(-8, 8, 0)
+	udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+		var edge []float64
+		if t := s.T(); t < 8 || t+8 >= s.Samples() {
+			edge = scr.Float(17)
+		}
 		var sum float64
-		for _, v := range w {
+		for _, v := range s.Span(edge, -8, 8, 0) {
 			sum += v
 		}
+		scr.ReleaseFloat(edge)
 		return sum
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyMT(team, blk, arrayudf.Spec{TimeStride: 10}, 1000, udf)
+		ApplyMTScratch(team, blk, arrayudf.Spec{TimeStride: 10}, 1000, udf)
 	}
 }
 

@@ -6,9 +6,12 @@
 // must replicate per core), and each node issues one set of I/O requests
 // instead of one per core.
 //
-// ApplyMT is the paper's Algorithm 1: a thread team evaluates the UDF over
-// the node's block, each thread appending to a private result vector; the
-// vectors are merged by a prefix-sum of sizes and a parallel copy.
+// The apply loops are the paper's Algorithm 1 (ApplyMT): a thread team
+// evaluates the UDF over the node's block. Point workloads write their
+// cells straight into the preallocated output (ApplyMTScratch); row
+// workloads either do the same per channel (ApplyRowsInto) or append to
+// per-thread private vectors merged by a prefix-sum of sizes and a parallel
+// copy (ApplyRowsMT).
 package haee
 
 import (
@@ -107,10 +110,9 @@ type RowsWorkload struct {
 // PointsWorkload is a per-cell analysis (Algorithm 2 shape).
 type PointsWorkload struct {
 	Spec arrayudf.Spec
-	// UDF maps one cell to one value; it must be thread-safe.
-	UDF arrayudf.PointUDF
-	// UDFScratch, when non-nil, is preferred over UDF: the same mapping
-	// with a per-thread scratch arena for its window buffers.
+	// UDFScratch maps one cell to one value; it must be thread-safe. scr is
+	// the calling thread's scratch arena, for whatever buffers the UDF
+	// cannot borrow from the block itself.
 	UDFScratch func(s *arrayudf.Stencil, scr *daslib.Scratch) float64
 }
 
@@ -162,30 +164,10 @@ type Engine struct {
 // New creates an engine; the config is validated at run time.
 func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
-// ApplyMT is Algorithm 1: evaluate udf over every (owned channel × strided
-// time) cell of blk with a thread team, using per-thread private vectors
-// merged by prefix sums (omp.ForAppend). The static schedule makes the
-// merged order equal the sequential order.
-func ApplyMT(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt int, udf arrayudf.PointUDF) *dasf.Array2D {
-	own := blk.OwnedChannels()
-	outT := spec.OutSamples(nt)
-	if own <= 0 {
-		return dasf.NewArray2D(0, outT)
-	}
-	stride := spec.TimeStride
-	if stride <= 0 {
-		stride = 1
-	}
-	cells := own * outT
-	flat := omp.ForAppend(team, cells, func(i int, out *[]float64) {
-		s := blk.Stencil(i/outT, (i%outT)*stride)
-		*out = append(*out, udf(s))
-	})
-	return &dasf.Array2D{Channels: own, Samples: outT, Data: flat}
-}
-
-// ApplyRowsMT is ApplyMT for RowUDF workloads: one evaluation per owned
-// channel, each appending its whole row.
+// ApplyRowsMT is Algorithm 1 for RowUDF workloads: a thread team evaluates
+// udf once per owned channel, each thread appending whole rows to a private
+// vector, merged by prefix sums (omp.ForAppend). The static schedule makes
+// the merged order equal the sequential order.
 func ApplyRowsMT(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *arrayudf.Stencil) []float64) *dasf.Array2D {
 	own := blk.OwnedChannels()
 	if own <= 0 {
@@ -218,11 +200,12 @@ func teamScratch(team *omp.Team, blk arrayudf.Block) (scratches []*daslib.Scratc
 	}
 }
 
-// ApplyMTScratch is ApplyMT for scratch-aware point UDFs: the output array
+// ApplyMTScratch is Algorithm 1 for point UDFs: a thread team evaluates udf
+// over every (owned channel × strided time) cell of blk. The output array
 // is preallocated and each thread writes its cells directly (the static
 // schedule gives disjoint index ranges, so no merge is needed), reusing one
-// stencil and one scratch arena per thread. After the first channel of a
-// run the inner loop performs no allocation.
+// stencil and one scratch arena per thread, so the loop itself allocates
+// nothing per cell.
 func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt int, udf func(s *arrayudf.Stencil, scr *daslib.Scratch) float64) *dasf.Array2D {
 	own := blk.OwnedChannels()
 	outT := spec.OutSamples(nt)
@@ -310,7 +293,7 @@ func (e *Engine) RunPoints(v *dass.View, w PointsWorkload, outPath string) (Repo
 	if err := e.cfg.validate(); err != nil {
 		return Report{}, err
 	}
-	if w.UDF == nil && w.UDFScratch == nil {
+	if w.UDFScratch == nil {
 		return Report{}, fmt.Errorf("haee: PointsWorkload needs a UDF")
 	}
 	_, nt := v.Shape()
@@ -318,26 +301,15 @@ func (e *Engine) RunPoints(v *dass.View, w PointsWorkload, outPath string) (Repo
 		// Check cancellation once per channel row (the first strided cell),
 		// not per cell — cancellation latency stays one row, the hot loop
 		// stays hot.
-		if w.UDFScratch != nil {
-			udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-				if s.T() == 0 {
-					if err := v.Context().Err(); err != nil {
-						panic(fmt.Errorf("haee: points compute: %w", err))
-					}
-				}
-				return w.UDFScratch(s, scr)
-			}
-			return ApplyMTScratch(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
-		}
-		udf := func(s *arrayudf.Stencil) float64 {
+		udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 			if s.T() == 0 {
 				if err := v.Context().Err(); err != nil {
 					panic(fmt.Errorf("haee: points compute: %w", err))
 				}
 			}
-			return w.UDF(s)
+			return w.UDFScratch(s, scr)
 		}
-		return ApplyMT(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
+		return ApplyMTScratch(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 	"dassa/internal/omp"
@@ -50,7 +51,7 @@ func TestModeString(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	e := New(Config{Nodes: 0, CoresPerNode: 4})
-	if _, err := e.RunPoints(nil, PointsWorkload{UDF: func(*arrayudf.Stencil) float64 { return 0 }}, ""); err == nil {
+	if _, err := e.RunPoints(nil, PointsWorkload{UDFScratch: func(*arrayudf.Stencil, *daslib.Scratch) float64 { return 0 }}, ""); err == nil {
 		t.Error("zero nodes should fail")
 	}
 	e = New(Config{Nodes: 1, CoresPerNode: 1})
@@ -64,7 +65,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestApplyMTMatchesSequentialApply(t *testing.T) {
 	v, full, _ := makeView(t, 10, 2)
-	udf := func(s *arrayudf.Stencil) float64 {
+	udf := func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 		return s.At(0, -1) + 2*s.Value() + s.At(0, 1)
 	}
 	spec := arrayudf.Spec{GhostChannels: 1, TimeStride: 3}
@@ -72,7 +73,7 @@ func TestApplyMTMatchesSequentialApply(t *testing.T) {
 	// Sequential reference via arrayudf.Apply on one rank.
 	var want *dasf.Array2D
 	eng := New(Config{Nodes: 1, CoresPerNode: 1, Mode: PureMPI})
-	rep, err := eng.RunPoints(v, PointsWorkload{Spec: spec, UDF: udf}, "")
+	rep, err := eng.RunPoints(v, PointsWorkload{Spec: spec, UDFScratch: udf}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestApplyMTMatchesSequentialApply(t *testing.T) {
 		{Nodes: 3, CoresPerNode: 2, Mode: Hybrid},
 		{Nodes: 2, CoresPerNode: 3, Mode: PureMPI},
 	} {
-		rep, err := New(cfg).RunPoints(v, PointsWorkload{Spec: spec, UDF: udf}, "")
+		rep, err := New(cfg).RunPoints(v, PointsWorkload{Spec: spec, UDFScratch: udf}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestApplyMTMatchesSequentialApply(t *testing.T) {
 }
 
 func TestApplyMTDirect(t *testing.T) {
-	// ApplyMT on a handmade block, checked against direct evaluation.
+	// ApplyMTScratch on a handmade block, checked against direct evaluation.
 	a := dasf.NewArray2D(4, 20)
 	for c := 0; c < 4; c++ {
 		for tt := 0; tt < 20; tt++ {
@@ -111,7 +112,7 @@ func TestApplyMTDirect(t *testing.T) {
 	}
 	blk := arrayudf.Block{Data: a, ChLo: 0, ChHi: 4, Ghost: 0}
 	team := omp.NewTeam(3)
-	out := ApplyMT(team, blk, arrayudf.Spec{TimeStride: 2}, 20, func(s *arrayudf.Stencil) float64 {
+	out := ApplyMTScratch(team, blk, arrayudf.Spec{TimeStride: 2}, 20, func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 		return 2 * s.Value()
 	})
 	if out.Channels != 4 || out.Samples != 10 {
@@ -120,12 +121,12 @@ func TestApplyMTDirect(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		for i := 0; i < 10; i++ {
 			if out.At(c, i) != 2*a.At(c, i*2) {
-				t.Fatalf("ApplyMT(%d,%d) wrong", c, i)
+				t.Fatalf("ApplyMTScratch(%d,%d) wrong", c, i)
 			}
 		}
 	}
 	// Empty block.
-	empty := ApplyMT(team, arrayudf.Block{ChLo: 2, ChHi: 2}, arrayudf.Spec{}, 20, nil)
+	empty := ApplyMTScratch(team, arrayudf.Block{ChLo: 2, ChHi: 2}, arrayudf.Spec{}, 20, nil)
 	if empty.Channels != 0 {
 		t.Error("empty block should give empty output")
 	}

@@ -42,6 +42,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{magic0, magic1, Version, byte(TypeHeartbeat), 0, 0, 0, 0})
 	// Hostile header: plausible prefix, enormous declared length.
 	f.Add([]byte{magic0, magic1, Version, byte(TypeShardResult), 0x03, 0xff, 0xff, 0xff, 1, 2, 3})
+	// Hostile shape: 2^61×1 cells, whose byte count wraps to the empty data
+	// block's length (once a make-sized panic in DecodeResult).
+	f.Add(AppendFrame(nil, overflowResult(1<<61, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -413,13 +413,29 @@ func DecodeResult(f Frame) (ShardResult, []float64, error) {
 		return res, nil, fmt.Errorf("%w: result header: %w", ErrBadFrame, err)
 	}
 	raw := f.Payload[4+hdrLen:]
-	if res.Channels < 0 || res.Samples < 0 || res.Channels*res.Samples*8 != len(raw) {
+	cells, ok := cellCount(res.Channels, res.Samples)
+	if !ok || cells*8 != len(raw) {
 		return res, nil, fmt.Errorf("%w: result declares %d×%d cells, carries %d bytes",
 			ErrBadFrame, res.Channels, res.Samples, len(raw))
 	}
-	data := make([]float64, res.Channels*res.Samples)
+	data := make([]float64, cells)
 	for i := range data {
 		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return res, data, nil
+}
+
+// cellCount returns channels×samples for a declared result shape, or false
+// when a dimension is negative or the product exceeds what one frame can
+// carry (MaxPayload/8 float64s). The bound is checked by division before
+// multiplying: a hostile header such as 2^61×1 would otherwise wrap
+// channels×samples×8 to 0, match an empty data block, and size a make.
+func cellCount(channels, samples int) (int, bool) {
+	if channels < 0 || samples < 0 {
+		return 0, false
+	}
+	if samples != 0 && channels > MaxPayload/8/samples {
+		return 0, false
+	}
+	return channels * samples, true
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -112,6 +114,40 @@ func TestDecodeResultRejectsCorruptHeader(t *testing.T) {
 	short := Frame{Type: TypeShardResult, Payload: f.Payload[:len(f.Payload)-8]}
 	if _, _, err := DecodeResult(short); err == nil {
 		t.Fatal("short data block accepted")
+	}
+}
+
+// overflowResult is a result frame whose declared shape overflows the
+// channels×samples×8 byte count: the header alone, no data block.
+func overflowResult(channels, samples int) Frame {
+	hdr := fmt.Sprintf(`{"id":1,"channels":%d,"samples":%d}`, channels, samples)
+	payload := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
+	return Frame{Type: TypeShardResult, Payload: append(payload, hdr...)}
+}
+
+// TestDecodeResultRejectsOverflowingShape: a shape whose byte count wraps
+// to the (empty) data block's length must be refused with ErrBadFrame
+// before it sizes an allocation — it used to panic the coordinator in make.
+func TestDecodeResultRejectsOverflowingShape(t *testing.T) {
+	for _, tc := range []struct{ channels, samples int }{
+		{1 << 61, 1},       // ×8 wraps to 0
+		{1, 1 << 61},       // same, transposed
+		{1 << 32, 1 << 32}, // the product itself wraps to 0
+		{1 << 31, 1 << 30}, // ×8 wraps to 0 after a representable product
+		{MaxPayload/8 + 1, 1},
+		{-1, 0},
+		{0, -1},
+	} {
+		_, data, err := DecodeResult(overflowResult(tc.channels, tc.samples))
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%d×%d: err = %v (%d values), want ErrBadFrame", tc.channels, tc.samples, err, len(data))
+		}
+	}
+	// Degenerate but honest shapes still decode.
+	for _, tc := range []struct{ channels, samples int }{{0, 0}, {0, 1 << 40}, {1 << 40, 0}} {
+		if _, data, err := DecodeResult(overflowResult(tc.channels, tc.samples)); err != nil || len(data) != 0 {
+			t.Errorf("%d×%d: %v (%d values), want an empty result", tc.channels, tc.samples, err, len(data))
+		}
 	}
 }
 

@@ -177,13 +177,14 @@ func TestFig9BaselineSlower(t *testing.T) {
 		t.Errorf("modeled 12-core DASSA compute (%v) should beat baseline (%v)",
 			ds.ComputeModel, bl.ComputeModel)
 	}
-	// The ratio is scale-dependent: at this tiny test size the fixed
-	// interpreter dispatch overhead dominates the (fast) kernels, inflating
-	// it well past the paper's 16× (the default bench scale lands at
-	// 15-25×), and the planned zero-allocation kernel path widens it
-	// further. The band only guards against absurd values.
-	if ratio := float64(bl.ComputeModel) / float64(ds.ComputeModel); ratio < 5 || ratio > 150 {
-		t.Errorf("modeled speedup = %.1fx, want a sane multiple of the core count (5-150)", ratio)
+	// Twelve cores against an interpreted serial loop must give at least a
+	// small multiple of the paper's regime. There is no ceiling: the ratio is
+	// scale-dependent — at this tiny test size the fixed interpreter
+	// dispatch overhead dominates the baseline while every kernel DASSA
+	// speeds up shrinks only the denominator — so an upper bound would
+	// measure how fast the row kernel is, not whether the model is sane.
+	if ratio := float64(bl.ComputeModel) / float64(ds.ComputeModel); ratio < 5 {
+		t.Errorf("modeled speedup = %.1fx, want at least 5x at 12 cores", ratio)
 	}
 	// The serial measurement alone must already show the interpreter tax.
 	if bl.ComputeWall <= ds.ComputeWall {

@@ -9,7 +9,6 @@ import (
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/daslib"
-	"dassa/internal/detect"
 )
 
 // Fig9Row is one system's measurement in the single-node comparison.
@@ -78,26 +77,25 @@ func RunFig9(o Options) ([]Fig9Row, error) {
 	}
 
 	// DASSA: same pipeline via the detect workload, serial measurement on
-	// the planned path — prepared master spectrum, per-run scratch arena,
-	// destination-passing kernels — exactly what the engine threads run.
+	// the planned path — master prepared for the kept lags, per-run scratch
+	// arena, destination-passing kernels — exactly what the engine threads
+	// run.
 	master, err := params.Preprocess(data.Row(params.MasterChannel))
 	if err != nil {
 		return nil, err
 	}
-	mst := daslib.PrepareXCorrMaster(master, len(master))
+	mst := daslib.PrepareXCorrMasterLags(master, len(master), params.MaxLag)
 	rowLen := params.RowLen(data.Samples)
 	dsOut := dasf.NewArray2D(data.Channels, rowLen)
 	scr := daslib.GetScratch()
 	defer daslib.PutScratch(scr)
 	series := make([]float64, len(master))
-	corr := make([]float64, daslib.XCorrLen(len(master), len(master)))
 	dsCompute, err := timeIt(func() error {
 		for ch := 0; ch < data.Channels; ch++ {
 			if err := params.PreprocessInto(series, data.Row(ch), scr); err != nil {
 				return err
 			}
-			mst.XCorrNormalizedInto(corr, series, scr)
-			detect.TrimLagsInto(dsOut.Row(ch), corr, len(series), len(master))
+			mst.XCorrNormalizedInto(dsOut.Row(ch), series, scr)
 		}
 		return nil
 	})

@@ -100,37 +100,48 @@ func twiddles(n int) []complex128 {
 	return tw
 }
 
-// fftPow2 is an in-place iterative radix-2 Cooley-Tukey transform.
-// len(x) must be a power of two.
-func fftPow2(x []complex128) {
-	fftPow2Tw(x, twiddles(len(x)))
+// bitReversalSwaps returns the index pairs (i, j = bit-reverse(i), i < j) of
+// the radix-2 input permutation for size n, flattened as i0, j0, i1, j1, ….
+// Plans hold the table so the permutation is a table walk instead of a
+// bits.Reverse64 per index per call.
+func bitReversalSwaps(n int) []int32 {
+	if n <= 2 {
+		return nil
+	}
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	var swaps []int32
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			swaps = append(swaps, int32(i), int32(j))
+		}
+	}
+	return swaps
 }
 
-// fftPow2Tw is fftPow2 with the twiddle table passed in, so plan-driven
-// callers skip the cache lookup entirely.
-func fftPow2Tw(x []complex128, tw []complex128) {
+// fftPow2 is the in-place iterative radix-2 Cooley-Tukey transform over the
+// plan's power-of-two size: the bit-reversal permutation walks the plan's
+// swap table, the butterflies index its twiddle table.
+func (p *Plan) fftPow2(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
+	swaps := p.swaps
+	for k := 0; k+1 < len(swaps); k += 2 {
+		i, j := swaps[k], swaps[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
+	tw := p.tw
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		stride := n / size // index step into the full-size twiddle table
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*stride]
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+			lo, hi := x[start:start+half], x[start+half:start+size]
+			hi = hi[:len(lo)]
+			for k, a := range lo {
+				b := hi[k] * tw[k*stride]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}

@@ -7,23 +7,24 @@ import (
 )
 
 // Plan holds everything size-dependent a transform of length n needs:
-// the twiddle table for the power-of-two kernel and, for non-power-of-two
-// lengths, the Bluestein chirp plus the precomputed forward transform of
-// the chirp convolution kernel (one of the three FFTs the classic
-// per-call Bluestein pays, hoisted out of the hot loop entirely).
+// the twiddle and bit-reversal swap tables for the power-of-two kernel and,
+// for non-power-of-two lengths, the Bluestein chirp plus the precomputed
+// forward transform of the chirp convolution kernel (one of the three FFTs
+// the classic per-call Bluestein pays, hoisted out of the hot loop
+// entirely).
 //
 // Plans are immutable and safe for concurrent use; PlanFFT caches one per
 // size, so DAS pipelines that transform the same window length millions of
 // times build each plan exactly once.
 type Plan struct {
-	n  int
-	tw []complex128 // twiddles for size n (power-of-two path), else nil
+	n     int
+	tw    []complex128 // twiddles for size n (power-of-two path), else nil
+	swaps []int32      // bit-reversal swap pairs for size n (power-of-two path)
 
 	// Bluestein state (n not a power of two):
-	m     int          // power-of-two convolution length ≥ 2n-1
-	twm   []complex128 // twiddles for size m
+	conv  *Plan        // plan of the power-of-two convolution length ≥ 2n-1
 	chirp []complex128 // exp(-iπ·k²/n), k in [0, n)
-	bhat  []complex128 // forward FFT of the conjugate-chirp kernel, length m
+	bhat  []complex128 // forward FFT of the conjugate-chirp kernel, length conv.n
 }
 
 // planCache maps transform size to its Plan. Guarded by a plain RWMutex so
@@ -60,10 +61,11 @@ func newPlan(n int) *Plan {
 	}
 	if n&(n-1) == 0 {
 		p.tw = twiddles(n)
+		p.swaps = bitReversalSwaps(n)
 		return p
 	}
-	p.m = NextPow2(2*n - 1)
-	p.twm = twiddles(p.m)
+	p.conv = PlanFFT(NextPow2(2*n - 1))
+	m := p.conv.n
 	// chirp[k] = exp(-iπ k²/n); k² mod 2n avoids precision loss for large k.
 	p.chirp = make([]complex128, n)
 	for k := 0; k < n; k++ {
@@ -71,15 +73,15 @@ func newPlan(n int) *Plan {
 		s, c := math.Sincos(-math.Pi * float64(kk) / float64(n))
 		p.chirp[k] = complex(c, s)
 	}
-	p.bhat = make([]complex128, p.m)
+	p.bhat = make([]complex128, m)
 	for k := 0; k < n; k++ {
 		bc := cmplx.Conj(p.chirp[k])
 		p.bhat[k] = bc
 		if k > 0 {
-			p.bhat[p.m-k] = bc
+			p.bhat[m-k] = bc
 		}
 	}
-	fftPow2Tw(p.bhat, p.twm)
+	p.conv.fftPow2(p.bhat)
 	return p
 }
 
@@ -99,7 +101,7 @@ func (p *Plan) FFTInto(dst, src []complex128, s *Scratch) {
 		if &dst[0] != &src[0] {
 			copy(dst, src)
 		}
-		fftPow2Tw(dst, p.tw)
+		p.fftPow2(dst)
 		return
 	}
 	p.bluesteinInto(dst, src, s)
@@ -109,12 +111,12 @@ func (p *Plan) FFTInto(dst, src []complex128, s *Scratch) {
 // using the plan's precomputed kernel spectrum: two power-of-two transforms
 // per call instead of the classic three.
 func (p *Plan) bluesteinInto(dst, src []complex128, s *Scratch) {
-	n, m := p.n, p.m
+	n, m := p.n, p.conv.n
 	a := s.Complex(m)
 	for k := 0; k < n; k++ {
 		a[k] = src[k] * p.chirp[k]
 	}
-	fftPow2Tw(a, p.twm)
+	p.conv.fftPow2(a)
 	for i := range a {
 		a[i] *= p.bhat[i]
 	}
@@ -122,7 +124,7 @@ func (p *Plan) bluesteinInto(dst, src []complex128, s *Scratch) {
 	for i := range a {
 		a[i] = cmplx.Conj(a[i])
 	}
-	fftPow2Tw(a, p.twm)
+	p.conv.fftPow2(a)
 	inv := 1 / float64(m)
 	for k := 0; k < n; k++ {
 		dst[k] = cmplx.Conj(a[k]) * complex(inv, 0) * p.chirp[k]

@@ -207,22 +207,99 @@ func TestXCorrIntoBitIdentical(t *testing.T) {
 	}
 }
 
-func TestXCorrMasterBitIdentical(t *testing.T) {
-	// The prepared-master path reuses a precomputed reversed-padded
-	// spectrum; it must reproduce pairwise XCorrNormalized bit for bit.
+// xcorrDirectLags is the direct-form time-domain oracle: lags lo…lo+n-1 of
+// the full normalised correlation (index i ↔ lag i-(len(b)-1)), each a plain
+// sum over the overlapping samples.
+func xcorrDirectLags(a, b []float64, lo, n int) []float64 {
+	var ea, eb float64
+	for _, v := range a {
+		ea += v * v
+	}
+	for _, v := range b {
+		eb += v * v
+	}
+	norm := 1.0
+	if ea != 0 && eb != 0 {
+		norm = 1 / math.Sqrt(ea*eb)
+	}
+	out := make([]float64, n)
+	for i := range out {
+		lag := lo + i - (len(b) - 1)
+		var sum float64
+		for k, bv := range b {
+			if j := k + lag; j >= 0 && j < len(a) {
+				sum += a[j] * bv
+			}
+		}
+		out[i] = sum * norm
+	}
+	return out
+}
+
+// TestXCorrMasterMatchesDirectForm is the overlap-save correlator's
+// contract: for any lengths and any maxLag the master's row is the window
+// of the direct-form correlation that XCorrLagStart centres on zero lag, to
+// 1e-12 absolute on the normalised lags — one block or many, block-aligned
+// or not, planned length or the pairwise fallback — and the same window of
+// the full-FFT XCorrNormalized.
+func TestXCorrMasterMatchesDirectForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	s := NewScratch()
-	for _, n := range []int{61, 128, 1000} {
-		b := randFloats(rng, n)
-		mst := PrepareXCorrMaster(b, n)
-		for trial := 0; trial < 3; trial++ {
-			a := randFloats(rng, n)
-			want := XCorrNormalized(a, b)
-			dst := make([]float64, XCorrLen(n, n))
-			mst.XCorrNormalizedInto(dst, a, s)
-			bitIdenticalF(t, "XCorrMaster", n, dst, want)
-			bitIdenticalF(t, "XCorrWithSpectrum", n, XCorrWithSpectrum(a, mst), want)
+	type shape struct{ na, nb, maxLag, lenA int }
+	shapes := []shape{
+		{1, 1, 0, 1}, {1, 1, 3, 1}, {2, 1, 0, 2}, {61, 61, 0, 61}, {128, 128, 0, 128}, {1000, 1000, 0, 1000},
+		{700, 700, 1, 700},     // F = 256, three blocks
+		{700, 701, 5, 700},     // last block partial
+		{246, 492, 5, 246},     // nb an exact block multiple
+		{2000, 1500, 40, 2000}, // F = 512
+		{1500, 2000, 40, 1500},
+		{300, 300, 128, 300},       // F capped at NextPow2(na+nb-1): one block, banded
+		{300, 300, 299, 300},       // ±maxLag covers every lag
+		{300, 300, 5000, 300},      // maxLag past both series
+		{10, 900, 7, 10},           // a shorter than maxLag+1: window shifted by XCorrLagStart
+		{900, 4, 7, 900},           // b shorter than maxLag+1
+		{700, 700, 5, 650},         // len(a) != na: pairwise fallback
+		{700, 700, 0, 701},         // fallback, all lags
+		{32000, 32000, 128, 32000}, // the benchmark row: F = 1024, 42 blocks
+	}
+	for i := 0; i < 40; i++ {
+		na, nb := 1+rng.Intn(900), 1+rng.Intn(900)
+		shapes = append(shapes, shape{na, nb, rng.Intn(2 * max(na, nb)), na})
+		shapes = append(shapes, shape{na, nb, rng.Intn(24), na})
+	}
+	check := func(name string, sh shape, a, b []float64) {
+		t.Helper()
+		mst := PrepareXCorrMasterLags(b, sh.na, sh.maxLag)
+		lo, n := xcorrLagWindow(len(a), len(b), sh.maxLag)
+		if len(a) == sh.na && mst.Len() != n {
+			t.Fatalf("%s %+v: Len() = %d, want %d", name, sh, mst.Len(), n)
 		}
+		got := make([]float64, n)
+		mst.XCorrNormalizedInto(got, a, s)
+		want := xcorrDirectLags(a, b, lo, n)
+		fft := XCorrNormalized(a, b)[lo : lo+n]
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); !(d <= 1e-12) {
+				t.Fatalf("%s %+v: lag index %d = %v, direct form %v (|diff| %g)", name, sh, i, got[i], want[i], d)
+			}
+			if d := math.Abs(got[i] - fft[i]); !(d <= 1e-12) {
+				t.Fatalf("%s %+v: lag index %d = %v, XCorrNormalized %v (|diff| %g)", name, sh, i, got[i], fft[i], d)
+			}
+		}
+	}
+	for _, sh := range shapes {
+		a, b := randFloats(rng, sh.lenA), randFloats(rng, sh.nb)
+		check("random", sh, a, b)
+	}
+	for _, sh := range shapes[6:12] {
+		a, b := randFloats(rng, sh.lenA), randFloats(rng, sh.nb)
+		zero := make([]float64, sh.lenA)
+		check("zero-energy a", sh, zero, b)
+		check("zero-energy b", sh, a, make([]float64, sh.nb))
+		for i := range zero {
+			zero[i] = 3.5
+		}
+		check("constant a", sh, zero, b)
 	}
 }
 
@@ -265,6 +342,8 @@ func TestPlannedPathsAllocFree(t *testing.T) {
 	}
 	mst := PrepareXCorrMaster(x, n)
 	corr := make([]float64, XCorrLen(n, n))
+	banded := PrepareXCorrMasterLags(x, n, 16) // F = 256: 19 blocks, both edge segments
+	lags := make([]float64, banded.Len())
 	res := make([]float64, ResampleLen(n, 1, 4))
 
 	pow2 := PlanFFT(n)
@@ -294,6 +373,7 @@ func TestPlannedPathsAllocFree(t *testing.T) {
 		{"XCorrInto", func() { XCorrInto(corr, x, x, s) }},
 		{"XCorrNormalizedInto", func() { XCorrNormalizedInto(corr, x, x, s) }},
 		{"XCorrMaster", func() { mst.XCorrNormalizedInto(corr, x, s) }},
+		{"XCorrMaster/multi-block", func() { banded.XCorrNormalizedInto(lags, x, s) }},
 	}
 	for _, c := range cases {
 		c.fn() // warm plan caches and grow the scratch free lists

@@ -23,6 +23,7 @@ type resamplePlan struct {
 	half   int
 	length int
 	h      []float64
+	hrev   []float64 // h reversed: hrev[j] = h[length-1-j], the decimation pass's window-aligned taps
 }
 
 var resampleCache = struct {
@@ -68,7 +69,11 @@ func resamplePlanFor(p, q int) *resamplePlan {
 	for i := range h {
 		h[i] *= scale
 	}
-	rp = &resamplePlan{p: p, q: q, half: half, length: length, h: h}
+	hrev := make([]float64, length)
+	for i, v := range h {
+		hrev[length-1-i] = v
+	}
+	rp = &resamplePlan{p: p, q: q, half: half, length: length, h: h, hrev: hrev}
 	resampleCache.Lock()
 	if have, ok := resampleCache.m[key]; ok {
 		rp = have
@@ -132,14 +137,53 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 		return nil
 	}
 	rp := resamplePlanFor(p, q)
-	h, half, length := rp.h, rp.half, rp.length
-	// y[m] = sum_k h[k] · xup[m*q + half - k], where xup[i] = x[i/p] when
-	// i % p == 0. The +half centers the filter, compensating group delay.
-	// Along one polyphase branch the source index decreases by exactly one
-	// per tap, so it is carried down the loop instead of divided out — the
-	// taps visited and their order are unchanged, keeping the sum
-	// bit-identical.
-	for m := 0; m < outLen; m++ {
+	if p > 1 {
+		rp.scalar(dst, x, 0, outLen)
+		return nil
+	}
+	// Decimation (p == 1): y[m] = sum_k h[k] · x[m*q + half - k]. Outputs
+	// whose whole tap window lies inside x — m*q in [half, len(x)-1-half] —
+	// are computed four per pass over re-sliced windows, each accumulator
+	// summing its taps in the scalar loop's order (k ascending), so the
+	// result is bit-identical; the edges keep the scalar loop.
+	hrev, half := rp.hrev, rp.half
+	lo := min((half+q-1)/q, outLen)
+	hi := lo
+	if last := len(x) - 1 - half; last >= lo*q {
+		hi = last/q + 1
+	}
+	rp.scalar(dst, x, 0, lo)
+	m := lo
+	for ; m+4 <= hi; m += 4 {
+		c := m*q - half // first sample of output m's window
+		w0 := x[c:][:len(hrev)]
+		w1 := x[c+q:][:len(hrev)]
+		w2 := x[c+2*q:][:len(hrev)]
+		w3 := x[c+3*q:][:len(hrev)]
+		var a0, a1, a2, a3 float64
+		for j := len(hrev) - 1; j >= 0; j-- { // j descending = tap k ascending
+			hk := hrev[j]
+			a0 += hk * w0[j]
+			a1 += hk * w1[j]
+			a2 += hk * w2[j]
+			a3 += hk * w3[j]
+		}
+		dst[m], dst[m+1], dst[m+2], dst[m+3] = a0, a1, a2, a3
+	}
+	rp.scalar(dst, x, m, outLen)
+	return nil
+}
+
+// scalar computes outputs [lo, hi) of the polyphase resample one serial add
+// chain at a time: y[m] = sum_k h[k] · xup[m*q + half - k], where xup[i] =
+// x[i/p] when i % p == 0. The +half centers the filter, compensating group
+// delay. Along one polyphase branch the source index decreases by exactly
+// one per tap, so it is carried down the loop instead of divided out. This
+// is the reference summation order the four-output decimation pass
+// reproduces (TestResampleDecimateMatchesScalar).
+func (rp *resamplePlan) scalar(dst, x []float64, lo, hi int) {
+	p, q, h, half, length := rp.p, rp.q, rp.h, rp.half, rp.length
+	for m := lo; m < hi; m++ {
 		center := m*q + half
 		k := center % p
 		xi := (center - k) / p
@@ -155,7 +199,6 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 		}
 		dst[m] = acc
 	}
-	return nil
 }
 
 // Decimate reduces the sample rate by an integer factor r after zero-phase

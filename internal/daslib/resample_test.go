@@ -2,6 +2,7 @@ package daslib
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -121,6 +122,48 @@ func TestResampleRejectsAliases(t *testing.T) {
 	}
 	if r := RMS(y[200:1800]); r > 0.05 {
 		t.Errorf("aliased energy RMS = %g, want ≈0 (input RMS %g)", r, RMS(x))
+	}
+}
+
+// TestResampleDecimateMatchesScalar pins the four-output decimation pass to
+// the scalar add chain it replaces, bit for bit: every length that puts the
+// interior/edge boundaries and the 4-wide remainder somewhere different,
+// plus the benchmark's row length.
+func TestResampleDecimateMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	lengths := []int{1000, 1001, 64000}
+	for n := 1; n <= 83; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, q := range []int{2, 3, 5} {
+		rp := resamplePlanFor(1, q)
+		for _, n := range lengths {
+			x := randFloats(rng, n)
+			got := make([]float64, ResampleLen(n, 1, q))
+			if err := ResampleInto(got, x, 1, q, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, len(got))
+			rp.scalar(want, x, 0, len(want))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d q=%d: output %d = %v, scalar loop %v", n, q, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkResampleDecimate is the interferometry row's resample step: one
+// 64 000-sample channel decimated 2:1.
+func BenchmarkResampleDecimate(b *testing.B) {
+	x := randFloats(rand.New(rand.NewSource(1)), 64000)
+	dst := make([]float64, ResampleLen(len(x), 1, 2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ResampleInto(dst, x, 1, 2, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

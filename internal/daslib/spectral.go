@@ -74,12 +74,13 @@ func STFT(x []float64, nfft, hop int, rate float64) (*Spectrogram, error) {
 	win := hannWin(nfft) // shared cache entry; read-only here
 	bins := nfft/2 + 1
 	var mags [][]float64
+	plan := PlanFFT(nfft)
 	frame := make([]complex128, nfft)
 	for start := 0; start+nfft <= len(x); start += hop {
 		for i := 0; i < nfft; i++ {
 			frame[i] = complex(x[start+i]*win[i], 0)
 		}
-		fftPow2(frame)
+		plan.fftPow2(frame)
 		row := make([]float64, bins)
 		for b := 0; b < bins; b++ {
 			row[b] = cmplx.Abs(frame[b])

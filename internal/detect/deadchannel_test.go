@@ -66,9 +66,7 @@ func TestPipelinesSurviveDeadChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Master{Series: deadMaster}
-	sUDF := pd.ScalarUDF(&Master{Series: deadMaster, Spectrum: nil})
-	_ = m
+	sUDF := pd.ScalarUDF(&Master{Series: deadMaster})
 	got := sUDF(blk.Stencil(2, 0))
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("dead-master scalar similarity = %g", got)

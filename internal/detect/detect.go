@@ -82,34 +82,6 @@ func (p LocalSimiParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scra
 	}
 }
 
-// hasNaN reports whether w contains a NaN gap marker.
-func hasNaN(w []float64) bool {
-	for _, v := range w {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// zeroGaps replaces NaN gap markers with zero (silence), so filters and
-// correlations over partially masked rows stay finite. Clean rows are
-// returned unchanged — fault-free runs take the exact same numeric path.
-func zeroGaps(x []float64) []float64 {
-	if !hasNaN(x) {
-		return x
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if math.IsNaN(v) {
-			out[i] = 0
-		} else {
-			out[i] = v
-		}
-	}
-	return out
-}
-
 // InterferometryParams configures Algorithm 3: the ambient-noise
 // interferometry pipeline that turns raw DAS data into noise correlations
 // against a master channel.
@@ -266,22 +238,20 @@ func (p InterferometryParams) RowLen(nt int) int {
 }
 
 // Master holds the shared, per-node payload of the interferometry
-// workload: the preprocessed master channel, its spectrum (Mfft in
-// Algorithm 3), and the prepared correlation master — the time-reversed,
-// padded spectrum every channel's cross-correlation reuses instead of
-// re-transforming the master per channel. In pure MPI every rank holds its
-// own copy — the memory pressure Figure 8 demonstrates.
+// workload: the preprocessed master channel and the prepared correlation
+// master — the per-block spectra every channel's cross-correlation reuses
+// instead of re-transforming the master per channel. In pure MPI every rank
+// holds its own copy — the memory pressure Figure 8 demonstrates.
 type Master struct {
-	Series   []float64
-	Spectrum []complex128
-	Corr     *daslib.XCorrMaster
+	Series []float64
+	Corr   *daslib.XCorrMaster
 }
 
-// Bytes estimates the payload's memory footprint.
+// Bytes returns the payload's memory footprint.
 func (m *Master) Bytes() int64 {
-	b := int64(len(m.Series))*8 + int64(len(m.Spectrum))*16
+	b := int64(len(m.Series)) * 8
 	if m.Corr != nil {
-		b += int64(m.Corr.Len()) * 16
+		b += m.Corr.Bytes()
 	}
 	return b
 }
@@ -307,18 +277,17 @@ func (p InterferometryParams) PrepareMaster(v *dass.View) (*Master, pfs.Trace, e
 		return nil, tr, err
 	}
 	return &Master{
-		Series:   series,
-		Spectrum: daslib.FFTReal(series),
-		Corr:     daslib.PrepareXCorrMaster(series, len(series)),
+		Series: series,
+		Corr:   daslib.PrepareXCorrMasterLags(series, len(series), p.MaxLag),
 	}, tr, nil
 }
 
 // Workload assembles Algorithm 3 as a HAEE rows-workload returning, per
 // channel, the time-domain noise correlation with the master channel
-// (lags ordered negative→positive, trimmed to ±MaxLag). The engine runs
-// UDFInto — preprocess into scratch, correlate against the master's
-// prepared spectrum, trim into the engine-owned row; UDF is the allocating
-// fallback for legacy callers.
+// (lags ordered negative→positive, ±MaxLag). The engine runs UDFInto —
+// preprocess into scratch, then the master correlates exactly the kept lags
+// straight into the engine-owned row; UDF is the allocating fallback for
+// legacy callers.
 func (p InterferometryParams) Workload(nt int) RowsWorkloadParts {
 	rowLen := p.RowLen(nt)
 	resLen := p.resampledLen(nt)
@@ -328,14 +297,7 @@ func (p InterferometryParams) Workload(nt int) RowsWorkloadParts {
 		if err := p.PreprocessInto(series, s.Row(0), scr); err != nil {
 			panic(fmt.Errorf("detect: preprocess: %w", err))
 		}
-		corr := scr.Float(daslib.XCorrLen(len(series), len(master.Series)))
-		if master.Corr != nil {
-			master.Corr.XCorrNormalizedInto(corr, series, scr)
-		} else {
-			daslib.XCorrNormalizedInto(corr, series, master.Series, scr)
-		}
-		TrimLagsInto(dst, corr, len(series), len(master.Series))
-		scr.ReleaseFloat(corr)
+		master.Corr.XCorrNormalizedInto(dst, series, scr)
 		scr.ReleaseFloat(series)
 	}
 	return RowsWorkloadParts{
@@ -359,14 +321,15 @@ func (p InterferometryParams) Workload(nt int) RowsWorkloadParts {
 // ScalarUDF is Algorithm 3 exactly as printed: the absolute spectral
 // correlation of the channel against the master, one value per channel.
 func (p InterferometryParams) ScalarUDF(master *Master) arrayudf.PointUDF {
+	mfft := daslib.FFTReal(master.Series)
 	return func(s *arrayudf.Stencil) float64 {
 		series, err := p.Preprocess(s.Row(0))
 		if err != nil {
 			panic(fmt.Errorf("detect: preprocess: %w", err))
 		}
 		wfft := daslib.FFTReal(series)
-		n := min(len(wfft), len(master.Spectrum))
-		return daslib.AbsCorrComplex(wfft[:n], master.Spectrum[:n])
+		n := min(len(wfft), len(mfft))
+		return daslib.AbsCorrComplex(wfft[:n], mfft[:n])
 	}
 }
 
@@ -380,33 +343,17 @@ type RowsWorkloadParts struct {
 }
 
 // TrimLags cuts a full cross-correlation (length na+nb-1, zero lag at index
-// nb-1) down to rowLen samples centered on zero lag — a thin allocating
-// shim over TrimLagsInto.
+// nb-1) down to rowLen samples centered on zero lag — what a master prepared
+// for MaxLag produces directly; the allocating pipelines and the test
+// oracles trim a full correlation instead.
 func TrimLags(corr []float64, na, nb, rowLen int) []float64 {
 	out := make([]float64, rowLen)
-	TrimLagsInto(out, corr, na, nb)
-	return out
-}
-
-// TrimLagsInto is TrimLags writing the len(dst) samples centered on zero
-// lag into dst.
-func TrimLagsInto(dst, corr []float64, na, nb int) {
-	rowLen := len(dst)
 	if len(corr) <= rowLen {
-		n := copy(dst, corr)
-		clear(dst[n:])
-		return
+		copy(out, corr)
+		return out
 	}
-	zero := nb - 1
-	half := rowLen / 2
-	lo := zero - half
-	if lo < 0 {
-		lo = 0
-	}
-	if lo+rowLen > len(corr) {
-		lo = len(corr) - rowLen
-	}
-	copy(dst, corr[lo:lo+rowLen])
+	copy(out, corr[daslib.XCorrLagStart(na, nb, rowLen):])
+	return out
 }
 
 // Region is a detected event: a time interval (in output sample indices)

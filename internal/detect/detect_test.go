@@ -294,7 +294,7 @@ func TestScalarUDFSelfIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := &Master{Series: masterSeries, Spectrum: daslib.FFTReal(masterSeries)}
+	master := &Master{Series: masterSeries}
 	blk := arrayudf.Block{Data: raw, ChLo: 0, ChHi: nch}
 	udf := p.ScalarUDF(master)
 	if got := udf(blk.Stencil(0, 0)); math.Abs(got-1) > 1e-9 {

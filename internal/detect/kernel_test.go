@@ -16,6 +16,16 @@ import (
 // and correlated one lag per daslib.AbsCorr call. The property tests pin
 // the production UDFs to them bit for bit.
 
+// hasNaN reports whether w contains a NaN gap marker.
+func hasNaN(w []float64) bool {
+	for _, v := range w {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
+}
+
 func oracleWindow(s *arrayudf.Stencil, tLo, tHi, dch int) []float64 {
 	w := make([]float64, tHi-tLo+1)
 	for i := range w {
@@ -220,3 +230,114 @@ func benchCells(b *testing.B, stride int, udf func(*arrayudf.Stencil, *daslib.Sc
 func BenchmarkLocalSimiCell(b *testing.B) { benchCells(b, paperSimi.Stride, paperSimi.UDFScratch()) }
 
 func BenchmarkSTALTACell(b *testing.B) { benchCells(b, paperSTALTA.Stride, paperSTALTA.UDFScratch()) }
+
+// paperInterf is core.DefaultInterferometry(250): lowpass at rate/8,
+// decimate by 2, ±128 lags against channel 0.
+var paperInterf = InterferometryParams{
+	Rate: 250, FilterOrder: 3, CutoffHz: 250.0 / 8,
+	ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 128,
+}
+
+// interfBlock is nch channels × nt samples of seeded red noise, and the
+// master payload PrepareMaster would build from channel 0.
+func interfBlock(tb testing.TB, p InterferometryParams, nch, nt int) (arrayudf.Block, *Master) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(11))
+	a := dasf.NewArray2D(nch, nt)
+	for ch := 0; ch < nch; ch++ {
+		prev := 0.0
+		for i, row := 0, a.Row(ch); i < nt; i++ {
+			prev = 0.9*prev + rng.NormFloat64()
+			row[i] = prev
+		}
+	}
+	series, err := p.Preprocess(a.Row(p.MasterChannel))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := &Master{Series: series, Corr: daslib.PrepareXCorrMasterLags(series, len(series), p.MaxLag)}
+	return arrayudf.Block{Data: a, ChLo: 0, ChHi: nch}, m
+}
+
+// TestInterferometryRowMatchesTrimmedCorrelation pins the row kernel's lag
+// convention and values to the allocating pipeline it replaces — preprocess,
+// full FFT correlation, TrimLags — to 1e-12 on the normalised lags, with
+// MaxLag trimming, covering and absent, and for the stacked rows too.
+func TestInterferometryRowMatchesTrimmedCorrelation(t *testing.T) {
+	for _, tc := range []struct{ nt, maxLag int }{{2048, 40}, {2048, 0}, {2048, 5000}, {1001, 7}, {6000, 128}} {
+		p := paperInterf
+		p.MaxLag = tc.maxLag
+		blk, master := interfBlock(t, p, 3, tc.nt)
+		parts := p.Workload(tc.nt)
+		got := make([]float64, parts.RowLen)
+		for ch := 0; ch < 3; ch++ {
+			parts.UDFInto(blk.Stencil(ch, 0), master, got, daslib.NewScratch())
+			series, err := p.Preprocess(blk.Data.Row(ch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := TrimLags(daslib.XCorrNormalized(series, master.Series), len(series), len(master.Series), parts.RowLen)
+			for i := range want {
+				if d := math.Abs(got[i] - want[i]); !(d <= 1e-12) {
+					t.Fatalf("nt=%d maxLag=%d ch=%d: lag index %d = %v, trimmed full correlation %v", tc.nt, tc.maxLag, ch, i, got[i], want[i])
+				}
+			}
+		}
+	}
+
+	sp := StackingParams{InterferometryParams: paperInterf, WindowSamples: 1024, OverlapSamples: 256}
+	sp.MaxLag = 30
+	blk, _ := interfBlock(t, sp.InterferometryParams, 2, 5000)
+	sm, err := sp.prepareStackedMaster(blk.Data.Row(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sp.StackedUDF(sm)(blk.Stencil(1, 0))
+	want := make([]float64, sp.StackedRowLen())
+	hop := sp.WindowSamples - sp.OverlapSamples
+	for w := range sm.Corrs {
+		series, err := sp.Preprocess(blk.Data.Row(1)[w*hop : w*hop+sp.WindowSamples])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw := sm.Corrs[w].Series()
+		for i, v := range TrimLags(daslib.XCorrNormalized(series, mw), len(series), len(mw), len(want)) {
+			want[i] += v / float64(len(sm.Corrs))
+		}
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); !(d <= 1e-12) {
+			t.Fatalf("stacked: lag index %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestInterferometryRowAllocFree: one warmed Workload.UDFInto row — 64 000
+// raw samples through detrend, filtfilt, resample and the 42-block
+// correlation — allocates nothing.
+func TestInterferometryRowAllocFree(t *testing.T) {
+	const nt = 64000
+	blk, master := interfBlock(t, paperInterf, 2, nt)
+	parts := paperInterf.Workload(nt)
+	dst, scr, s := make([]float64, parts.RowLen), daslib.NewScratch(), blk.Stencil(1, 0)
+	parts.UDFInto(s, master, dst, scr) // warm the arena and the plan caches
+	if allocs := testing.AllocsPerRun(5, func() { parts.UDFInto(s, master, dst, scr) }); allocs != 0 {
+		t.Errorf("%v allocs per row, want 0", allocs)
+	}
+}
+
+// BenchmarkInterferometryRow is the batch_interferometry inner loop without
+// the harness: one 64 000-sample channel at the 250 Hz defaults.
+func BenchmarkInterferometryRow(b *testing.B) {
+	const nt = 64000
+	blk, master := interfBlock(b, paperInterf, 2, nt)
+	parts := paperInterf.Workload(nt)
+	dst, scr, s := make([]float64, parts.RowLen), daslib.NewScratch(), blk.Stencil(1, 0)
+	parts.UDFInto(s, master, dst, scr) // warm the arena, as the engine's first row does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parts.UDFInto(s, master, dst, scr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/row")
+}

@@ -57,48 +57,39 @@ func (p StackingParams) StackedRowLen() int {
 	return p.InterferometryParams.RowLen(p.WindowSamples)
 }
 
-// PrepareStackedMaster preprocesses the master channel per window and
-// returns the per-window series plus the per-window prepared correlation
-// spectra — every worker needs all of them, so in pure MPI this payload
-// (windows × resampled length) replicates per core, amplifying the
-// Figure 8 memory argument.
+// StackedMaster is the master channel preprocessed per window: one
+// prepared correlation master (series copy + block spectra) per window.
+// Every worker needs all of them, so in pure MPI this payload (windows ×
+// resampled length) replicates per core, amplifying the Figure 8 memory
+// argument.
 type StackedMaster struct {
-	Windows [][]float64
-	// Corrs[w] is the reusable time-reversed padded spectrum of Windows[w];
-	// nil entries (hand-built masters) fall back to pairwise correlation.
 	Corrs []*daslib.XCorrMaster
 }
 
-// Bytes estimates the payload size.
+// Bytes returns the payload size.
 func (m *StackedMaster) Bytes() int64 {
 	var n int64
-	for _, w := range m.Windows {
-		n += int64(len(w)) * 8
-	}
 	for _, c := range m.Corrs {
-		if c != nil {
-			n += int64(c.Len()) * 16
-		}
+		n += c.Bytes()
 	}
 	return n
 }
 
-// prepareStackedMaster builds the per-window master series from the raw
-// master row.
+// prepareStackedMaster builds the per-window masters from the raw master
+// row.
 func (p StackingParams) prepareStackedMaster(raw []float64) (*StackedMaster, error) {
 	nw := p.NumWindows(len(raw))
 	if nw == 0 {
 		return nil, fmt.Errorf("detect: record (%d samples) shorter than one window (%d)", len(raw), p.WindowSamples)
 	}
 	hop := p.WindowSamples - p.OverlapSamples
-	m := &StackedMaster{Windows: make([][]float64, nw), Corrs: make([]*daslib.XCorrMaster, nw)}
+	m := &StackedMaster{Corrs: make([]*daslib.XCorrMaster, nw)}
 	for w := 0; w < nw; w++ {
 		series, err := p.Preprocess(raw[w*hop : w*hop+p.WindowSamples])
 		if err != nil {
 			return nil, err
 		}
-		m.Windows[w] = series
-		m.Corrs[w] = daslib.PrepareXCorrMaster(series, len(series))
+		m.Corrs[w] = daslib.PrepareXCorrMasterLags(series, len(series), p.MaxLag)
 	}
 	return m, nil
 }
@@ -151,22 +142,21 @@ func (p StackingParams) StackedUDFContext(ctx context.Context, master *StackedMa
 
 // StackedUDFIntoContext is the destination-passing form the engine runs:
 // the stacked correlation is accumulated straight into dst (length
-// StackedRowLen) and every per-window intermediate — preprocessed series,
-// raw correlation, trimmed row — is borrowed from the scratch arena, so
-// stacking W windows costs zero allocations after warm-up instead of 3·W
-// slices per channel.
+// StackedRowLen) and the two per-window intermediates — preprocessed series
+// and its kept-lag correlation — are borrowed from the scratch arena, so
+// stacking W windows costs zero allocations after warm-up.
 func (p StackingParams) StackedUDFIntoContext(ctx context.Context, master *StackedMaster) func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
 	hop := p.WindowSamples - p.OverlapSamples
 	resLen := p.resampledLen(p.WindowSamples)
 	return func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
 		raw := s.Row(0)
 		clear(dst)
-		nw := min(p.NumWindows(len(raw)), len(master.Windows))
+		nw := min(p.NumWindows(len(raw)), len(master.Corrs))
 		if nw == 0 {
 			return
 		}
 		series := scr.Float(resLen)
-		trimmed := scr.Float(len(dst))
+		corr := scr.Float(len(dst))
 		for w := 0; w < nw; w++ {
 			if err := ctx.Err(); err != nil {
 				panic(fmt.Errorf("detect: stacked correlate: %w", err))
@@ -174,20 +164,12 @@ func (p StackingParams) StackedUDFIntoContext(ctx context.Context, master *Stack
 			if err := p.PreprocessInto(series, raw[w*hop:w*hop+p.WindowSamples], scr); err != nil {
 				panic(fmt.Errorf("detect: stacked preprocess: %w", err))
 			}
-			mw := master.Windows[w]
-			corr := scr.Float(daslib.XCorrLen(len(series), len(mw)))
-			if w < len(master.Corrs) && master.Corrs[w] != nil {
-				master.Corrs[w].XCorrNormalizedInto(corr, series, scr)
-			} else {
-				daslib.XCorrNormalizedInto(corr, series, mw, scr)
-			}
-			TrimLagsInto(trimmed, corr, len(series), len(mw))
-			scr.ReleaseFloat(corr)
-			for i, v := range trimmed {
+			master.Corrs[w].XCorrNormalizedInto(corr, series, scr)
+			for i, v := range corr {
 				dst[i] += v
 			}
 		}
-		scr.ReleaseFloat(trimmed)
+		scr.ReleaseFloat(corr)
 		scr.ReleaseFloat(series)
 		inv := 1 / float64(nw)
 		for i := range dst {

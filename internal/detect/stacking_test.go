@@ -108,7 +108,7 @@ func TestStackingSuppressesIncoherentNoise(t *testing.T) {
 		WindowSamples:        p.WindowSamples,
 		OverlapSamples:       p.OverlapSamples,
 	}
-	smOne := &StackedMaster{Windows: sm.Windows[:1]}
+	smOne := &StackedMaster{Corrs: sm.Corrs[:1]}
 	oneWin := single.StackedUDF(smOne)(blk.Stencil(1, 0))
 	contrast := func(row []float64, peakI int) float64 {
 		var bg float64

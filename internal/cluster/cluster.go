@@ -154,29 +154,42 @@ func viewOf(files []wire.FileSpec) (*dass.View, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("cluster: request names no files")
 	}
+	// The specs arrive in a frame, and the view they describe sizes the
+	// block a read allocates: bound the declared shape by division before
+	// anything adds or multiplies it.
+	nch := files[0].NumChannels
+	if nch <= 0 {
+		return nil, fmt.Errorf("cluster: member %s declares %d channels", files[0].Path, nch)
+	}
+	total := 0
+	for _, f := range files {
+		if f.NumChannels != nch {
+			return nil, fmt.Errorf("cluster: member %s has %d channels, series has %d",
+				f.Path, f.NumChannels, nch)
+		}
+		if f.NumSamples <= 0 || int64(f.NumSamples) > dasf.MaxArrayElements/int64(nch)-int64(total) {
+			return nil, fmt.Errorf("cluster: member %s declares %d samples: the %d-channel series would pass the element cap",
+				f.Path, f.NumSamples, nch)
+		}
+		total += f.NumSamples
+	}
 	if len(files) == 1 {
 		return dass.NewView(dasf.Info{
 			Path: files[0].Path, Kind: dasf.KindData,
-			NumChannels: files[0].NumChannels, NumSamples: files[0].NumSamples,
+			NumChannels: nch, NumSamples: total,
 		})
 	}
 	members := make([]dasf.Member, len(files))
-	total := 0
 	for i, f := range files {
-		if f.NumChannels != files[0].NumChannels {
-			return nil, fmt.Errorf("cluster: member %s has %d channels, series has %d",
-				f.Path, f.NumChannels, files[0].NumChannels)
-		}
 		members[i] = dasf.Member{
 			Name: f.Path, NumChannels: f.NumChannels,
 			NumSamples: f.NumSamples, Timestamp: f.Timestamp,
 		}
-		total += f.NumSamples
 	}
 	return dass.NewView(dasf.Info{
 		Path:        fmt.Sprintf("<cluster view of %d files>", len(files)),
 		Kind:        dasf.KindVCA,
-		NumChannels: files[0].NumChannels, NumSamples: total,
+		NumChannels: nch, NumSamples: total,
 		Members: members,
 	})
 }

@@ -1,0 +1,233 @@
+package cluster
+
+import (
+	"context"
+	"math"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"dassa/internal/dasf"
+	"dassa/internal/dass"
+	"dassa/internal/testutil/leakcheck"
+	"dassa/internal/wire"
+)
+
+// A ShardRequest is bytes from the network: whatever it declares, the worker
+// answers with a ShardError and keeps serving. These tests send the frames a
+// coordinator never would.
+
+// TestExecuteShardRejectsHostileFrames tables the frames whose numbers used
+// to reach an index or an allocation unchecked. The first is the one that
+// took dassw down: Halo −1 made the core rows start before the read window.
+func TestExecuteShardRejectsHostileFrames(t *testing.T) {
+	v, _ := makeView(t, 8, 2)
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nch, nt := v.Shape()
+	good := wire.ShardRequest{ID: 1, Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt}
+	withFiles := func(mutate func(fs []wire.FileSpec)) []wire.FileSpec {
+		fs := append([]wire.FileSpec(nil), files...)
+		mutate(fs)
+		return fs
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(r *wire.ShardRequest)
+		reject bool
+	}{
+		{"negative halo", func(r *wire.ShardRequest) { r.Halo = -1 }, true},
+		{"most negative halo", func(r *wire.ShardRequest) { r.Halo = math.MinInt }, true},
+		{"halo past every row is clamped, not wrapped", func(r *wire.ShardRequest) { r.Halo = math.MaxInt }, false},
+		{"negative channel", func(r *wire.ShardRequest) { r.ChLo = -1 }, true},
+		{"channels past the view", func(r *wire.ShardRequest) { r.ChHi = nch + 1 }, true},
+		{"inverted time window", func(r *wire.ShardRequest) { r.T0, r.T1 = 10, 10 }, true},
+		{"no files", func(r *wire.ShardRequest) { r.Files = nil }, true},
+		{"zero-sample member", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) { fs[1].NumSamples = 0 })
+		}, true},
+		{"negative-sample member", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumSamples = -nt })
+		}, true},
+		{"negative channel count", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumChannels, fs[1].NumChannels = -8, -8 })
+		}, true},
+		{"sample counts that wrap when summed", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumSamples, fs[1].NumSamples = math.MaxInt, math.MaxInt })
+			r.T1 = 8
+		}, true},
+		{"a shape past the element cap", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) {
+				fs[0].NumChannels, fs[1].NumChannels = 1<<20, 1<<20
+				fs[0].NumSamples, fs[1].NumSamples = 1<<20, 1<<20
+			})
+			r.ChLo, r.ChHi, r.T1 = 0, 1<<20, 1<<21
+		}, true},
+		{"single file past the element cap", func(r *wire.ShardRequest) {
+			r.Files = []wire.FileSpec{{Path: files[0].Path, NumChannels: 1 << 16, NumSamples: 1 << 20}}
+			r.ChLo, r.ChHi, r.T1 = 0, 1<<16, 1<<20
+		}, true},
+		{"more channels declared than the files hold degrades", func(r *wire.ShardRequest) {
+			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumChannels, fs[1].NumChannels = 2*nch, 2*nch })
+			r.ChLo, r.ChHi = 0, 2*nch
+		}, false},
+	} {
+		for _, op := range []Op{OpRead, OpLocalSimi} {
+			req := good
+			req.Op, req.M, req.K, req.L, req.Stride = string(op), 3, 1, 1, 4
+			tc.mutate(&req)
+			res, data, err := executeShard(context.Background(), req, 2)
+			if tc.reject && err == nil {
+				t.Errorf("%s (%s): accepted, %d×%d", tc.name, op, res.Channels, res.Samples)
+			}
+			if !tc.reject {
+				if err != nil {
+					t.Errorf("%s (%s): %v", tc.name, op, err)
+				} else if len(data) != res.Channels*res.Samples || res.Channels != req.ChHi-req.ChLo {
+					t.Errorf("%s (%s): %d values for a %d×%d reply to rows [%d,%d)", tc.name, op, len(data), res.Channels, res.Samples, req.ChLo, req.ChHi)
+				}
+			}
+		}
+	}
+}
+
+// shardClient is a coordinator reduced to its socket: handshake, then raw
+// frames in and replies out.
+type shardClient struct {
+	t *testing.T
+	c *wire.Conn
+}
+
+func dialWorker(t *testing.T, addr string) *shardClient {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc, 0)
+	t.Cleanup(c.Abort)
+	if err := c.SendEnvelope(wire.TypeHello, wire.Hello{From: "hostile-test", Version: wire.Version}); err != nil {
+		t.Fatal(err)
+	}
+	sc := &shardClient{t: t, c: c}
+	if f := sc.next(); f.Type != wire.TypeWelcome {
+		t.Fatalf("handshake answered with %s", f.Type)
+	}
+	return sc
+}
+
+// next returns the next frame that is not a heartbeat.
+func (sc *shardClient) next() wire.Frame {
+	sc.t.Helper()
+	for {
+		if err := sc.c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			sc.t.Fatal(err)
+		}
+		f, err := sc.c.Recv()
+		if err != nil {
+			sc.t.Fatalf("worker connection: %v", err)
+		}
+		if f.Type != wire.TypeHeartbeat {
+			return f
+		}
+	}
+}
+
+// wantError sends req and requires a ShardError naming it.
+func (sc *shardClient) wantError(req wire.ShardRequest, msgPart string) {
+	sc.t.Helper()
+	if err := sc.c.SendEnvelope(wire.TypeShardRequest, req); err != nil {
+		sc.t.Fatal(err)
+	}
+	f := sc.next()
+	var se wire.ShardError
+	if f.Type != wire.TypeShardError || wire.DecodeInto(f, &se) != nil {
+		sc.t.Fatalf("request %d answered with %s, want a ShardError", req.ID, f.Type)
+	}
+	if se.ID != req.ID || !strings.Contains(se.Msg, msgPart) {
+		sc.t.Fatalf("request %d: ShardError %+v, want id %d and %q", req.ID, se, req.ID, msgPart)
+	}
+}
+
+// wantResult sends req and requires a ShardResult equal to the local read.
+func (sc *shardClient) wantResult(req wire.ShardRequest, v *dass.View) {
+	sc.t.Helper()
+	if err := sc.c.SendEnvelope(wire.TypeShardRequest, req); err != nil {
+		sc.t.Fatal(err)
+	}
+	f := sc.next()
+	if f.Type != wire.TypeShardResult {
+		sc.t.Fatalf("request %d answered with %s, want a ShardResult", req.ID, f.Type)
+	}
+	res, data, err := wire.DecodeResult(f)
+	if err != nil || res.ID != req.ID {
+		sc.t.Fatalf("request %d: result id %d, err %v", req.ID, res.ID, err)
+	}
+	sub, err := v.Subset(req.ChLo, req.ChHi, req.T0, req.T1)
+	if err != nil {
+		sc.t.Fatal(err)
+	}
+	want, _, err := sub.Read()
+	if err != nil {
+		sc.t.Fatal(err)
+	}
+	sameValues(sc.t, &dasf.Array2D{Channels: res.Channels, Samples: res.Samples, Data: data}, want)
+}
+
+// TestWorkerSurvivesHostileFrames: the negative-halo frame, a shape past the
+// element cap and a job that panics outright each cost one ShardError; the
+// same connection's next shard is served, and so is a new connection's.
+func TestWorkerSurvivesHostileFrames(t *testing.T) {
+	leakcheck.Check(t)
+	v, _ := makeView(t, 8, 2)
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nt := v.Shape()
+	// The last line of defence is the job's recover; make one job need it.
+	const panicOp = "panic-for-test"
+	w := NewWorker(WorkerConfig{Cores: 2, HeartbeatEvery: 100 * time.Millisecond})
+	w.exec = func(ctx context.Context, req wire.ShardRequest, cores int) (wire.ShardResult, []float64, error) {
+		if req.Op == panicOp {
+			var rows [][]float64
+			_ = rows[req.ChLo] // index out of range, like out.Row(coreLo+c) was
+		}
+		return executeShard(ctx, req, cores)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = w.Serve(ln) }()
+	t.Cleanup(w.Close)
+	addr := ln.Addr().String()
+	good := wire.ShardRequest{Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt}
+
+	sc := dialWorker(t, addr)
+	negHalo := good
+	negHalo.ID, negHalo.Halo = 1, -1
+	sc.wantError(negHalo, "halo")
+
+	huge := good
+	huge.ID = 2
+	huge.Files = []wire.FileSpec{{Path: files[0].Path, NumChannels: 1 << 20, NumSamples: 1 << 30}}
+	huge.ChLo, huge.ChHi, huge.T1 = 0, 1<<20, 1<<30
+	sc.wantError(huge, "element cap")
+
+	boom := good
+	boom.ID, boom.Op = 3, panicOp
+	sc.wantError(boom, "panicked")
+
+	next := good
+	next.ID = 4
+	sc.wantResult(next, v)
+
+	again := good
+	again.ID = 5
+	dialWorker(t, addr).wantResult(again, v)
+	waitFor(t, 2*time.Second, func() bool { return w.InFlight() == 0 })
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type Worker struct {
 	cfg WorkerConfig
 	ln  net.Listener
+	// exec runs one shard: executeShard, except in tests that need a job
+	// to misbehave.
+	exec func(ctx context.Context, req wire.ShardRequest, cores int) (wire.ShardResult, []float64, error)
 
 	conns    sync.WaitGroup // connection handlers
 	jobs     sync.WaitGroup // in-flight shard executions
@@ -74,7 +78,7 @@ type Worker struct {
 
 // NewWorker creates a worker; call Serve to start accepting.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg.withDefaults()}
+	return &Worker{cfg: cfg.withDefaults(), exec: executeShard}
 }
 
 // InFlight returns how many shards are currently executing.
@@ -339,6 +343,19 @@ func (w *Worker) handle(nc net.Conn) {
 
 // runJob executes one shard and replies with its result or error.
 func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
+	// The job runs on its own goroutine, where a panic would end the
+	// process: whatever a frame manages to trip costs that shard, not the
+	// worker and every other coordinator's shards with it.
+	defer func() {
+		if p := recover(); p != nil {
+			w.cfg.Log.Error("cluster: shard panicked",
+				"id", req.ID, "shard", req.Shard, "trace_id", req.TraceID,
+				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			_ = c.SendEnvelope(wire.TypeShardError, wire.ShardError{
+				ID: req.ID, Shard: req.Shard, Msg: fmt.Sprintf("shard panicked: %v", p),
+			})
+		}
+	}()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	st.add(req.ID, cancel)
@@ -386,12 +403,12 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 // ships the spans back in the result for reassembly.
 func (w *Worker) executeTraced(ctx context.Context, req wire.ShardRequest) (wire.ShardResult, []float64, error) {
 	if req.TraceID == "" {
-		return executeShard(ctx, req, w.cfg.Cores)
+		return w.exec(ctx, req, w.cfg.Cores)
 	}
 	ctx, root, rem := trace.StartRemote(ctx, trace.ID(req.TraceID), w.cfg.Name, req.ParentSpan, "worker.shard")
 	root.SetAttrInt("shard", int64(req.Shard))
 	root.SetAttr("op", req.Op)
-	res, data, err := executeShard(ctx, req, w.cfg.Cores)
+	res, data, err := w.exec(ctx, req, w.cfg.Cores)
 	root.EndErr(err)
 	if err != nil {
 		return res, data, err
@@ -415,8 +432,16 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 			"cluster: shard window [%d:%d)×[%d:%d) out of file-set bounds %d×%d",
 			req.ChLo, req.ChHi, req.T0, req.T1, nch, nt)
 	}
-	gLo := max(0, req.ChLo-req.Halo)
-	gHi := min(nch, req.ChHi+req.Halo)
+	// Halo widens the read: a negative one would put the core rows outside
+	// it. The reach is clamped to the rows that exist before it is added, so
+	// a huge one cannot wrap either bound. The window sits inside the view,
+	// whose shape viewOf bounded, so nothing below sizes an allocation past
+	// the element cap.
+	if req.Halo < 0 {
+		return wire.ShardResult{}, nil, fmt.Errorf("cluster: negative shard halo %d", req.Halo)
+	}
+	gLo := req.ChLo - min(req.Halo, req.ChLo)
+	gHi := req.ChHi + min(req.Halo, nch-req.ChHi)
 	sub, err := full.Subset(gLo, gHi, req.T0, req.T1)
 	if err != nil {
 		return wire.ShardResult{}, nil, err

@@ -218,6 +218,12 @@ type Array2D struct {
 	Data     []float64
 }
 
+// MaxArrayElements caps the cells of any array a file — or a frame naming
+// files — may declare: 2^31 elements (16 GiB of float64) is far beyond any
+// real DAS record. Check a declared shape against it by division, before
+// the product sizes an allocation.
+const MaxArrayElements = 1 << 31
+
 // NewArray2D allocates a zeroed channels×samples array.
 func NewArray2D(channels, samples int) *Array2D {
 	return &Array2D{Channels: channels, Samples: samples, Data: make([]float64, channels*samples)}

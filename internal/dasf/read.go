@@ -249,10 +249,8 @@ func (r *Reader) parseInfo(path string) error {
 	}
 	// A corrupt shape must not drive allocation: nch*nt can overflow int
 	// (both fields are uint32 on disk) and NewArray2D allocates the
-	// product. 2^31 elements (16 GiB of float64) is far beyond any real
-	// DAS record; division avoids the overflow the check exists to stop.
-	const maxArrayElements = 1 << 31
-	if int64(nt) > maxArrayElements/int64(nch) {
+	// product; division avoids the overflow the check exists to stop.
+	if int64(nt) > MaxArrayElements/int64(nch) {
 		return corruptf("dasf: %s: declared array %d×%d exceeds element cap", path, nch, nt)
 	}
 
@@ -407,63 +405,111 @@ func (r *Reader) PerChannelMeta() ([]Meta, error) {
 	return out, nil
 }
 
-// ReadSlab reads the hyperslab [chLo, chHi) × [tLo, tHi) from a data file.
-// A request spanning the full time range is satisfied with a single
-// contiguous read (the access pattern the communication-avoiding method
-// exploits); otherwise one read per channel row is issued.
+// ReadSlab reads the hyperslab [chLo, chHi) × [tLo, tHi) from a data file
+// into a freshly allocated array (see ReadSlabInto).
 func (r *Reader) ReadSlab(chLo, chHi, tLo, tHi int) (*Array2D, error) {
-	if r.info.Kind != KindData {
-		return nil, fmt.Errorf("dasf: %s: ReadSlab on a %s file (resolve VCA members first)",
-			r.info.Path, r.info.Kind)
-	}
-	nch, nt := r.info.NumChannels, r.info.NumSamples
-	if chLo < 0 || chHi > nch || chLo >= chHi || tLo < 0 || tHi > nt || tLo >= tHi {
-		return nil, fmt.Errorf("dasf: %s: slab [%d:%d)×[%d:%d) out of bounds %d×%d",
-			r.info.Path, chLo, chHi, tLo, tHi, nch, nt)
+	if err := r.checkSlab(chLo, chHi, tLo, tHi); err != nil {
+		return nil, err
 	}
 	out := NewArray2D(chHi-chLo, tHi-tLo)
-	attempts, err := r.retry.DoContext(r.ctx, func() error {
-		return r.readSlabOnce(out, chLo, chHi, tLo, tHi)
-	})
-	r.stats.Retries += int64(attempts - 1)
-	mRetries.Add(int64(attempts - 1))
-	if err != nil {
+	if err := r.readSlabInto(out.Data, out.Samples, chLo, chHi, tLo, tHi); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// readSlabOnce is one attempt at filling out; ReadSlab retries it under the
-// reader's policy when the failure is transient.
-func (r *Reader) readSlabOnce(out *Array2D, chLo, chHi, tLo, tHi int) error {
-	if r.info.Layout == ChunkedDeflate {
-		return r.readSlabChunked(out, chLo, chHi, tLo, tHi)
+// ReadSlabInto decodes the hyperslab [chLo, chHi) × [tLo, tHi) straight into
+// a strided destination: channel c's samples land at dst[(c-chLo)*stride:],
+// so a caller assembling a wider array hands each member its column band and
+// nothing is copied afterwards. A request spanning the full time range is
+// satisfied with a single contiguous read (the access pattern the
+// communication-avoiding method exploits); otherwise one read per channel
+// row is issued. dst is checked before any read; cells of dst outside the
+// band are not touched. After an error the band's content is unspecified.
+func (r *Reader) ReadSlabInto(dst []float64, stride, chLo, chHi, tLo, tHi int) error {
+	if err := r.checkSlab(chLo, chHi, tLo, tHi); err != nil {
+		return err
 	}
+	width := tHi - tLo
+	if stride < width || len(dst) < (chHi-chLo-1)*stride+width {
+		return fmt.Errorf("dasf: %s: destination of %d values at stride %d cannot hold slab %d×%d",
+			r.info.Path, len(dst), stride, chHi-chLo, width)
+	}
+	return r.readSlabInto(dst, stride, chLo, chHi, tLo, tHi)
+}
+
+// checkSlab validates a hyperslab request against the file's shape. The
+// shape was bounded at Open, so a request that passes sizes no allocation
+// beyond the file's own element cap.
+func (r *Reader) checkSlab(chLo, chHi, tLo, tHi int) error {
+	if r.info.Kind != KindData {
+		return fmt.Errorf("dasf: %s: ReadSlab on a %s file (resolve VCA members first)",
+			r.info.Path, r.info.Kind)
+	}
+	nch, nt := r.info.NumChannels, r.info.NumSamples
+	if chLo < 0 || chHi > nch || chLo >= chHi || tLo < 0 || tHi > nt || tLo >= tHi {
+		return fmt.Errorf("dasf: %s: slab [%d:%d)×[%d:%d) out of bounds %d×%d",
+			r.info.Path, chLo, chHi, tLo, tHi, nch, nt)
+	}
+	return nil
+}
+
+// readSlabInto fills a validated slab, retrying the whole attempt under the
+// reader's policy when the failure is transient — every attempt rewrites the
+// band from its first row, so a retry that succeeds leaves nothing of the
+// failed one behind.
+func (r *Reader) readSlabInto(dst []float64, stride, chLo, chHi, tLo, tHi int) error {
+	attempts, err := r.retry.DoContext(r.ctx, func() error {
+		if r.info.Layout == ChunkedDeflate {
+			return r.readSlabChunked(dst, stride, chLo, chHi, tLo, tHi)
+		}
+		return r.readSlabRaw(dst, stride, chLo, chHi, tLo, tHi)
+	})
+	r.stats.Retries += int64(attempts - 1)
+	mRetries.Add(int64(attempts - 1))
+	return err
+}
+
+// rawPool recycles the byte buffers raw and compressed samples land in
+// before they are decoded. A buffer is held only for the duration of one
+// slab attempt; the pool itself lets go of idle buffers at the next GC.
+var rawPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getRaw borrows an n-byte buffer; hand the pointer back with rawPool.Put.
+func getRaw(n int) *[]byte {
+	bp := rawPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// readSlabRaw is one attempt at a contiguous-layout slab: a single request
+// when the slab spans the full time range (its rows are adjacent on disk),
+// else one per channel row.
+func (r *Reader) readSlabRaw(dst []float64, stride, chLo, chHi, tLo, tHi int) error {
 	nt := r.info.NumSamples
 	esz := r.info.DType.Size()
+	rows, width := chHi-chLo, tHi-tLo
+	rowBytes := width * esz
+	perRead := 1
 	if tLo == 0 && tHi == nt {
-		// Contiguous: all requested channels in one read call.
-		nbytes := int64(chHi-chLo) * int64(nt) * int64(esz)
-		buf := make([]byte, nbytes)
-		off := r.info.DataOffset + int64(chLo)*int64(nt)*int64(esz)
-		if _, err := r.readAt(buf, off); err != nil {
-			return fmt.Errorf("dasf: %s: %w", r.info.Path, err)
-		}
-		r.stats.Reads++
-		r.stats.BytesRead += nbytes
-		decodeSamples(out.Data, buf, r.info.DType)
-		return nil
+		perRead = rows
 	}
-	rowBytes := (tHi - tLo) * esz
-	buf := make([]byte, rowBytes)
-	for c := chLo; c < chHi; c++ {
-		off := r.info.DataOffset + (int64(c)*int64(nt)+int64(tLo))*int64(esz)
+	bp := getRaw(perRead * rowBytes)
+	defer rawPool.Put(bp)
+	buf := *bp
+	for c := 0; c < rows; c += perRead {
+		off := r.info.DataOffset + (int64(chLo+c)*int64(nt)+int64(tLo))*int64(esz)
 		if _, err := r.readAt(buf, off); err != nil {
-			return fmt.Errorf("dasf: %s: channel %d: %w", r.info.Path, c, err)
+			return fmt.Errorf("dasf: %s: channel %d: %w", r.info.Path, chLo+c, err)
 		}
 		r.stats.Reads++
-		r.stats.BytesRead += int64(rowBytes)
-		decodeSamples(out.Row(c-chLo), buf, r.info.DType)
+		r.stats.BytesRead += int64(len(buf))
+		for k := 0; k < perRead; k++ {
+			decodeSamples(dst[(c+k)*stride:(c+k)*stride+width], buf[k*rowBytes:], r.info.DType)
+		}
 	}
 	return nil
 }
@@ -514,45 +560,61 @@ func (r *Reader) loadChunkIndex() ([]chunkRef, error) {
 	return chunks, nil
 }
 
-// readSlabChunked fills out from a chunked file: one chunk read +
-// decompression per requested channel.
-func (r *Reader) readSlabChunked(out *Array2D, chLo, chHi, tLo, tHi int) error {
+// readSlabChunked is one attempt at a chunked-layout slab: one chunk read +
+// decompression per requested channel, through one inflater and one buffer
+// (the inflated row, then room for the largest compressed chunk).
+func (r *Reader) readSlabChunked(dst []float64, stride, chLo, chHi, tLo, tHi int) error {
 	chunks, err := r.loadChunkIndex()
 	if err != nil {
 		return err
 	}
 	esz := r.info.DType.Size()
 	rowBytes := r.info.NumSamples * esz
-	raw := make([]byte, rowBytes)
+	maxClen := 0
+	for _, ref := range chunks[chLo:chHi] {
+		maxClen = max(maxClen, ref.clen)
+	}
+	bp := getRaw(rowBytes + maxClen)
+	defer rawPool.Put(bp)
+	raw, compBuf := (*bp)[:rowBytes], (*bp)[rowBytes:]
+	var br bytes.Reader
+	fr := flate.NewReader(&br)
+	defer fr.Close()
+	inflater := fr.(flate.Resetter)
+	width := tHi - tLo
 	for c := chLo; c < chHi; c++ {
 		ref := chunks[c]
-		comp := make([]byte, ref.clen)
+		comp := compBuf[:ref.clen]
 		if _, err := r.readAt(comp, ref.off); err != nil {
 			return fmt.Errorf("dasf: %s: chunk %d: %w", r.info.Path, c, err)
 		}
 		r.stats.Reads++
 		r.stats.BytesRead += int64(ref.clen)
-		fr := flate.NewReader(bytes.NewReader(comp))
+		br.Reset(comp)
+		if err := inflater.Reset(&br, nil); err != nil {
+			return fmt.Errorf("dasf: %s: chunk %d: %w", r.info.Path, c, err)
+		}
 		if _, err := io.ReadFull(fr, raw); err != nil {
-			fr.Close()
 			return corruptf("dasf: %s: chunk %d decompress: %v", r.info.Path, c, err)
 		}
-		fr.Close()
-		decodeSamples(out.Row(c-chLo), raw[tLo*esz:tHi*esz], r.info.DType)
+		decodeSamples(dst[(c-chLo)*stride:(c-chLo)*stride+width], raw[tLo*esz:], r.info.DType)
 	}
 	return nil
 }
 
-// decodeSamples converts little-endian on-disk samples into float64s.
+// decodeSamples converts len(dst) little-endian on-disk samples at the
+// front of src into float64s.
 func decodeSamples(dst []float64, src []byte, dtype DType) {
 	switch dtype {
 	case Float32:
+		src = src[:len(dst)*4]
 		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4 : i*4+4 : i*4+4])))
 		}
 	case Float64:
+		src = src[:len(dst)*8]
 		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8]))
 		}
 	}
 }

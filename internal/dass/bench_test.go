@@ -1,12 +1,14 @@
 package dass
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/mpi"
+	"dassa/internal/omp"
 )
 
 // benchView generates a series once per benchmark and opens a VCA view.
@@ -115,5 +117,30 @@ func BenchmarkCreateVCA(b *testing.B) {
 		if _, err := CreateVCA(filepath.Join(dir, "bench.vca.dasf"), cat.Entries()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkViewRead is the engine's block load on the benchmark's batch
+// record (32 float32 members × 128 channels × 2000 samples, a 65.5 MB
+// block) at the team sizes the 1-core reference and the 1×2 engine use:
+// MB/s of decoded block, and B/op against that block size.
+func BenchmarkViewRead(b *testing.B) {
+	lengths := make([]int, 32)
+	for i := range lengths {
+		lengths[i] = 2000
+	}
+	v := contiguousView(b, 128, lengths)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("team=%d", threads), func(b *testing.B) {
+			tv := v.WithTeam(omp.NewTeam(threads))
+			b.SetBytes(128 * 2000 * 32 * 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tv.Read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -159,21 +159,17 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 		var flat []float64
 		width := sp.tHi - sp.tLo
 		if c.Rank() == root {
+			// The broadcast needs the member's slab as one buffer.
+			flat = make([]float64, nch*width)
 			tRead := time.Now()
-			part, err := v.readMemberSpan(sp, &local)
+			err := v.readMemberSpan(sp, flat, width, &local)
 			v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(tRead))
 			if err != nil {
-				if policy == FailAbort || IsCancellation(err) {
+				if policy.fatal(err) {
 					panic(fmt.Errorf("dass: collective read: %w", err))
 				}
-				part = dasf.NewArray2D(nch, width)
-				fillNaN(part, 0, nch, 0, width)
-				g := Gap{Member: sp.idx, File: v.memberPath(sp.idx),
-					ChLo: 0, ChHi: nch, TLo: sp.destOff, THi: sp.destOff + width}
-				gaps = append(gaps, g)
-				local.MaskedSamples += g.Samples()
+				gaps = append(gaps, v.maskSpan(sp, flat, width, &local))
 			}
-			flat = part.Data
 			local.Broadcasts++
 			local.BcastBytes += int64(len(flat)) * 8
 		}
@@ -222,45 +218,32 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 		if err := v.Context().Err(); err != nil {
 			panic(fmt.Errorf("dass: comm-avoiding read: %w", err))
 		}
-		myIdx := r*p + rank
-		var mine *dasf.Array2D
-		if myIdx < len(spans) {
+		// Personalized exchange: destination d gets its channel rows from my
+		// file. Ranks own contiguous channel ranges, so each send block is a
+		// sub-slice of the one buffer the member was decoded into.
+		send := make([][]float64, p)
+		if myIdx := r*p + rank; myIdx < len(spans) {
 			sp := spans[myIdx]
+			width := sp.tHi - sp.tLo
+			mine := make([]float64, nch*width)
 			tRead := time.Now()
-			part, err := v.readMemberSpan(sp, &local)
+			err := v.readMemberSpan(sp, mine, width, &local)
 			v.ObserveSpan(rank, obs.PhaseRead, time.Since(tRead))
 			if err != nil {
-				if policy == FailAbort || IsCancellation(err) {
+				if policy.fatal(err) {
 					panic(fmt.Errorf("dass: comm-avoiding read: %w", err))
 				}
-				width := sp.tHi - sp.tLo
-				part = dasf.NewArray2D(nch, width)
-				fillNaN(part, 0, nch, 0, width)
-				g := Gap{Member: sp.idx, File: v.memberPath(sp.idx),
-					ChLo: 0, ChHi: nch, TLo: sp.destOff, THi: sp.destOff + width}
-				gaps = append(gaps, g)
-				local.MaskedSamples += g.Samples()
+				gaps = append(gaps, v.maskSpan(sp, mine, width, &local))
 			}
-			mine = part
-		}
-		// Personalized exchange: destination d gets its channel rows from
-		// my file.
-		send := make([][]float64, p)
-		for d := 0; d < p; d++ {
-			if mine == nil {
-				continue
-			}
-			dLo, dHi := Partition(nch, p, d)
-			if dLo >= dHi {
-				continue
-			}
-			rows := make([]float64, 0, (dHi-dLo)*mine.Samples)
-			for ch := dLo; ch < dHi; ch++ {
-				rows = append(rows, mine.Row(ch)...)
-			}
-			send[d] = rows
-			if d != rank {
-				local.ExchangeBytes += int64(len(rows)) * 8
+			for d := 0; d < p; d++ {
+				dLo, dHi := Partition(nch, p, d)
+				if dLo >= dHi {
+					continue
+				}
+				send[d] = mine[dLo*width : dHi*width]
+				if d != rank {
+					local.ExchangeBytes += int64(dHi-dLo) * int64(width) * 8
+				}
 			}
 		}
 		if rank == 0 {

@@ -215,16 +215,25 @@ func addStats(tr *pfs.Trace, st dasf.IOStats) {
 	tr.SlowReads += st.SlowReads
 }
 
-// fillNaN masks rows [chLo, chHi) × samples [tLo, tHi) of out with NaN —
-// the in-band "no data here" marker the detect kernels skip over.
-func fillNaN(out *dasf.Array2D, chLo, chHi, tLo, tHi int) {
+// maskSpan is the degrade step every reader shares: the member span's band
+// of dst (nch rows at stride, as readMemberSpan would have filled it) is set
+// to NaN — the in-band "no data here" marker the detect kernels skip over —
+// whatever a failed attempt left there, and the loss is returned as a Gap
+// and counted in tr.
+func (v *View) maskSpan(sp memberSpan, dst []float64, stride int, tr *pfs.Trace) Gap {
+	nch, _ := v.Shape()
+	width := sp.tHi - sp.tLo
 	nan := math.NaN()
-	for c := chLo; c < chHi; c++ {
-		row := out.Row(c)
-		for t := tLo; t < tHi; t++ {
+	for c := 0; c < nch; c++ {
+		row := dst[c*stride : c*stride+width]
+		for t := range row {
 			row[t] = nan
 		}
 	}
+	g := Gap{Member: sp.idx, File: v.memberPath(sp.idx),
+		ChLo: 0, ChHi: nch, TLo: sp.destOff, THi: sp.destOff + width}
+	tr.MaskedSamples += g.Samples()
+	return g
 }
 
 // IsCancellation reports whether err stems from a cancelled or expired
@@ -234,6 +243,10 @@ func fillNaN(out *dasf.Array2D, chLo, chHi, tLo, tHi int) {
 func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
+
+// fatal reports whether a member read error ends the whole read under the
+// policy: any error under FailAbort, and cancellation under either.
+func (p FailPolicy) fatal(err error) bool { return p == FailAbort || IsCancellation(err) }
 
 // classifyMemberErr wraps a member read failure with the right sentinel so
 // callers can branch with errors.Is.
@@ -246,32 +259,37 @@ func classifyMemberErr(path string, err error) error {
 	return err
 }
 
-// readMemberSpan reads one member's slab for the view's channel range,
-// folding physical stats into tr. On failure the error is classified; the
-// caller decides (by policy) whether to abort or mask. A view with a slab
-// hook installed (WithSlabReader) delegates the physical read to it.
-func (v *View) readMemberSpan(sp memberSpan, tr *pfs.Trace) (*dasf.Array2D, error) {
+// readMemberSpan reads one member's slab for the view's channel range into
+// dst — channel row c at dst[c*stride:], the span's width wide — folding
+// physical stats into tr. Without a slab hook the member is opened and
+// decoded in place; with one (WithSlabReader) the hook does the physical
+// read and its array, which may be shared, is copied out row by row. On
+// failure the error is classified and the band's content is unspecified;
+// the caller decides (by policy) whether to abort or mask.
+func (v *View) readMemberSpan(sp memberSpan, dst []float64, stride int, tr *pfs.Trace) error {
 	path := v.memberPath(sp.idx)
+	var err error
 	if v.slab != nil {
-		part, st, err := v.slab(v.Context(), path, v.chLo, v.chHi, sp.tLo, sp.tHi)
+		var part *dasf.Array2D
+		var st dasf.IOStats
+		part, st, err = v.slab(v.Context(), path, v.chLo, v.chHi, sp.tLo, sp.tHi)
 		addStats(tr, st)
-		if err != nil {
-			tr.Faults++
-			return nil, classifyMemberErr(path, err)
+		if err == nil {
+			for c := 0; c < part.Channels; c++ {
+				copy(dst[c*stride:c*stride+part.Samples], part.Row(c))
+			}
 		}
-		return part, nil
+	} else {
+		var r *dasf.Reader
+		if r, err = dasf.OpenContext(v.Context(), path); err == nil {
+			err = r.ReadSlabInto(dst, stride, v.chLo, v.chHi, sp.tLo, sp.tHi)
+			addStats(tr, r.Stats())
+			r.Close()
+		}
 	}
-	r, err := dasf.OpenContext(v.Context(), path)
 	if err != nil {
 		tr.Faults++
-		return nil, classifyMemberErr(path, err)
+		return classifyMemberErr(path, err)
 	}
-	part, err := r.ReadSlab(v.chLo, v.chHi, sp.tLo, sp.tHi)
-	addStats(tr, r.Stats())
-	r.Close()
-	if err != nil {
-		tr.Faults++
-		return nil, classifyMemberErr(path, err)
-	}
-	return part, nil
+	return nil
 }

@@ -3,11 +3,13 @@ package dass
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dassa/internal/dasf"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
+	"dassa/internal/omp"
 	"dassa/internal/pfs"
 )
 
@@ -32,7 +34,14 @@ type View struct {
 	// opens, slab reads, retry backoff, and the parallel readers' rank
 	// loops all honor its cancellation (see WithContext).
 	ctx context.Context
+	// team, when non-nil, is the thread team a read fans the view's member
+	// files over (see WithTeam); without one the same loop runs on a team
+	// of one.
+	team *omp.Team
 }
+
+// serialTeam reads a view that carries no team: member after member.
+var serialTeam = omp.NewTeam(1)
 
 // SlabReaderFunc reads the hyperslab [chLo,chHi)×[tLo,tHi) of one physical
 // member file, returning the data and the physical I/O actually performed
@@ -71,6 +80,18 @@ func (v *View) WithSpans(s *obs.Spans) *View {
 func (v *View) WithContext(ctx context.Context) *View {
 	cp := *v
 	cp.ctx = ctx
+	return &cp
+}
+
+// WithTeam returns a copy of the view whose reads fan their member files
+// over t: the engine hands the view the rank's thread team, so the threads
+// that will compute on the block also decode it, each member straight into
+// its own column band. Subsets keep the team; a nil t restores the serial
+// read. The result of a read — data, trace, gaps — does not depend on the
+// team's size.
+func (v *View) WithTeam(t *omp.Team) *View {
+	cp := *v
+	cp.team = t
 	return &cp
 }
 
@@ -250,41 +271,61 @@ func (v *View) Read() (*dasf.Array2D, pfs.Trace, error) {
 // "dass.read" span.
 func (v *View) ReadPolicy(policy FailPolicy) (*dasf.Array2D, pfs.Trace, []Gap, error) {
 	_, sp := trace.Start(v.Context(), "dass.read")
-	out, tr, gaps, err := v.readPolicy(policy)
+	spans := v.memberSpans()
+	team := v.team
+	if team == nil {
+		team = serialTeam
+	}
+	out, tr, gaps, err := v.readSpans(spans, team, policy)
 	if sp != nil {
 		sp.SetAttrInt("bytes_read", tr.BytesRead)
 		sp.SetAttrInt("gaps", int64(len(gaps)))
+		sp.SetAttrInt("members", int64(len(spans)))
+		sp.SetAttrInt("threads", int64(min(team.Threads(), len(spans))))
 	}
 	sp.EndErr(err)
 	return out, tr, gaps, err
 }
 
-func (v *View) readPolicy(policy FailPolicy) (*dasf.Array2D, pfs.Trace, []Gap, error) {
-	var tr pfs.Trace
-	tr.Processes = 1
+// readSpans is the block read: the output is allocated once and every member
+// span decodes into its own column band of it, the spans fanned over the
+// team. Bands are disjoint, so threads share nothing but the stop flag; what
+// each span did (trace, error) is kept by span index and folded afterwards
+// in member order, so the trace, the gap list and the NaN mask are those of
+// the member-after-member loop whatever the team size.
+func (v *View) readSpans(spans []memberSpan, team *omp.Team, policy FailPolicy) (*dasf.Array2D, pfs.Trace, []Gap, error) {
 	nch, nt := v.Shape()
 	out := dasf.NewArray2D(nch, nt)
-	var gaps []Gap
-	for _, sp := range v.memberSpans() {
-		if err := v.Context().Err(); err != nil {
-			return nil, tr, nil, err
+	done := make([]struct {
+		tr  pfs.Trace
+		err error
+	}, len(spans))
+	var stop atomic.Bool
+	team.For(len(spans), func(i int) {
+		if stop.Load() {
+			return // a span elsewhere has ended the read; the fold finds its error
 		}
-		part, err := v.readMemberSpan(sp, &tr)
-		if err != nil {
-			if policy == FailAbort || IsCancellation(err) {
-				return nil, tr, nil, err
-			}
-			width := sp.tHi - sp.tLo
-			fillNaN(out, 0, nch, sp.destOff, sp.destOff+width)
-			g := Gap{Member: sp.idx, File: v.memberPath(sp.idx),
-				ChLo: 0, ChHi: nch, TLo: sp.destOff, THi: sp.destOff + width}
-			gaps = append(gaps, g)
-			tr.MaskedSamples += g.Samples()
+		o := &done[i]
+		if o.err = v.Context().Err(); o.err == nil {
+			o.err = v.readMemberSpan(spans[i], out.Data[spans[i].destOff:], nt, &o.tr)
+		}
+		if o.err != nil && policy.fatal(o.err) {
+			stop.Store(true)
+		}
+	})
+	tr := pfs.Trace{Processes: 1}
+	for i := range done {
+		tr.Add(done[i].tr)
+	}
+	var gaps []Gap
+	for i, o := range done {
+		if o.err == nil {
 			continue
 		}
-		for c := 0; c < nch; c++ {
-			copy(out.Data[c*nt+sp.destOff:c*nt+sp.destOff+part.Samples], part.Row(c))
+		if policy.fatal(o.err) {
+			return nil, tr, nil, o.err
 		}
+		gaps = append(gaps, v.maskSpan(spans[i], out.Data[spans[i].destOff:], nt, &tr))
 	}
 	return out, tr, gaps, nil
 }

@@ -343,9 +343,11 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	_, err := mpi.Run(worldSize, func(c *mpi.Comm) {
 		team := omp.NewTeam(threads)
 
+		// The team that computes on the block also reads it: the view fans
+		// its member files over the rank's threads (one thread in PureMPI).
 		cancelled("load")
 		t0 := time.Now()
-		blk, readTr, quality := arrayudf.LoadBlock(c, v, spec)
+		blk, readTr, quality := arrayudf.LoadBlock(c, v.WithTeam(team), spec)
 		readSec := time.Since(t0).Seconds()
 
 		cancelled("compute")

@@ -1,6 +1,7 @@
 package haee
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
+	"dassa/internal/obs/trace"
 	"dassa/internal/omp"
 )
 
@@ -251,4 +253,66 @@ func TestApplyRowsMTWrongLenPanics(t *testing.T) {
 		}
 	}()
 	ApplyRowsMT(omp.NewTeam(1), blk, 4, func(*arrayudf.Stencil) []float64 { return []float64{1} })
+}
+
+// TestBlockLoadFansOverTheRanksTeam: the engine hands the view the thread
+// team it computes with, so a Hybrid rank's block load shows up in the
+// request trace as one dass.read over all the members with the node's
+// threads, a PureMPI rank's as a read with one — and neither the output nor
+// the request counts depend on which.
+func TestBlockLoadFansOverTheRanksTeam(t *testing.T) {
+	v, _, _ := makeView(t, 12, 5)
+	w := PointsWorkload{
+		Spec: arrayudf.Spec{GhostChannels: 1},
+		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
+			return s.At(0, -1) + s.Value() + s.At(0, 1)
+		},
+	}
+	var ref Report
+	for i, tc := range []struct {
+		cfg         Config
+		wantThreads string
+	}{
+		{Config{Nodes: 1, CoresPerNode: 1, Mode: Hybrid}, "1"},
+		{Config{Nodes: 1, CoresPerNode: 3, Mode: Hybrid}, "3"},
+		{Config{Nodes: 1, CoresPerNode: 8, Mode: Hybrid}, "5"}, // no more threads than members
+		{Config{Nodes: 1, CoresPerNode: 3, Mode: PureMPI}, "1"},
+	} {
+		store := trace.NewStore(4, 4)
+		ctx, root := trace.New(context.Background(), store, "test", "", "run")
+		rep, err := New(tc.cfg).RunPoints(v.WithContext(ctx), w, "")
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := 0
+		for _, sp := range store.Recent()[0].Spans {
+			if sp.Name != "dass.read" {
+				continue
+			}
+			reads++
+			attrs := map[string]string{}
+			for _, a := range sp.Attrs {
+				attrs[a.K] = a.V
+			}
+			if attrs["members"] != "5" || attrs["threads"] != tc.wantThreads {
+				t.Errorf("%+v: dass.read attrs %v, want members=5 threads=%s", tc.cfg, attrs, tc.wantThreads)
+			}
+		}
+		if worldSize, _ := tc.cfg.ranks(); reads != worldSize {
+			t.Errorf("%+v: %d dass.read spans, want one per rank (%d)", tc.cfg, reads, worldSize)
+		}
+		if i == 0 {
+			ref = rep
+			continue
+		}
+		for k := range ref.Output.Data {
+			if math.Float64bits(rep.Output.Data[k]) != math.Float64bits(ref.Output.Data[k]) {
+				t.Fatalf("%+v: output differs from the 1-core run at %d", tc.cfg, k)
+			}
+		}
+		if tc.cfg.Mode == Hybrid && rep.ReadTrace != ref.ReadTrace {
+			t.Errorf("%+v: read trace %+v, 1-core %+v", tc.cfg, rep.ReadTrace, ref.ReadTrace)
+		}
+	}
 }

@@ -209,7 +209,7 @@ func main() {
 		switch *op {
 		case "localsimi":
 			p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
-			if err := p.Validate(); err != nil {
+			if err := p.Validate(nch, nt); err != nil {
 				fatalUsage("%v", err)
 			}
 			creq.Op, creq.LocalSimi = cluster.OpLocalSimi, p
@@ -221,7 +221,7 @@ func main() {
 			if p.LTASamples == 0 {
 				p.LTASamples = max(int(4*sampleRate), p.STASamples+1)
 			}
-			if err := p.Validate(); err != nil {
+			if err := p.Validate(nch, nt); err != nil {
 				fatalUsage("%v", err)
 			}
 			creq.Op, creq.STALTA = cluster.OpSTALTA, p
@@ -255,7 +255,7 @@ func main() {
 	switch *op {
 	case "localsimi":
 		p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
-		if err := p.Validate(); err != nil {
+		if err := p.Validate(nch, nt); err != nil {
 			fatalUsage("%v", err)
 		}
 		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, *out)
@@ -352,7 +352,7 @@ func main() {
 		if params.LTASamples == 0 {
 			params.LTASamples = max(int(4*sampleRate), params.STASamples+1)
 		}
-		if err := params.Validate(); err != nil {
+		if err := params.Validate(nch, nt); err != nil {
 			fatalUsage("%v", err)
 		}
 		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, *out)

@@ -28,6 +28,7 @@ type Stencil struct {
 	chOff int           // row index of "channel 0 of this rank's block" inside block
 	ch    int           // current cell: rank-relative channel (0-based, ghost-free)
 	t     int           // current cell: time index
+	memo  any           // the UDF's, see Memo
 }
 
 // Value returns the current cell's value, S(0) in the paper.
@@ -89,6 +90,16 @@ func (s *Stencil) SetPos(ch, t int) { s.ch, s.t = ch, t }
 
 // Samples returns the time extent of the underlying array.
 func (s *Stencil) Samples() int { return s.block.Samples }
+
+// Memo returns the stencil's one UDF-owned slot, nil on a fresh stencil. A
+// UDF keeps there what it wants to carry from one cell to the next of the
+// sweep this stencil makes — partial sums of the row it is on, say. The slot
+// lives and dies with the stencil: one thread, one apply loop, one block, so
+// nothing in it is shared or outlives the data it was derived from. The
+// engine never reads it, and whatever stencil evaluates a cell must get the
+// same value: the slot holds a cache, and a UDF finding another's content
+// there (or none) starts over.
+func (s *Stencil) Memo() *any { return &s.memo }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {

@@ -8,7 +8,10 @@ import (
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/detect"
+	"dassa/internal/haee"
+	"dassa/internal/omp"
 )
 
 // DetectorRow is one (scenario, method) measurement of the detector
@@ -68,43 +71,36 @@ func RunDetectors(o Options) ([]DetectorRow, error) {
 	simi := detect.LocalSimiParams{
 		M: int(base.SampleRate / 4), K: 1, L: 4, Stride: 5,
 	}
-	if err := stalta.Validate(); err != nil {
+	if err := stalta.Validate(base.Channels, bursts.Samples); err != nil {
 		return nil, err
 	}
-	if err := simi.Validate(); err != nil {
+	if err := simi.Validate(base.Channels, bursts.Samples); err != nil {
 		return nil, err
+	}
+	// Both detectors run as the UDFs the engine runs, swept over the whole
+	// array on one thread.
+	sweep := func(data *dasf.Array2D, spec arrayudf.Spec, udf func(*arrayudf.Stencil, *daslib.Scratch) float64) *dasf.Array2D {
+		blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: data.Channels}
+		return haee.ApplyMTScratch(omp.NewTeam(1), blk, spec, data.Samples, udf)
 	}
 
 	// STA/LTA deployment: a channel whose ratio crosses the trigger
 	// threshold declares an event (per-station triggering).
 	const staltaTrigger = 8.0
 	staltaStat := func(data *dasf.Array2D) (int, float64) {
+		ratios := sweep(data, stalta.Spec(), stalta.UDFScratch())
 		events := 0
-		var all []float64
 		for ch := 0; ch < data.Channels; ch++ {
-			r := stalta.Ratio(data.Row(ch))
-			if detect.MaxRatio(r) > staltaTrigger {
+			if detect.MaxRatio(ratios.Row(ch)) > staltaTrigger {
 				events++
 			}
-			all = append(all, r...)
 		}
-		return events, contrast(all)
+		return events, contrast(ratios.Data)
 	}
 	// Local similarity deployment: scan the similarity map for coherent
 	// regions (what Figure 10 does).
 	simiStat := func(data *dasf.Array2D) (int, float64) {
-		blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: data.Channels}
-		udf := simi.UDF()
-		outT := (data.Samples + simi.Stride - 1) / simi.Stride
-		sim := dasf.NewArray2D(data.Channels, outT)
-		var all []float64
-		for ch := 0; ch < data.Channels; ch++ {
-			for i := 0; i < outT; i++ {
-				v := udf(blk.Stencil(ch, i*simi.Stride))
-				sim.Set(ch, i, v)
-				all = append(all, v)
-			}
-		}
+		sim := sweep(data, simi.Spec(), simi.UDFScratch())
 		// Statistical exceedances alone would flag noise blips (any 2.5σ
 		// scan fires occasionally); a coherent event additionally drives
 		// the mean similarity toward 1, so declare only regions whose peak
@@ -116,7 +112,7 @@ func RunDetectors(o Options) ([]DetectorRow, error) {
 				events++
 			}
 		}
-		return events, contrast(all)
+		return events, contrast(sim.Data)
 	}
 
 	burstEventsS, burstC := staltaStat(bursts)

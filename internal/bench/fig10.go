@@ -43,7 +43,8 @@ func RunFig10(o Options) ([]Fig10Event, error) {
 		M: int(o.SampleRate / 4), K: 1, L: 4,
 		Stride: int(o.SampleRate / 5),
 	}
-	if err := params.Validate(); err != nil {
+	nch, nt := v.Shape()
+	if err := params.Validate(nch, nt); err != nil {
 		return nil, err
 	}
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: o.CoresPerNode, Mode: haee.Hybrid})
@@ -53,7 +54,6 @@ func RunFig10(o Options) ([]Fig10Event, error) {
 	}
 	sim := rep.Output
 
-	nch, _ := v.Shape()
 	regions := detect.FindEventsBanded(sim, 1.5, max(nch/8, 4))
 	totalSec := o.FileSeconds * float64(o.Files)
 	secPerIdx := totalSec / float64(sim.Samples)

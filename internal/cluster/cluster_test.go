@@ -193,6 +193,18 @@ func TestClusterRejectsBadRequests(t *testing.T) {
 	if _, err := co.Run(context.Background(), Request{Op: OpRead}); err == nil {
 		t.Fatal("nil view accepted")
 	}
+	// Detector parameters the window cannot hold are refused before a
+	// shard is cut, as the caller's mistake.
+	for _, req := range []Request{
+		{View: v, Op: OpLocalSimi, LocalSimi: detect.LocalSimiParams{M: 3000000000, K: 1, L: 4}},
+		{View: v, Op: OpLocalSimi, LocalSimi: detect.LocalSimiParams{M: 5, K: 8, L: 1}},
+		{View: v, Op: OpSTALTA, STALTA: detect.STALTAParams{STASamples: 2, LTASamples: 3000000000}},
+		{View: v, Op: OpSTALTA, STALTA: detect.STALTAParams{STASamples: 2, LTASamples: 8, Stride: math.MaxInt}},
+	} {
+		if _, err := co.Run(context.Background(), req); !errors.Is(err, detect.ErrBadParams) {
+			t.Errorf("%s %+v %+v: want ErrBadParams, got %v", req.Op, req.LocalSimi, req.STALTA, err)
+		}
+	}
 }
 
 func TestWorkerDrainRefusesNewWork(t *testing.T) {

@@ -378,7 +378,14 @@ func (l *workerLink) dial() (*wire.Conn, error) {
 	if err := wire.CheckVersion(w.Version); err != nil {
 		return fail(fmt.Errorf("cluster: %s: %w", l.addr, err))
 	}
+	// Close marks the coordinator closing before it aborts the links, so a
+	// handshake that completes after its abort sees the mark here and does
+	// not publish a connection nobody is left to sever.
 	l.mu.Lock()
+	if l.co.closing.Load() {
+		l.mu.Unlock()
+		return fail(fmt.Errorf("cluster: %s: coordinator closed", l.addr))
+	}
 	l.conn, l.alive, l.name = conn, true, w.Worker
 	l.mu.Unlock()
 	cfg.Log.Info("cluster: worker connected", "worker", l.addr, "name", w.Worker)
@@ -473,10 +480,20 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 	if req.View == nil {
 		return nil, fmt.Errorf("cluster: request has no view")
 	}
+	// Detector parameters are bounded against the window here, before any
+	// shard is cut; workers bound them again against what they are sent.
+	var err error
 	switch req.Op {
-	case OpRead, OpLocalSimi, OpSTALTA:
+	case OpRead:
+	case OpLocalSimi:
+		err = req.LocalSimi.Validate(req.View.Shape())
+	case OpSTALTA:
+		err = req.STALTA.Validate(req.View.Shape())
 	default:
-		return nil, fmt.Errorf("cluster: unknown op %q", req.Op)
+		err = fmt.Errorf("cluster: unknown op %q", req.Op)
+	}
+	if err != nil {
+		return nil, err
 	}
 	files, err := filesOf(req.View)
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
+	"dassa/internal/detect"
 	"dassa/internal/testutil/leakcheck"
 	"dassa/internal/wire"
 )
@@ -90,6 +92,51 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 					t.Errorf("%s (%s): %d values for a %d×%d reply to rows [%d,%d)", tc.name, op, len(data), res.Channels, res.Samples, req.ChLo, req.ChHi)
 				}
 			}
+		}
+	}
+}
+
+// TestExecuteShardBoundsDetectorParams: the detector parameters of a frame
+// are bounded against the window the shard runs on before they size
+// anything. M = 3e9 used to reach the first edge cell's 144 GB borrow and end
+// dassw with a runtime out-of-memory throw no recover catches; LTA did the
+// same through STA/LTA's edge buffer.
+func TestExecuteShardBoundsDetectorParams(t *testing.T) {
+	v, _ := makeView(t, 8, 2)
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nt := v.Shape()
+	good := wire.ShardRequest{
+		ID: 1, Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt, Halo: 1,
+		M: 3, K: 1, L: 1, STA: 2, LTA: 8, Stride: 4,
+	}
+	for _, tc := range []struct {
+		name   string
+		op     Op
+		mutate func(r *wire.ShardRequest)
+	}{
+		{"M sizing a 144 GB edge buffer", OpLocalSimi, func(r *wire.ShardRequest) { r.M = 3000000000 }},
+		{"M+L wrapping", OpLocalSimi, func(r *wire.ShardRequest) { r.M, r.L = math.MaxInt, math.MaxInt }},
+		{"lag scan one sample past the window", OpLocalSimi, func(r *wire.ShardRequest) { r.L = (nt-1)/2 - r.M + 1 }},
+		{"K past every row", OpLocalSimi, func(r *wire.ShardRequest) { r.K = math.MaxInt }},
+		{"K with no row to reach", OpLocalSimi, func(r *wire.ShardRequest) { r.ChLo, r.ChHi, r.Halo = 3, 4, 0 }},
+		{"stride wrapping the output extent", OpLocalSimi, func(r *wire.ShardRequest) { r.Stride = math.MaxInt }},
+		{"negative M", OpLocalSimi, func(r *wire.ShardRequest) { r.M = math.MinInt }},
+		{"LTA sizing a 24 GB edge buffer", OpSTALTA, func(r *wire.ShardRequest) { r.LTA = 3000000000 }},
+		{"LTA one sample past the window", OpSTALTA, func(r *wire.ShardRequest) { r.LTA = nt + 1 }},
+		{"STA and LTA past the window", OpSTALTA, func(r *wire.ShardRequest) { r.STA, r.LTA = math.MaxInt-1, math.MaxInt }},
+		{"STA/LTA stride wrapping the output extent", OpSTALTA, func(r *wire.ShardRequest) { r.Stride = math.MaxInt }},
+	} {
+		req := good
+		req.Op = string(tc.op)
+		if _, _, err := executeShard(context.Background(), req, 2); err != nil {
+			t.Fatalf("%s: the unmutated %s frame: %v", tc.name, tc.op, err)
+		}
+		tc.mutate(&req)
+		if res, _, err := executeShard(context.Background(), req, 2); !errors.Is(err, detect.ErrBadParams) {
+			t.Errorf("%s (%s): accepted as %d×%d, err %v", tc.name, tc.op, res.Channels, res.Samples, err)
 		}
 	}
 }
@@ -178,8 +225,9 @@ func (sc *shardClient) wantResult(req wire.ShardRequest, v *dass.View) {
 }
 
 // TestWorkerSurvivesHostileFrames: the negative-halo frame, a shape past the
-// element cap and a job that panics outright each cost one ShardError; the
-// same connection's next shard is served, and so is a new connection's.
+// element cap, a job that panics outright and detector parameters larger
+// than memory each cost one ShardError; the same connection's next shard is
+// served, and so is a new connection's.
 func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	leakcheck.Check(t)
 	v, _ := makeView(t, 8, 2)
@@ -221,6 +269,16 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	boom := good
 	boom.ID, boom.Op = 3, panicOp
 	sc.wantError(boom, "panicked")
+
+	// Detector parameters that would size a borrow no machine has: an
+	// out-of-memory throw is not a panic, so these must never get that far.
+	hugeM := good
+	hugeM.ID, hugeM.Op, hugeM.Halo = 6, string(OpLocalSimi), 1
+	hugeM.M, hugeM.K, hugeM.L = 3000000000, 1, 4
+	sc.wantError(hugeM, "bad parameters")
+	hugeLTA := good
+	hugeLTA.ID, hugeLTA.Op, hugeLTA.STA, hugeLTA.LTA = 7, string(OpSTALTA), 2, 3000000000
+	sc.wantError(hugeLTA, "bad parameters")
 
 	next := good
 	next.ID = 4

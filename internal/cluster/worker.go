@@ -458,13 +458,13 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 		out, tr, gaps, err = sub.ReadPolicy(dass.FailDegrade)
 	case OpLocalSimi:
 		p := detect.LocalSimiParams{M: req.M, K: req.K, L: req.L, Stride: req.Stride}
-		if verr := p.Validate(); verr != nil {
+		if verr := p.Validate(sub.Shape()); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
 		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)
 	case OpSTALTA:
 		p := detect.STALTAParams{STASamples: req.STA, LTASamples: req.LTA, Stride: req.Stride}
-		if verr := p.Validate(); verr != nil {
+		if verr := p.Validate(sub.Shape()); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
 		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)

@@ -270,7 +270,8 @@ func (f *Framework) LocalSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.A
 }
 
 func (f *Framework) localSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.Array2D, []detect.Region, Report, error) {
-	if err := opt.Validate(); err != nil {
+	nch, nt := v.Shape()
+	if err := opt.Validate(nch, nt); err != nil {
 		return nil, nil, Report{}, err
 	}
 	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
@@ -286,7 +287,6 @@ func (f *Framework) localSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.A
 	if thresh == 0 {
 		thresh = 1.5
 	}
-	nch, _ := v.Shape()
 	regions := detect.FindEventsBanded(rep.Output, thresh, max(nch/8, 4))
 	return rep.Output, regions, reportOf(rep), nil
 }
@@ -401,7 +401,7 @@ func (f *Framework) STALTA(v *dass.View, p detect.STALTAParams, outPath string) 
 }
 
 func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) (*dasf.Array2D, Report, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Validate(v.Shape()); err != nil {
 		return nil, Report{}, err
 	}
 	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, outPath)

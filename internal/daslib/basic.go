@@ -103,26 +103,24 @@ func SumSquares(x []float64) float64 {
 	return s
 }
 
-// MaxAbsCorrLags returns the maximum over lags l = 0 … len(span)−len(w) of
-// AbsCorr(w, span[l:l+len(w)]), skipping windows that hold a NaN gap marker
-// — Algorithm 2's scan of one neighbour channel (0 when every window is
-// masked). wSq is SumSquares(w): it is the same at every lag, so the caller
-// derives it once per cell.
+// LagPartials writes the partial sums of one segment of Algorithm 2's lag
+// scan: for each lag l = 0 … len(dot)−1, dot[l] = Σ w[i]·span[l+i] and
+// sq[l] = Σ span[l+i]² over the segment's len(w) samples, each accumulated
+// from zero in index order. span is the neighbour row's matching stretch,
+// len(w)+len(dot)−1 samples long.
 //
-// Each lag's dot product and squared norm are accumulated in index order,
-// exactly as AbsCorr accumulates them, so every lag's value is bit-identical
-// to the AbsCorr call it replaces (DESIGN.md §14). Only the schedule
-// differs: three lags advance per pass, keeping six independent add chains
-// in flight where one AbsCorr call waits on the floating-point add latency
-// of its own three. The squared norm doubles as the NaN scan (see
-// SumSquares), so no window is read twice.
-func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
-	n := len(w)
-	lags := len(span) - n + 1
-	if lags < 1 {
-		panic(fmt.Sprintf("daslib: MaxAbsCorrLags span length %d shorter than window %d", len(span), n))
+// Partial sums of adjacent segments add up to the sums of their union, so a
+// window is assembled from the segments it covers (DESIGN.md §14) and a
+// whole window passed as one segment yields exactly what AbsCorr accumulates
+// at each lag. Three lags advance per pass, keeping six independent add
+// chains in flight where one AbsCorr call waits on the floating-point add
+// latency of its own three. The squared norm doubles as the NaN scan (see
+// SumSquares), so no sample is read twice.
+func LagPartials(dot, sq, w, span []float64) {
+	n, lags := len(w), len(dot)
+	if len(sq) != lags || len(span) != n+lags-1 {
+		panic(fmt.Sprintf("daslib: LagPartials %d dots, %d norms, span length %d for segment length %d", lags, len(sq), len(span), n))
 	}
-	var best float64
 	l := 0
 	for ; l+3 <= lags; l += 3 {
 		a0, a1, a2 := span[l:][:n], span[l+1:][:n], span[l+2:][:n]
@@ -136,7 +134,8 @@ func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
 			d2 += c * x2
 			s2 += x2 * x2
 		}
-		best = foldLag(foldLag(foldLag(best, d0, wSq, s0), d1, wSq, s1), d2, wSq, s2)
+		dot[l], dot[l+1], dot[l+2] = d0, d1, d2
+		sq[l], sq[l+1], sq[l+2] = s0, s1, s2
 	}
 	for ; l < lags; l++ {
 		a0 := span[l:][:n]
@@ -145,19 +144,47 @@ func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
 			d0 += c * a0[i]
 			s0 += a0[i] * a0[i]
 		}
-		best = foldLag(best, d0, wSq, s0)
+		dot[l], sq[l] = d0, s0
+	}
+}
+
+// MaxAbsCorrPartials finishes the lag scan from a window's summed partials: the
+// maximum over lags of |dot[l]| / √(wSq·sq[l]), starting from best. A lag
+// whose squared norm is NaN is a window holding a NaN gap marker: it is
+// masked and leaves best alone; any other folds in through math.Max (NaN-
+// and Inf-propagating, like the per-lag AbsCorr loop it replaces).
+func MaxAbsCorrPartials(best, wSq float64, dot, sq []float64) float64 {
+	for l, d := range dot {
+		if s := sq[l]; !math.IsNaN(s) {
+			best = math.Max(best, absCorr(d, wSq, s))
+		}
 	}
 	return best
 }
 
-// foldLag is one step of the lag scan: a window whose squared norm is NaN is
-// masked and leaves best alone, any other folds its |corr| in with math.Max
-// (NaN- and Inf-propagating, like the per-lag loop it replaces).
-func foldLag(best, dot, wSq, sSq float64) float64 {
-	if math.IsNaN(sSq) {
-		return best
+// MaxAbsCorrLags returns the maximum over lags l = 0 … len(span)−len(w) of
+// AbsCorr(w, span[l:l+len(w)]), skipping windows that hold a NaN gap marker
+// — Algorithm 2's scan of one neighbour channel (0 when every window is
+// masked). wSq is SumSquares(w): it is the same at every lag, so the caller
+// derives it once per cell.
+//
+// It is the one-segment case of LagPartials, three lags at a time so the
+// partials stay on the stack: every lag's value is bit-identical to the
+// AbsCorr call it replaces.
+func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
+	n := len(w)
+	lags := len(span) - n + 1
+	if lags < 1 {
+		panic(fmt.Sprintf("daslib: MaxAbsCorrLags span length %d shorter than window %d", len(span), n))
 	}
-	return math.Max(best, absCorr(dot, wSq, sSq))
+	var best float64
+	var dot, sq [3]float64
+	for l := 0; l < lags; l += 3 {
+		k := min(3, lags-l)
+		LagPartials(dot[:k], sq[:k], w, span[l:l+n+k-1])
+		best = MaxAbsCorrPartials(best, wSq, dot[:k], sq[:k])
+	}
+	return best
 }
 
 // AbsCorrComplex is AbsCorr for spectra: |⟨c1, c2⟩| / (‖c1‖‖c2‖).

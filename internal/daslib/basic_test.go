@@ -156,6 +156,55 @@ func TestMaxAbsCorrLagsMatchesAbsCorr(t *testing.T) {
 	MaxAbsCorrLags(make([]float64, 4), 0, make([]float64, 3))
 }
 
+// TestLagPartialsAddUp: a window cut anywhere into segments is the sum of
+// its segments' partials — within rounding on clean data, and with a NaN or
+// ±Inf reaching exactly the lags whose window holds it: the sums only add,
+// so nothing cancels a poisoned sample back out and nothing spreads it.
+func TestLagPartialsAddUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 500; iter++ {
+		n, lags := 1+rng.Intn(60), 1+rng.Intn(9)
+		w, span := make([]float64, n), make([]float64, n+lags-1)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		for i := range span {
+			span[i] = rng.NormFloat64()
+		}
+		if iter%3 == 0 {
+			span[rng.Intn(len(span))] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+		whole, wholeSq := make([]float64, lags), make([]float64, lags)
+		LagPartials(whole, wholeSq, w, span)
+		dot, sq := make([]float64, lags), make([]float64, lags)
+		part, partSq := make([]float64, lags), make([]float64, lags)
+		for a := 0; a < n; {
+			b := min(n, a+rng.Intn(n+1)) // empty segments too
+			LagPartials(part, partSq, w[a:b], span[a:b+lags-1])
+			for l := range dot {
+				dot[l] += part[l]
+				sq[l] += partSq[l]
+			}
+			a = b
+		}
+		for l := range dot {
+			for _, c := range [][2]float64{{dot[l], whole[l]}, {sq[l], wholeSq[l]}} {
+				got, want := c[0], c[1]
+				if math.IsNaN(want) != math.IsNaN(got) || math.IsInf(want, 0) != math.IsInf(got, 0) ||
+					(!math.IsNaN(want) && !math.IsInf(want, 0) && math.Abs(got-want) > 1e-12*float64(n)) {
+					t.Fatalf("iter %d lag %d: segments add up to %v, the whole window gives %v", iter, l, got, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a span that does not match the segment and lag count should panic")
+		}
+	}()
+	LagPartials(make([]float64, 3), make([]float64, 3), make([]float64, 4), make([]float64, 7))
+}
+
 func TestSumSquaresNaNIffInputNaN(t *testing.T) {
 	for _, tc := range []struct {
 		x   []float64

@@ -5,6 +5,7 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -28,10 +29,23 @@ type LocalSimiParams struct {
 	Stride int
 }
 
-// Validate checks the parameters.
-func (p LocalSimiParams) Validate() error {
+// ErrBadParams marks a detector parameter set refused by Validate, so
+// callers at a trust boundary can answer "bad request" rather than "failed".
+var ErrBadParams = errors.New("detect: bad parameters")
+
+// Validate checks the parameters against the nch × nt view they are to run
+// on. Everything the detector sizes from them — ghost rows, edge buffers,
+// the output extent — is bounded by the view here, before anything is
+// borrowed: the whole lag scan of one cell fits the time extent, a neighbour
+// exists, and the stride leaves at least one cell.
+func (p LocalSimiParams) Validate(nch, nt int) error {
 	if p.M < 1 || p.K < 1 || p.L < 0 {
-		return fmt.Errorf("detect: LocalSimiParams need M≥1, K≥1, L≥0: %+v", p)
+		return fmt.Errorf("%w: local similarity needs M≥1, K≥1, L≥0: %+v", ErrBadParams, p)
+	}
+	// 2(M+L)+1 ≤ nt, written so that no sum can overflow.
+	if half := (nt - 1) / 2; nt < 1 || p.M > half || p.L > half-p.M || p.K >= nch || p.Stride > nt {
+		return fmt.Errorf("%w: local similarity %+v does not fit a %d×%d view (needs 2(M+L)+1 ≤ samples, K < channels, stride ≤ samples)",
+			ErrBadParams, p, nch, nt)
 	}
 	return nil
 }
@@ -54,16 +68,37 @@ func (p LocalSimiParams) UDF() arrayudf.PointUDF {
 	return func(s *arrayudf.Stencil) float64 { return udf(s, nil) }
 }
 
-// UDFScratch is UDF on the fused kernel: the cell's window and the two
-// neighbour spans S(−M−L:M+L, ±K) are borrowed from the block in place
-// (arrayudf.Stencil.Span) and daslib.MaxAbsCorrLags scans each span's 2L+1
-// lags in one call, every lag bit-identical to the AbsCorr of the copied
-// windows it replaces. Only cells within M+L samples of either time edge,
-// whose spans need clamped copies, borrow from the scratch arena.
+// grid cuts a row where on-grid windows start (−M) and end (M+1); a segment
+// record is ‖W‖² and, per neighbour, every lag's dot product and squared
+// norm.
+func (p LocalSimiParams) grid() *segGrid {
+	return newSegGrid(max(p.Stride, 1), 1+4*(2*p.L+1), -p.M, p.M+1)
+}
+
+// UDFScratch is UDF with the cell's temporaries borrowed from scr. A cell on
+// the stride grid whose lag scan stays clear of both time edges is assembled
+// from partial sums (segments.go): the row is cut where on-grid windows
+// start (−M modulo the stride) and end (M+1), each segment's ‖W‖², and per
+// neighbour and lag its dot product and squared norm (daslib.LagPartials),
+// are computed once and kept in the stencil's memo, and a sweep's next cell
+// fills only the segments its stride brought in — every lagged product
+// computed once, not once per window covering it. All sums are additive, so
+// a NaN or ±Inf reaches exactly the windows that contain it and a dead
+// channel still scores exactly 0. Cells near a time edge, whose spans clamp,
+// cells off the grid, and every cell when the stride is so short that a
+// window is cheaper scanned than folded (segGrid.partials) are the
+// one-segment case, scanned directly.
+//
+// Values agree with the per-lag AbsCorr loop to ≤ 1e-12 (the order of
+// addition differs), bit for bit in the one-segment case.
 func (p LocalSimiParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-	width, reach := 2*p.M+1, p.M+p.L
+	width, reach, lags := 2*p.M+1, p.M+p.L, 2*p.L+1
 	span := 2*reach + 1
-	return func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+	stride, grid := max(p.Stride, 1), p.grid()
+	// direct scans whole windows borrowed from the block in place
+	// (arrayudf.Stencil.Span); only near a time edge, where the spans need
+	// clamped copies, does it borrow from the scratch arena.
+	direct := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 		var edge, wBuf, plusBuf, minusBuf []float64
 		if t := s.T(); t < reach || t+reach >= s.Samples() {
 			edge = scr.Float(width + 2*span)
@@ -79,6 +114,29 @@ func (p LocalSimiParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scra
 		}
 		scr.ReleaseFloat(edge)
 		return sim
+	}
+	return func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+		t := s.T()
+		if !grid.partials || t < reach || t+reach >= s.Samples() || t%stride != 0 {
+			return direct(s, scr)
+		}
+		m := grid.memo(s)
+		lo, end := m.seek(s.Channel(), t/stride)
+		centre, plus, minus := s.Row(0), s.Row(+p.K), s.Row(-p.K)
+		for rec, a, b, ok := m.next(); ok; rec, a, b, ok = m.next() {
+			w := centre[a:b]
+			rec[0] = daslib.SumSquares(w)
+			daslib.LagPartials(rec[1:1+lags], rec[1+lags:1+2*lags], w, plus[a-p.L:b+p.L])
+			daslib.LagPartials(rec[1+2*lags:1+3*lags], rec[1+3*lags:], w, minus[a-p.L:b+p.L])
+		}
+		sums := m.sum(lo, end)
+		wSq := sums[0]
+		if math.IsNaN(wSq) {
+			return 0
+		}
+		cPlus := daslib.MaxAbsCorrPartials(0, wSq, sums[1:1+lags], sums[1+lags:1+2*lags])
+		cMinus := daslib.MaxAbsCorrPartials(0, wSq, sums[1+2*lags:1+3*lags], sums[1+3*lags:])
+		return (cPlus + cMinus) / 2
 	}
 }
 

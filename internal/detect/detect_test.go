@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -15,14 +16,35 @@ import (
 
 func TestLocalSimiParamsValidate(t *testing.T) {
 	good := LocalSimiParams{M: 10, K: 1, L: 5}
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(2, 31); err != nil {
 		t.Error(err)
 	}
 	for _, bad := range []LocalSimiParams{
 		{M: 0, K: 1, L: 1}, {M: 5, K: 0, L: 1}, {M: 5, K: 1, L: -1},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%+v should be invalid", bad)
+		if err := bad.Validate(8, 1000); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%+v should be invalid, got %v", bad, err)
+		}
+	}
+	// The view bounds what the parameters may size: the lag scan fits the
+	// time extent, a neighbour exists, the stride leaves a cell — for the
+	// values that used to reach a borrow unchecked, with no sum wrapping.
+	for _, tc := range []struct {
+		p       LocalSimiParams
+		nch, nt int
+	}{
+		{good, 2, 30},
+		{good, 1, 1000},
+		{good, 8, 0},
+		{LocalSimiParams{M: 3000000000, K: 1, L: 4}, 8, 4000},
+		{LocalSimiParams{M: math.MaxInt, K: 1, L: math.MaxInt}, 8, 4000},
+		{LocalSimiParams{M: 10, K: 1, L: math.MaxInt}, 8, 4000},
+		{LocalSimiParams{M: 10, K: math.MaxInt, L: 5}, 8, 4000},
+		{LocalSimiParams{M: 10, K: 1, L: 5, Stride: 4001}, 8, 4000},
+		{LocalSimiParams{M: 10, K: 1, L: 5, Stride: math.MaxInt}, 8, 4000},
+	} {
+		if err := tc.p.Validate(tc.nch, tc.nt); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%+v on %d×%d should be invalid, got %v", tc.p, tc.nch, tc.nt, err)
 		}
 	}
 	if got := good.Spec().GhostChannels; got != 1 {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // kernel: every window copied out of the block sample by sample (through
 // Stencil.At, so they share nothing with Stencil.Span), scanned for NaN,
 // and correlated one lag per daslib.AbsCorr call. The property tests pin
-// the production UDFs to them bit for bit.
+// the production UDFs to them: bit for bit where a cell is scanned as one
+// segment, and to agree's contract where it is assembled from partial sums.
 
 // hasNaN reports whether w contains a NaN gap marker.
 func hasNaN(w []float64) bool {
@@ -106,54 +108,287 @@ func hostileBlock(rng *rand.Rand, own, nt, ghost int) arrayudf.Block {
 	return arrayudf.Block{Data: a, ChLo: ghost, ChHi: ghost + own, Ghost: ghost}
 }
 
+// agree is the detectors' numeric contract against their oracles. A cell
+// assembled from partial sums adds the same products in another order, so it
+// may differ from the oracle in the last place: it must be within 1e-12, NaN
+// exactly where the oracle is NaN, and exactly 0 (or ±Inf) where the oracle
+// is — masked windows and dead channels are not approximately silent. A cell
+// scanned directly (exact) performs the oracle's additions in the oracle's
+// order and must match it bit for bit.
+func agree(got, want float64, exact bool) bool {
+	switch {
+	case exact:
+		return math.Float64bits(got) == math.Float64bits(want)
+	case math.IsNaN(want):
+		return math.IsNaN(got)
+	case want == 0 || math.IsInf(want, 0):
+		return got == want
+	default:
+		return math.Abs(got-want) <= 1e-12
+	}
+}
+
 // sameCells evaluates got and want over every owned channel × strided time
-// cell of blk — both time edges included — and compares by bit pattern.
-func sameCells(t *testing.T, blk arrayudf.Block, stride int, got func(*arrayudf.Stencil) float64, want arrayudf.PointUDF, what string) {
+// cell of blk from time index first on — both time edges included — and
+// holds each cell to agree; direct says which time indices the detector
+// scans as one segment.
+func sameCells(t *testing.T, blk arrayudf.Block, first, stride int, got func(*arrayudf.Stencil) float64, want arrayudf.PointUDF, direct func(tt int) bool, what string) {
 	t.Helper()
 	s, ref := blk.Stencil(0, 0), blk.Stencil(0, 0)
 	for ch := 0; ch < blk.OwnedChannels(); ch++ {
-		for tt := 0; tt < blk.Data.Samples; tt += stride {
+		for tt := first; tt < blk.Data.Samples; tt += stride {
 			s.SetPos(ch, tt)
 			ref.SetPos(ch, tt)
-			g, w := got(s), want(ref)
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%s: cell (%d,%d) = %v (%#x), oracle %v (%#x)",
-					what, ch, tt, g, math.Float64bits(g), w, math.Float64bits(w))
+			if g, w := got(s), want(ref); !agree(g, w, direct(tt)) {
+				t.Fatalf("%s: cell (%d,%d) = %v (%#x), oracle %v (%#x), direct=%v",
+					what, ch, tt, g, math.Float64bits(g), w, math.Float64bits(w), direct(tt))
 			}
 		}
 	}
 }
 
+// simiDirect and staltaDirect say which cells of an nt-sample row the
+// detectors scan directly: the ones whose windows clamp at a time edge, and
+// all of them when the geometry does not assemble windows from partial sums.
+func simiDirect(p LocalSimiParams, nt int) func(int) bool {
+	partials := p.grid().partials
+	return func(tt int) bool { return !partials || tt < p.M+p.L || tt+p.M+p.L >= nt }
+}
+
+func staltaDirect(p STALTAParams) func(int) bool {
+	partials := p.grid().partials
+	return func(tt int) bool { return !partials || tt < p.LTASamples-1 }
+}
+
+func always(int) bool { return true }
+
+// randomSimi draws local-similarity parameters with every stride from one
+// sample to past a whole window: windows scanned directly because folding
+// their many short segments would cost more, windows of many segments, of
+// two, of exactly one. Every other draw takes its stride from the middle of
+// that range, where windows are assembled from partial sums.
+func randomSimi(rng *rand.Rand) LocalSimiParams {
+	p := LocalSimiParams{M: 1 + rng.Intn(20), K: 1 + rng.Intn(3), L: rng.Intn(6)}
+	p.Stride = 1 + rng.Intn(2*p.M+8)
+	if rng.Intn(2) == 0 {
+		p.M += 5
+		p.Stride = p.M/2 + rng.Intn(p.M)
+	}
+	return p
+}
+
+func randomSTALTA(rng *rand.Rand) STALTAParams {
+	sta := 1 + rng.Intn(8)
+	p := STALTAParams{STASamples: sta, LTASamples: sta + 1 + rng.Intn(40)}
+	p.Stride = 1 + rng.Intn(p.LTASamples+8)
+	if rng.Intn(2) == 0 {
+		p.LTASamples += 30
+		p.Stride = p.LTASamples/3 + rng.Intn(p.LTASamples/3)
+	}
+	return p
+}
+
 func TestLocalSimiKernelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	scr := daslib.NewScratch()
-	for iter := 0; iter < 60; iter++ {
-		p := LocalSimiParams{M: 1 + rng.Intn(12), K: 1 + rng.Intn(3), L: rng.Intn(6), Stride: 1 + rng.Intn(4)}
+	folded := 0
+	for iter := 0; iter < 160; iter++ {
+		p := randomSimi(rng)
 		if iter%5 == 0 {
 			p.L = 0
 		}
-		// Short rows keep most cells within M+L of an edge; some rows are
-		// shorter than one span, so every cell clamps on both sides.
+		if p.grid().partials {
+			folded++
+		}
+		// Short rows keep most cells within M+L of an edge — some are
+		// shorter than one span, so every cell clamps on both sides; long
+		// ones have an interior many windows wide.
 		nt := 2 + rng.Intn(3*(p.M+p.L)+8)
+		if iter%2 == 0 {
+			nt += 6 * (p.M + p.L + p.Stride)
+		}
 		ghost := p.K * rng.Intn(2)
 		blk := hostileBlock(rng, 1+rng.Intn(5), nt, ghost)
-		udf, oracle := p.UDFScratch(), localSimiOracle(p)
-		sameCells(t, blk, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, "arena")
-		sameCells(t, blk, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, "nil-scratch")
-		sameCells(t, blk, p.Stride, p.UDF(), oracle, "UDF shim")
+		udf, oracle, direct := p.UDFScratch(), localSimiOracle(p), simiDirect(p, nt)
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, direct, "arena")
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, direct, "nil-scratch")
+		sameCells(t, blk, 0, p.Stride, p.UDF(), oracle, direct, "UDF shim")
+		// Off the stride grid every cell is one segment.
+		if p.Stride > 1 {
+			first := 1 + rng.Intn(p.Stride-1)
+			sameCells(t, blk, first, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, always, "off-grid")
+		}
+	}
+	if folded < 40 || folded > 120 {
+		t.Errorf("%d of 160 parameter sets assemble windows from partial sums: the draw no longer covers both sides", folded)
 	}
 }
 
 func TestSTALTAKernelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	scr := daslib.NewScratch()
-	for iter := 0; iter < 60; iter++ {
-		sta := 1 + rng.Intn(8)
-		p := STALTAParams{STASamples: sta, LTASamples: sta + 1 + rng.Intn(30), Stride: 1 + rng.Intn(4)}
-		blk := hostileBlock(rng, 1+rng.Intn(4), 2+rng.Intn(2*p.LTASamples), 0)
+	folded := 0
+	for iter := 0; iter < 160; iter++ {
+		p := randomSTALTA(rng)
+		if p.grid().partials {
+			folded++
+		}
+		nt := 2 + rng.Intn(2*p.LTASamples)
+		if iter%2 == 0 {
+			nt += 6 * (p.LTASamples + p.Stride)
+		}
+		blk := hostileBlock(rng, 1+rng.Intn(4), nt, 0)
 		udf, oracle := p.UDFScratch(), staltaOracle(p)
-		sameCells(t, blk, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, "arena")
-		sameCells(t, blk, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, "nil-scratch")
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, staltaDirect(p), "arena")
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, staltaDirect(p), "nil-scratch")
+		if p.Stride > 1 {
+			first := 1 + rng.Intn(p.Stride-1)
+			sameCells(t, blk, first, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, always, "off-grid")
+		}
+	}
+	if folded < 40 || folded > 120 {
+		t.Errorf("%d of 160 parameter sets assemble windows from partial sums: the draw no longer covers both sides", folded)
+	}
+}
+
+// sweep evaluates udf over every owned channel × on-grid cell of blk on one
+// fresh stencil, rows in order and each row left to right — the sequential
+// apply loop.
+func sweep(blk arrayudf.Block, stride int, udf func(*arrayudf.Stencil, *daslib.Scratch) float64, scr *daslib.Scratch) [][]float64 {
+	s := blk.Stencil(0, 0)
+	out := make([][]float64, blk.OwnedChannels())
+	for ch := range out {
+		for tt := 0; tt < blk.Data.Samples; tt += stride {
+			s.SetPos(ch, tt)
+			out[ch] = append(out[ch], udf(s, scr))
+		}
+	}
+	return out
+}
+
+// TestSegmentMemoIsOnlyACache: what a stencil carries from cell to cell may
+// save work, never change a value. One stencil visiting the cells of a block
+// in random order, each of them twice, hopping between rows mid-row, and
+// lending itself to the other detector in between, returns the bits of the
+// sequential sweep; so do two blocks swept through one pooled Scratch.
+func TestSegmentMemoIsOnlyACache(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type cell struct{ ch, i int }
+	folded := map[string]int{}
+	defer func() {
+		if folded["localsimi"] < 10 || folded["stalta"] < 10 {
+			t.Errorf("parameter sets carrying partial sums: %v of 40 each, want at least 10", folded)
+		}
+	}()
+	for iter := 0; iter < 40; iter++ {
+		simi, stalta := randomSimi(rng), randomSTALTA(rng)
+		stalta.Stride = simi.Stride
+		if simi.grid().partials {
+			folded["localsimi"]++
+		}
+		if stalta.grid().partials {
+			folded["stalta"]++
+		}
+		nt := 8*(simi.M+simi.L+simi.Stride) + rng.Intn(50)
+		ghost := simi.K * rng.Intn(2)
+		blk := hostileBlock(rng, 2+rng.Intn(3), nt, ghost)
+		for _, d := range []struct {
+			name       string
+			udf, other func(*arrayudf.Stencil, *daslib.Scratch) float64
+		}{
+			{"localsimi", simi.UDFScratch(), stalta.UDFScratch()},
+			{"stalta", stalta.UDFScratch(), simi.UDFScratch()},
+		} {
+			want := sweep(blk, simi.Stride, d.udf, nil)
+			var cells []cell
+			for ch := range want {
+				for i := range want[ch] {
+					cells = append(cells, cell{ch, i}, cell{ch, i})
+				}
+			}
+			rng.Shuffle(len(cells), func(a, b int) { cells[a], cells[b] = cells[b], cells[a] })
+			s, scr := blk.Stencil(0, 0), daslib.NewScratch()
+			for n, c := range cells {
+				if n%7 == 3 {
+					d.other(s, scr) // the slot changes hands and comes back
+				}
+				s.SetPos(c.ch, c.i*simi.Stride)
+				if got := d.udf(s, scr); math.Float64bits(got) != math.Float64bits(want[c.ch][c.i]) {
+					t.Fatalf("%s %+v/%+v: visit %d of cell (%d,%d) = %v, sequential sweep %v", d.name, simi, stalta, n, c.ch, c.i*simi.Stride, got, want[c.ch][c.i])
+				}
+			}
+			// Row by row, but backwards, and two rows interleaved.
+			for ch := range want {
+				other := (ch + 1) % len(want)
+				for i := len(want[ch]) - 1; i >= 0; i-- {
+					s.SetPos(ch, i*simi.Stride)
+					got := d.udf(s, scr)
+					s.SetPos(other, min(i, len(want[other])-1)*simi.Stride)
+					d.udf(s, scr)
+					if math.Float64bits(got) != math.Float64bits(want[ch][i]) {
+						t.Fatalf("%s: backwards cell (%d,%d) = %v, sequential sweep %v", d.name, ch, i*simi.Stride, got, want[ch][i])
+					}
+				}
+			}
+			// A second block through the same pooled arena.
+			blk2 := hostileBlock(rng, len(want), nt+simi.Stride, ghost)
+			pooled := daslib.GetScratch()
+			for _, b := range []arrayudf.Block{blk, blk2, blk} {
+				got, ref := sweep(b, simi.Stride, d.udf, pooled), sweep(b, simi.Stride, d.udf, nil)
+				for ch := range ref {
+					for i := range ref[ch] {
+						if math.Float64bits(got[ch][i]) != math.Float64bits(ref[ch][i]) {
+							t.Fatalf("%s: pooled scratch, cell (%d,%d) = %v, fresh %v", d.name, ch, i*simi.Stride, got[ch][i], ref[ch][i])
+						}
+					}
+				}
+			}
+			daslib.PutScratch(pooled)
+		}
+	}
+}
+
+// TestSegmentGridChoosesPartials pins which geometries assemble windows
+// from partial sums — the 250 Hz defaults and their neighbours do; a stride
+// of a few samples (down to the paper's per-sample map), where folding a
+// window's many records costs more than scanning it, and a stride of a whole
+// window, where there is nothing to share, do not — and that a ring which
+// would outgrow maxRingFloats is never built: those cells leave the memo
+// slot alone and match the oracle bit for bit.
+func TestSegmentGridChoosesPartials(t *testing.T) {
+	for _, tc := range []struct {
+		stride   int
+		partials bool
+	}{{1, false}, {2, false}, {4, false}, {5, true}, {10, true}, {25, true}, {50, true}, {100, true}, {124, false}, {125, false}, {300, false}} {
+		p := paperSimi
+		p.Stride = tc.stride
+		if got := p.grid().partials; got != tc.partials {
+			t.Errorf("local similarity at stride %d: partials = %v, want %v", tc.stride, got, tc.partials)
+		}
+	}
+	if !paperSTALTA.grid().partials {
+		t.Error("STA/LTA at the defaults should assemble its windows from partial sums")
+	}
+
+	// Worth folding (41 segments of a 801-sample window every 40 samples),
+	// but 257 lags make a record of 1029 sums and the ring 64 of them.
+	p := LocalSimiParams{M: 400, K: 1, L: 128, Stride: 40}
+	if g := p.grid(); g.partials || g.slots*g.rec <= maxRingFloats || p.Stride+recordPerSamples*(g.off[len(g.off)-1]-g.off[0]) > 2*p.M+1 {
+		t.Fatalf("%+v: grid %+v is not the over-budget case this test wants", p, g)
+	}
+	nt := 2*(p.M+p.L) + 1 + 3*p.Stride
+	blk := hostileBlock(rand.New(rand.NewSource(19)), 2, nt, 1)
+	udf, oracle := p.UDFScratch(), localSimiOracle(p)
+	s, ref := blk.Stencil(0, 0), blk.Stencil(0, 0)
+	for tt := 0; tt < nt; tt += p.Stride {
+		s.SetPos(1, tt)
+		ref.SetPos(1, tt)
+		if g, w := udf(s, nil), oracle(ref); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("cell (1,%d) = %v, oracle %v", tt, g, w)
+		}
+	}
+	if m := *s.Memo(); m != nil {
+		t.Errorf("a ring over budget was built: %T", m)
 	}
 }
 
@@ -204,6 +439,25 @@ func TestDetectCellsAllocFree(t *testing.T) {
 			t.Errorf("%s: %v allocs per cell, want 0", tc.name, allocs)
 		}
 	}
+
+	// What the stencil carries is the current window's segments, so its
+	// size follows from the parameters and not from the length of the row.
+	ringFloats := func(nt int, udf func(*arrayudf.Stencil, *daslib.Scratch) float64) int {
+		long := arrayudf.Block{Data: dasf.NewArray2D(3, nt), ChLo: 1, ChHi: 2, Ghost: 1}
+		s := long.Stencil(0, 0)
+		for tt := 0; tt < nt; tt += 400 { // a multiple of both strides
+			s.SetPos(0, tt)
+			udf(s, nil)
+		}
+		m := (*s.Memo()).(*segMemo)
+		return len(m.ring) + len(m.acc)
+	}
+	for name, udf := range map[string]func(*arrayudf.Stencil, *daslib.Scratch) float64{"localsimi": simi, "stalta": stalta} {
+		short, long := ringFloats(4000, udf), ringFloats(64000, udf)
+		if short != long || short == 0 || short > maxRingFloats {
+			t.Errorf("%s: memo holds %d floats on a 4000-sample row, %d on a 64000-sample one", name, short, long)
+		}
+	}
 }
 
 var sink float64
@@ -227,7 +481,18 @@ func benchCells(b *testing.B, stride int, udf func(*arrayudf.Stencil, *daslib.Sc
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*own*outT), "ns/cell")
 }
 
-func BenchmarkLocalSimiCell(b *testing.B) { benchCells(b, paperSimi.Stride, paperSimi.UDFScratch()) }
+// BenchmarkLocalSimiCell shows the cost per cell against the overlap of
+// consecutive windows: at stride 50 (the default) and 25 every lagged
+// product is shared by 2.5 and 5 windows and computed once; at 125 and 300 a
+// window is one segment and at 1 it is 125 one-sample segments, the direct
+// scan's arithmetic in both cases.
+func BenchmarkLocalSimiCell(b *testing.B) {
+	for _, stride := range []int{1, 25, 50, 125, 300} {
+		p := paperSimi
+		p.Stride = stride
+		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) { benchCells(b, stride, p.UDFScratch()) })
+	}
+}
 
 func BenchmarkSTALTACell(b *testing.B) { benchCells(b, paperSTALTA.Stride, paperSTALTA.UDFScratch()) }
 

@@ -25,10 +25,16 @@ type STALTAParams struct {
 	Stride int
 }
 
-// Validate checks the parameters.
-func (p STALTAParams) Validate() error {
+// Validate checks the parameters against the nch × nt view they are to run
+// on: the long window, which sizes the edge buffer, fits the time extent,
+// and the stride leaves at least one cell.
+func (p STALTAParams) Validate(nch, nt int) error {
 	if p.STASamples < 1 || p.LTASamples <= p.STASamples {
-		return fmt.Errorf("detect: STA/LTA needs 1 ≤ STA < LTA, got %d/%d", p.STASamples, p.LTASamples)
+		return fmt.Errorf("%w: STA/LTA needs 1 ≤ STA < LTA, got %d/%d", ErrBadParams, p.STASamples, p.LTASamples)
+	}
+	if nch < 1 || p.LTASamples > nt || p.Stride > nt {
+		return fmt.Errorf("%w: STA/LTA %+v does not fit a %d×%d view (needs LTA ≤ samples, stride ≤ samples)",
+			ErrBadParams, p, nch, nt)
 	}
 	return nil
 }
@@ -39,15 +45,46 @@ func (p STALTAParams) Spec() arrayudf.Spec {
 	return arrayudf.Spec{TimeStride: p.Stride}
 }
 
+// grid cuts a row where the on-grid long and short windows start and where
+// both end; a segment record is its energy.
+func (p STALTAParams) grid() *segGrid {
+	return newSegGrid(max(p.Stride, 1), 1, 1-p.LTASamples, 1-p.STASamples, 1)
+}
+
 // UDFScratch returns the trigger as a scratch-aware point UDF: the ratio of
 // mean squared amplitude in the trailing short window to the trailing long
 // window. NaN-masked gaps count as silence, so a degraded span cannot
-// trigger. Only the first LTASamples−1 cells of a row, whose windows reach
-// before sample 0, borrow from the thread's scratch arena.
+// trigger.
+//
+// The two energies come from the same partial sums as local similarity
+// (segments.go): the row is cut where on-grid windows start (1−LTA and
+// 1−STA modulo the stride) and end (1), each segment's energy is summed
+// once, and the long window is the sum of its segments, the short one of the
+// last few of them. The first LTASamples−1 cells of a row, whose windows
+// reach before sample 0, cells off the stride grid, and every cell when the
+// stride is so short that a window is cheaper summed than folded
+// (segGrid.partials) sum their windows directly, the first of these on a
+// buffer from the thread's scratch arena.
 func (p STALTAParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+	stride, grid := max(p.Stride, 1), p.grid()
 	return func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-		sta := meanSquareWindow(s, scr, p.STASamples)
-		lta := meanSquareWindow(s, scr, p.LTASamples)
+		t := s.T()
+		var sta, lta float64
+		if !grid.partials || t < p.LTASamples-1 || t%stride != 0 {
+			sta = energyWindow(s, scr, p.STASamples)
+			lta = energyWindow(s, scr, p.LTASamples)
+		} else {
+			i := t / stride
+			m := grid.memo(s)
+			lo, end := m.seek(s.Channel(), i)
+			row := s.Row(0)
+			for rec, a, b, ok := m.next(); ok; rec, a, b, ok = m.next() {
+				rec[0] = energy(row[a:b])
+			}
+			lta = m.sum(lo, end)[0]
+			sta = m.sum(grid.boundary(1, i), end)[0]
+		}
+		sta, lta = sta/float64(p.STASamples), lta/float64(p.LTASamples)
 		if lta <= 0 {
 			return 0
 		}
@@ -55,72 +92,30 @@ func (p STALTAParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scratch
 	}
 }
 
-// meanSquareWindow computes the mean squared amplitude of the trailing
-// n-sample window, summed in place on the block row and skipping NaN gap
-// markers — numerically identical to zeroing them (adding 0.0 is exact)
-// without materializing a cleaned copy.
-func meanSquareWindow(s *arrayudf.Stencil, scr *daslib.Scratch, n int) float64 {
-	var edge []float64
-	if s.T() < n-1 {
-		edge = scr.Float(n)
-	}
+// energy returns Σ x² in index order, skipping NaN gap markers —
+// numerically identical to zeroing them (adding 0.0 is exact) without
+// materializing a cleaned copy.
+func energy(x []float64) float64 {
 	var sum float64
-	for _, v := range s.Span(edge, -(n - 1), 0, 0) {
+	for _, v := range x {
 		if !math.IsNaN(v) {
 			sum += v * v
 		}
 	}
-	scr.ReleaseFloat(edge)
-	return sum / float64(n)
+	return sum
 }
 
-// Ratio computes the STA/LTA series for one channel directly (serial
-// helper for tests and small jobs): out[i] is the ratio at sample
-// i·stride.
-func (p STALTAParams) Ratio(x []float64) []float64 {
-	stride := p.Stride
-	if stride <= 0 {
-		stride = 1
+// energyWindow is the energy of the trailing n-sample window, summed in
+// place on the block row; a window reaching before sample 0 is clamped into
+// a scratch buffer first.
+func energyWindow(s *arrayudf.Stencil, scr *daslib.Scratch, n int) float64 {
+	var edge []float64
+	if s.T() < n-1 {
+		edge = scr.Float(n)
 	}
-	n := (len(x) + stride - 1) / stride
-	out := make([]float64, n)
-	// Prefix sums of squares make each evaluation O(1).
-	prefix := make([]float64, len(x)+1)
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v*v
-	}
-	// window matches the Stencil's clamping semantics: indices outside the
-	// series replicate the nearest edge sample.
-	window := func(lo, hi int) float64 {
-		if len(x) == 0 {
-			return 0
-		}
-		count := float64(hi - lo + 1)
-		var s float64
-		if lo < 0 {
-			s += float64(-lo) * x[0] * x[0]
-			lo = 0
-		}
-		if hi >= len(x) {
-			s += float64(hi-len(x)+1) * x[len(x)-1] * x[len(x)-1]
-			hi = len(x) - 1
-		}
-		if hi >= lo {
-			s += prefix[hi+1] - prefix[lo]
-		}
-		return s / count
-	}
-	for i := 0; i < n; i++ {
-		t := i * stride
-		sta := window(t-p.STASamples+1, t)
-		lta := window(t-p.LTASamples+1, t)
-		if lta <= 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = sta / lta
-	}
-	return out
+	sum := energy(s.Span(edge, -(n - 1), 0, 0))
+	scr.ReleaseFloat(edge)
+	return sum
 }
 
 // TriggerRate returns the fraction of evaluated points whose ratio exceeds

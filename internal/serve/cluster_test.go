@@ -139,6 +139,13 @@ func TestClusterDetectAndReadMatchLocal(t *testing.T) {
 		}
 	}
 
+	// The coordinator refuses what the local engine refuses, the same way.
+	for _, q := range hostileDetectQueries {
+		if resp := getJSON(t, ts, q, nil); resp.StatusCode != 400 {
+			t.Errorf("cluster %s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+
 	var got, want clusterReadResp
 	if resp := getJSON(t, ts, "/read?ch0=1&ch1=7&t0=10&t1=90", &got); resp.StatusCode != 200 {
 		t.Fatalf("cluster /read: %d", resp.StatusCode)

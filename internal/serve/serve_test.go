@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -232,6 +233,29 @@ func TestDetectEndpoints(t *testing.T) {
 	if resp := getJSON(t, ts, "/detect?op=nope", nil); resp.StatusCode != 400 {
 		t.Fatalf("unknown op: status %d, want 400", resp.StatusCode)
 	}
+	// Detector parameters are bounded against the window before they size
+	// anything: M = 3e9 used to reach the first edge cell's buffer and end
+	// the daemon with an out-of-memory throw. Each is the client's error,
+	// and the daemon answers the next request.
+	for _, q := range hostileDetectQueries {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp := getJSON(t, ts, q, &e); resp.StatusCode != 400 || !strings.Contains(e.Error, "bad parameters") {
+			t.Errorf("%s: status %d %q, want 400 naming the parameters", q, resp.StatusCode, e.Error)
+		}
+	}
+	if resp := getJSON(t, ts, "/detect?op=stalta&sta=3&lta=25", &dr); resp.StatusCode != 200 {
+		t.Fatalf("/detect after the refused ones: status %d", resp.StatusCode)
+	}
+}
+
+// hostileDetectQueries size a borrow or an output extent past the window.
+var hostileDetectQueries = []string{
+	"/detect?op=localsimi&M=3000000000",
+	"/detect?op=localsimi&stride=3000000000",
+	"/detect?op=stalta&lta=3000000000",
+	"/detect?op=stalta&sta=3000000000&lta=3000000001",
 }
 
 func TestStatusFileDetail(t *testing.T) {

@@ -329,13 +329,17 @@ func (s *Server) writeCancelled(w http.ResponseWriter, err error) {
 }
 
 // writeQueryError maps a pipeline error onto the right status: cancellation
-// → 499/504, anything else → 500.
+// → 499/504, detector parameters the window cannot hold → 400, anything
+// else → 500.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
-	if dass.IsCancellation(err) {
+	switch {
+	case dass.IsCancellation(err):
 		s.writeCancelled(w, err)
-		return
+	case errors.Is(err, detect.ErrBadParams):
+		badRequest(w, "%v", err)
+	default:
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 	}
-	writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

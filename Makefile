@@ -12,7 +12,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X dassa/internal/obs.BuildVersion=$(VERSION) -X dassa/internal/obs.BuildCommit=$(COMMIT)
 
-.PHONY: all build install test race lint lint-extra fuzz bench
+.PHONY: all build install test race lint lint-extra fuzz bench loc
 
 all: build lint test
 
@@ -59,5 +59,15 @@ fuzz:
 	$(GO) test ./internal/lint -run='^$$' -fuzz='^FuzzFindingsJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/daslib -run='^$$' -fuzz='^FuzzRFFTRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 
+# In-tree kernel and engine benchmarks (daslib, detect, dass, haee, obs).
+# End-to-end and per-layer numbers come from `bash benchmark/run.sh`; the
+# paper's tables and figures from `go run ./cmd/das_bench`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
+
+# The ROADMAP census: non-test Go lines, total and per package — the one
+# definition of "non-test line count of the packages a PR touches".
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'

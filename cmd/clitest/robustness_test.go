@@ -63,6 +63,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"das_analyze", "-in", vca, "-retries", "-2"},              // negative retries
 		{"das_analyze", "-in", vca, "-op", "localsimi", "-M", "0"}, // bad params
 		{"das_search", "-dir", t.TempDir(), "-e", "("},             // regex does not compile
+		// Rows ops are bounded against the view before anything is read:
+		// a master channel outside it, a stacking window longer than it.
+		{"das_analyze", "-in", vca, "-op", "interferometry", "-master", "9999"},
+		{"das_analyze", "-in", vca, "-op", "stacked", "-window", "999999"},
 	}
 	for _, args := range usage {
 		if out, code := runCode(t, args[0], args[1:]...); code != 2 {

@@ -24,10 +24,8 @@ import (
 	"dassa/internal/detect"
 	"dassa/internal/faults"
 	"dassa/internal/haee"
-	"dassa/internal/mpi"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
-	"dassa/internal/pfs"
 )
 
 // Exit codes, so scripted pipelines can branch on outcome: 0 = success
@@ -42,12 +40,12 @@ const (
 // flag parsing, before any fatal path can run.
 var logger = obs.Nop()
 
-// fatalUsage reports a bad invocation (exit 2).
 // runCluster fans a localsimi/stalta request out across dassw shard
-// workers and prints the same style of report as a local run. Shards
-// lost to worker failure are re-dispatched; under -fail-policy degrade
-// whatever stays lost is NaN-masked into the quality report.
-func runCluster(ctx context.Context, addrs string, req cluster.Request, policy dass.FailPolicy, outPath string, nt int, rate float64) {
+// workers and prints the same style of report as a local run, the op's
+// summary first. Shards lost to worker failure are re-dispatched; under
+// -fail-policy degrade whatever stays lost is NaN-masked into the quality
+// report.
+func runCluster(ctx context.Context, addrs string, req cluster.Request, policy dass.FailPolicy, outPath string, summary func(*dasf.Array2D)) {
 	var workers []string
 	for _, a := range strings.Split(addrs, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -68,19 +66,7 @@ func runCluster(ctx context.Context, addrs string, req cluster.Request, policy d
 	if err != nil {
 		fatalData(err)
 	}
-	switch req.Op {
-	case cluster.OpLocalSimi:
-		regions := detect.FindEvents(res.Data, 1.5)
-		fmt.Printf("detected %d events:\n", len(regions))
-		secPerIdx := float64(nt) / rate / float64(res.Data.Samples)
-		for _, r := range regions {
-			fmt.Printf("  t=[%.1fs,%.1fs) channels=[%d,%d) peak=%.3f\n",
-				float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
-		}
-	case cluster.OpSTALTA:
-		fmt.Printf("STA/LTA map: %d channels × %d samples, max ratio %.2f\n",
-			res.Data.Channels, res.Data.Samples, detect.MaxRatio(res.Data.Data))
-	}
+	summary(res.Data)
 	if outPath != "" {
 		meta := dasf.Meta{"Producer": dasf.S("dassa-cluster")}
 		if err := dasf.WriteData(outPath, meta, nil, res.Data, dasf.Float64); err != nil {
@@ -100,6 +86,7 @@ func runCluster(ctx context.Context, addrs string, req cluster.Request, policy d
 	}
 }
 
+// fatalUsage reports a bad invocation (exit 2).
 func fatalUsage(format string, args ...any) {
 	logger.Error(fmt.Sprintf(format, args...))
 	os.Exit(exitUsage)
@@ -204,33 +191,92 @@ func main() {
 		v = v.WithContext(ctx)
 	}
 
+	// One block per op: its parameters are built, defaulted and bounded
+	// against the view once, before the -workers branch, and with them what
+	// either path runs and the summary both print. creq.Op stays empty for
+	// the interferometry family — a rows workload the wire protocol does not
+	// carry; it stays in process.
+	var (
+		creq    = cluster.Request{View: v, Rate: sampleRate}
+		points  haee.PointsWorkload   // localsimi, stalta
+		rows    arrayudf.RowsWorkload // interferometry, stacked
+		summary func(out *dasf.Array2D)
+	)
+	bounded := func(err error) {
+		if err != nil {
+			fatalUsage("%v", err)
+		}
+	}
+	interf := detect.InterferometryParams{
+		Rate:          sampleRate,
+		FilterOrder:   3,
+		CutoffHz:      *cutoff,
+		ResampleP:     1,
+		ResampleQ:     *resampQ,
+		MasterChannel: *master,
+		MaxLag:        *maxlag,
+		FailPolicy:    policy,
+	}
+	if interf.CutoffHz == 0 {
+		interf.CutoffHz = sampleRate / 8
+	}
+	switch *op {
+	case "localsimi":
+		p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
+		bounded(p.Validate(nch, nt))
+		creq.Op, creq.LocalSimi = cluster.OpLocalSimi, p
+		points = haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
+		summary = func(sim *dasf.Array2D) {
+			regions := detect.FindEvents(sim, 1.5)
+			fmt.Printf("detected %d events:\n", len(regions))
+			secPerIdx := float64(nt) / sampleRate / float64(sim.Samples)
+			for _, r := range regions {
+				fmt.Printf("  t=[%.1fs,%.1fs) channels=[%d,%d) peak=%.3f\n",
+					float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
+			}
+		}
+	case "stalta":
+		p := detect.STALTAParams{STASamples: *sta, LTASamples: *lta, Stride: *stride}
+		if p.STASamples == 0 {
+			p.STASamples = max(int(sampleRate/5), 2)
+		}
+		if p.LTASamples == 0 {
+			p.LTASamples = max(int(4*sampleRate), p.STASamples+1)
+		}
+		bounded(p.Validate(nch, nt))
+		creq.Op, creq.STALTA = cluster.OpSTALTA, p
+		points = haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
+		summary = func(ratios *dasf.Array2D) {
+			fmt.Printf("STA/LTA map: %d channels × %d samples, max ratio %.2f\n",
+				ratios.Channels, ratios.Samples, detect.MaxRatio(ratios.Data))
+		}
+	case "interferometry":
+		bounded(interf.Validate(nch, nt))
+		rows = interf.Workload(nt)
+		summary = func(corr *dasf.Array2D) {
+			fmt.Printf("noise correlations: %d channels × %d lags against master channel %d\n",
+				corr.Channels, corr.Samples, *master)
+		}
+	case "stacked":
+		p := detect.StackingParams{InterferometryParams: interf, WindowSamples: *window, OverlapSamples: *overlap}
+		if p.WindowSamples == 0 {
+			p.WindowSamples = max(nt/8, 64)
+		}
+		bounded(p.Validate(nch, nt))
+		rows = p.Workload(nt)
+		summary = func(corr *dasf.Array2D) {
+			fmt.Printf("stacked noise correlations: %d channels × %d lags over %d windows\n",
+				corr.Channels, corr.Samples, p.NumWindows(nt))
+		}
+	default:
+		fatalUsage("unknown -op %q (want localsimi, interferometry, stacked, or stalta)", *op)
+	}
+
 	if *workers != "" {
-		creq := cluster.Request{View: v, Rate: sampleRate}
-		switch *op {
-		case "localsimi":
-			p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
-			if err := p.Validate(nch, nt); err != nil {
-				fatalUsage("%v", err)
-			}
-			creq.Op, creq.LocalSimi = cluster.OpLocalSimi, p
-		case "stalta":
-			p := detect.STALTAParams{STASamples: *sta, LTASamples: *lta, Stride: *stride}
-			if p.STASamples == 0 {
-				p.STASamples = max(int(sampleRate/5), 2)
-			}
-			if p.LTASamples == 0 {
-				p.LTASamples = max(int(4*sampleRate), p.STASamples+1)
-			}
-			if err := p.Validate(nch, nt); err != nil {
-				fatalUsage("%v", err)
-			}
-			creq.Op, creq.STALTA = cluster.OpSTALTA, p
-		default:
-			// The interferometry family is a rows workload the wire
-			// protocol does not carry; it stays in process.
+		if creq.Op == "" {
 			fatalUsage("-workers runs localsimi or stalta; -op %s is local only", *op)
 		}
-		runCluster(ctx, *workers, creq, policy, *out, nt, sampleRate)
+		runCluster(ctx, *workers, creq, policy, *out, summary)
 		printTrace(traceStore, traceRoot)
 		return
 	}
@@ -250,121 +296,16 @@ func main() {
 		fatalUsage("unknown -read %q", *read)
 	}
 	eng := haee.New(engCfg)
-
 	var rep haee.Report
-	switch *op {
-	case "localsimi":
-		p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
-		if err := p.Validate(nch, nt); err != nil {
-			fatalUsage("%v", err)
-		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, *out)
-		if err != nil {
-			fatalData(err)
-		}
-		regions := detect.FindEvents(rep.Output, 1.5)
-		fmt.Printf("detected %d events:\n", len(regions))
-		secPerIdx := float64(nt) / sampleRate / float64(rep.Output.Samples)
-		for _, r := range regions {
-			fmt.Printf("  t=[%.1fs,%.1fs) channels=[%d,%d) peak=%.3f\n",
-				float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
-		}
-	case "interferometry":
-		params := detect.InterferometryParams{
-			Rate:          sampleRate,
-			FilterOrder:   3,
-			CutoffHz:      *cutoff,
-			ResampleP:     1,
-			ResampleQ:     *resampQ,
-			MasterChannel: *master,
-			MaxLag:        *maxlag,
-			FailPolicy:    policy,
-		}
-		if params.CutoffHz == 0 {
-			params.CutoffHz = sampleRate / 8
-		}
-		if err := params.Validate(); err != nil {
-			fatalUsage("%v", err)
-		}
-		parts := params.Workload(nt)
-		wl := haee.RowsWorkload{
-			Spec:    arrayudf.Spec{},
-			RowLen:  parts.RowLen,
-			Prepare: parts.Prepare,
-			UDF:     parts.UDF,
-		}
-		rep, err = eng.RunRows(v, wl, *out)
-		if err != nil {
-			fatalData(err)
-		}
-		fmt.Printf("noise correlations: %d channels × %d lags against master channel %d\n",
-			rep.Output.Channels, rep.Output.Samples, *master)
-	case "stacked":
-		params := detect.StackingParams{
-			InterferometryParams: detect.InterferometryParams{
-				Rate:          sampleRate,
-				FilterOrder:   3,
-				CutoffHz:      *cutoff,
-				ResampleP:     1,
-				ResampleQ:     *resampQ,
-				MasterChannel: *master,
-				MaxLag:        *maxlag,
-				FailPolicy:    policy,
-			},
-			WindowSamples:  *window,
-			OverlapSamples: *overlap,
-		}
-		if params.CutoffHz == 0 {
-			params.CutoffHz = sampleRate / 8
-		}
-		if params.WindowSamples == 0 {
-			params.WindowSamples = max(nt/8, 64)
-		}
-		if err := params.Validate(); err != nil {
-			fatalUsage("%v", err)
-		}
-		// The stacked master is prepared per rank from the view.
-		rowLen := params.StackedRowLen()
-		rep, err = eng.RunRows(v, haee.RowsWorkload{
-			Spec:   arrayudf.Spec{},
-			RowLen: rowLen,
-			Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
-				m, tr, err := params.PrepareStackedMasterFromView(v)
-				if err != nil {
-					panic(err)
-				}
-				return m, m.Bytes(), tr
-			},
-			UDF: func(s *arrayudf.Stencil, shared any) []float64 {
-				return params.StackedUDF(shared.(*detect.StackedMaster))(s)
-			},
-		}, *out)
-		if err != nil {
-			fatalData(err)
-		}
-		fmt.Printf("stacked noise correlations: %d channels × %d lags over %d windows\n",
-			rep.Output.Channels, rep.Output.Samples, params.NumWindows(nt))
-	case "stalta":
-		params := detect.STALTAParams{STASamples: *sta, LTASamples: *lta, Stride: *stride}
-		if params.STASamples == 0 {
-			params.STASamples = max(int(sampleRate/5), 2)
-		}
-		if params.LTASamples == 0 {
-			params.LTASamples = max(int(4*sampleRate), params.STASamples+1)
-		}
-		if err := params.Validate(nch, nt); err != nil {
-			fatalUsage("%v", err)
-		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, *out)
-		if err != nil {
-			fatalData(err)
-		}
-		flat := rep.Output.Data
-		fmt.Printf("STA/LTA map: %d channels × %d samples, max ratio %.2f\n",
-			rep.Output.Channels, rep.Output.Samples, detect.MaxRatio(flat))
-	default:
-		fatalUsage("unknown -op %q (want localsimi, interferometry, stacked, or stalta)", *op)
+	if creq.Op != "" {
+		rep, err = eng.RunPoints(v, points, *out)
+	} else {
+		rep, err = eng.RunRows(v, rows, *out)
 	}
+	if err != nil {
+		fatalData(err)
+	}
+	summary(rep.Output)
 
 	fmt.Printf("engine: %s, %d node(s) × %d core(s)\n", engMode, *nodes, *cores)
 	fmt.Printf("phases: read %v (exchange %v), compute %v, write %v (total %v)\n",

@@ -29,7 +29,7 @@ func main() {
 	log.SetPrefix("das_bench: ")
 	o := bench.Defaults()
 	var (
-		exp      = flag.String("exp", "all", "experiment: all | table1 | table2 | kernels | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | ablation | detectors | cluster")
+		exp      = flag.String("exp", "all", "experiment: all | table1 | table2 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | ablation | detectors")
 		model    = flag.String("model", "cori", "hardware model for projections: cori | burstbuffer")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file (- for stdout)")
 	)

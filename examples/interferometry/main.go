@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
@@ -84,14 +83,8 @@ func main() {
 		MasterChannel: 0,
 		MaxLag:        60,
 	}
-	parts := params.Workload(nt)
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: 4, Mode: haee.Hybrid})
-	rep, err := eng.RunRows(v, haee.RowsWorkload{
-		Spec:    arrayudf.Spec{},
-		RowLen:  parts.RowLen,
-		Prepare: parts.Prepare,
-		UDF:     parts.UDF,
-	}, "")
+	rep, err := eng.RunRows(v, params.Workload(nt), "")
 	if err != nil {
 		log.Fatal(err)
 	}

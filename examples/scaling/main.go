@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/dass"
@@ -84,11 +83,7 @@ func main() {
 		Rate: cfg.SampleRate, FilterOrder: 3, CutoffHz: cfg.SampleRate / 8,
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 40,
 	}
-	parts := params.Workload(nt)
-	wl := haee.RowsWorkload{
-		Spec: arrayudf.Spec{}, RowLen: parts.RowLen,
-		Prepare: parts.Prepare, UDF: parts.UDF,
-	}
+	wl := params.Workload(nt)
 	fmt.Println("\nengine layouts (same total cores, different process models):")
 	fmt.Printf("%6s %6s %-7s %8s %8s %14s\n", "nodes", "cores", "mode", "opens", "reads", "mem/node")
 	for _, layout := range []struct {

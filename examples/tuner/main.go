@@ -14,8 +14,10 @@ import (
 	"os"
 	"time"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/detect"
 	"dassa/internal/haee"
 	"dassa/internal/pfs"
@@ -25,7 +27,8 @@ func main() {
 	log.SetFlags(0)
 
 	// Calibrate: measure the interferometry UDF's per-channel cost on a
-	// small real record.
+	// small real record — the row the engine runs (Workload.UDFInto into a
+	// reused row, on an arena its first call has warmed).
 	cfg := dasgen.Config{
 		Channels: 16, SampleRate: 100, FileSeconds: 8, NumFiles: 1,
 		Seed: 17, DType: dasf.Float64,
@@ -38,18 +41,19 @@ func main() {
 		Rate: cfg.SampleRate, FilterOrder: 3, CutoffHz: 12,
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 64,
 	}
-	master, err := params.Preprocess(data.Row(0))
-	if err != nil {
+	wl := params.Workload(data.Samples)
+	series := make([]float64, daslib.ResampleLen(data.Samples, params.ResampleP, params.ResampleQ))
+	if err := params.PreprocessInto(series, data.Row(params.MasterChannel), nil); err != nil {
 		log.Fatal(err)
 	}
+	master := &detect.Master{Series: series, Corr: daslib.PrepareXCorrMasterLags(series, len(series), params.MaxLag)}
+	blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: data.Channels}
+	row, scr, st := make([]float64, wl.RowLen), daslib.NewScratch(), blk.Stencil(0, 0)
+	wl.UDFInto(st, master, row, scr)
 	t0 := time.Now()
 	for ch := 0; ch < data.Channels; ch++ {
-		series, err := params.Preprocess(data.Row(ch))
-		if err != nil {
-			log.Fatal(err)
-		}
-		_ = series
-		_ = master
+		st.SetPos(ch, 0)
+		wl.UDFInto(st, master, row, scr)
 	}
 	unit := time.Since(t0) / time.Duration(data.Channels)
 	fmt.Printf("calibrated per-channel compute cost: %v\n", unit.Round(time.Microsecond))

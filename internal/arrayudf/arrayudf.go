@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dassa/internal/dasf"
+	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/mpi"
 	"dassa/internal/obs"
@@ -114,9 +115,23 @@ func clamp(v, lo, hi int) int {
 // PointUDF maps a stencil to one output value — the f in B = Apply(A, f).
 type PointUDF func(s *Stencil) float64
 
-// RowUDF maps a channel's stencil to a fixed-length output row (e.g. a
-// cross-correlation series), the shape Algorithm 3 produces.
-type RowUDF func(s *Stencil) []float64
+// RowsWorkload is a per-channel analysis (Algorithm 3 shape): Prepare loads
+// or computes data shared by all channels (the master channel's spectrum),
+// then UDFInto maps each channel's stencil to a fixed-length row. Detectors
+// construct it, the engine (haee.RunRows) runs it.
+type RowsWorkload struct {
+	Spec   Spec
+	RowLen int
+	// Prepare runs once per MPI rank (≙ once per node in Hybrid mode, once
+	// per core in PureMPI mode) and returns the shared payload plus its
+	// approximate size in bytes and the I/O it performed.
+	Prepare func(c *mpi.Comm, v *dass.View) (shared any, bytes int64, tr pfs.Trace)
+	// UDFInto writes one channel's row into the engine-owned dst (length
+	// RowLen) and may borrow work buffers from the calling thread's scratch;
+	// it must be thread-safe. The engine owns dst, so UDFs never hand back
+	// scratch-owned memory (DESIGN.md §14).
+	UDFInto func(s *Stencil, shared any, dst []float64, scr *daslib.Scratch)
+}
 
 // Spec configures an Apply execution.
 type Spec struct {
@@ -283,31 +298,6 @@ func Apply(c *mpi.Comm, v *dass.View, spec Spec, udf PointUDF) Result {
 			st.t = i * stride
 			row[i] = udf(st)
 		}
-	}
-	return res
-}
-
-// ApplyRows is Apply for RowUDFs: udf runs once per owned channel and
-// returns a row of exactly rowLen values.
-func ApplyRows(c *mpi.Comm, v *dass.View, spec Spec, rowLen int, udf RowUDF) Result {
-	blk, tr, q := LoadBlock(c, v, spec)
-	own := blk.OwnedChannels()
-	res := Result{ChLo: blk.ChLo, ChHi: blk.ChHi, ReadTrace: tr, Quality: q, Data: dasf.NewArray2D(max(own, 0), rowLen)}
-	if own <= 0 {
-		return res
-	}
-	st := blk.stencilFor()
-	for ch := 0; ch < own; ch++ {
-		if err := v.Context().Err(); err != nil {
-			panic(fmt.Errorf("arrayudf: apply rows: %w", err))
-		}
-		st.ch = ch
-		st.t = 0
-		row := udf(st)
-		if len(row) != rowLen {
-			panic(fmt.Sprintf("arrayudf: RowUDF returned %d values, declared %d", len(row), rowLen))
-		}
-		copy(res.Data.Row(ch), row)
 	}
 	return res
 }

@@ -201,47 +201,6 @@ func TestApplyTimeStride(t *testing.T) {
 	}
 }
 
-func TestApplyRows(t *testing.T) {
-	v, full := makeView(t, 6, 2)
-	// RowUDF: first 3 samples of each channel, negated.
-	udf := func(s *Stencil) []float64 {
-		row := s.Row(0)
-		return []float64{-row[0], -row[1], -row[2]}
-	}
-	for _, p := range []int{1, 2, 4} {
-		var got *dasf.Array2D
-		_, err := mpi.Run(p, func(c *mpi.Comm) {
-			res := ApplyRows(c, v, Spec{}, 3, udf)
-			if out := Gather(c, full.Channels, res); out != nil {
-				got = out
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < full.Channels; c++ {
-			for i := 0; i < 3; i++ {
-				if got.At(c, i) != -full.At(c, i) {
-					t.Fatalf("p=%d: ApplyRows (%d,%d) = %g, want %g",
-						p, c, i, got.At(c, i), -full.At(c, i))
-				}
-			}
-		}
-	}
-}
-
-func TestApplyRowsWrongLengthPanics(t *testing.T) {
-	v, _ := makeView(t, 4, 1)
-	_, err := mpi.Run(1, func(c *mpi.Comm) {
-		ApplyRows(c, v, Spec{}, 5, func(s *Stencil) []float64 {
-			return []float64{1} // wrong length
-		})
-	})
-	if err == nil {
-		t.Fatal("wrong row length should abort")
-	}
-}
-
 func TestMoreRanksThanChannels(t *testing.T) {
 	v, full := makeView(t, 3, 1)
 	var got *dasf.Array2D

@@ -16,7 +16,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -53,12 +52,8 @@ func New(params detect.InterferometryParams, threads int) Pipeline {
 // per-channel noise correlations against the master channel — the same
 // output DASSA's HAEE produces for the same parameters.
 func (pl Pipeline) Run(data *dasf.Array2D) (*dasf.Array2D, Stats, error) {
-	if err := pl.Params.Validate(); err != nil {
+	if err := pl.Params.Validate(data.Channels, data.Samples); err != nil {
 		return nil, Stats{}, err
-	}
-	if pl.Params.MasterChannel >= data.Channels {
-		return nil, Stats{}, fmt.Errorf("baseline: master channel %d outside array (%d channels)",
-			pl.Params.MasterChannel, data.Channels)
 	}
 	var st Stats
 	start := time.Now()
@@ -78,7 +73,7 @@ func (pl Pipeline) Run(data *dasf.Array2D) (*dasf.Array2D, Stats, error) {
 	p := pl.Params
 	// Master channel: preprocessed once (detrend, butter, filtfilt,
 	// resample, fft → 5 toolbox calls).
-	master, err := p.Preprocess(data.Row(p.MasterChannel))
+	master, err := preprocess(p, data.Row(p.MasterChannel))
 	if err != nil {
 		return nil, st, err
 	}
@@ -91,7 +86,7 @@ func (pl Pipeline) Run(data *dasf.Array2D) (*dasf.Array2D, Stats, error) {
 	// and stays serial.
 	team := omp.NewTeam(pl.Threads)
 	for ch := 0; ch < data.Channels; ch++ {
-		series, err := p.Preprocess(data.Row(ch))
+		series, err := preprocess(p, data.Row(ch))
 		if err != nil {
 			return nil, st, err
 		}
@@ -105,6 +100,14 @@ func (pl Pipeline) Run(data *dasf.Array2D) (*dasf.Array2D, Stats, error) {
 	return out, st, nil
 }
 
+// preprocess is one channel through the toolbox calls the M-code makes —
+// detrend, filtfilt, resample — into a fresh array with no arena: an
+// interpreter allocates every result, which is the point of the comparison.
+func preprocess(p detect.InterferometryParams, x []float64) ([]float64, error) {
+	out := make([]float64, daslib.ResampleLen(len(x), p.ResampleP, p.ResampleQ))
+	return out, p.PreprocessInto(out, x, nil)
+}
+
 // xcorrKernel is the one kernel MATLAB's implicit threading can help with:
 // the normalized cross-correlation. For a single channel the FFTs are small
 // and the threaded section is only the elementwise multiply, so the gain is
@@ -112,15 +115,16 @@ func (pl Pipeline) Run(data *dasf.Array2D) (*dasf.Array2D, Stats, error) {
 func xcorrKernel(team *omp.Team, a, b []float64) []float64 {
 	n := len(a) + len(b) - 1
 	m := daslib.NextPow2(n)
-	fa := daslib.FFTReal(padded(a, m))
+	fa := fftReal(padded(a, m))
 	rb := make([]float64, m)
 	for i, v := range b {
 		rb[len(b)-1-i] = v
 	}
-	fb := daslib.FFTReal(rb)
+	fb := fftReal(rb)
 	// Elementwise product — the vectorized, implicitly-threaded part.
 	team.For(m, func(i int) { fa[i] *= fb[i] })
-	prod := daslib.IFFTReal(fa)
+	prod := make([]float64, m)
+	daslib.IRFFTInto(prod, fa, nil)
 	out := prod[:n]
 	var ea, eb float64
 	for _, v := range a {
@@ -135,6 +139,13 @@ func xcorrKernel(team *omp.Team, a, b []float64) []float64 {
 			out[i] *= norm
 		}
 	}
+	return out
+}
+
+// fftReal is MATLAB's fft of a real vector: a fresh spectrum per call.
+func fftReal(x []float64) []complex128 {
+	out := make([]complex128, len(x))
+	daslib.RFFTInto(out, x, nil)
 	return out
 }
 

@@ -76,12 +76,12 @@ func TestBaselineMatchesDASSAResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct computation via detect's pieces.
-	master, err := params.Preprocess(a.Row(params.MasterChannel))
+	master, err := preprocess(params, a.Row(params.MasterChannel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < a.Channels; c++ {
-		series, err := params.Preprocess(a.Row(c))
+		series, err := preprocess(params, a.Row(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestOverheadCharged(t *testing.T) {
 }
 
 // xcorr is a local copy of the normalized FFT cross-correlation used for
-// verification (identical formula to daslib.XCorrNormalized).
+// verification (identical formula to daslib.XCorrNormalizedInto).
 func xcorr(a, b []float64) []float64 {
 	n := len(a) + len(b) - 1
 	out := make([]float64, n)

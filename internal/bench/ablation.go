@@ -67,12 +67,13 @@ func RunAblations(o Options) (AblationResult, error) {
 	// --- Ghost zones: without them, stencil reads clamp at block edges and
 	// partition-boundary cells silently change value.
 	params := detect.LocalSimiParams{M: 8, K: 1, L: 2, Stride: 10}
+	udf := params.UDFScratch()
 	reference := func(ghost int, ranks int) (*dasf.Array2D, error) {
 		spec := params.Spec()
 		spec.GhostChannels = ghost
 		var out *dasf.Array2D
 		_, err := mpi.Run(ranks, func(c *mpi.Comm) {
-			r := arrayudf.Apply(c, v, spec, params.UDF())
+			r := arrayudf.Apply(c, v, spec, func(s *arrayudf.Stencil) float64 { return udf(s, nil) })
 			if g := arrayudf.Gather(c, nch, r); g != nil {
 				out = g
 			}

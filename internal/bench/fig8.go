@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"dassa/internal/arrayudf"
 	"dassa/internal/dass"
 	"dassa/internal/haee"
 )
@@ -48,13 +47,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 	}
 	params := o.interferometry()
 	_, nt := v.Shape()
-	parts := params.Workload(nt)
-	wl := haee.RowsWorkload{
-		Spec:    arrayudf.Spec{},
-		RowLen:  parts.RowLen,
-		Prepare: parts.Prepare,
-		UDF:     parts.UDF,
-	}
+	wl := params.Workload(nt)
 	unit, nch, err := computeProbe(o, v)
 	if err != nil {
 		return nil, err

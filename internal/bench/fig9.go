@@ -80,16 +80,14 @@ func RunFig9(o Options) ([]Fig9Row, error) {
 	// the planned path — master prepared for the kept lags, per-run scratch
 	// arena, destination-passing kernels — exactly what the engine threads
 	// run.
-	master, err := params.Preprocess(data.Row(params.MasterChannel))
-	if err != nil {
+	scr := daslib.NewScratch()
+	series := make([]float64, daslib.ResampleLen(data.Samples, params.ResampleP, params.ResampleQ))
+	if err := params.PreprocessInto(series, data.Row(params.MasterChannel), scr); err != nil {
 		return nil, err
 	}
-	mst := daslib.PrepareXCorrMasterLags(master, len(master), params.MaxLag)
+	mst := daslib.PrepareXCorrMasterLags(series, len(series), params.MaxLag)
 	rowLen := params.RowLen(data.Samples)
 	dsOut := dasf.NewArray2D(data.Channels, rowLen)
-	scr := daslib.GetScratch()
-	defer daslib.PutScratch(scr)
-	series := make([]float64, len(master))
 	dsCompute, err := timeIt(func() error {
 		for ch := 0; ch < data.Channels; ch++ {
 			if err := params.PreprocessInto(series, data.Row(ch), scr); err != nil {

@@ -22,7 +22,6 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Table I (RCA vs VCA)", func(o Options) (any, error) { return RunTable1(o) }},
 		{"table2", "Table II (DasLib semantics)", func(o Options) (any, error) { return RunTable2(o) }},
-		{"kernels", "DasLib kernels (planned vs allocating)", func(o Options) (any, error) { return RunKernels(o) }},
 		{"fig6", "Figure 6 (search & merge)", func(o Options) (any, error) { return RunFig6(o) }},
 		{"fig7", "Figure 7 (read methods)", func(o Options) (any, error) { return RunFig7(o) }},
 		{"fig8", "Figure 8 (hybrid vs MPI)", func(o Options) (any, error) { return RunFig8(o) }},
@@ -31,7 +30,6 @@ func Experiments() []Experiment {
 		{"fig11", "Figure 11 (scaling)", func(o Options) (any, error) { return RunFig11(o) }},
 		{"ablation", "Ablations", func(o Options) (any, error) { return RunAblations(o) }},
 		{"detectors", "Detector comparison", func(o Options) (any, error) { return RunDetectors(o) }},
-		{"cluster", "Cluster fan-out (dassw loopback)", func(o Options) (any, error) { return RunCluster(o) }},
 	}
 }
 

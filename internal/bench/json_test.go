@@ -115,8 +115,8 @@ func TestRunJSONUnknownExperiment(t *testing.T) {
 func TestRegistryCoversSwitchNames(t *testing.T) {
 	// The CLI's -exp vocabulary is exactly the registry; a new experiment
 	// added to one but not the other should fail here.
-	want := []string{"table1", "table2", "kernels", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "ablation", "detectors", "cluster"}
+	want := []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9",
+		"fig10", "fig11", "ablation", "detectors"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))

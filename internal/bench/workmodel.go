@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/daslib"
 	"dassa/internal/dass"
-	"dassa/internal/detect"
 )
 
 // This repository's benches run on whatever machine is available — often a
@@ -28,30 +28,35 @@ import (
 // figure.
 
 // computeProbe measures the serial per-channel cost of the interferometry
-// UDF on real data and returns (unit cost, total channels).
+// UDF on real data and returns (unit cost, total channels). It times the row
+// the engine runs — Workload(nt).UDFInto into a reused row on an arena the
+// first row has warmed, as every later row of an engine thread finds it — so
+// the modeled compute columns are a projection of the program, not of a
+// pipeline beside it.
 func computeProbe(o Options, v *dass.View) (time.Duration, int, error) {
 	params := o.interferometry()
-	if err := params.Validate(); err != nil {
+	nch, nt := v.Shape()
+	if err := params.Validate(nch, nt); err != nil {
 		return 0, 0, err
 	}
-	nch, _ := v.Shape()
 	data, _, err := v.Read()
 	if err != nil {
 		return 0, 0, err
 	}
-	master, err := params.Preprocess(data.Row(params.MasterChannel))
+	master, _, err := params.PrepareMaster(v)
 	if err != nil {
 		return 0, 0, err
 	}
+	wl := params.Workload(nt)
+	blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: nch}
+	row, scr, st := make([]float64, wl.RowLen), daslib.NewScratch(), blk.Stencil(0, 0)
+	wl.UDFInto(st, master, row, scr)
 	// Probe over a bounded number of channels to keep benches quick.
 	probe := min(nch, 16)
 	t0 := time.Now()
 	for ch := 0; ch < probe; ch++ {
-		series, err := params.Preprocess(data.Row(ch))
-		if err != nil {
-			return 0, 0, err
-		}
-		_ = detect.TrimLags(daslib.XCorrNormalized(series, master), len(series), len(master), params.RowLen(data.Samples))
+		st.SetPos(ch, 0)
+		wl.UDFInto(st, master, row, scr)
 	}
 	unit := time.Duration(int64(time.Since(t0)) / int64(probe))
 	if unit <= 0 {

@@ -184,22 +184,30 @@ func TestClusterCancellationPoisonsWorker(t *testing.T) {
 // TestClusterDeadlinePropagates lets the wire deadline (not a cancel
 // frame) stop remote shards: the request deadline expires while shards
 // run, and both sides agree the run is a cancellation.
+//
+// Nothing here races the machine's load: every read stalls an order of
+// magnitude past the deadline (the stall is cancellable, so the test does
+// not wait it out), so no shard can finish inside it however the scheduler
+// treats the run; the deadline clock starts only once the link is up, so a
+// slow handshake cannot spend it; and the drain bound is generous.
 func TestClusterDeadlinePropagates(t *testing.T) {
 	leakcheck.Check(t)
 	v, _ := makeView(t, 16, 3)
-	dasf.SetInjector(faults.New(faults.Config{Seed: 13, SlowProb: 1, SlowLatency: 150 * time.Millisecond}))
+	const deadline = 400 * time.Millisecond
+	dasf.SetInjector(faults.New(faults.Config{Seed: 13, SlowProb: 1, SlowLatency: 10 * deadline}))
 	t.Cleanup(func() { dasf.SetInjector(nil) })
 
 	w, a1 := startWorker(t, WorkerConfig{HeartbeatEvery: 100 * time.Millisecond})
 	co := newCoord(t, []string{a1}, nil)
+	waitFor(t, 10*time.Second, func() bool { return co.healthyCount() == 1 })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	_, err := co.Run(ctx, Request{View: v, Op: OpRead, Shards: 4})
 	if !dass.IsCancellation(err) {
 		t.Fatalf("expired run returned %v, want cancellation", err)
 	}
-	waitFor(t, 3*time.Second, func() bool { return w.InFlight() == 0 })
+	waitFor(t, 15*time.Second, func() bool { return w.InFlight() == 0 })
 }
 
 // TestClusterWireDropChaos runs with frame drops on the worker's outbound

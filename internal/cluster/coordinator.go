@@ -531,7 +531,15 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 	}
 	wg.Wait()
 
-	if err := ctx.Err(); err != nil {
+	// The workers run under the request's own deadline, shipped on the wire,
+	// and their timers can fire a moment before this side's does: once the
+	// deadline has passed, shards cancelled remotely are the request
+	// expiring, not shards lost.
+	err = ctx.Err()
+	if dl, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(dl) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
 		return nil, err
 	}
 

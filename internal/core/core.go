@@ -24,7 +24,6 @@ import (
 	"dassa/internal/detect"
 	"dassa/internal/faults"
 	"dassa/internal/haee"
-	"dassa/internal/mpi"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/pfs"
@@ -313,21 +312,19 @@ func DefaultInterferometry(rate float64) InterferometryOptions {
 // Interferometry computes per-channel noise correlations against the
 // master channel.
 func (f *Framework) Interferometry(v *dass.View, opt InterferometryOptions) (*dasf.Array2D, Report, error) {
-	if err := opt.Validate(); err != nil {
+	nch, nt := v.Shape()
+	if err := opt.Validate(nch, nt); err != nil {
 		return nil, Report{}, err
 	}
 	if opt.FailPolicy == dass.FailAbort {
 		opt.FailPolicy = f.cfg.FailPolicy // framework default unless overridden
 	}
-	_, nt := v.Shape()
-	parts := opt.Workload(nt)
-	rep, err := f.engine().RunRows(v, haee.RowsWorkload{
-		Spec:    arrayudf.Spec{},
-		RowLen:  parts.RowLen,
-		Prepare: parts.Prepare,
-		UDF:     parts.UDF,
-		UDFInto: parts.UDFInto,
-	}, opt.OutPath)
+	return f.runRows(v, opt.Workload(nt), opt.OutPath)
+}
+
+// runRows runs a rows workload on the framework's engine.
+func (f *Framework) runRows(v *dass.View, w arrayudf.RowsWorkload, outPath string) (*dasf.Array2D, Report, error) {
+	rep, err := f.engine().RunRows(v, w, outPath)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -361,33 +358,14 @@ func DefaultStackedInterferometry(rate float64, totalSamples int) StackedInterfe
 // StackedInterferometry computes per-channel noise correlations stacked
 // over time windows.
 func (f *Framework) StackedInterferometry(v *dass.View, opt StackedInterferometryOptions) (*dasf.Array2D, Report, error) {
-	if err := opt.Validate(); err != nil {
+	nch, nt := v.Shape()
+	if err := opt.Validate(nch, nt); err != nil {
 		return nil, Report{}, err
 	}
 	if opt.FailPolicy == dass.FailAbort {
 		opt.FailPolicy = f.cfg.FailPolicy
 	}
-	rep, err := f.engine().RunRows(v, haee.RowsWorkload{
-		Spec:   arrayudf.Spec{},
-		RowLen: opt.StackedRowLen(),
-		Prepare: func(c *mpi.Comm, view *dass.View) (any, int64, pfs.Trace) {
-			m, tr, err := opt.PrepareStackedMasterFromView(view)
-			if err != nil {
-				panic(fmt.Errorf("core: stacked master: %w", err))
-			}
-			return m, m.Bytes(), tr
-		},
-		UDFInto: func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch) {
-			opt.StackedUDFIntoContext(v.Context(), shared.(*detect.StackedMaster))(s, dst, scr)
-		},
-	}, opt.OutPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	return f.runRows(v, opt.Workload(nt), opt.OutPath)
 }
 
 // STALTA computes the classical short-term/long-term-average trigger map —

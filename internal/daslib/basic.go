@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-// Demean subtracts the mean of x, returning a new slice — a thin
-// allocating shim over DemeanInPlace.
-func Demean(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	DemeanInPlace(out)
-	return out
-}
-
 // DemeanInPlace subtracts the mean of x in place.
 func DemeanInPlace(x []float64) {
 	if len(x) == 0 {
@@ -30,18 +21,8 @@ func DemeanInPlace(x []float64) {
 	}
 }
 
-// Detrend removes the least-squares straight-line fit from x, matching
-// MATLAB's detrend (the paper's Das_detrend) — a thin allocating shim over
-// DetrendInPlace.
-func Detrend(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	DetrendInPlace(out)
-	return out
-}
-
 // DetrendInPlace removes the least-squares straight-line fit from x in
-// place.
+// place, matching MATLAB's detrend (the paper's Das_detrend).
 func DetrendInPlace(x []float64) {
 	n := len(x)
 	if n == 0 {
@@ -316,15 +297,6 @@ func hannWin(n int) []float64 {
 	return w
 }
 
-// Hann returns an n-point Hann window (periodic form for n>1 symmetric
-// definition, as MATLAB's hann(n)). The window vector is cached per length;
-// callers get a private copy.
-func Hann(n int) []float64 {
-	out := make([]float64, n)
-	copy(out, hannWin(n))
-	return out
-}
-
 // besselI0 evaluates the zeroth-order modified Bessel function by series.
 func besselI0(x float64) float64 {
 	sum := 1.0
@@ -383,14 +355,6 @@ func kaiserWin(n int, beta float64) []float64 {
 	return w
 }
 
-// Kaiser returns an n-point Kaiser window with shape parameter beta. The
-// window vector is cached per (n, beta); callers get a private copy.
-func Kaiser(n int, beta float64) []float64 {
-	out := make([]float64, n)
-	copy(out, kaiserWin(n, beta))
-	return out
-}
-
 // taperCache holds the shared cosine ramp per taper width w: ramp[i] =
 // 0.5·(1-cos(πi/w)). Detection pipelines taper every channel of every
 // window with the same width, so the trig is paid once.
@@ -420,16 +384,10 @@ func taperRamp(w int) []float64 {
 	return r
 }
 
-// Taper applies a cosine (Tukey-style) taper covering frac of each end of
-// x in place and returns x, the standard pre-processing step before
-// spectral analysis of seismic windows.
-func Taper(x []float64, frac float64) []float64 {
-	TaperInPlace(x, frac)
-	return x
-}
-
-// TaperInPlace is Taper without the return value — the canonical mutating
-// form, with the cosine ramp served from the per-width cache.
+// TaperInPlace applies a cosine (Tukey-style) taper covering frac of each
+// end of x in place, the standard pre-processing step before spectral
+// analysis of seismic windows; the cosine ramp is served from the per-width
+// cache.
 func TaperInPlace(x []float64, frac float64) {
 	n := len(x)
 	w := int(frac * float64(n))
@@ -462,26 +420,12 @@ func OneBitNormalize(x []float64) []float64 {
 	return out
 }
 
-// SpectralWhiten flattens the amplitude spectrum of x (keeping phase),
-// optionally restricted to [loHz, hiHz] at the given rate; outside the band
-// the spectrum is zeroed. Used by ambient-noise interferometry. A thin
-// allocating shim over SpectralWhitenInto.
-func SpectralWhiten(x []float64, loHz, hiHz, rate float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	s := GetScratch()
-	SpectralWhitenInto(out, x, loHz, hiHz, rate, s)
-	PutScratch(s)
-	return out
-}
-
-// SpectralWhitenInto is SpectralWhiten writing into dst (len(dst) ==
-// len(x); dst may alias x), borrowing the spectrum buffer from s. Both
-// transforms take the packed real-input path, and the bin frequencies come
-// from fftFreqAbs rather than a materialized FFTFreqs table.
+// SpectralWhitenInto flattens the amplitude spectrum of x (keeping phase)
+// into dst (len(dst) == len(x); dst may alias x), optionally restricted to
+// [loHz, hiHz] at the given rate; outside the band the spectrum is zeroed.
+// Used by ambient-noise interferometry. The spectrum buffer is borrowed from
+// s, both transforms take the packed real-input path, and the bin
+// frequencies come from fftFreqAbs rather than a materialized FFTFreqs table.
 func SpectralWhitenInto(dst, x []float64, loHz, hiHz, rate float64, s *Scratch) {
 	n := len(x)
 	checkLen("SpectralWhitenInto dst", len(dst), n)

@@ -8,16 +8,22 @@ import (
 )
 
 func TestDemean(t *testing.T) {
-	got := Demean([]float64{1, 2, 3, 4})
+	got := []float64{1, 2, 3, 4}
+	DemeanInPlace(got)
 	want := []float64{-1.5, -0.5, 0.5, 1.5}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("Demean[%d] = %g, want %g", i, got[i], want[i])
+			t.Errorf("DemeanInPlace[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
-	if len(Demean(nil)) != 0 {
-		t.Error("Demean(nil) should be empty")
-	}
+	DemeanInPlace(nil) // empty input is a no-op
+}
+
+// detrended returns a detrended copy of x.
+func detrended(x []float64) []float64 {
+	out := append([]float64(nil), x...)
+	DetrendInPlace(out)
+	return out
 }
 
 func TestDetrendRemovesLine(t *testing.T) {
@@ -25,7 +31,7 @@ func TestDetrendRemovesLine(t *testing.T) {
 	for i := range x {
 		x[i] = 3 + 0.5*float64(i)
 	}
-	for _, v := range Detrend(x) {
+	for _, v := range detrended(x) {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("pure line not removed: residue %g", v)
 		}
@@ -41,7 +47,7 @@ func TestDetrendRemovesLine(t *testing.T) {
 	for i := range mixed {
 		mixed[i] = sig[i] - 7 + 0.3*float64(i)
 	}
-	got := Detrend(mixed)
+	got := detrended(mixed)
 	var mean, slope float64
 	for i, v := range got {
 		mean += v
@@ -56,7 +62,7 @@ func TestDetrendRemovesLine(t *testing.T) {
 	if c := AbsCorr(got, sig); c < 0.99 {
 		t.Errorf("detrended/sine correlation = %g, want > 0.99", c)
 	}
-	if got := Detrend([]float64{5}); got[0] != 0 {
+	if got := detrended([]float64{5}); got[0] != 0 {
 		t.Error("single point should detrend to 0")
 	}
 }
@@ -71,8 +77,8 @@ func TestDetrendIdempotentProperty(t *testing.T) {
 				return true
 			}
 		}
-		once := Detrend(vals)
-		twice := Detrend(once)
+		once := detrended(vals)
+		twice := detrended(once)
 		scale := 1.0
 		for _, v := range vals {
 			scale = math.Max(scale, math.Abs(v))
@@ -349,17 +355,17 @@ func TestRMS(t *testing.T) {
 }
 
 func TestWindows(t *testing.T) {
-	h := Hann(5)
+	h := hannWin(5)
 	want := []float64{0, 0.5, 1, 0.5, 0}
 	for i := range want {
 		if math.Abs(h[i]-want[i]) > 1e-12 {
 			t.Errorf("Hann[%d] = %g, want %g", i, h[i], want[i])
 		}
 	}
-	if got := Hann(1); got[0] != 1 {
+	if got := hannWin(1); got[0] != 1 {
 		t.Error("Hann(1) should be [1]")
 	}
-	k := Kaiser(11, 5)
+	k := kaiserWin(11, 5)
 	if math.Abs(k[5]-1) > 1e-12 {
 		t.Errorf("Kaiser center = %g, want 1", k[5])
 	}
@@ -371,11 +377,11 @@ func TestWindows(t *testing.T) {
 			t.Errorf("Kaiser not increasing toward center at %d", i)
 		}
 	}
-	if got := Kaiser(1, 5); got[0] != 1 {
+	if got := kaiserWin(1, 5); got[0] != 1 {
 		t.Error("Kaiser(1) should be [1]")
 	}
 	// beta=0 Kaiser is rectangular.
-	for _, v := range Kaiser(7, 0) {
+	for _, v := range kaiserWin(7, 0) {
 		if math.Abs(v-1) > 1e-12 {
 			t.Error("Kaiser(beta=0) should be all ones")
 		}
@@ -397,7 +403,7 @@ func TestTaper(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	Taper(x, 0.1)
+	TaperInPlace(x, 0.1)
 	if x[0] != 0 || x[99] != 0 {
 		t.Error("taper endpoints should be 0")
 	}
@@ -411,7 +417,7 @@ func TestTaper(t *testing.T) {
 	}
 	// frac 0 is a no-op.
 	y := []float64{1, 2, 3}
-	Taper(y, 0)
+	TaperInPlace(y, 0)
 	if y[0] != 1 || y[2] != 3 {
 		t.Error("frac=0 should not modify")
 	}
@@ -435,8 +441,9 @@ func TestSpectralWhitenFlattens(t *testing.T) {
 		ti := float64(i) / rate
 		x[i] = 10*math.Sin(2*math.Pi*10*ti) + 0.5*math.Sin(2*math.Pi*20*ti)
 	}
-	y := SpectralWhiten(x, 5, 30, rate)
-	spec := FFTReal(y)
+	y := make([]float64, n)
+	SpectralWhitenInto(y, x, 5, 30, rate, nil)
+	spec := rfftOf(y)
 	freqs := FFTFreqs(n, rate)
 	var in10, in20, out40 float64
 	for i, f := range freqs {
@@ -462,6 +469,13 @@ func TestSpectralWhitenFlattens(t *testing.T) {
 	}
 }
 
+// xcorrOf is the serial caller's spelling: a fresh destination, no arena.
+func xcorrOf(a, b []float64) []float64 {
+	out := make([]float64, XCorrLen(len(a), len(b)))
+	XCorrInto(out, a, b, nil)
+	return out
+}
+
 func TestXCorrMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ na, nb int }{{5, 5}, {8, 3}, {3, 8}, {1, 1}, {16, 16}} {
@@ -473,7 +487,7 @@ func TestXCorrMatchesNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got := XCorr(a, b)
+		got := xcorrOf(a, b)
 		// Naive: out[i] corresponds to lag l = i - (nb-1);
 		// out[i] = sum_n a[n] b[n - l].
 		n := tc.na + tc.nb - 1
@@ -502,7 +516,8 @@ func TestXCorrNormalizedSelfPeak(t *testing.T) {
 	for i := range a {
 		a[i] = rng.NormFloat64()
 	}
-	out := XCorrNormalized(a, a)
+	out := make([]float64, XCorrLen(len(a), len(a)))
+	XCorrNormalizedInto(out, a, a, nil)
 	peak := out[len(a)-1] // zero lag
 	if math.Abs(peak-1) > 1e-9 {
 		t.Errorf("zero-lag self correlation = %g, want 1", peak)
@@ -512,9 +527,10 @@ func TestXCorrNormalizedSelfPeak(t *testing.T) {
 			t.Errorf("normalized value %g > 1 at %d", v, i)
 		}
 	}
-	if XCorr(nil, a) != nil {
-		t.Error("XCorr with empty input should be nil")
+	if XCorrLen(0, len(a)) != 0 || XCorrLen(len(a), 0) != 0 {
+		t.Error("a correlation with an empty input has no lags")
 	}
+	XCorrInto(nil, nil, a, nil) // and writing them is a no-op
 }
 
 func TestXCorrDetectsShift(t *testing.T) {
@@ -527,7 +543,7 @@ func TestXCorrDetectsShift(t *testing.T) {
 	}
 	b := make([]float64, n)
 	copy(b[shift:], a[:n-shift]) // b[t] = a[t-shift]
-	out := XCorr(a, b)
+	out := xcorrOf(a, b)
 	best, bestLag := math.Inf(-1), 0
 	for i, v := range out {
 		if v > best {

@@ -1,8 +1,10 @@
 // Package daslib is DASSA's DAS data analysis library: thread-safe,
 // sequential signal-processing kernels whose names and semantics follow the
-// MATLAB signal processing toolbox (the paper's Table II). The hybrid
-// execution engine (internal/haee) parallelizes these kernels over channels;
-// nothing in this package spawns goroutines or holds mutable global state —
+// MATLAB signal processing toolbox (the paper's Table II). Each kernel has
+// one signature: it writes into a destination the caller owns and borrows its
+// intermediates from a *Scratch (nil = allocate fresh). The hybrid execution
+// engine (internal/haee) parallelizes these kernels over channels; nothing in
+// this package spawns goroutines or holds mutable global state —
 // the package-level caches (twiddles, windows, plans) are immutable once
 // published.
 package daslib
@@ -21,49 +23,6 @@ func NextPow2(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// FFT computes the discrete Fourier transform of x (any length) and returns
-// a new slice. Power-of-two lengths use an iterative radix-2 Cooley-Tukey;
-// other lengths use Bluestein's chirp-z algorithm, so the cost is
-// O(n log n) for every n. Matches Das_fft in the paper's Table II.
-//
-// FFT is a thin allocating shim over Plan.FFTInto; hot loops should hold a
-// Plan and a Scratch and call the Into variant directly.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	s := GetScratch()
-	PlanFFT(len(x)).FFTInto(out, x, s)
-	PutScratch(s)
-	return out
-}
-
-// IFFT computes the inverse DFT with 1/n normalization. Matches Das_ifft.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	s := GetScratch()
-	PlanFFT(len(x)).IFFTInto(out, x, s)
-	PutScratch(s)
-	return out
-}
-
-// FFTReal transforms a real signal, returning the full complex spectrum.
-// Even lengths go through the packed real-input transform (RFFT), which
-// does half the work of a complex FFT of the same length.
-func FFTReal(x []float64) []complex128 {
-	return RFFT(x)
-}
-
-// IFFTReal inverts a spectrum known to come from a real signal, returning
-// the real part (the imaginary residue is numerical noise).
-func IFFTReal(x []complex128) []float64 {
-	return IRFFT(x)
 }
 
 // twiddleCache holds precomputed unit-circle factors per transform size.

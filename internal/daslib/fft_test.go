@@ -41,6 +41,32 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return out
 }
 
+// fftOf, ifftOf, rfftOf and irfftOf are the serial caller's spelling of the
+// transforms: a fresh destination, no arena.
+func fftOf(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).FFTInto(out, x, nil)
+	return out
+}
+
+func ifftOf(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).IFFTInto(out, x, nil)
+	return out
+}
+
+func rfftOf(x []float64) []complex128 {
+	out := make([]complex128, len(x))
+	RFFTInto(out, x, nil)
+	return out
+}
+
+func irfftOf(spec []complex128) []float64 {
+	out := make([]float64, len(spec))
+	IRFFTInto(out, spec, nil)
+	return out
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
@@ -55,7 +81,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	// Both power-of-two (radix-2) and arbitrary (Bluestein) lengths.
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 33, 60, 64, 100, 127, 128} {
 		x := randComplex(rng, n)
-		got := FFT(x)
+		got := fftOf(x)
 		want := dftNaive(x)
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
 			t.Errorf("n=%d: FFT differs from naive DFT by %g", n, d)
@@ -65,7 +91,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 
 func TestFFTKnownValues(t *testing.T) {
 	// FFT of [1,0,0,0] is all ones.
-	got := FFT([]complex128{1, 0, 0, 0})
+	got := fftOf([]complex128{1, 0, 0, 0})
 	for i, v := range got {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("impulse FFT[%d] = %v", i, v)
@@ -77,7 +103,7 @@ func TestFFTKnownValues(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*5*float64(i)/n))
 	}
-	spec := FFT(x)
+	spec := fftOf(x)
 	for k, v := range spec {
 		mag := cmplx.Abs(v)
 		if k == 5 && math.Abs(mag-n) > 1e-9 {
@@ -106,7 +132,7 @@ func TestIFFTInvertsFFTProperty(t *testing.T) {
 			}
 			x[i] = complex(re[i], im[i])
 		}
-		back := IFFT(FFT(x))
+		back := ifftOf(fftOf(x))
 		scale := 0.0
 		for _, v := range x {
 			scale = math.Max(scale, cmplx.Abs(v))
@@ -132,7 +158,7 @@ func TestParsevalProperty(t *testing.T) {
 				return true // skip pathological inputs
 			}
 		}
-		spec := FFTReal(vals)
+		spec := rfftOf(vals)
 		var et, ef float64
 		for _, v := range vals {
 			et += v * v
@@ -157,7 +183,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = 2*x[i] + 3*y[i]
 		}
-		fx, fy, fs := FFT(x), FFT(y), FFT(sum)
+		fx, fy, fs := fftOf(x), fftOf(y), fftOf(sum)
 		for i := range fs {
 			want := 2*fx[i] + 3*fy[i]
 			if cmplx.Abs(fs[i]-want) > 1e-9 {
@@ -173,17 +199,17 @@ func TestFFTRealConjugateSymmetry(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	spec := FFTReal(x)
+	spec := rfftOf(x)
 	n := len(x)
 	for k := 1; k < n; k++ {
 		if d := cmplx.Abs(spec[k] - cmplx.Conj(spec[n-k])); d > 1e-9 {
 			t.Errorf("conjugate symmetry violated at bin %d: %g", k, d)
 		}
 	}
-	back := IFFTReal(spec)
+	back := irfftOf(spec)
 	for i := range x {
 		if math.Abs(back[i]-x[i]) > 1e-9 {
-			t.Errorf("IFFTReal round trip differs at %d", i)
+			t.Errorf("IRFFTInto round trip differs at %d", i)
 		}
 	}
 }
@@ -209,34 +235,27 @@ func TestFFTFreqs(t *testing.T) {
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); len(got) != 0 {
+	if got := fftOf(nil); len(got) != 0 {
 		t.Error("FFT(nil) should be empty")
 	}
-	got := FFT([]complex128{complex(3, -2)})
+	got := fftOf([]complex128{complex(3, -2)})
 	if len(got) != 1 || got[0] != complex(3, -2) {
 		t.Errorf("FFT singleton = %v", got)
 	}
-	if got := IFFT([]complex128{complex(4, 0)}); got[0] != complex(4, 0) {
+	if got := ifftOf([]complex128{complex(4, 0)}); got[0] != complex(4, 0) {
 		t.Errorf("IFFT singleton = %v", got)
 	}
 }
 
-func BenchmarkFFTPow2_4096(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 4096)
+func benchmarkFFT(b *testing.B, n int) {
+	x := randComplex(rand.New(rand.NewSource(1)), n)
+	dst, plan, s := make([]complex128, n), PlanFFT(n), NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		plan.FFTInto(dst, x, s)
 	}
 }
 
-func BenchmarkFFTBluestein_4095(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 4095)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
+func BenchmarkFFTPow2_4096(b *testing.B)      { benchmarkFFT(b, 4096) }
+func BenchmarkFFTBluestein_4095(b *testing.B) { benchmarkFFT(b, 4095) }

@@ -322,7 +322,7 @@ func solveLinear(M [][]float64, rhs []float64) ([]float64, bool) {
 
 // FilterPlan is a filter design prepared once for repeated zero-phase
 // application: coefficients normalized to a[0] == 1 and padded to equal
-// length, plus the steady-state unit-step initial conditions FiltFilt
+// length, plus the steady-state unit-step initial conditions FiltFiltInto
 // scales per signal. Detection pipelines run the same Butterworth design
 // over every channel of every window; the plan hoists the normalization
 // and the companion-matrix solve out of that loop.
@@ -362,14 +362,13 @@ func NewFilterPlan(b, a []float64) (*FilterPlan, error) {
 	return fp, nil
 }
 
-// PadLen returns the reflection padding the plan applies per end; inputs
-// to FiltFiltInto must be longer than this.
-func (fp *FilterPlan) PadLen() int { return fp.padlen }
-
-// FiltFiltInto zero-phase filters x into dst (len(dst) == len(x); dst may
-// alias x), borrowing the extension and delay-line buffers from s. Both
-// filter passes run in place on the extension buffer, so a warm scratch
-// makes the whole call allocation-free.
+// FiltFiltInto applies the plan's filter forward and backward for zero-phase
+// filtering, matching MATLAB's filtfilt (the paper's Das_filtfilt): x is
+// extended by odd reflection at both ends, filtered with steady-state initial
+// conditions, reversed, filtered again, and trimmed into dst (len(dst) ==
+// len(x); dst may alias x). The extension and delay-line buffers are borrowed
+// from s and both passes run in place on the extension buffer, so a warm
+// scratch makes the whole call allocation-free.
 func (fp *FilterPlan) FiltFiltInto(dst, x []float64, s *Scratch) error {
 	checkLen("FiltFiltInto dst", len(dst), len(x))
 	if fp.padlen == 0 {
@@ -410,28 +409,6 @@ func (fp *FilterPlan) FiltFiltInto(dst, x []float64, s *Scratch) error {
 	return nil
 }
 
-// FiltFilt applies (b, a) forward and backward for zero-phase filtering,
-// matching MATLAB's filtfilt (the paper's Das_filtfilt): the signal is
-// extended by odd reflection at both ends, filtered with steady-state
-// initial conditions, reversed, filtered again, and trimmed.
-//
-// FiltFilt is a thin allocating shim over FilterPlan.FiltFiltInto; hot
-// loops should build the plan once and call the Into variant.
-func FiltFilt(b, a, x []float64) ([]float64, error) {
-	fp, err := NewFilterPlan(b, a)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	s := GetScratch()
-	err = fp.FiltFiltInto(out, x, s)
-	PutScratch(s)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func reverse(x []float64) {
 	for i, j := 0, len(x)-1; i < j; i, j = i+1, j-1 {
 		x[i], x[j] = x[j], x[i]
@@ -459,43 +436,43 @@ func polyvalZ(c []float64, z complex128) complex128 {
 	return acc
 }
 
-// BandpassFilter is a convenience wrapper: design an order-n Butterworth
-// bandpass for [lo, hi] Hz at the given sampling rate and zero-phase
-// filter x.
-func BandpassFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	nyq := rate / 2
-	b, a, err := Butter(order, Bandpass, loHz/nyq, hiHz/nyq)
+// butterFiltFilt designs an order-n Butterworth filter of the given band and
+// zero-phase filters x with it into a fresh slice — the body the convenience
+// wrappers below and Decimate share.
+func butterFiltFilt(x []float64, order int, band FilterBand, cutoff ...float64) ([]float64, error) {
+	b, a, err := Butter(order, band, cutoff...)
 	if err != nil {
 		return nil, err
 	}
-	return FiltFilt(b, a, x)
+	fp, err := NewFilterPlan(b, a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(x))
+	if err := fp.FiltFiltInto(out, x, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// BandpassFilter zero-phase filters x with an order-n Butterworth bandpass
+// for [lo, hi] Hz at the given sampling rate.
+func BandpassFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
+	return butterFiltFilt(x, order, Bandpass, loHz/(rate/2), hiHz/(rate/2))
 }
 
 // LowpassFilter zero-phase lowpass-filters x below cutHz.
 func LowpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	b, a, err := Butter(order, Lowpass, cutHz/(rate/2))
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
+	return butterFiltFilt(x, order, Lowpass, cutHz/(rate/2))
 }
 
 // HighpassFilter zero-phase highpass-filters x above cutHz.
 func HighpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	b, a, err := Butter(order, Highpass, cutHz/(rate/2))
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
+	return butterFiltFilt(x, order, Highpass, cutHz/(rate/2))
 }
 
 // NotchFilter zero-phase bandstop-filters x between loHz and hiHz —
 // removing powerline hum or a machinery line from DAS records.
 func NotchFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	nyq := rate / 2
-	b, a, err := Butter(order, Bandstop, loHz/nyq, hiHz/nyq)
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
+	return butterFiltFilt(x, order, Bandstop, loHz/(rate/2), hiHz/(rate/2))
 }

@@ -196,6 +196,17 @@ func TestLfilterZISteadyState(t *testing.T) {
 	}
 }
 
+// filtFiltOf is the serial caller's spelling of zero-phase filtering: plan
+// the design, filter into a fresh destination, no arena.
+func filtFiltOf(b, a, x []float64) ([]float64, error) {
+	fp, err := NewFilterPlan(b, a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(x))
+	return out, fp.FiltFiltInto(out, x, nil)
+}
+
 func TestFiltFiltZeroPhase(t *testing.T) {
 	// A low-frequency tone must come through filtfilt with no phase shift
 	// and gain ≈ squared single-pass gain.
@@ -210,7 +221,7 @@ func TestFiltFiltZeroPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := FiltFilt(b, a, x)
+	y, err := filtFiltOf(b, a, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +264,7 @@ func TestFiltFiltShortInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FiltFilt(b, a, make([]float64, 12)); err == nil {
+	if _, err := filtFiltOf(b, a, make([]float64, 12)); err == nil {
 		t.Error("input shorter than pad length should fail")
 	}
 }

@@ -85,11 +85,11 @@ func newPlan(n int) *Plan {
 	return p
 }
 
-// Len returns the plan's transform length.
-func (p *Plan) Len() int { return p.n }
-
-// FFTInto computes the forward DFT of src into dst (both length n). dst may
-// alias src. After the plan and scratch are warm the call allocates nothing.
+// FFTInto computes the forward DFT of src into dst (both length n; the
+// paper's Das_fft). dst may alias src. Power-of-two lengths use an iterative
+// radix-2 Cooley-Tukey; other lengths use Bluestein's chirp-z algorithm, so
+// the cost is O(n log n) for every n. After the plan and scratch are warm the
+// call allocates nothing.
 func (p *Plan) FFTInto(dst, src []complex128, s *Scratch) {
 	checkLen("FFTInto dst", len(dst), p.n)
 	checkLen("FFTInto src", len(src), p.n)
@@ -132,8 +132,8 @@ func (p *Plan) bluesteinInto(dst, src []complex128, s *Scratch) {
 	s.ReleaseComplex(a)
 }
 
-// IFFTInto computes the inverse DFT (1/n normalized) of src into dst (both
-// length n). dst may alias src.
+// IFFTInto computes the inverse DFT (1/n normalized; the paper's Das_ifft)
+// of src into dst (both length n). dst may alias src.
 func (p *Plan) IFFTInto(dst, src []complex128, s *Scratch) {
 	checkLen("IFFTInto dst", len(dst), p.n)
 	checkLen("IFFTInto src", len(src), p.n)
@@ -144,19 +144,6 @@ func (p *Plan) IFFTInto(dst, src []complex128, s *Scratch) {
 		p.FFTInto(dst, dst, s)
 	}
 	conjScale(dst, 1/float64(p.n))
-}
-
-// RFFT transforms a real signal, returning the full complex spectrum — a
-// thin allocating shim over RFFTInto.
-func RFFT(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	s := GetScratch()
-	RFFTInto(out, x, s)
-	PutScratch(s)
-	return out
 }
 
 // RFFTInto computes the full n-point DFT of the real signal x into dst
@@ -224,19 +211,6 @@ func rfftZeroPad(dst []complex128, x []float64, s *Scratch) {
 		dst[k+half] = e - wo
 	}
 	s.ReleaseComplex(z)
-}
-
-// IRFFT inverts a spectrum known to come from a real signal, returning the
-// real signal — a thin allocating shim over IRFFTInto.
-func IRFFT(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	if len(spec) == 0 {
-		return out
-	}
-	s := GetScratch()
-	IRFFTInto(out, spec, s)
-	PutScratch(s)
-	return out
 }
 
 // IRFFTInto computes the real inverse DFT of a conjugate-symmetric spectrum

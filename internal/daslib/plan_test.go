@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// The planned/into kernel layer promises bit-identity with the allocating
-// API: every allocating function is a thin shim over its Into counterpart,
-// and these tests pin that contract over randomized inputs — including odd
-// and prime lengths that take the Bluestein path — so an "optimization"
-// that changes operation order (and therefore rounding) fails loudly.
+// Every kernel has one signature, so what these tests pin is the kernel
+// against a naive oracle (dftNaive, xcorrDirectLags, resampleDirect) and the
+// arena against its absence: a kernel run on a reused arena whose buffers
+// another call left dirty must produce the bits it produces with a nil arena
+// — over randomized inputs, including odd and prime lengths that take the
+// Bluestein path — so a kernel that reads a borrowed buffer before writing
+// it, or an "optimization" that makes rounding depend on the arena, fails
+// loudly.
 
 // testLengths mixes power-of-two (radix-2), odd, and prime (Bluestein)
 // sizes.
@@ -50,19 +53,43 @@ func bitIdenticalF(t *testing.T, name string, n int, got, want []float64) {
 	}
 }
 
+// poison overwrites every buffer on the arena's free lists with NaN, over its
+// whole capacity — what the next borrower finds if nothing clears it.
+func poison(s *Scratch) {
+	for _, b := range s.c {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = complex(math.NaN(), math.NaN())
+		}
+	}
+	for _, b := range s.f {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.NaN()
+		}
+	}
+}
+
+// onDirtyArena runs kernel twice on one arena, poisoning the buffers the
+// first call returned before the second borrows them: the second call is
+// what a thread's n-th row sees.
+func onDirtyArena(kernel func(s *Scratch)) {
+	s := NewScratch()
+	kernel(s)
+	poison(s)
+	kernel(s)
+}
+
 func TestFFTIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s := NewScratch()
 	for _, n := range testLengths {
 		x := randComplex(rng, n)
-		want := FFT(x)
 		dst := make([]complex128, n)
-		PlanFFT(n).FFTInto(dst, x, s)
-		bitIdenticalC(t, "FFTInto", n, dst, want)
+		onDirtyArena(func(s *Scratch) { PlanFFT(n).FFTInto(dst, x, s) })
+		bitIdenticalC(t, "FFTInto", n, dst, fftOf(x))
 
-		wantInv := IFFT(x)
-		PlanFFT(n).IFFTInto(dst, x, s)
-		bitIdenticalC(t, "IFFTInto", n, dst, wantInv)
+		onDirtyArena(func(s *Scratch) { PlanFFT(n).IFFTInto(dst, x, s) })
+		bitIdenticalC(t, "IFFTInto", n, dst, ifftOf(x))
 	}
 }
 
@@ -72,30 +99,29 @@ func TestFFTIntoAliased(t *testing.T) {
 	s := NewScratch()
 	for _, n := range []int{8, 61, 128} {
 		x := randComplex(rng, n)
-		want := FFT(x)
+		want := fftOf(x)
 		buf := append([]complex128(nil), x...)
 		PlanFFT(n).FFTInto(buf, buf, s)
 		bitIdenticalC(t, "FFTInto aliased", n, buf, want)
 	}
 }
 
+// TestRFFTBitIdenticalToFFTReal: the real-input transform and its inverse
+// (what FFTReal/IFFTReal spelled) give the same bits on a dirty arena as on
+// none — the packed path borrows its half-length buffer, the odd path a
+// full-length one.
 func TestRFFTBitIdenticalToFFTReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := NewScratch()
 	for _, n := range testLengths {
 		x := randFloats(rng, n)
-		// FFTReal is itself a shim over RFFT; pin both against RFFTInto.
-		want := FFTReal(x)
-		bitIdenticalC(t, "RFFT", n, RFFT(x), want)
+		spec := rfftOf(x)
 		dst := make([]complex128, n)
-		RFFTInto(dst, x, s)
-		bitIdenticalC(t, "RFFTInto", n, dst, want)
+		onDirtyArena(func(s *Scratch) { RFFTInto(dst, x, s) })
+		bitIdenticalC(t, "RFFTInto", n, dst, spec)
 
-		back := IFFTReal(want)
-		bitIdenticalF(t, "IRFFT", n, IRFFT(want), back)
 		fdst := make([]float64, n)
-		IRFFTInto(fdst, want, s)
-		bitIdenticalF(t, "IRFFTInto", n, fdst, back)
+		onDirtyArena(func(s *Scratch) { IRFFTInto(fdst, spec, s) })
+		bitIdenticalF(t, "IRFFTInto", n, fdst, irfftOf(spec))
 	}
 }
 
@@ -110,40 +136,21 @@ func TestRFFTMatchesNaiveDFT(t *testing.T) {
 			xc[i] = complex(v, 0)
 		}
 		want := dftNaive(xc)
-		got := RFFT(x)
+		got := rfftOf(x)
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
 			t.Errorf("n=%d: RFFT differs from naive DFT by %g", n, d)
 		}
 	}
 }
 
-func TestInPlaceVariantsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range testLengths {
-		x := randFloats(rng, n)
-
-		buf := append([]float64(nil), x...)
-		DemeanInPlace(buf)
-		bitIdenticalF(t, "DemeanInPlace", n, buf, Demean(x))
-
-		copy(buf, x)
-		DetrendInPlace(buf)
-		bitIdenticalF(t, "DetrendInPlace", n, buf, Detrend(x))
-
-		copy(buf, x)
-		TaperInPlace(buf, 0.1)
-		bitIdenticalF(t, "TaperInPlace", n, buf, Taper(x, 0.1))
-	}
-}
-
 func TestSpectralWhitenIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	s := NewScratch()
 	for _, n := range []int{33, 61, 128, 1000} {
 		x := randFloats(rng, n)
-		want := SpectralWhiten(x, 5, 40, 200)
+		want := make([]float64, n)
+		SpectralWhitenInto(want, x, 5, 40, 200, nil)
 		dst := make([]float64, n)
-		SpectralWhitenInto(dst, x, 5, 40, 200, s)
+		onDirtyArena(func(s *Scratch) { SpectralWhitenInto(dst, x, 5, 40, 200, s) })
 		bitIdenticalF(t, "SpectralWhitenInto", n, dst, want)
 	}
 }
@@ -158,52 +165,89 @@ func TestFiltFiltIntoBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScratch()
 	for _, n := range []int{61, 97, 128, 1000, 4096} {
 		x := randFloats(rng, n)
-		want, err := FiltFilt(b, a, x)
-		if err != nil {
+		want := make([]float64, n)
+		if err := fp.FiltFiltInto(want, x, nil); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]float64, n)
-		if err := fp.FiltFiltInto(dst, x, s); err != nil {
-			t.Fatal(err)
-		}
+		onDirtyArena(func(s *Scratch) {
+			if err := fp.FiltFiltInto(dst, x, s); err != nil {
+				t.Fatal(err)
+			}
+		})
 		bitIdenticalF(t, "FiltFiltInto", n, dst, want)
+		// In place, as the interferometry row runs it.
+		onDirtyArena(func(s *Scratch) {
+			copy(dst, x)
+			if err := fp.FiltFiltInto(dst, dst, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		bitIdenticalF(t, "FiltFiltInto aliased", n, dst, want)
 	}
+}
+
+// resampleDirect is the direct-form oracle of the polyphase resampler: x
+// zero-stuffed to p times its rate, convolved with the ratio's FIR tap by tap
+// — the stuffed zeros included — and every q-th output kept. The polyphase
+// loop visits the same non-zero products in the same (tap-ascending) order,
+// and adding a signed zero never changes a sum, so the two agree bit for bit.
+func resampleDirect(x []float64, p, q int) []float64 {
+	g := gcd(p, q)
+	p, q = p/g, q/g
+	rp := resamplePlanFor(p, q)
+	up := make([]float64, len(x)*p)
+	for i, v := range x {
+		up[i*p] = v
+	}
+	out := make([]float64, ResampleLen(len(x), p, q))
+	for m := range out {
+		var acc float64
+		for k, h := range rp.h {
+			if i := m*q + rp.half - k; i >= 0 && i < len(up) {
+				acc += h * up[i]
+			}
+		}
+		out[m] = acc
+	}
+	return out
 }
 
 func TestResampleIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, c := range []struct{ n, p, q int }{{128, 1, 2}, {1000, 2, 5}, {997, 3, 7}, {4096, 1, 4}} {
+	for _, c := range []struct{ n, p, q int }{{128, 1, 2}, {1000, 2, 5}, {997, 3, 7}, {4096, 1, 4}, {50, 4, 6}, {7, 5, 1}} {
 		x := randFloats(rng, c.n)
-		want, err := Resample(x, c.p, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		dst := make([]float64, ResampleLen(c.n, c.p, c.q))
 		if err := ResampleInto(dst, x, c.p, c.q, nil); err != nil {
 			t.Fatal(err)
 		}
-		bitIdenticalF(t, "ResampleInto", c.n, dst, want)
+		bitIdenticalF(t, "ResampleInto", c.n, dst, resampleDirect(x, c.p, c.q))
 	}
 }
 
 func TestXCorrIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	s := NewScratch()
 	for _, c := range []struct{ na, nb int }{{8, 8}, {61, 61}, {97, 33}, {128, 128}, {1000, 1000}} {
 		a := randFloats(rng, c.na)
 		b := randFloats(rng, c.nb)
 
-		want := XCorr(a, b)
 		dst := make([]float64, XCorrLen(c.na, c.nb))
-		XCorrInto(dst, a, b, s)
-		bitIdenticalF(t, "XCorrInto", c.na, dst, want)
+		onDirtyArena(func(s *Scratch) { XCorrInto(dst, a, b, s) })
+		bitIdenticalF(t, "XCorrInto", c.na, dst, xcorrOf(a, b))
 
-		wantN := XCorrNormalized(a, b)
-		XCorrNormalizedInto(dst, a, b, s)
+		wantN := make([]float64, len(dst))
+		XCorrNormalizedInto(wantN, a, b, nil)
+		onDirtyArena(func(s *Scratch) { XCorrNormalizedInto(dst, a, b, s) })
 		bitIdenticalF(t, "XCorrNormalizedInto", c.na, dst, wantN)
+
+		// The prepared master borrows three buffers per row.
+		mst := PrepareXCorrMasterLags(b, c.na, 3)
+		row, wantRow := make([]float64, mst.Len()), make([]float64, mst.Len())
+		mst.XCorrNormalizedInto(wantRow, a, nil)
+		onDirtyArena(func(s *Scratch) { mst.XCorrNormalizedInto(row, a, s) })
+		bitIdenticalF(t, "XCorrMaster", c.na, row, wantRow)
 	}
 }
 
@@ -241,7 +285,7 @@ func xcorrDirectLags(a, b []float64, lo, n int) []float64 {
 // of the direct-form correlation that XCorrLagStart centres on zero lag, to
 // 1e-12 absolute on the normalised lags — one block or many, block-aligned
 // or not, planned length or the pairwise fallback — and the same window of
-// the full-FFT XCorrNormalized.
+// the full-FFT XCorrNormalizedInto.
 func TestXCorrMasterMatchesDirectForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	s := NewScratch()
@@ -277,13 +321,15 @@ func TestXCorrMasterMatchesDirectForm(t *testing.T) {
 		got := make([]float64, n)
 		mst.XCorrNormalizedInto(got, a, s)
 		want := xcorrDirectLags(a, b, lo, n)
-		fft := XCorrNormalized(a, b)[lo : lo+n]
+		full := make([]float64, XCorrLen(len(a), len(b)))
+		XCorrNormalizedInto(full, a, b, nil)
+		fft := full[lo : lo+n]
 		for i := range want {
 			if d := math.Abs(got[i] - want[i]); !(d <= 1e-12) {
 				t.Fatalf("%s %+v: lag index %d = %v, direct form %v (|diff| %g)", name, sh, i, got[i], want[i], d)
 			}
 			if d := math.Abs(got[i] - fft[i]); !(d <= 1e-12) {
-				t.Fatalf("%s %+v: lag index %d = %v, XCorrNormalized %v (|diff| %g)", name, sh, i, got[i], fft[i], d)
+				t.Fatalf("%s %+v: lag index %d = %v, XCorrNormalizedInto %v (|diff| %g)", name, sh, i, got[i], fft[i], d)
 			}
 		}
 	}
@@ -311,7 +357,8 @@ func TestXCorrMasterFallbackLength(t *testing.T) {
 	b := randFloats(rng, 128)
 	mst := PrepareXCorrMaster(b, 128)
 	a := randFloats(rng, 100)
-	want := XCorrNormalized(a, b)
+	want := make([]float64, XCorrLen(100, 128))
+	XCorrNormalizedInto(want, a, b, nil)
 	dst := make([]float64, XCorrLen(100, 128))
 	mst.XCorrNormalizedInto(dst, a, s)
 	bitIdenticalF(t, "XCorrMaster fallback", 100, dst, want)
@@ -397,8 +444,8 @@ func FuzzRFFTRoundTrip(f *testing.F) {
 		x := randFloats(rng, n)
 
 		// Round trip within tolerance.
-		spec := RFFT(x)
-		back := IRFFT(spec)
+		spec := rfftOf(x)
+		back := irfftOf(spec)
 		if len(back) != n {
 			t.Fatalf("round trip length %d, want %d", len(back), n)
 		}
@@ -422,11 +469,15 @@ func FuzzRFFTRoundTrip(f *testing.F) {
 			}
 		}
 
-		// And RFFT must agree with the generic complex transform.
-		s := NewScratch()
-		dst := make([]complex128, n)
-		RFFTInto(dst, x, s)
-		bitIdenticalC(t, "RFFTInto vs RFFT", n, dst, spec)
+		// And the packed real path must agree with the generic complex
+		// transform of the same samples.
+		xc := make([]complex128, n)
+		for i, v := range x {
+			xc[i] = complex(v, 0)
+		}
+		if d := maxAbsDiff(spec, fftOf(xc)); d > tol {
+			t.Fatalf("n=%d: RFFTInto differs from FFTInto of the widened signal by %g", n, d)
+		}
 	})
 }
 
@@ -456,12 +507,6 @@ func BenchmarkDasLibKernels(b *testing.B) {
 			RFFTInto(cdst, x, s)
 		}
 	})
-	b.Run("FFTReal_4096_alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			FFTReal(x)
-		}
-	})
 	b.Run("FiltFiltInto_4096", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -474,12 +519,6 @@ func BenchmarkDasLibKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mst.XCorrNormalizedInto(corr, x, s)
-		}
-	})
-	b.Run("XCorrNormalized_4096_alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			XCorrNormalized(x, x)
 		}
 	})
 }

@@ -15,9 +15,8 @@ func gcd(a, b int) int {
 }
 
 // resamplePlan holds the polyphase anti-aliasing FIR for a reduced p/q
-// ratio. The design (Kaiser window, windowed sinc, DC normalization) is
-// exactly what Resample built per call before; now it is computed once per
-// ratio and shared.
+// ratio: the design (Kaiser window, windowed sinc, DC normalization) is
+// computed once per ratio and shared.
 type resamplePlan struct {
 	p, q   int
 	half   int
@@ -84,8 +83,8 @@ func resamplePlanFor(p, q int) *resamplePlan {
 	return rp
 }
 
-// ResampleLen returns the output length of Resample for an input of length
-// n and factors p/q: ceil(n·p/q).
+// ResampleLen returns the output length of ResampleInto for an input of
+// length n and factors p/q: ceil(n·p/q).
 func ResampleLen(n, p, q int) int {
 	if n == 0 || p < 1 || q < 1 {
 		return 0
@@ -95,32 +94,14 @@ func ResampleLen(n, p, q int) int {
 	return (n*p + q - 1) / q
 }
 
-// Resample changes the sample rate of x by the rational factor p/q using a
-// polyphase anti-aliasing FIR (Kaiser-windowed sinc), matching MATLAB's
-// resample(x, p, q) — the paper's Das_resample. The output has
-// ceil(len(x)*p/q) samples and is group-delay compensated, so y[k]
-// corresponds to x at time k*q/p.
-//
-// Resample is a thin allocating shim over ResampleInto.
-func Resample(x []float64, p, q int) ([]float64, error) {
-	if p < 1 || q < 1 {
-		return nil, fmt.Errorf("daslib: Resample factors must be positive, got %d/%d", p, q)
-	}
-	if len(x) == 0 {
-		return []float64{}, nil
-	}
-	out := make([]float64, ResampleLen(len(x), p, q))
-	if err := ResampleInto(out, x, p, q, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ResampleInto is Resample writing into dst (len(dst) ==
-// ResampleLen(len(x), p, q)). The FIR design comes from the per-ratio plan
-// cache and the polyphase loop writes straight into dst, so the call does
-// not allocate. The scratch parameter is accepted for signature symmetry
-// with the other Into kernels; this kernel needs no intermediates.
+// ResampleInto changes the sample rate of x by the rational factor p/q using
+// a polyphase anti-aliasing FIR (Kaiser-windowed sinc), matching MATLAB's
+// resample(x, p, q) — the paper's Das_resample. dst has ResampleLen(len(x),
+// p, q) = ceil(len(x)·p/q) samples and is group-delay compensated, so dst[k]
+// corresponds to x at time k·q/p. The FIR design comes from the per-ratio
+// plan cache and the polyphase loop writes straight into dst, so the call
+// does not allocate. The scratch parameter is accepted for signature
+// symmetry with the other Into kernels; this kernel needs no intermediates.
 func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 	if p < 1 || q < 1 {
 		return fmt.Errorf("daslib: Resample factors must be positive, got %d/%d", p, q)
@@ -213,11 +194,7 @@ func Decimate(x []float64, r int) ([]float64, error) {
 		copy(out, x)
 		return out, nil
 	}
-	b, a, err := Butter(8, Lowpass, 0.8/float64(r))
-	if err != nil {
-		return nil, err
-	}
-	y, err := FiltFilt(b, a, x)
+	y, err := butterFiltFilt(x, 8, Lowpass, 0.8/float64(r))
 	if err != nil {
 		return nil, err
 	}

@@ -14,9 +14,16 @@ func sine(n int, freqHz, rate float64) []float64 {
 	return x
 }
 
+// resampleOf is the serial caller's spelling of a rate change: a fresh
+// destination of ResampleLen samples, no arena.
+func resampleOf(x []float64, p, q int) ([]float64, error) {
+	out := make([]float64, ResampleLen(len(x), p, q))
+	return out, ResampleInto(out, x, p, q, nil)
+}
+
 func TestResampleIdentity(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	y, err := Resample(x, 1, 1)
+	y, err := resampleOf(x, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +33,7 @@ func TestResampleIdentity(t *testing.T) {
 		}
 	}
 	// Equal reduced factors are also identity: 3/3 → 1/1.
-	y, err = Resample(x, 3, 3)
+	y, err = resampleOf(x, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +43,13 @@ func TestResampleIdentity(t *testing.T) {
 }
 
 func TestResampleValidation(t *testing.T) {
-	if _, err := Resample([]float64{1}, 0, 1); err == nil {
+	if _, err := resampleOf([]float64{1}, 0, 1); err == nil {
 		t.Error("p=0 should fail")
 	}
-	if _, err := Resample([]float64{1}, 1, -2); err == nil {
+	if _, err := resampleOf([]float64{1}, 1, -2); err == nil {
 		t.Error("q<0 should fail")
 	}
-	y, err := Resample(nil, 2, 1)
+	y, err := resampleOf(nil, 2, 1)
 	if err != nil || len(y) != 0 {
 		t.Error("empty input should return empty output")
 	}
@@ -53,12 +60,12 @@ func TestResampleOutputLength(t *testing.T) {
 		{100, 1, 2, 50}, {100, 2, 1, 200}, {100, 3, 2, 150}, {101, 1, 2, 51}, {99, 2, 3, 66},
 	} {
 		x := make([]float64, tc.n)
-		y, err := Resample(x, tc.p, tc.q)
+		y, err := resampleOf(x, tc.p, tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(y) != tc.want {
-			t.Errorf("Resample(n=%d, %d/%d) length = %d, want %d", tc.n, tc.p, tc.q, len(y), tc.want)
+			t.Errorf("resampleOf(n=%d, %d/%d) length = %d, want %d", tc.n, tc.p, tc.q, len(y), tc.want)
 		}
 	}
 }
@@ -68,7 +75,7 @@ func TestResampleDownPreservesTone(t *testing.T) {
 	// sampled at 250 Hz (away from the edges).
 	rate := 500.0
 	x := sine(2000, 5, rate)
-	y, err := Resample(x, 1, 2)
+	y, err := resampleOf(x, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestResampleDownPreservesTone(t *testing.T) {
 func TestResampleUpPreservesTone(t *testing.T) {
 	rate := 100.0
 	x := sine(500, 3, rate)
-	y, err := Resample(x, 2, 1)
+	y, err := resampleOf(x, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestResampleRational(t *testing.T) {
 	// 500 Hz → 125 Hz via 1/4 (the paper pipeline decimates raw DAS data).
 	rate := 500.0
 	x := sine(4000, 8, rate)
-	y, err := Resample(x, 1, 4)
+	y, err := resampleOf(x, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestResampleRejectsAliases(t *testing.T) {
 	// 125 Hz), must be attenuated, not aliased to 50 Hz.
 	rate := 500.0
 	x := sine(4000, 200, rate)
-	y, err := Resample(x, 1, 2)
+	y, err := resampleOf(x, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Scratch is a reusable arena of float64 and complex128 work buffers for the
-// destination-passing kernel variants (FFTInto, FiltFiltInto, XCorrInto,
-// ...). One Scratch belongs to one goroutine at a time: the hybrid engine
+// destination-passing kernels (FFTInto, FiltFiltInto, XCorrInto, ...). One
+// Scratch belongs to one goroutine at a time: the hybrid engine
 // checks one out per worker thread, every kernel call borrows buffers from
 // it and returns them, and after the first window of a run every borrow is
 // served from memory the previous window already paid for — the per-channel
@@ -19,7 +19,7 @@ import (
 // to the pool, whichever comes first. Results that outlive the kernel call
 // must be copied out of scratch-owned memory before release. A nil *Scratch
 // is valid everywhere and simply allocates fresh buffers (Release* becomes a
-// no-op), so the Into kernels work unchanged without an arena.
+// no-op): it is how a serial caller with no arena spells the same call.
 type Scratch struct {
 	c [][]complex128
 	f [][]float64
@@ -41,9 +41,8 @@ var (
 // NewScratch returns an empty arena.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchPool recycles whole arenas across engine runs and across the thin
-// allocating wrappers (XCorr, FiltFilt, ...), so even legacy call sites stop
-// paying for intermediate buffers after warm-up.
+// scratchPool recycles whole arenas across engine runs, so a run's threads
+// start on the buffers the previous run already paid for.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
 // GetScratch checks an arena out of the process-wide pool.

@@ -15,7 +15,8 @@ func Hilbert(x []float64) []complex128 {
 	if n == 0 {
 		return nil
 	}
-	spec := FFTReal(x)
+	spec := make([]complex128, n)
+	RFFTInto(spec, x, nil)
 	// One-sided doubling: keep DC (and Nyquist for even n), double the
 	// positive frequencies, zero the negative ones.
 	half := n / 2
@@ -33,7 +34,8 @@ func Hilbert(x []float64) []complex128 {
 			spec[i] = 0
 		}
 	}
-	return IFFT(spec)
+	PlanFFT(n).IFFTInto(spec, spec, nil)
+	return spec
 }
 
 // Envelope returns the instantaneous amplitude |hilbert(x)| — the standard

@@ -215,7 +215,7 @@ func TestFilterConveniences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FFTReal(y[500:3572])
+	spec := rfftOf(y[500:3572])
 	freqs := FFTFreqs(len(spec), rate)
 	var at60, at5 float64
 	for i, f := range freqs {

@@ -6,8 +6,8 @@ import (
 	"math/cmplx"
 )
 
-// XCorrLen returns the number of lags XCorr produces for inputs of length
-// na and nb: na+nb-1.
+// XCorrLen returns the number of lags XCorrInto produces for inputs of
+// length na and nb: na+nb-1.
 func XCorrLen(na, nb int) int {
 	if na == 0 || nb == 0 {
 		return 0
@@ -15,25 +15,11 @@ func XCorrLen(na, nb int) int {
 	return na + nb - 1
 }
 
-// XCorr computes the full linear cross-correlation of a and b via FFT:
-// out[k] = sum_n a[n+k-(len(b)-1)] · b[n], for lags k-(len(b)-1) in
-// [-(len(b)-1), len(a)-1], matching MATLAB's xcorr(a, b) ordering
-// (negative lags first). Runs in O((n+m) log(n+m)).
-//
-// XCorr is a thin allocating shim over XCorrInto.
-func XCorr(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, XCorrLen(len(a), len(b)))
-	s := GetScratch()
-	XCorrInto(out, a, b, s)
-	PutScratch(s)
-	return out
-}
-
-// XCorrInto is XCorr writing into dst (len XCorrLen(len(a), len(b))),
-// borrowing all intermediates from s. Both spectra go through the packed
+// XCorrInto computes the full linear cross-correlation of a and b via FFT
+// into dst (len XCorrLen(len(a), len(b))): dst[k] = sum_n a[n+k-(len(b)-1)]
+// · b[n], for lags k-(len(b)-1) in [-(len(b)-1), len(a)-1], matching MATLAB's
+// xcorr(a, b) ordering (negative lags first), in O((n+m) log(n+m)). All
+// intermediates are borrowed from s, and both spectra go through the packed
 // real-input transform, so the whole correlation costs two half-size FFTs
 // plus one half-size inverse — and zero allocations once s is warm.
 func XCorrInto(dst, a, b []float64, s *Scratch) {
@@ -64,21 +50,9 @@ func XCorrInto(dst, a, b []float64, s *Scratch) {
 	s.ReleaseComplex(fa)
 }
 
-// XCorrNormalized is XCorr scaled by 1/√(E_a·E_b), so a perfect alignment
-// of identical signals peaks at 1 (the 'coeff' option of MATLAB's xcorr).
-func XCorrNormalized(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, XCorrLen(len(a), len(b)))
-	s := GetScratch()
-	XCorrNormalizedInto(out, a, b, s)
-	PutScratch(s)
-	return out
-}
-
-// XCorrNormalizedInto is XCorrNormalized writing into dst, borrowing all
-// intermediates from s.
+// XCorrNormalizedInto is XCorrInto scaled by 1/√(E_a·E_b), so a perfect
+// alignment of identical signals peaks at 1 (the 'coeff' option of MATLAB's
+// xcorr).
 func XCorrNormalizedInto(dst, a, b []float64, s *Scratch) {
 	XCorrInto(dst, a, b, s)
 	var eb float64
@@ -219,9 +193,6 @@ func rfftHalf(x []complex128, seg []float64, plan *Plan, tw []complex128) {
 	}
 }
 
-// Series returns the master's reference series (shared; do not modify).
-func (mst *XCorrMaster) Series() []float64 { return mst.series }
-
 // Len returns the lag count produced for a series of the planned length.
 func (mst *XCorrMaster) Len() int { return mst.n }
 
@@ -231,9 +202,9 @@ func (mst *XCorrMaster) Bytes() int64 {
 	return int64(len(mst.series))*8 + int64(len(mst.spec))*16
 }
 
-// XCorrNormalizedInto writes the master's lag window of XCorrNormalized(a,
-// master) into dst (length Len()), normalised, borrowing the two
-// f/2+1-bin work buffers and one edge segment from s. A series of a
+// XCorrNormalizedInto writes the master's lag window of the normalised
+// correlation of a against the master into dst (length Len()), borrowing
+// the two f/2+1-bin work buffers and one edge segment from s. A series of a
 // different length than planned falls back to the pairwise path and keeps
 // the window its own length implies (correct, just not pre-transformed).
 func (mst *XCorrMaster) XCorrNormalizedInto(dst, a []float64, s *Scratch) {

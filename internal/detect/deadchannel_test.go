@@ -7,6 +7,7 @@ import (
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 )
 
 // TestPipelinesSurviveDeadChannels: real arrays always contain all-zero
@@ -25,7 +26,7 @@ func TestPipelinesSurviveDeadChannels(t *testing.T) {
 
 	// Local similarity over every channel including dead ones.
 	simi := LocalSimiParams{M: 10, K: 1, L: 3}
-	udf := simi.UDF()
+	udf := nilArena(simi.UDFScratch())
 	for ch := 0; ch < cfg.Channels; ch++ {
 		for _, tt := range []int{0, 100, 250, 499} {
 			got := udf(blk.Stencil(ch, tt))
@@ -40,13 +41,13 @@ func TestPipelinesSurviveDeadChannels(t *testing.T) {
 		Rate: cfg.SampleRate, FilterOrder: 3, CutoffHz: 8,
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 3, MaxLag: 20,
 	}
-	master, err := p.Preprocess(data.Row(3))
+	master, err := p.preprocess(data.Row(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowLen := p.RowLen(data.Samples)
 	for ch := 0; ch < cfg.Channels; ch++ {
-		series, err := p.Preprocess(data.Row(ch))
+		series, err := p.preprocess(data.Row(ch))
 		if err != nil {
 			t.Fatalf("channel %d preprocess: %v", ch, err)
 		}
@@ -58,18 +59,19 @@ func TestPipelinesSurviveDeadChannels(t *testing.T) {
 		}
 	}
 
-	// Interferometry with a DEAD master must error or stay finite, never
-	// NaN — the ScalarUDF path returns 0 for zero-energy inputs.
-	pd := p
-	pd.MasterChannel = 5
-	deadMaster, err := pd.Preprocess(data.Row(5))
+	// Interferometry with a DEAD master must stay finite, never NaN — a
+	// zero-energy series correlates to 0 — through the row the engine runs.
+	deadMaster, err := p.preprocess(data.Row(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sUDF := pd.ScalarUDF(&Master{Series: deadMaster})
-	got := sUDF(blk.Stencil(2, 0))
-	if math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Fatalf("dead-master scalar similarity = %g", got)
+	dead := &Master{Series: deadMaster, Corr: daslib.PrepareXCorrMasterLags(deadMaster, len(deadMaster), p.MaxLag)}
+	row := make([]float64, rowLen)
+	p.Workload(data.Samples).UDFInto(blk.Stencil(2, 0), dead, row, nil)
+	for i, v := range row {
+		if v != 0 {
+			t.Fatalf("dead-master correlation lag %d = %g, want 0", i, v)
+		}
 	}
 }
 

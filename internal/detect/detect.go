@@ -56,18 +56,6 @@ func (p LocalSimiParams) Spec() arrayudf.Spec {
 	return arrayudf.Spec{GhostChannels: p.K, TimeStride: p.Stride}
 }
 
-// UDF returns Algorithm 2 as a PointUDF: the local similarity of the
-// current cell's window against the best-aligned windows of its ±K channel
-// neighbors. NaN-masked gaps (degraded reads) are skipped, not correlated:
-// a cell whose own window is masked scores 0, and masked neighbor windows
-// contribute nothing — so gaps can never manufacture a detection.
-//
-// UDF is a thin shim over UDFScratch with a nil (allocate-fresh) arena.
-func (p LocalSimiParams) UDF() arrayudf.PointUDF {
-	udf := p.UDFScratch()
-	return func(s *arrayudf.Stencil) float64 { return udf(s, nil) }
-}
-
 // grid cuts a row where on-grid windows start (−M) and end (M+1); a segment
 // record is ‖W‖² and, per neighbour, every lag's dot product and squared
 // norm.
@@ -75,10 +63,16 @@ func (p LocalSimiParams) grid() *segGrid {
 	return newSegGrid(max(p.Stride, 1), 1+4*(2*p.L+1), -p.M, p.M+1)
 }
 
-// UDFScratch is UDF with the cell's temporaries borrowed from scr. A cell on
-// the stride grid whose lag scan stays clear of both time edges is assembled
-// from partial sums (segments.go): the row is cut where on-grid windows
-// start (−M modulo the stride) and end (M+1), each segment's ‖W‖², and per
+// UDFScratch returns Algorithm 2 as a point UDF: the local similarity of the
+// current cell's window against the best-aligned windows of its ±K channel
+// neighbors, with the cell's temporaries borrowed from scr (nil allocates
+// fresh). NaN-masked gaps (degraded reads) are skipped, not correlated: a
+// cell whose own window is masked scores 0, and masked neighbor windows
+// contribute nothing — so gaps can never manufacture a detection.
+//
+// A cell on the stride grid whose lag scan stays clear of both time edges is
+// assembled from partial sums (segments.go): the row is cut where on-grid
+// windows start (−M modulo the stride) and end (M+1), each segment's ‖W‖², and per
 // neighbour and lag its dot product and squared norm (daslib.LagPartials),
 // are computed once and kept in the stencil's memo, and a sweep's next cell
 // fills only the segments its stride brought in — every lagged product
@@ -165,24 +159,30 @@ type InterferometryParams struct {
 	FailPolicy dass.FailPolicy
 }
 
-// Validate checks the parameters.
-func (p InterferometryParams) Validate() error {
+// Validate checks the parameters against the nch × nt view they are to run
+// on, before anything is read: the filter design is realisable, the master
+// channel is inside the view, and a row outlasts the zero-phase filter's
+// edge padding (three samples per filter order at each end).
+func (p InterferometryParams) Validate(nch, nt int) error {
 	if p.Rate <= 0 || p.FilterOrder < 1 || p.CutoffHz <= 0 || p.CutoffHz >= p.Rate/2 {
-		return fmt.Errorf("detect: bad filter config %+v", p)
+		return fmt.Errorf("%w: bad filter config %+v", ErrBadParams, p)
 	}
 	if p.ResampleP < 1 || p.ResampleQ < 1 {
-		return fmt.Errorf("detect: bad resample factors %d/%d", p.ResampleP, p.ResampleQ)
-	}
-	if p.MasterChannel < 0 {
-		return fmt.Errorf("detect: negative master channel")
+		return fmt.Errorf("%w: bad resample factors %d/%d", ErrBadParams, p.ResampleP, p.ResampleQ)
 	}
 	if p.MaxLag < 0 {
-		return fmt.Errorf("detect: negative MaxLag")
+		return fmt.Errorf("%w: negative MaxLag", ErrBadParams)
+	}
+	if p.MasterChannel < 0 || p.MasterChannel >= nch {
+		return fmt.Errorf("%w: master channel %d outside the view (%d channels)", ErrBadParams, p.MasterChannel, nch)
+	}
+	if nt <= 3*p.FilterOrder {
+		return fmt.Errorf("%w: %d samples are too few for an order-%d zero-phase filter", ErrBadParams, nt, p.FilterOrder)
 	}
 	return nil
 }
 
-// preprocessor is the filter design of Preprocess, built once per
+// preprocessor is the filter design of PreprocessInto, built once per
 // parameter set: Butter runs a polynomial root expansion and FilterPlan a
 // companion-matrix solve, neither of which belongs in the per-channel
 // loop. InterferometryParams is a comparable value type, so it keys the
@@ -222,31 +222,9 @@ func (p InterferometryParams) preprocessor() (*preprocessor, error) {
 	return pp, nil
 }
 
-// Preprocess is the per-channel front half of Algorithm 3: detrend,
-// zero-phase lowpass, resample. It is applied identically to the master
-// channel and to every analyzed channel. NaN gap markers from degraded
-// reads are treated as silence (zero) so the filters stay finite; clean
-// input passes through bit-identically.
-//
-// Preprocess is a thin allocating shim over PreprocessInto.
-func (p InterferometryParams) Preprocess(x []float64) ([]float64, error) {
-	pp, err := p.preprocessor()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, p.resampledLen(len(x)))
-	s := daslib.GetScratch()
-	err = pp.preprocessInto(out, x, p, s)
-	daslib.PutScratch(s)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// preprocessInto runs the chain into dst (length p.resampledLen(len(x))),
-// borrowing every intermediate from s: the working copy is detrended and
-// filtered in place, then resampled into dst.
+// preprocessInto runs the chain into dst, borrowing every intermediate from
+// s: the working copy is detrended and filtered in place, then resampled
+// into dst.
 func (pp *preprocessor) preprocessInto(dst, x []float64, p InterferometryParams, s *daslib.Scratch) error {
 	w := s.Float(len(x))
 	for i, v := range x {
@@ -265,8 +243,13 @@ func (pp *preprocessor) preprocessInto(dst, x []float64, p InterferometryParams,
 	return err
 }
 
-// PreprocessInto is Preprocess writing into dst (length
-// p.resampledLen(len(x))), with all intermediates borrowed from s.
+// PreprocessInto is the per-channel front half of Algorithm 3: detrend,
+// zero-phase lowpass, resample, written into dst (length
+// daslib.ResampleLen(len(x), ResampleP, ResampleQ)) with all intermediates
+// borrowed from s. It is applied identically to the master channel and to
+// every analyzed channel. NaN gap markers from degraded reads are treated as
+// silence (zero) so the filters stay finite; clean input passes through
+// bit-identically.
 func (p InterferometryParams) PreprocessInto(dst, x []float64, s *daslib.Scratch) error {
 	pp, err := p.preprocessor()
 	if err != nil {
@@ -275,19 +258,19 @@ func (p InterferometryParams) PreprocessInto(dst, x []float64, s *daslib.Scratch
 	return pp.preprocessInto(dst, x, p, s)
 }
 
-// resampledLen returns the output length of Preprocess for input length n.
-func (p InterferometryParams) resampledLen(n int) int {
-	g := 1
-	for a, b := p.ResampleP, p.ResampleQ; b != 0; a, b = b, a%b {
-		g = b
-	}
-	pp, qq := p.ResampleP/g, p.ResampleQ/g
-	return (n*pp + qq - 1) / qq
+// preprocess is PreprocessInto into a fresh slice on a pooled arena, for the
+// once-per-rank master preparation (the series outlives the call; the
+// full-rate intermediates go back to the pool the engine's threads draw on).
+func (p InterferometryParams) preprocess(x []float64) ([]float64, error) {
+	out := make([]float64, daslib.ResampleLen(len(x), p.ResampleP, p.ResampleQ))
+	s := daslib.GetScratch()
+	defer daslib.PutScratch(s)
+	return out, p.PreprocessInto(out, x, s)
 }
 
 // RowLen returns the correlation row length for an input time extent nt.
 func (p InterferometryParams) RowLen(nt int) int {
-	m := p.resampledLen(nt)
+	m := daslib.ResampleLen(nt, p.ResampleP, p.ResampleQ)
 	full := 2*m - 1
 	if p.MaxLag > 0 && 2*p.MaxLag+1 < full {
 		return 2*p.MaxLag + 1
@@ -314,23 +297,30 @@ func (m *Master) Bytes() int64 {
 	return b
 }
 
+// readMasterRow reads one whole channel of the view — the master both
+// interferometry workloads prepare from. Validate has bounded the channel
+// against the view; Subset refuses one that was not.
+func readMasterRow(v *dass.View, ch int, policy dass.FailPolicy) ([]float64, pfs.Trace, error) {
+	sub, err := v.SubsetChannels(ch, ch+1)
+	if err != nil {
+		return nil, pfs.Trace{}, err
+	}
+	raw, tr, _, err := sub.ReadPolicy(policy)
+	if err != nil {
+		return nil, tr, err
+	}
+	return raw.Row(0), tr, nil
+}
+
 // PrepareMaster loads and preprocesses the master channel from the view.
 // Every calling rank performs its own read — one per core in pure MPI, one
 // per node in hybrid mode — which is exactly the paper's I/O-call argument.
 func (p InterferometryParams) PrepareMaster(v *dass.View) (*Master, pfs.Trace, error) {
-	nch, nt := v.Shape()
-	if p.MasterChannel >= nch {
-		return nil, pfs.Trace{}, fmt.Errorf("detect: master channel %d outside view (%d channels)", p.MasterChannel, nch)
-	}
-	sub, err := v.Subset(p.MasterChannel, p.MasterChannel+1, 0, nt)
-	if err != nil {
-		return nil, pfs.Trace{}, err
-	}
-	raw, tr, _, err := sub.ReadPolicy(p.FailPolicy)
+	raw, tr, err := readMasterRow(v, p.MasterChannel, p.FailPolicy)
 	if err != nil {
 		return nil, tr, err
 	}
-	series, err := p.Preprocess(raw.Row(0))
+	series, err := p.preprocess(raw)
 	if err != nil {
 		return nil, tr, err
 	}
@@ -340,26 +330,15 @@ func (p InterferometryParams) PrepareMaster(v *dass.View) (*Master, pfs.Trace, e
 	}, tr, nil
 }
 
-// Workload assembles Algorithm 3 as a HAEE rows-workload returning, per
-// channel, the time-domain noise correlation with the master channel
-// (lags ordered negative→positive, ±MaxLag). The engine runs UDFInto —
-// preprocess into scratch, then the master correlates exactly the kept lags
-// straight into the engine-owned row; UDF is the allocating fallback for
-// legacy callers.
-func (p InterferometryParams) Workload(nt int) RowsWorkloadParts {
-	rowLen := p.RowLen(nt)
-	resLen := p.resampledLen(nt)
-	udfInto := func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch) {
-		master := shared.(*Master)
-		series := scr.Float(resLen)
-		if err := p.PreprocessInto(series, s.Row(0), scr); err != nil {
-			panic(fmt.Errorf("detect: preprocess: %w", err))
-		}
-		master.Corr.XCorrNormalizedInto(dst, series, scr)
-		scr.ReleaseFloat(series)
-	}
-	return RowsWorkloadParts{
-		RowLen: rowLen,
+// Workload assembles Algorithm 3 as the rows workload the engine runs: per
+// channel, the time-domain noise correlation with the master channel (lags
+// ordered negative→positive, ±MaxLag) — preprocess into scratch, then the
+// master correlates exactly the kept lags straight into the engine-owned
+// row.
+func (p InterferometryParams) Workload(nt int) arrayudf.RowsWorkload {
+	resLen := daslib.ResampleLen(nt, p.ResampleP, p.ResampleQ)
+	return arrayudf.RowsWorkload{
+		RowLen: p.RowLen(nt),
 		Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
 			m, tr, err := p.PrepareMaster(v)
 			if err != nil {
@@ -367,42 +346,21 @@ func (p InterferometryParams) Workload(nt int) RowsWorkloadParts {
 			}
 			return m, m.Bytes(), tr
 		},
-		UDF: func(s *arrayudf.Stencil, shared any) []float64 {
-			dst := make([]float64, rowLen)
-			udfInto(s, shared, dst, nil)
-			return dst
+		UDFInto: func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch) {
+			master := shared.(*Master)
+			series := scr.Float(resLen)
+			if err := p.PreprocessInto(series, s.Row(0), scr); err != nil {
+				panic(fmt.Errorf("detect: preprocess: %w", err))
+			}
+			master.Corr.XCorrNormalizedInto(dst, series, scr)
+			scr.ReleaseFloat(series)
 		},
-		UDFInto: udfInto,
 	}
-}
-
-// ScalarUDF is Algorithm 3 exactly as printed: the absolute spectral
-// correlation of the channel against the master, one value per channel.
-func (p InterferometryParams) ScalarUDF(master *Master) arrayudf.PointUDF {
-	mfft := daslib.FFTReal(master.Series)
-	return func(s *arrayudf.Stencil) float64 {
-		series, err := p.Preprocess(s.Row(0))
-		if err != nil {
-			panic(fmt.Errorf("detect: preprocess: %w", err))
-		}
-		wfft := daslib.FFTReal(series)
-		n := min(len(wfft), len(mfft))
-		return daslib.AbsCorrComplex(wfft[:n], mfft[:n])
-	}
-}
-
-// RowsWorkloadParts carries the pieces detect hands to haee.RowsWorkload
-// without importing haee (which would be a cycle: haee → arrayudf ← detect).
-type RowsWorkloadParts struct {
-	RowLen  int
-	Prepare func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace)
-	UDF     func(s *arrayudf.Stencil, shared any) []float64
-	UDFInto func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch)
 }
 
 // TrimLags cuts a full cross-correlation (length na+nb-1, zero lag at index
 // nb-1) down to rowLen samples centered on zero lag — what a master prepared
-// for MaxLag produces directly; the allocating pipelines and the test
+// for MaxLag produces directly; the MATLAB-style baseline and the test
 // oracles trim a full correlation instead.
 func TrimLags(corr []float64, na, nb, rowLen int) []float64 {
 	out := make([]float64, rowLen)

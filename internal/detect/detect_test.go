@@ -52,6 +52,12 @@ func TestLocalSimiParamsValidate(t *testing.T) {
 	}
 }
 
+// nilArena adapts a scratch-aware point UDF to the serial arrayudf.Apply
+// signature: every cell allocates what it needs.
+func nilArena(udf func(*arrayudf.Stencil, *daslib.Scratch) float64) arrayudf.PointUDF {
+	return func(s *arrayudf.Stencil) float64 { return udf(s, nil) }
+}
+
 func TestLocalSimiRangeAndCoherence(t *testing.T) {
 	// On an array where neighbors carry the same signal, similarity ≈ 1; on
 	// independent noise it is well below 1.
@@ -63,7 +69,7 @@ func TestLocalSimiRangeAndCoherence(t *testing.T) {
 		}
 	}
 	p := LocalSimiParams{M: 20, K: 1, L: 5}
-	udf := p.UDF()
+	udf := nilArena(p.UDFScratch())
 	blk := arrayudf.Block{Data: coherent, ChLo: 0, ChHi: nch}
 	s := blk.Stencil(4, 200)
 	if got := udf(s); got < 0.999 {
@@ -109,7 +115,7 @@ func runLocalSimi(t *testing.T, cfg dasgen.Config, events []dasgen.Event, p Loca
 	nch, _ := v.Shape()
 	var sim *dasf.Array2D
 	_, err = mpi.Run(ranks, func(c *mpi.Comm) {
-		res := arrayudf.Apply(c, v, p.Spec(), p.UDF())
+		res := arrayudf.Apply(c, v, p.Spec(), nilArena(p.UDFScratch()))
 		if out := arrayudf.Gather(c, nch, res); out != nil {
 			sim = out
 		}
@@ -155,9 +161,15 @@ func TestLocalSimiDetectsEarthquake(t *testing.T) {
 }
 
 func TestInterferometryParamsValidate(t *testing.T) {
-	good := InterferometryParams{Rate: 100, FilterOrder: 4, CutoffHz: 10, ResampleP: 1, ResampleQ: 2}
-	if err := good.Validate(); err != nil {
+	good := InterferometryParams{Rate: 100, FilterOrder: 4, CutoffHz: 10, ResampleP: 1, ResampleQ: 2, MasterChannel: 7}
+	if err := good.Validate(8, 13); err != nil {
 		t.Error(err)
+	}
+	// The view bounds the master channel and the row length.
+	for _, shape := range [][2]int{{7, 13}, {0, 13}, {8, 12}, {8, 0}} {
+		if err := good.Validate(shape[0], shape[1]); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%+v accepted on a %d×%d view: %v", good, shape[0], shape[1], err)
+		}
 	}
 	bads := []InterferometryParams{
 		{Rate: 0, FilterOrder: 4, CutoffHz: 10, ResampleP: 1, ResampleQ: 2},
@@ -168,8 +180,8 @@ func TestInterferometryParamsValidate(t *testing.T) {
 		{Rate: 100, FilterOrder: 4, CutoffHz: 10, ResampleP: 1, ResampleQ: 2, MaxLag: -5},
 	}
 	for i, b := range bads {
-		if err := b.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
+		if err := b.Validate(8, 1000); !errors.Is(err, ErrBadParams) {
+			t.Errorf("bad params %d accepted: %v", i, err)
 		}
 	}
 }
@@ -180,15 +192,29 @@ func TestPreprocessShapes(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2*math.Pi*5*float64(i)/100) + 0.01*float64(i)
 	}
-	y, err := p.Preprocess(x)
-	if err != nil {
+	y := make([]float64, 100)
+	if err := p.PreprocessInto(y, x, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(y) != 100 {
-		t.Fatalf("preprocessed length = %d, want 100", len(y))
+	// The chain removes the ramp and keeps the in-band tone: zero mean, and
+	// the arena changes no bit.
+	var mean float64
+	for _, v := range y {
+		mean += v / float64(len(y))
 	}
-	if got := p.resampledLen(400); got != 100 {
-		t.Errorf("resampledLen = %d", got)
+	if math.Abs(mean) > 0.05 {
+		t.Errorf("preprocessed mean = %g, want ≈ 0", mean)
+	}
+	again, scr := make([]float64, 100), daslib.NewScratch()
+	for pass := 0; pass < 2; pass++ {
+		if err := p.PreprocessInto(again, x, scr); err != nil {
+			t.Fatal(err)
+		}
+		for i := range y {
+			if math.Float64bits(again[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("pass %d on an arena: sample %d = %v, without %v", pass, i, again[i], y[i])
+			}
+		}
 	}
 	// RowLen: full correlation 2·100-1, or trimmed.
 	if got := p.RowLen(400); got != 199 {
@@ -245,13 +271,13 @@ func TestInterferometryRecoversLag(t *testing.T) {
 		Rate: 100, FilterOrder: 4, CutoffHz: 20,
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 40,
 	}
-	master, err := p.Preprocess(raw.Row(0))
+	master, err := p.preprocess(raw.Row(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowLen := p.RowLen(nt)
 	peakLag := func(ch int) int {
-		series, err := p.Preprocess(raw.Row(ch))
+		series, err := p.preprocess(raw.Row(ch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,41 +320,12 @@ func abs(x int) int {
 	return x
 }
 
-// xcorrRef delegates to daslib via the same path the workload uses.
+// xcorrRef is the pairwise full-length normalised correlation the row
+// kernel's banded master is checked against.
 func xcorrRef(a, b []float64) []float64 {
-	return daslib.XCorrNormalized(a, b)
-}
-
-func TestScalarUDFSelfIsOne(t *testing.T) {
-	const nch, nt = 3, 512
-	raw := dasf.NewArray2D(nch, nt)
-	for c := 0; c < nch; c++ {
-		for tt := 0; tt < nt; tt++ {
-			raw.Set(c, tt, math.Sin(2*math.Pi*float64(tt)/20)+float64(c)*0.001*float64(tt%7))
-		}
-	}
-	p := InterferometryParams{
-		Rate: 100, FilterOrder: 4, CutoffHz: 15,
-		ResampleP: 1, ResampleQ: 2, MasterChannel: 0,
-	}
-	// Master prepared from the same array.
-	masterSeries, err := p.Preprocess(raw.Row(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	master := &Master{Series: masterSeries}
-	blk := arrayudf.Block{Data: raw, ChLo: 0, ChHi: nch}
-	udf := p.ScalarUDF(master)
-	if got := udf(blk.Stencil(0, 0)); math.Abs(got-1) > 1e-9 {
-		t.Errorf("master vs itself = %g, want 1", got)
-	}
-	// Other channels: in (0, 1].
-	for c := 1; c < nch; c++ {
-		got := udf(blk.Stencil(c, 0))
-		if got <= 0 || got > 1+1e-9 {
-			t.Errorf("channel %d scalar similarity = %g out of range", c, got)
-		}
-	}
+	out := make([]float64, daslib.XCorrLen(len(a), len(b)))
+	daslib.XCorrNormalizedInto(out, a, b, nil)
+	return out
 }
 
 func TestFindEventsEmptyAndFlat(t *testing.T) {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -212,7 +213,6 @@ func TestLocalSimiKernelMatchesOracle(t *testing.T) {
 		udf, oracle, direct := p.UDFScratch(), localSimiOracle(p), simiDirect(p, nt)
 		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, direct, "arena")
 		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, direct, "nil-scratch")
-		sameCells(t, blk, 0, p.Stride, p.UDF(), oracle, direct, "UDF shim")
 		// Off the stride grid every cell is one segment.
 		if p.Stride > 1 {
 			first := 1 + rng.Intn(p.Stride-1)
@@ -516,7 +516,7 @@ func interfBlock(tb testing.TB, p InterferometryParams, nch, nt int) (arrayudf.B
 			row[i] = prev
 		}
 	}
-	series, err := p.Preprocess(a.Row(p.MasterChannel))
+	series, err := p.preprocess(a.Row(p.MasterChannel))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func interfBlock(tb testing.TB, p InterferometryParams, nch, nt int) (arrayudf.B
 }
 
 // TestInterferometryRowMatchesTrimmedCorrelation pins the row kernel's lag
-// convention and values to the allocating pipeline it replaces — preprocess,
+// convention and values to the pairwise pipeline it replaces — preprocess,
 // full FFT correlation, TrimLags — to 1e-12 on the normalised lags, with
 // MaxLag trimming, covering and absent, and for the stacked rows too.
 func TestInterferometryRowMatchesTrimmedCorrelation(t *testing.T) {
@@ -537,11 +537,11 @@ func TestInterferometryRowMatchesTrimmedCorrelation(t *testing.T) {
 		got := make([]float64, parts.RowLen)
 		for ch := 0; ch < 3; ch++ {
 			parts.UDFInto(blk.Stencil(ch, 0), master, got, daslib.NewScratch())
-			series, err := p.Preprocess(blk.Data.Row(ch))
+			series, err := p.preprocess(blk.Data.Row(ch))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := TrimLags(daslib.XCorrNormalized(series, master.Series), len(series), len(master.Series), parts.RowLen)
+			want := TrimLags(xcorrRef(series, master.Series), len(series), len(master.Series), parts.RowLen)
 			for i := range want {
 				if d := math.Abs(got[i] - want[i]); !(d <= 1e-12) {
 					t.Fatalf("nt=%d maxLag=%d ch=%d: lag index %d = %v, trimmed full correlation %v", tc.nt, tc.maxLag, ch, i, got[i], want[i])
@@ -557,16 +557,20 @@ func TestInterferometryRowMatchesTrimmedCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sp.StackedUDF(sm)(blk.Stencil(1, 0))
+	got := make([]float64, sp.StackedRowLen())
+	sp.StackedUDFIntoContext(context.Background(), sm)(blk.Stencil(1, 0), got, nil)
 	want := make([]float64, sp.StackedRowLen())
 	hop := sp.WindowSamples - sp.OverlapSamples
 	for w := range sm.Corrs {
-		series, err := sp.Preprocess(blk.Data.Row(1)[w*hop : w*hop+sp.WindowSamples])
+		series, err := sp.preprocess(blk.Data.Row(1)[w*hop : w*hop+sp.WindowSamples])
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw := sm.Corrs[w].Series()
-		for i, v := range TrimLags(daslib.XCorrNormalized(series, mw), len(series), len(mw), len(want)) {
+		mw, err := sp.preprocess(blk.Data.Row(0)[w*hop : w*hop+sp.WindowSamples])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range TrimLags(xcorrRef(series, mw), len(series), len(mw), len(want)) {
 			want[i] += v / float64(len(sm.Corrs))
 		}
 	}

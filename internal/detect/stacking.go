@@ -7,6 +7,7 @@ import (
 	"dassa/internal/arrayudf"
 	"dassa/internal/daslib"
 	"dassa/internal/dass"
+	"dassa/internal/mpi"
 	"dassa/internal/pfs"
 )
 
@@ -29,18 +30,20 @@ type StackingParams struct {
 	OverlapSamples int
 }
 
-// Validate checks the windowing on top of the base parameters.
-func (p StackingParams) Validate() error {
-	if err := p.InterferometryParams.Validate(); err != nil {
-		return err
-	}
+// Validate checks the windowing on top of the base parameters, against the
+// nch × nt view: one window is what the base pipeline filters, and at least
+// one fits the record.
+func (p StackingParams) Validate(nch, nt int) error {
 	if p.WindowSamples < 8 {
-		return fmt.Errorf("detect: stacking window %d too short", p.WindowSamples)
+		return fmt.Errorf("%w: stacking window %d too short", ErrBadParams, p.WindowSamples)
 	}
 	if p.OverlapSamples < 0 || p.OverlapSamples >= p.WindowSamples {
-		return fmt.Errorf("detect: overlap %d must be in [0, window %d)", p.OverlapSamples, p.WindowSamples)
+		return fmt.Errorf("%w: overlap %d must be in [0, window %d)", ErrBadParams, p.OverlapSamples, p.WindowSamples)
 	}
-	return nil
+	if p.WindowSamples > nt {
+		return fmt.Errorf("%w: record (%d samples) shorter than one stacking window (%d)", ErrBadParams, nt, p.WindowSamples)
+	}
+	return p.InterferometryParams.Validate(nch, p.WindowSamples)
 }
 
 // NumWindows returns how many windows fit in nt raw samples.
@@ -85,7 +88,7 @@ func (p StackingParams) prepareStackedMaster(raw []float64) (*StackedMaster, err
 	hop := p.WindowSamples - p.OverlapSamples
 	m := &StackedMaster{Corrs: make([]*daslib.XCorrMaster, nw)}
 	for w := 0; w < nw; w++ {
-		series, err := p.Preprocess(raw[w*hop : w*hop+p.WindowSamples])
+		series, err := p.preprocess(raw[w*hop : w*hop+p.WindowSamples])
 		if err != nil {
 			return nil, err
 		}
@@ -98,56 +101,53 @@ func (p StackingParams) prepareStackedMaster(raw []float64) (*StackedMaster, err
 // builds the per-window payload — the rank-level Prepare step for engine
 // runs.
 func (p StackingParams) PrepareStackedMasterFromView(v *dass.View) (*StackedMaster, pfs.Trace, error) {
-	nch, nt := v.Shape()
-	if p.MasterChannel >= nch {
-		return nil, pfs.Trace{}, fmt.Errorf("detect: master channel %d outside view (%d channels)", p.MasterChannel, nch)
-	}
-	sub, err := v.Subset(p.MasterChannel, p.MasterChannel+1, 0, nt)
-	if err != nil {
-		return nil, pfs.Trace{}, err
-	}
-	raw, tr, _, err := sub.ReadPolicy(p.FailPolicy)
+	raw, tr, err := readMasterRow(v, p.MasterChannel, p.FailPolicy)
 	if err != nil {
 		return nil, tr, err
 	}
-	m, err := p.prepareStackedMaster(raw.Row(0))
+	m, err := p.prepareStackedMaster(raw)
 	return m, tr, err
 }
 
-// StackedUDF returns the per-channel row UDF: window the channel, correlate
-// each window with the matching master window, stack by averaging. The
-// (lag × window) intermediate lives only inside one evaluation — the 3D
-// array never materializes globally, which is the memory point of doing
-// stacking inside the UDF.
-func (p StackingParams) StackedUDF(master *StackedMaster) func(s *arrayudf.Stencil) []float64 {
-	return p.StackedUDFContext(context.Background(), master)
-}
-
-// StackedUDFContext is StackedUDF bound to a context: cancellation is
-// checked at window boundaries, the stacking engine's natural tile — one
-// window is one filter+FFT correlation, heavy enough that per-window checks
-// cost nothing and a cancelled run stops within one window's work. The
-// panic unwinds through the thread team and mpi.Run as the context's error.
-//
-// A thin allocating shim over StackedUDFIntoContext.
-func (p StackingParams) StackedUDFContext(ctx context.Context, master *StackedMaster) func(s *arrayudf.Stencil) []float64 {
-	rowLen := p.StackedRowLen()
-	into := p.StackedUDFIntoContext(ctx, master)
-	return func(s *arrayudf.Stencil) []float64 {
-		stack := make([]float64, rowLen)
-		into(s, stack, nil)
-		return stack
+// Workload assembles the stacked pipeline as the rows workload the engine
+// runs, as InterferometryParams.Workload does for the unwindowed one (the
+// time extent is unused: a stacked row's length follows from the window).
+// Every rank prepares the per-window masters from the view it is handed and
+// shares the row UDF bound to them and to that view's context.
+func (p StackingParams) Workload(_ int) arrayudf.RowsWorkload {
+	type rowUDF = func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch)
+	return arrayudf.RowsWorkload{
+		RowLen: p.StackedRowLen(),
+		Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
+			m, tr, err := p.PrepareStackedMasterFromView(v)
+			if err != nil {
+				panic(fmt.Errorf("detect: stacked master: %w", err))
+			}
+			return rowUDF(p.StackedUDFIntoContext(v.Context(), m)), m.Bytes(), tr
+		},
+		UDFInto: func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch) {
+			shared.(rowUDF)(s, dst, scr)
+		},
 	}
 }
 
-// StackedUDFIntoContext is the destination-passing form the engine runs:
-// the stacked correlation is accumulated straight into dst (length
-// StackedRowLen) and the two per-window intermediates — preprocessed series
-// and its kept-lag correlation — are borrowed from the scratch arena, so
-// stacking W windows costs zero allocations after warm-up.
+// StackedUDFIntoContext returns the per-channel row UDF: window the channel,
+// correlate each window with the matching master window, stack by averaging
+// straight into dst (length StackedRowLen). The (lag × window) intermediate
+// lives only inside one evaluation — the 3D array never materializes
+// globally, which is the memory point of doing stacking inside the UDF — and
+// the two per-window buffers, preprocessed series and its kept-lag
+// correlation, are borrowed from the scratch arena, so stacking W windows
+// costs zero allocations after warm-up.
+//
+// Cancellation of ctx is checked at window boundaries, the stacking engine's
+// natural tile — one window is one filter+FFT correlation, heavy enough that
+// per-window checks cost nothing and a cancelled run stops within one
+// window's work. The panic unwinds through the thread team and mpi.Run as
+// the context's error.
 func (p StackingParams) StackedUDFIntoContext(ctx context.Context, master *StackedMaster) func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
 	hop := p.WindowSamples - p.OverlapSamples
-	resLen := p.resampledLen(p.WindowSamples)
+	resLen := daslib.ResampleLen(p.WindowSamples, p.ResampleP, p.ResampleQ)
 	return func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
 		raw := s.Row(0)
 		clear(dst)

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,23 +24,29 @@ func stackingParams() StackingParams {
 
 func TestStackingValidation(t *testing.T) {
 	good := stackingParams()
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(2, 256); err != nil {
 		t.Fatal(err)
+	}
+	if err := good.Validate(2, 255); !errors.Is(err, ErrBadParams) {
+		t.Errorf("a record shorter than one window should fail: %v", err)
+	}
+	if err := good.Validate(0, 256); !errors.Is(err, ErrBadParams) {
+		t.Errorf("a master channel outside the view should fail: %v", err)
 	}
 	bad := good
 	bad.WindowSamples = 4
-	if err := bad.Validate(); err == nil {
-		t.Error("tiny window should fail")
+	if err := bad.Validate(2, 1000); !errors.Is(err, ErrBadParams) {
+		t.Errorf("tiny window should fail: %v", err)
 	}
 	bad = good
 	bad.OverlapSamples = 256
-	if err := bad.Validate(); err == nil {
-		t.Error("overlap ≥ window should fail")
+	if err := bad.Validate(2, 1000); !errors.Is(err, ErrBadParams) {
+		t.Errorf("overlap ≥ window should fail: %v", err)
 	}
 	bad = good
 	bad.Rate = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("bad base params should fail")
+	if err := bad.Validate(2, 1000); !errors.Is(err, ErrBadParams) {
+		t.Errorf("bad base params should fail: %v", err)
 	}
 }
 
@@ -84,13 +92,14 @@ func TestStackingSuppressesIncoherentNoise(t *testing.T) {
 	copy(data.Row(0), master)
 	copy(data.Row(1), noisy)
 	blk := arrayudf.Block{Data: data, ChLo: 0, ChHi: 2}
-	udf := p.StackedUDF(sm)
-
-	stacked := udf(blk.Stencil(1, 0))
 	rowLen := p.StackedRowLen()
-	if len(stacked) != rowLen {
-		t.Fatalf("row length %d, want %d", len(stacked), rowLen)
+	// stackedRow evaluates one channel's row with no arena.
+	stackedRow := func(p StackingParams, sm *StackedMaster, ch int) []float64 {
+		row := make([]float64, rowLen)
+		p.StackedUDFIntoContext(context.Background(), sm)(blk.Stencil(ch, 0), row, nil)
+		return row
 	}
+	stacked := stackedRow(p, sm, 1)
 	// The peak must sit at the planted lag (+shift/2 after ÷2 resampling).
 	best, bestI := math.Inf(-1), 0
 	for i, v := range stacked {
@@ -109,7 +118,7 @@ func TestStackingSuppressesIncoherentNoise(t *testing.T) {
 		OverlapSamples:       p.OverlapSamples,
 	}
 	smOne := &StackedMaster{Corrs: sm.Corrs[:1]}
-	oneWin := single.StackedUDF(smOne)(blk.Stencil(1, 0))
+	oneWin := stackedRow(single, smOne, 1)
 	contrast := func(row []float64, peakI int) float64 {
 		var bg float64
 		var n int
@@ -133,7 +142,7 @@ func TestStackingSuppressesIncoherentNoise(t *testing.T) {
 		t.Errorf("stacking contrast %.2f should beat single-window %.2f", cStack, cOne)
 	}
 	// The master's own stacked correlation peaks at zero lag with value ≈1.
-	self := udf(blk.Stencil(0, 0))
+	self := stackedRow(p, sm, 0)
 	if d := math.Abs(self[rowLen/2] - 1); d > 1e-6 {
 		t.Errorf("stacked self correlation = %g", self[rowLen/2])
 	}

@@ -99,7 +99,7 @@ func TestSTALTAVsLocalSimilarityFalseTriggers(t *testing.T) {
 	}
 
 	simi := LocalSimiParams{M: 15, K: 1, L: 3}
-	udf := simi.UDF()
+	udf := nilArena(simi.UDFScratch())
 	// At the burst times, the burst channel's local similarity stays low
 	// (its neighbors don't carry the burst).
 	for b := 0; b < 5; b++ {

@@ -52,21 +52,19 @@ func BenchmarkApplyMTLocalSimiWindow(b *testing.B) {
 	}
 }
 
-func BenchmarkApplyRowsMT(b *testing.B) {
+func BenchmarkApplyRowsInto(b *testing.B) {
 	blk := benchBlock(64, 1000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) []float64 {
+	udf := func(s *arrayudf.Stencil, dst []float64, _ *daslib.Scratch) {
 		row := s.Row(0)
-		out := make([]float64, 16)
-		for i := range out {
-			out[i] = row[i*32]
+		for i := range dst {
+			dst[i] = row[i*32]
 		}
-		return out
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyRowsMT(team, blk, 16, udf)
+		ApplyRowsInto(team, blk, 16, udf)
 	}
 }
 

@@ -7,11 +7,13 @@
 // instead of one per core.
 //
 // The apply loops are the paper's Algorithm 1 (ApplyMT): a thread team
-// evaluates the UDF over the node's block. Point workloads write their
-// cells straight into the preallocated output (ApplyMTScratch); row
-// workloads either do the same per channel (ApplyRowsInto) or append to
-// per-thread private vectors merged by a prefix-sum of sizes and a parallel
-// copy (ApplyRowsMT).
+// evaluates the UDF over the node's block. Both write straight into the
+// preallocated output — point workloads a cell at a time (ApplyMTScratch),
+// row workloads a channel at a time (ApplyRowsInto): the output extent is
+// known before the loop starts and every index goes to exactly one thread,
+// so Algorithm 1's per-thread result vectors and their prefix-sum merge have
+// nothing left to do. The merge itself is omp.ForAppend, for loops whose
+// output size is not known up front; the merge ablation measures it.
 package haee
 
 import (
@@ -88,25 +90,6 @@ func (cfg Config) ranks() (worldSize, threads int) {
 	return cfg.Nodes * cfg.CoresPerNode, 1
 }
 
-// RowsWorkload is a per-channel analysis (Algorithm 3 shape): Prepare loads
-// or computes data shared by all channels (the master channel's spectrum),
-// then UDF maps each channel's stencil to a fixed-length row.
-type RowsWorkload struct {
-	Spec   arrayudf.Spec
-	RowLen int
-	// Prepare runs once per MPI rank (≙ once per node in Hybrid mode, once
-	// per core in PureMPI mode) and returns the shared payload plus its
-	// approximate size in bytes and the I/O it performed.
-	Prepare func(c *mpi.Comm, v *dass.View) (shared any, bytes int64, tr pfs.Trace)
-	// UDF maps one channel to its output row; it must be thread-safe.
-	UDF func(s *arrayudf.Stencil, shared any) []float64
-	// UDFInto, when non-nil, is preferred over UDF: it writes the channel's
-	// row into the engine-owned dst (length RowLen) and may borrow work
-	// buffers from the per-thread scratch. The engine owns dst, so UDFs
-	// never hand back scratch-owned memory (DESIGN.md §14).
-	UDFInto func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch)
-}
-
 // PointsWorkload is a per-cell analysis (Algorithm 2 shape).
 type PointsWorkload struct {
 	Spec arrayudf.Spec
@@ -164,25 +147,6 @@ type Engine struct {
 // New creates an engine; the config is validated at run time.
 func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
-// ApplyRowsMT is Algorithm 1 for RowUDF workloads: a thread team evaluates
-// udf once per owned channel, each thread appending whole rows to a private
-// vector, merged by prefix sums (omp.ForAppend). The static schedule makes
-// the merged order equal the sequential order.
-func ApplyRowsMT(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *arrayudf.Stencil) []float64) *dasf.Array2D {
-	own := blk.OwnedChannels()
-	if own <= 0 {
-		return dasf.NewArray2D(0, rowLen)
-	}
-	flat := omp.ForAppend(team, own, func(ch int, out *[]float64) {
-		row := udf(blk.Stencil(ch, 0))
-		if len(row) != rowLen {
-			panic(fmt.Sprintf("haee: RowUDF returned %d values, declared %d", len(row), rowLen))
-		}
-		*out = append(*out, row...)
-	})
-	return &dasf.Array2D{Channels: own, Samples: rowLen, Data: flat}
-}
-
 // teamScratch checks one scratch arena and one reusable stencil out per
 // worker thread; release returns the arenas to the process pool.
 func teamScratch(team *omp.Team, blk arrayudf.Block) (scratches []*daslib.Scratch, stencils []*arrayudf.Stencil, release func()) {
@@ -227,11 +191,11 @@ func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt i
 	return out
 }
 
-// ApplyRowsInto is ApplyRowsMT for destination-passing row UDFs: the
-// output array is preallocated, each channel's UDF writes straight into
-// its row, and every thread carries a scratch arena for kernel
-// intermediates. Rows are engine-owned, so nothing scratch-owned escapes a
-// UDF call.
+// ApplyRowsInto is Algorithm 1 for row UDFs: a thread team evaluates udf
+// once per owned channel. The output array is preallocated, each channel's
+// UDF writes straight into its row, and every thread carries a scratch arena
+// for kernel intermediates. Rows are engine-owned, so nothing scratch-owned
+// escapes a UDF call.
 func ApplyRowsInto(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch)) *dasf.Array2D {
 	own := blk.OwnedChannels()
 	if own <= 0 {
@@ -248,14 +212,14 @@ func ApplyRowsInto(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *a
 	return out
 }
 
-// RunRows executes a RowsWorkload over the view. If outPath is non-empty,
+// RunRows executes a rows workload over the view. If outPath is non-empty,
 // rank 0 writes the assembled result as a DASF file (the single-big-array
 // write both modes share in Figure 8).
-func (e *Engine) RunRows(v *dass.View, w RowsWorkload, outPath string) (Report, error) {
+func (e *Engine) RunRows(v *dass.View, w arrayudf.RowsWorkload, outPath string) (Report, error) {
 	if err := e.cfg.validate(); err != nil {
 		return Report{}, err
 	}
-	if (w.UDF == nil && w.UDFInto == nil) || w.RowLen <= 0 {
+	if w.UDFInto == nil || w.RowLen <= 0 {
 		return Report{}, fmt.Errorf("haee: RowsWorkload needs a UDF and positive RowLen")
 	}
 	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
@@ -268,22 +232,12 @@ func (e *Engine) RunRows(v *dass.View, w RowsWorkload, outPath string) (Report, 
 		// One UDF call is one channel — the row engine's tile. The
 		// cancellation panic unwinds through the omp team to the rank, and
 		// through mpi.Run to the caller as the context's error.
-		var out *dasf.Array2D
-		if w.UDFInto != nil {
-			out = ApplyRowsInto(team, blk, w.RowLen, func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
-				if err := v.Context().Err(); err != nil {
-					panic(fmt.Errorf("haee: rows compute: %w", err))
-				}
-				w.UDFInto(s, shared, dst, scr)
-			})
-		} else {
-			out = ApplyRowsMT(team, blk, w.RowLen, func(s *arrayudf.Stencil) []float64 {
-				if err := v.Context().Err(); err != nil {
-					panic(fmt.Errorf("haee: rows compute: %w", err))
-				}
-				return w.UDF(s, shared)
-			})
-		}
+		out := ApplyRowsInto(team, blk, w.RowLen, func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
+			if err := v.Context().Err(); err != nil {
+				panic(fmt.Errorf("haee: rows compute: %w", err))
+			}
+			w.UDFInto(s, shared, dst, scr)
+		})
 		return out, sharedBytes, prepTr
 	})
 }

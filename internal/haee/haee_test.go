@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := e.RunPoints(nil, PointsWorkload{}, ""); err == nil {
 		t.Error("nil UDF should fail")
 	}
-	if _, err := e.RunRows(nil, RowsWorkload{}, ""); err == nil {
+	if _, err := e.RunRows(nil, arrayudf.RowsWorkload{}, ""); err == nil {
 		t.Error("empty rows workload should fail")
 	}
 }
@@ -143,8 +143,7 @@ func TestHybridSharesMasterMemory(t *testing.T) {
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 30,
 	}
 	_, nt := v.Shape()
-	parts := params.Workload(nt)
-	wl := RowsWorkload{Spec: arrayudf.Spec{}, RowLen: parts.RowLen, Prepare: parts.Prepare, UDF: parts.UDF}
+	wl := params.Workload(nt)
 
 	repMPI, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI}).RunRows(v, wl, "")
 	if err != nil {
@@ -182,8 +181,7 @@ func TestOOMDetection(t *testing.T) {
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 30,
 	}
 	_, nt := v.Shape()
-	parts := params.Workload(nt)
-	wl := RowsWorkload{RowLen: parts.RowLen, Prepare: parts.Prepare, UDF: parts.UDF}
+	wl := params.Workload(nt)
 	// A memory cap between hybrid's and pure MPI's footprint OOMs only MPI.
 	hyb, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid}).RunRows(v, wl, "")
 	if err != nil {
@@ -217,8 +215,7 @@ func TestRunRowsWritesOutput(t *testing.T) {
 		ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 20,
 	}
 	_, nt := v.Shape()
-	parts := params.Workload(nt)
-	wl := RowsWorkload{RowLen: parts.RowLen, Prepare: parts.Prepare, UDF: parts.UDF}
+	wl := params.Workload(nt)
 	out := filepath.Join(t.TempDir(), "result.dasf")
 	rep, err := New(Config{Nodes: 2, CoresPerNode: 2, Mode: Hybrid}).RunRows(v, wl, out)
 	if err != nil {
@@ -228,8 +225,8 @@ func TestRunRowsWritesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.NumChannels != 8 || info.NumSamples != parts.RowLen {
-		t.Errorf("written result shape %d×%d, want 8×%d", info.NumChannels, info.NumSamples, parts.RowLen)
+	if info.NumChannels != 8 || info.NumSamples != wl.RowLen {
+		t.Errorf("written result shape %d×%d, want 8×%d", info.NumChannels, info.NumSamples, wl.RowLen)
 	}
 	if rep.WriteTrace.BytesWritten == 0 {
 		t.Error("write trace empty")
@@ -238,21 +235,55 @@ func TestRunRowsWritesOutput(t *testing.T) {
 		t.Error("phase timings missing")
 	}
 	// The master channel's self-correlation peaks at 1 at zero lag.
-	zero := parts.RowLen / 2
+	zero := wl.RowLen / 2
 	if d := math.Abs(rep.Output.At(0, zero) - 1); d > 1e-6 {
 		t.Errorf("master self-correlation at zero lag = %g, want 1", rep.Output.At(0, zero))
 	}
 }
 
+// TestApplyRowsMTWrongLenPanics is the multithreaded rows loop's row-length
+// guard, on ApplyRowsInto (the name is the floor list's, from the loop it
+// replaced): every UDF call is handed exactly its own channel's row of the
+// output — rowLen samples, positioned on that channel — so a UDF that
+// assumes a longer row than the workload declared panics on its first write
+// past the end instead of landing in its neighbour's row, and the panic
+// reaches the caller.
 func TestApplyRowsMTWrongLenPanics(t *testing.T) {
-	a := dasf.NewArray2D(2, 10)
-	blk := arrayudf.Block{Data: a, ChLo: 0, ChHi: 2}
+	const nch, rowLen = 5, 4
+	a := dasf.NewArray2D(nch, 10)
+	for ch := 0; ch < nch; ch++ {
+		a.Set(ch, 0, float64(ch))
+	}
+	blk := arrayudf.Block{Data: a, ChLo: 0, ChHi: nch}
+	for _, threads := range []int{1, 3} {
+		out := ApplyRowsInto(omp.NewTeam(threads), blk, rowLen, func(s *arrayudf.Stencil, dst []float64, _ *daslib.Scratch) {
+			if len(dst) != rowLen {
+				t.Errorf("channel %d handed a row of %d samples, declared %d", s.Channel(), len(dst), rowLen)
+			}
+			for i := range dst {
+				dst[i] = s.Row(0)[0]*10 + float64(i)
+			}
+		})
+		if out.Channels != nch || out.Samples != rowLen {
+			t.Fatalf("output %d×%d, want %d×%d", out.Channels, out.Samples, nch, rowLen)
+		}
+		for ch := 0; ch < nch; ch++ {
+			for i, v := range out.Row(ch) {
+				if v != float64(ch*10+i) {
+					t.Fatalf("team of %d: row %d sample %d = %v: not the row channel %d wrote", threads, ch, i, v, ch)
+				}
+			}
+		}
+	}
+	if empty := ApplyRowsInto(omp.NewTeam(2), arrayudf.Block{ChLo: 2, ChHi: 2}, rowLen, nil); empty.Channels != 0 || empty.Samples != rowLen {
+		t.Errorf("empty block gives %d×%d, want 0×%d", empty.Channels, empty.Samples, rowLen)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("wrong row length should panic")
+			t.Error("a write past the declared row length should panic")
 		}
 	}()
-	ApplyRowsMT(omp.NewTeam(1), blk, 4, func(*arrayudf.Stencil) []float64 { return []float64{1} })
+	ApplyRowsInto(omp.NewTeam(1), blk, rowLen, func(_ *arrayudf.Stencil, dst []float64, _ *daslib.Scratch) { dst[rowLen] = 1 })
 }
 
 // TestBlockLoadFansOverTheRanksTeam: the engine hands the view the thread

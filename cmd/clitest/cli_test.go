@@ -5,12 +5,18 @@ package clitest
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"dassa/internal/core"
+	"dassa/internal/dass"
+	"dassa/internal/detect"
 )
 
 // buildOnce compiles all binaries into a shared temp dir.
@@ -192,5 +198,73 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 		len(rep.Experiments) != 1 || rep.Experiments[0].Name != "table1" ||
 		rep.Experiments[0].Rows == nil {
 		t.Fatalf("das_bench -json content: %+v", rep)
+	}
+}
+
+// TestCLIAnalyzeIsTheRegistry: das_analyze has no definition of an analysis
+// of its own. At explicit parameters it prints the event list
+// core.LocalSimilarity returns for them and writes the map core.Run computes;
+// with no parameter flag at all it runs every op at the registry's defaults —
+// the ones dassd's /detect uses — bit for bit.
+func TestCLIAnalyzeIsTheRegistry(t *testing.T) {
+	data := t.TempDir()
+	run(t, "das_gen", "-dir", data, "-channels", "24", "-rate", "50",
+		"-seconds", "2", "-files", "6", "-events", "fig10")
+	vca := filepath.Join(t.TempDir(), "merged.dasf")
+	run(t, "das_search", "-dir", data, "-vca", vca)
+	v, err := dass.OpenView(vca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nch, nt := v.Shape()
+	rate := v.Info().SampleRate()
+	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 2})
+
+	opt := core.LocalSimiOptions{LocalSimiParams: detect.LocalSimiParams{M: 10, K: 2, L: 3, Stride: 5}}
+	sim, regions, _, err := fw.LocalSimilarity(v, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) == 0 {
+		t.Fatal("the fixture has no events: the comparison below would be empty")
+	}
+	want := fmt.Sprintf("detected %d events:\n", len(regions))
+	secPerIdx := float64(nt) / rate / float64(sim.Samples)
+	for _, r := range regions {
+		want += fmt.Sprintf("  t=[%.1fs,%.1fs) channels=[%d,%d) peak=%.3f\n",
+			float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
+	}
+	out := run(t, "das_analyze", "-in", vca, "-op", "localsimi", "-M", "10", "-K", "2", "-L", "3", "-stride", "5")
+	if !strings.Contains(out, want) {
+		t.Errorf("das_analyze prints\n%s\nwant the events core.LocalSimilarity returns:\n%s", out, want)
+	}
+
+	for _, op := range detect.Ops() {
+		p := op.Default(rate, nt)
+		if err := p.Validate(nch, nt); err != nil {
+			t.Fatalf("%s defaults do not fit the fixture: %v", op.Name, err)
+		}
+		wantMap, _, err := fw.Run(v, p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		outPath := filepath.Join(t.TempDir(), op.Name+".dasf")
+		run(t, "das_analyze", "-in", vca, "-op", op.Name, "-nodes", "2", "-cores", "1", "-out", outPath)
+		res, err := dass.OpenView(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := res.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Channels != wantMap.Channels || got.Samples != wantMap.Samples {
+			t.Fatalf("%s at default flags: %d×%d, registry defaults give %d×%d", op.Name, got.Channels, got.Samples, wantMap.Channels, wantMap.Samples)
+		}
+		for i, g := range got.Data {
+			if math.Float64bits(g) != math.Float64bits(wantMap.Data[i]) {
+				t.Fatalf("%s at default flags: cell %d = %v, registry defaults give %v", op.Name, i, g, wantMap.Data[i])
+			}
+		}
 	}
 }

@@ -67,6 +67,15 @@ func TestCLIExitCodes(t *testing.T) {
 		// a master channel outside it, a stacking window longer than it.
 		{"das_analyze", "-in", vca, "-op", "interferometry", "-master", "9999"},
 		{"das_analyze", "-in", vca, "-op", "stacked", "-window", "999999"},
+		// The per-op flags are the registry's keys: a value that does not
+		// parse, and a flag the chosen op does not declare, are usage errors.
+		{"das_analyze", "-in", vca, "-op", "stalta", "-sta", "soon"},
+		{"das_analyze", "-in", vca, "-op", "stalta", "-M", "5"},
+		{"das_analyze", "-in", vca, "-op", "localsimi", "-window", "64"},
+		// An op that reads outside its shard is local only, said before any
+		// worker is dialled.
+		{"das_analyze", "-in", vca, "-op", "interferometry", "-workers", "127.0.0.1:1"},
+		{"das_analyze", "-in", vca, "-op", "stacked", "-workers", "127.0.0.1:1"},
 	}
 	for _, args := range usage {
 		if out, code := runCode(t, args[0], args[1:]...); code != 2 {

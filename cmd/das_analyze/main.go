@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -40,11 +41,11 @@ const (
 // flag parsing, before any fatal path can run.
 var logger = obs.Nop()
 
-// runCluster fans a localsimi/stalta request out across dassw shard
-// workers and prints the same style of report as a local run, the op's
-// summary first. Shards lost to worker failure are re-dispatched; under
-// -fail-policy degrade whatever stays lost is NaN-masked into the quality
-// report.
+// runCluster fans an analysis out across dassw shard workers and prints the
+// same style of report as a local run, the op's summary first. Shards lost to
+// worker failure are re-dispatched; under -fail-policy degrade whatever stays
+// lost is NaN-masked into the quality report. An op that reads outside its
+// shard runs only in process: a usage error here.
 func runCluster(ctx context.Context, addrs string, req cluster.Request, policy dass.FailPolicy, outPath string, summary func(*dasf.Array2D)) {
 	var workers []string
 	for _, a := range strings.Split(addrs, ",") {
@@ -63,6 +64,9 @@ func runCluster(ctx context.Context, addrs string, req cluster.Request, policy d
 	}
 	defer co.Close()
 	res, err := co.Run(ctx, req)
+	if errors.Is(err, cluster.ErrNotShardable) {
+		fatalUsage("-workers: %v", err)
+	}
 	if err != nil {
 		fatalData(err)
 	}
@@ -78,9 +82,16 @@ func runCluster(ctx context.Context, addrs string, req cluster.Request, policy d
 		res.Workers, res.Shards, res.Redispatched, res.DegradedShards, res.Wall.Round(time.Millisecond))
 	fmt.Printf("I/O: %d opens, %d read calls, %.1f MB read\n",
 		res.Trace.Opens, res.Trace.Reads, float64(res.Trace.BytesRead)/1e6)
-	if res.Quality.Degraded() {
-		fmt.Printf("WARNING: run degraded; %s\n", res.Quality)
-		for _, f := range res.Quality.LostFiles {
+	warnDegraded(res.Quality)
+}
+
+// warnDegraded says what a degraded-but-completed run lost. It is still a
+// success exit (0): the surviving channels are valid and the report says
+// exactly what is missing.
+func warnDegraded(q *dass.QualityReport) {
+	if q.Degraded() {
+		fmt.Printf("WARNING: run degraded; %s\n", q)
+		for _, f := range q.LostFiles {
 			fmt.Printf("WARNING:   lost member: %s\n", f)
 		}
 	}
@@ -99,9 +110,23 @@ func fatalData(v ...any) {
 }
 
 func main() {
+	// The analyses and their flags are the registry's: one flag per distinct
+	// parameter key, its help naming every op that declares it. Only a flag
+	// the user set overrides the chosen op's default.
+	var opNames []string
+	keyHelp := map[string]string{}
+	for _, o := range detect.Ops() {
+		opNames = append(opNames, o.Name)
+		for _, f := range detect.Fields(o.Default(1, 1)) {
+			keyHelp[f.Key] += o.Name + ": " + f.Help + "; "
+		}
+	}
+	for key, help := range keyHelp {
+		flag.String(key, "", strings.TrimSuffix(help, "; "))
+	}
 	var (
 		in    = flag.String("in", "", "input DASF data file or VCA (required)")
-		op    = flag.String("op", "localsimi", "analysis: localsimi | interferometry | stacked | stalta")
+		op    = flag.String("op", detect.DefaultOp, "analysis: "+strings.Join(opNames, " | "))
 		nodes = flag.Int("nodes", 1, "simulated compute nodes (MPI ranks in hybrid mode)")
 		cores = flag.Int("cores", 4, "cores per node (threads in hybrid mode)")
 		mode  = flag.String("mode", "hybrid", "execution mode: hybrid | mpi")
@@ -109,21 +134,7 @@ func main() {
 		out   = flag.String("out", "", "write the result array to this DASF file")
 		rate  = flag.Float64("rate", 0, "sampling rate override (Hz; default from metadata)")
 
-		m       = flag.Int("M", 25, "localsimi: half window width (samples)")
-		k       = flag.Int("K", 1, "localsimi: channel offset")
-		l       = flag.Int("L", 4, "localsimi: half lag-scan extent")
-		stride  = flag.Int("stride", 10, "localsimi: evaluate every N samples")
-		master  = flag.Int("master", 0, "interferometry: master channel")
-		cutoff  = flag.Float64("cutoff", 0, "interferometry: lowpass cutoff Hz (default rate/8)")
-		resampQ = flag.Int("resample", 2, "interferometry: keep 1/Q of the samples")
-		maxlag  = flag.Int("maxlag", 128, "interferometry: correlation half-width (resampled samples)")
-
-		window  = flag.Int("window", 0, "stacked: correlation window (raw samples; default 1/8 of the record)")
-		overlap = flag.Int("overlap", 0, "stacked: window overlap (raw samples)")
-		sta     = flag.Int("sta", 0, "stalta: short window (samples; default rate/5)")
-		lta     = flag.Int("lta", 0, "stalta: long window (samples; default 4*rate)")
-
-		workers = flag.String("workers", "", "comma-separated dassw worker addresses; localsimi/stalta fan out across them instead of the in-process engine")
+		workers = flag.String("workers", "", "comma-separated dassw worker addresses; the analysis fans out across them instead of the in-process engine")
 
 		traceRun = flag.Bool("trace", false, "record a request trace of the run and print the span tree afterwards")
 
@@ -167,9 +178,7 @@ func main() {
 	nch, nt := v.Shape()
 	sampleRate := *rate
 	if sampleRate == 0 {
-		if f, ok := v.Info().Global["SamplingFrequency(HZ)"]; ok {
-			sampleRate = float64(f.Int)
-		}
+		sampleRate = v.Info().SampleRate()
 	}
 	if sampleRate == 0 {
 		fatalUsage("sampling rate unknown; pass -rate")
@@ -191,92 +200,30 @@ func main() {
 		v = v.WithContext(ctx)
 	}
 
-	// One block per op: its parameters are built, defaulted and bounded
-	// against the view once, before the -workers branch, and with them what
-	// either path runs and the summary both print. creq.Op stays empty for
-	// the interferometry family — a rows workload the wire protocol does not
-	// carry; it stays in process.
-	var (
-		creq    = cluster.Request{View: v, Rate: sampleRate}
-		points  haee.PointsWorkload   // localsimi, stalta
-		rows    arrayudf.RowsWorkload // interferometry, stacked
-		summary func(out *dasf.Array2D)
-	)
-	bounded := func(err error) {
-		if err != nil {
-			fatalUsage("%v", err)
-		}
+	// The op's parameters: the registry's defaults, overridden by the flags
+	// the user set, bounded against the view once. What either path below
+	// runs, and the summary both print, come from them.
+	o, ok := detect.Lookup(*op)
+	if !ok {
+		fatalUsage("unknown -op %q (want %s)", *op, strings.Join(opNames, ", "))
 	}
-	interf := detect.InterferometryParams{
-		Rate:          sampleRate,
-		FilterOrder:   3,
-		CutoffHz:      *cutoff,
-		ResampleP:     1,
-		ResampleQ:     *resampQ,
-		MasterChannel: *master,
-		MaxLag:        *maxlag,
-		FailPolicy:    policy,
+	p := o.Default(sampleRate, nt)
+	flag.Visit(func(f *flag.Flag) {
+		if keyHelp[f.Name] == "" {
+			return
+		}
+		if err := detect.Set(p, f.Name, f.Value.String()); err != nil {
+			fatalUsage("-%s: %v", f.Name, err)
+		}
+	})
+	if err := p.Validate(nch, nt); err != nil {
+		fatalUsage("%v", err)
 	}
-	if interf.CutoffHz == 0 {
-		interf.CutoffHz = sampleRate / 8
-	}
-	switch *op {
-	case "localsimi":
-		p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
-		bounded(p.Validate(nch, nt))
-		creq.Op, creq.LocalSimi = cluster.OpLocalSimi, p
-		points = haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
-		summary = func(sim *dasf.Array2D) {
-			regions := detect.FindEvents(sim, 1.5)
-			fmt.Printf("detected %d events:\n", len(regions))
-			secPerIdx := float64(nt) / sampleRate / float64(sim.Samples)
-			for _, r := range regions {
-				fmt.Printf("  t=[%.1fs,%.1fs) channels=[%d,%d) peak=%.3f\n",
-					float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
-			}
-		}
-	case "stalta":
-		p := detect.STALTAParams{STASamples: *sta, LTASamples: *lta, Stride: *stride}
-		if p.STASamples == 0 {
-			p.STASamples = max(int(sampleRate/5), 2)
-		}
-		if p.LTASamples == 0 {
-			p.LTASamples = max(int(4*sampleRate), p.STASamples+1)
-		}
-		bounded(p.Validate(nch, nt))
-		creq.Op, creq.STALTA = cluster.OpSTALTA, p
-		points = haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
-		summary = func(ratios *dasf.Array2D) {
-			fmt.Printf("STA/LTA map: %d channels × %d samples, max ratio %.2f\n",
-				ratios.Channels, ratios.Samples, detect.MaxRatio(ratios.Data))
-		}
-	case "interferometry":
-		bounded(interf.Validate(nch, nt))
-		rows = interf.Workload(nt)
-		summary = func(corr *dasf.Array2D) {
-			fmt.Printf("noise correlations: %d channels × %d lags against master channel %d\n",
-				corr.Channels, corr.Samples, *master)
-		}
-	case "stacked":
-		p := detect.StackingParams{InterferometryParams: interf, WindowSamples: *window, OverlapSamples: *overlap}
-		if p.WindowSamples == 0 {
-			p.WindowSamples = max(nt/8, 64)
-		}
-		bounded(p.Validate(nch, nt))
-		rows = p.Workload(nt)
-		summary = func(corr *dasf.Array2D) {
-			fmt.Printf("stacked noise correlations: %d channels × %d lags over %d windows\n",
-				corr.Channels, corr.Samples, p.NumWindows(nt))
-		}
-	default:
-		fatalUsage("unknown -op %q (want localsimi, interferometry, stacked, or stalta)", *op)
-	}
+	detect.SetFailPolicy(p, policy)
+	summary := func(out *dasf.Array2D) { fmt.Println(o.Summary(p, out, nt, sampleRate)) }
 
 	if *workers != "" {
-		if creq.Op == "" {
-			fatalUsage("-workers runs localsimi or stalta; -op %s is local only", *op)
-		}
-		runCluster(ctx, *workers, creq, policy, *out, summary)
+		runCluster(ctx, *workers, cluster.Request{View: v, Params: p}, policy, *out, summary)
 		printTrace(traceStore, traceRoot)
 		return
 	}
@@ -295,13 +242,7 @@ func main() {
 	default:
 		fatalUsage("unknown -read %q", *read)
 	}
-	eng := haee.New(engCfg)
-	var rep haee.Report
-	if creq.Op != "" {
-		rep, err = eng.RunPoints(v, points, *out)
-	} else {
-		rep, err = eng.RunRows(v, rows, *out)
-	}
+	rep, err := haee.New(engCfg).Run(v, p.Workload(nt), *out)
 	if err != nil {
 		fatalData(err)
 	}
@@ -323,14 +264,7 @@ func main() {
 	if *out != "" {
 		fmt.Printf("result written to %s\n", *out)
 	}
-	if rep.Quality.Degraded() {
-		// Degraded-but-completed is still a success exit (0): the surviving
-		// channels are valid and the report says exactly what is missing.
-		fmt.Printf("WARNING: run degraded; %s\n", rep.Quality)
-		for _, f := range rep.Quality.LostFiles {
-			fmt.Printf("WARNING:   lost member: %s\n", f)
-		}
-	}
+	warnDegraded(rep.Quality)
 	printTrace(traceStore, traceRoot)
 }
 

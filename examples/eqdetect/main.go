@@ -55,10 +55,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Algorithm 2 over the whole record with the hybrid engine.
-	params := detect.LocalSimiParams{M: 12, K: 1, L: 4, Stride: 10}
+	// Algorithm 2 — the registry's default operation at its defaults for this
+	// rate — over the whole record with the hybrid engine.
+	op, _ := detect.Lookup(detect.DefaultOp)
+	_, nt := v.Shape()
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: 4, Mode: haee.Hybrid})
-	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, "")
+	rep, err := eng.Run(v, op.Default(cfg.SampleRate, nt).Workload(nt), "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func main() {
 	}
 
 	// Detection + classification against the planted truth.
-	regions := detect.FindEventsBanded(sim, 1.5, sim.Channels/8)
+	regions := op.Events(sim, detect.DefaultThreshold)
 	totalSec := cfg.FileSeconds * float64(cfg.NumFiles)
 	secPerIdx := totalSec / float64(sim.Samples)
 	fmt.Printf("\ndetected %d events:\n", len(regions))

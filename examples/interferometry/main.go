@@ -84,7 +84,7 @@ func main() {
 		MaxLag:        60,
 	}
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: 4, Mode: haee.Hybrid})
-	rep, err := eng.RunRows(v, params.Workload(nt), "")
+	rep, err := eng.Run(v, params.Workload(nt), "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func main() {
 		{4, 2, haee.Hybrid},
 	} {
 		eng := haee.New(haee.Config{Nodes: layout.nodes, CoresPerNode: layout.cores, Mode: layout.mode})
-		rep, err := eng.RunRows(v, wl, "")
+		rep, err := eng.Run(v, wl, "")
 		if err != nil {
 			log.Fatal(err)
 		}

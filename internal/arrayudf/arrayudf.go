@@ -115,22 +115,33 @@ func clamp(v, lo, hi int) int {
 // PointUDF maps a stencil to one output value — the f in B = Apply(A, f).
 type PointUDF func(s *Stencil) float64
 
-// RowsWorkload is a per-channel analysis (Algorithm 3 shape): Prepare loads
-// or computes data shared by all channels (the master channel's spectrum),
-// then UDFInto maps each channel's stencil to a fixed-length row. Detectors
-// construct it, the engine (haee.RunRows) runs it.
-type RowsWorkload struct {
-	Spec   Spec
-	RowLen int
-	// Prepare runs once per MPI rank (≙ once per node in Hybrid mode, once
-	// per core in PureMPI mode) and returns the shared payload plus its
-	// approximate size in bytes and the I/O it performed.
+// Workload is the one value the engine runs (haee.Engine.Run): the f of
+// B = Apply(A, f) with its geometry. A points workload (Algorithm 2 shape)
+// sets UDFScratch; a rows workload (Algorithm 3 shape) sets UDFInto and
+// RowLen, plus Prepare when the channels share data.
+type Workload struct {
+	Spec Spec
+	// UDFScratch maps one cell to one value, thread-safely; scr is the calling
+	// thread's arena for whatever the UDF cannot borrow from the block itself.
+	UDFScratch func(s *Stencil, scr *daslib.Scratch) float64
+	RowLen     int
+	// Prepare runs once per MPI rank (per node in Hybrid mode, per core in
+	// PureMPI) and returns the shared payload, its approximate size in bytes
+	// and the I/O it performed — through the view, beyond the rank's block.
 	Prepare func(c *mpi.Comm, v *dass.View) (shared any, bytes int64, tr pfs.Trace)
 	// UDFInto writes one channel's row into the engine-owned dst (length
-	// RowLen) and may borrow work buffers from the calling thread's scratch;
-	// it must be thread-safe. The engine owns dst, so UDFs never hand back
-	// scratch-owned memory (DESIGN.md §14).
+	// RowLen), thread-safely, borrowing work buffers from scr and never
+	// handing back scratch-owned memory (DESIGN.md §14).
 	UDFInto func(s *Stencil, shared any, dst []float64, scr *daslib.Scratch)
+}
+
+// OutSamples returns the output time extent for an input extent nt: the row
+// length, or the strided cell count.
+func (w Workload) OutSamples(nt int) int {
+	if w.UDFInto != nil {
+		return w.RowLen
+	}
+	return w.Spec.OutSamples(nt)
 }
 
 // Spec configures an Apply execution.
@@ -151,16 +162,10 @@ type Spec struct {
 	FailPolicy dass.FailPolicy
 }
 
-func (sp Spec) stride() int {
-	if sp.TimeStride <= 0 {
-		return 1
-	}
-	return sp.TimeStride
-}
-
 // OutSamples returns the output time extent for an input extent nt.
 func (sp Spec) OutSamples(nt int) int {
-	return (nt + sp.stride() - 1) / sp.stride()
+	stride := max(sp.TimeStride, 1)
+	return (nt + stride - 1) / stride
 }
 
 // ReadStrategy loads one rank's channel block [chLo, chHi) (ghost-extended
@@ -242,11 +247,6 @@ func LoadBlock(c *mpi.Comm, v *dass.View, spec Spec) (Block, pfs.Trace, *dass.Qu
 	return blk, tr, q
 }
 
-// stencilFor builds the stencil for owned channel ch (rank-relative).
-func (b Block) stencilFor() *Stencil {
-	return &Stencil{block: b.Data, chOff: b.Ghost}
-}
-
 // Stencil returns a fresh stencil positioned at owned channel ch (ghost-
 // free, rank-relative) and time index t. Each thread of a multithreaded
 // Apply builds its own stencils, so evaluation needs no locking.
@@ -283,8 +283,8 @@ func Apply(c *mpi.Comm, v *dass.View, spec Spec, udf PointUDF) Result {
 	if own <= 0 {
 		return res
 	}
-	st := blk.stencilFor()
-	stride := spec.stride()
+	st := blk.Stencil(0, 0)
+	stride := max(spec.TimeStride, 1)
 	for ch := 0; ch < own; ch++ {
 		// Channel rows are the sequential engine's tile boundary: a
 		// cancelled view aborts between rows, and the panic unwinds

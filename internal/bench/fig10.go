@@ -39,22 +39,21 @@ func RunFig10(o Options) ([]Fig10Event, error) {
 		return nil, err
 	}
 
-	params := detect.LocalSimiParams{
-		M: int(o.SampleRate / 4), K: 1, L: 4,
-		Stride: int(o.SampleRate / 5),
-	}
+	// The registry's default operation at its defaults, events included.
+	op, _ := detect.Lookup(detect.DefaultOp)
 	nch, nt := v.Shape()
+	params := op.Default(o.SampleRate, nt)
 	if err := params.Validate(nch, nt); err != nil {
 		return nil, err
 	}
 	eng := haee.New(haee.Config{Nodes: 2, CoresPerNode: o.CoresPerNode, Mode: haee.Hybrid})
-	rep, err := eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDFScratch: params.UDFScratch()}, "")
+	rep, err := eng.Run(v, params.Workload(nt), "")
 	if err != nil {
 		return nil, err
 	}
 	sim := rep.Output
 
-	regions := detect.FindEventsBanded(sim, 1.5, max(nch/8, 4))
+	regions := op.Events(sim, detect.DefaultThreshold)
 	totalSec := o.FileSeconds * float64(o.Files)
 	secPerIdx := totalSec / float64(sim.Samples)
 	var events []Fig10Event

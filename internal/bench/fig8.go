@@ -66,7 +66,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 	// fit, everything else must.
 	probe := func(nodes int, mode haee.Mode) (haee.Report, error) {
 		eng := haee.New(haee.Config{Nodes: nodes, CoresPerNode: o.CoresPerNode, Mode: mode})
-		return eng.RunRows(v, wl, "")
+		return eng.Run(v, wl, "")
 	}
 	mpiSmall, err := probe(nodeCounts[0], haee.PureMPI)
 	if err != nil {
@@ -100,7 +100,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 				NodeMemoryBytes: memCap,
 			})
 			out := filepath.Join(o.DataDir, "fig8.out.dasf")
-			rep, err := eng.RunRows(v, wl, out)
+			rep, err := eng.Run(v, wl, out)
 			if err != nil {
 				return nil, err
 			}

@@ -28,17 +28,17 @@ import (
 	"dassa/internal/wire"
 )
 
-// Op names a distributed operation. The worker maps each onto the existing
-// in-process pipeline.
+// Op names a distributed operation: OpRead, or a registered analysis
+// (detect.Op) the worker runs on the existing in-process pipeline.
 type Op string
 
 const (
-	// OpRead assembles the raw channel × time window.
+	// OpRead assembles the raw channel × time window — a read is the absence
+	// of an analysis, the one case the cluster knows by name.
 	OpRead Op = "read"
-	// OpLocalSimi computes the local-similarity detection map (Algorithm 2).
+	// OpLocalSimi is detect.DefaultOp under the name benchmark/ compiles
+	// against (ROADMAP item 2 unpins it); nothing here compares against it.
 	OpLocalSimi Op = "localsimi"
-	// OpSTALTA computes the STA/LTA trigger map.
-	OpSTALTA Op = "stalta"
 )
 
 // Errors the coordinator surfaces to callers deciding between distributed
@@ -51,6 +51,9 @@ var (
 	// after re-dispatch — a fully-NaN result would be worse than letting
 	// the caller fall back or fail loudly.
 	ErrAllShardsLost = errors.New("cluster: all shards lost")
+	// ErrNotShardable refuses an analysis whose workload has a Prepare: it
+	// reads outside its rows (a master channel) and runs in process only.
+	ErrNotShardable = errors.New("cluster: operation reads outside its shard, run it in process")
 )
 
 // Request is one distributed analysis over a view.
@@ -58,36 +61,18 @@ type Request struct {
 	// View is the channel × time window to analyze. Its member files must
 	// be reachable by every worker (shared-filesystem model).
 	View *dass.View
-	Op   Op
-	// Rate is the sampling frequency detection parameters are scaled from.
-	Rate float64
-	// LocalSimi / STALTA parameterize the matching op.
+	// Op is OpRead for a raw read; anything else runs Params, which names the
+	// analysis and gives its bounds, halo, output extent and wire form.
+	Op     Op
+	Params detect.Params
+	// Rate and LocalSimi are the spelling benchmark/ compiles against, kept
+	// until ROADMAP item 2 unpins them. Rate is read nowhere. LocalSimi is
+	// read in one place: an analysis request without Params runs it.
+	Rate      float64
 	LocalSimi detect.LocalSimiParams
-	STALTA    detect.STALTAParams
 	// Shards overrides the shard count (0 = 2 shards per healthy worker,
 	// clamped to the channel width).
 	Shards int
-}
-
-// halo returns the stencil's channel reach — how far a shard's read must
-// extend past its core rows so border channels compute exactly.
-func (r Request) halo() int {
-	if r.Op == OpLocalSimi {
-		return r.LocalSimi.Spec().GhostChannels
-	}
-	return 0
-}
-
-// outSamples returns the op's output time extent for an input extent nt.
-func (r Request) outSamples(nt int) int {
-	switch r.Op {
-	case OpLocalSimi:
-		return r.LocalSimi.Spec().OutSamples(nt)
-	case OpSTALTA:
-		return r.STALTA.Spec().OutSamples(nt)
-	default:
-		return nt
-	}
 }
 
 // Result is a completed distributed run, shaped like the in-process

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net"
@@ -76,6 +77,25 @@ func newCoord(t *testing.T, addrs []string, mutate func(*Config)) *Coordinator {
 	}
 	t.Cleanup(co.Close)
 	return co
+}
+
+// shardFrame is the frame a coordinator cuts for p over rows [lo, hi) of the
+// whole of v.
+func shardFrame(t *testing.T, p detect.Params, v *dass.View, lo, hi int) wire.ShardRequest {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nch, nt := v.Shape()
+	return wire.ShardRequest{
+		ID: 1, Op: p.Op(), Params: raw, Files: files, Halo: p.Workload(nt).Spec.GhostChannels,
+		ChLo: lo, ChHi: hi, WinChLo: 0, WinChHi: nch, T0: 0, T1: nt,
+	}
 }
 
 // sameValues compares arrays elementwise, NaN-aware.
@@ -156,14 +176,12 @@ func TestClusterSTALTAOnSubsetWindow(t *testing.T) {
 	_, a1 := startWorker(t, WorkerConfig{})
 	co := newCoord(t, []string{a1}, nil)
 
-	res, err := co.Run(context.Background(), Request{
-		View: sub, Op: OpSTALTA, STALTA: p, Shards: 4,
-	})
+	res, err := co.Run(context.Background(), Request{View: sub, Params: &p, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 4})
-	want, _, err := fw.STALTA(sub, p, "")
+	want, _, err := fw.Run(sub, &p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,22 +208,42 @@ func TestClusterRejectsBadRequests(t *testing.T) {
 	if _, err := co.Run(context.Background(), Request{View: v, Op: "bogus"}); err == nil {
 		t.Fatal("bogus op accepted")
 	}
+	if _, err := co.Run(context.Background(), Request{View: v, Params: unregistered{}}); err == nil {
+		t.Fatal("parameters of an unregistered op accepted")
+	}
 	if _, err := co.Run(context.Background(), Request{Op: OpRead}); err == nil {
 		t.Fatal("nil view accepted")
 	}
 	// Detector parameters the window cannot hold are refused before a
-	// shard is cut, as the caller's mistake.
+	// shard is cut, as the caller's mistake — in either spelling.
 	for _, req := range []Request{
 		{View: v, Op: OpLocalSimi, LocalSimi: detect.LocalSimiParams{M: 3000000000, K: 1, L: 4}},
-		{View: v, Op: OpLocalSimi, LocalSimi: detect.LocalSimiParams{M: 5, K: 8, L: 1}},
-		{View: v, Op: OpSTALTA, STALTA: detect.STALTAParams{STASamples: 2, LTASamples: 3000000000}},
-		{View: v, Op: OpSTALTA, STALTA: detect.STALTAParams{STASamples: 2, LTASamples: 8, Stride: math.MaxInt}},
+		{View: v, Params: &detect.LocalSimiParams{M: 5, K: 8, L: 1}},
+		{View: v, Params: &detect.STALTAParams{STASamples: 2, LTASamples: 3000000000}},
+		{View: v, Params: &detect.STALTAParams{STASamples: 2, LTASamples: 8, Stride: math.MaxInt}},
 	} {
 		if _, err := co.Run(context.Background(), req); !errors.Is(err, detect.ErrBadParams) {
-			t.Errorf("%s %+v %+v: want ErrBadParams, got %v", req.Op, req.LocalSimi, req.STALTA, err)
+			t.Errorf("%s %+v %+v: want ErrBadParams, got %v", req.Op, req.LocalSimi, req.Params, err)
+		}
+	}
+	// A rows op reads its master channel through the view, outside any
+	// shard: refused by what its workload is, whatever it is called.
+	for _, op := range detect.Ops() {
+		nch, nt := v.Shape()
+		p := op.Default(50, nt)
+		if p.Validate(nch, nt) != nil || p.Workload(nt).Prepare == nil {
+			continue
+		}
+		if _, err := co.Run(context.Background(), Request{View: v, Params: p}); !errors.Is(err, ErrNotShardable) {
+			t.Errorf("%s: want ErrNotShardable, got %v", op.Name, err)
 		}
 	}
 }
+
+// unregistered is a parameter block no registered op owns.
+type unregistered struct{ detect.STALTAParams }
+
+func (unregistered) Op() string { return "never-registered" }
 
 func TestWorkerDrainRefusesNewWork(t *testing.T) {
 	leakcheck.Check(t)
@@ -264,7 +302,7 @@ func TestExecuteShardDeadline(t *testing.T) {
 	}
 	req := wire.ShardRequest{
 		ID: 1, Op: string(OpRead), Files: files,
-		ChLo: 0, ChHi: 8, T0: 0, T1: 10,
+		ChLo: 0, ChHi: 8, WinChHi: 8, T0: 0, T1: 10,
 		DeadlineUnixNano: time.Now().Add(-time.Second).UnixNano(),
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, req.DeadlineUnixNano))
@@ -281,17 +319,16 @@ func TestExecuteShardDeadline(t *testing.T) {
 // worker used to pass allocated a stencil plus three windows per cell.
 func TestExecuteShardAllocsPerShardNotPerCell(t *testing.T) {
 	v, _ := makeView(t, 8, 2)
-	files, err := filesOf(v)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nch, nt := v.Shape()
-	for _, op := range []Op{OpLocalSimi, OpSTALTA} {
+	for _, at := range []func(stride int) detect.Params{
+		func(stride int) detect.Params { return &detect.LocalSimiParams{M: 3, K: 1, L: 1, Stride: stride} },
+		func(stride int) detect.Params {
+			return &detect.STALTAParams{STASamples: 2, LTASamples: 8, Stride: stride}
+		},
+	} {
+		op := at(1).Op()
 		allocs := func(stride int) float64 {
-			req := wire.ShardRequest{
-				ID: 1, Op: string(op), Files: files, ChLo: 0, ChHi: nch, T0: 0, T1: nt,
-				M: 3, K: 1, L: 1, STA: 2, LTA: 8, Stride: stride, Halo: 1,
-			}
+			req := shardFrame(t, at(stride), v, 0, nch)
 			return testing.AllocsPerRun(5, func() {
 				if _, _, err := executeShard(context.Background(), req, 1); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -460,6 +461,12 @@ type outcome struct {
 // degrade decisions, and the workers' shipped-back fragments — lands in
 // it as one cross-process span tree.
 func (co *Coordinator) Run(ctx context.Context, req Request) (*Result, error) {
+	if req.Op != OpRead {
+		if req.Params == nil {
+			req.Params = &req.LocalSimi // the pinned spelling, see Request
+		}
+		req.Op = Op(req.Params.Op())
+	}
 	ctx, sp := trace.Start(ctx, "cluster.run")
 	if sp != nil {
 		sp.SetAttr("op", string(req.Op))
@@ -480,24 +487,31 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 	if req.View == nil {
 		return nil, fmt.Errorf("cluster: request has no view")
 	}
-	// Detector parameters are bounded against the window here, before any
-	// shard is cut; workers bound them again against what they are sent.
-	var err error
-	switch req.Op {
-	case OpRead:
-	case OpLocalSimi:
-		err = req.LocalSimi.Validate(req.View.Shape())
-	case OpSTALTA:
-		err = req.STALTA.Validate(req.View.Shape())
-	default:
-		err = fmt.Errorf("cluster: unknown op %q", req.Op)
-	}
-	if err != nil {
-		return nil, err
-	}
 	files, err := filesOf(req.View)
 	if err != nil {
 		return nil, err
+	}
+	winChLo, winChHi, winT0, winT1 := req.View.Window()
+	width, wantSamples := winChHi-winChLo, winT1-winT0
+	// tmpl is what every shard's frame shares; a read is the whole of it.
+	tmpl := wire.ShardRequest{
+		ID: co.nextID.Add(1), Op: string(req.Op), Files: files,
+		WinChLo: winChLo, WinChHi: winChHi, T0: winT0, T1: winT1,
+	}
+	if req.Op != OpRead {
+		// The analysis is bounded against the window here, before any shard is
+		// cut; workers bound it again against what they are sent.
+		w, err := workloadOf(req.Params, width, wantSamples)
+		if err != nil {
+			return nil, err
+		}
+		tmpl.Halo, wantSamples = w.Spec.GhostChannels, w.OutSamples(wantSamples)
+		if tmpl.Params, err = json.Marshal(req.Params); err != nil {
+			return nil, fmt.Errorf("cluster: encode %s parameters: %w", req.Op, err)
+		}
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		tmpl.DeadlineUnixNano = dl.UnixNano()
 	}
 	if !co.waitHealthy(ctx, co.cfg.DialTimeout) {
 		if err := ctx.Err(); err != nil {
@@ -506,17 +520,11 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		return nil, ErrNoWorkers
 	}
 
-	winChLo, winChHi, winT0, winT1 := req.View.Window()
-	width := winChHi - winChLo
 	nshards := req.Shards
 	if nshards <= 0 {
 		nshards = co.cfg.ShardsPerWorker * max(co.healthyCount(), 1)
 	}
 	nshards = min(max(nshards, 1), width)
-
-	id := co.nextID.Add(1)
-	halo := req.halo()
-	wantSamples := req.outSamples(winT1 - winT0)
 
 	outcomes := make([]outcome, nshards)
 	var wg sync.WaitGroup
@@ -526,7 +534,7 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outcomes[sh.idx] = co.runShard(ctx, id, req, files, sh, winChLo, winT0, winT1, halo)
+			outcomes[sh.idx] = co.runShard(ctx, tmpl, sh)
 		}()
 	}
 	wg.Wait()
@@ -635,7 +643,9 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 
 // runShard drives one shard to a terminal outcome: dispatch, wait, and on
 // worker failure re-dispatch to a healthy peer up to MaxAttempts times.
-func (co *Coordinator) runShard(ctx context.Context, id uint64, req Request, files []wire.FileSpec, sh shard, winChLo, winT0, winT1, halo int) outcome {
+func (co *Coordinator) runShard(ctx context.Context, tmpl wire.ShardRequest, sh shard) outcome {
+	tmpl.Shard, tmpl.ChLo, tmpl.ChHi = sh.idx, tmpl.WinChLo+sh.lo, tmpl.WinChLo+sh.hi
+	id := tmpl.ID
 	oc := outcome{sh: sh}
 	var last *workerLink
 	for attempt := 0; attempt < co.cfg.MaxAttempts; attempt++ {
@@ -666,7 +676,7 @@ func (co *Coordinator) runShard(ctx context.Context, id uint64, req Request, fil
 				"trace_id", trace.IDFrom(ctx))
 		}
 		last = l
-		reply, sent := co.attemptShard(ctx, id, req, files, sh, winChLo, winT0, winT1, halo, attempt, l)
+		reply, sent := co.attemptShard(ctx, tmpl, attempt, l)
 		if !sent {
 			continue // link raced to death; try another
 		}
@@ -690,7 +700,7 @@ func (co *Coordinator) runShard(ctx context.Context, id uint64, req Request, fil
 // span carries worker/shard/attempt, a redispatch marker on attempts
 // after the first, and — on success — the worker's shipped-back span
 // fragment grafted under it.
-func (co *Coordinator) attemptShard(ctx context.Context, id uint64, req Request, files []wire.FileSpec, sh shard, winChLo, winT0, winT1, halo, attempt int, l *workerLink) (reply shardReply, sent bool) {
+func (co *Coordinator) attemptShard(ctx context.Context, wreq wire.ShardRequest, attempt int, l *workerLink) (reply shardReply, sent bool) {
 	dctx, dsp := trace.Start(ctx, "cluster.dispatch")
 	defer func() {
 		if !sent {
@@ -700,14 +710,14 @@ func (co *Coordinator) attemptShard(ctx context.Context, id uint64, req Request,
 		dsp.EndErr(reply.err)
 	}()
 	if dsp != nil {
-		dsp.SetAttrInt("shard", int64(sh.idx))
+		dsp.SetAttrInt("shard", int64(wreq.Shard))
 		dsp.SetAttrInt("attempt", int64(attempt+1))
 		dsp.SetAttr("worker", l.addr)
 		if attempt > 0 {
 			dsp.SetAttr("redispatch", "true")
 		}
 	}
-	reply, sent = co.dispatch(dctx, id, req, files, sh, winChLo, winT0, winT1, halo, l)
+	reply, sent = co.dispatch(dctx, wreq, l)
 	if sent && reply.err == nil {
 		trace.Merge(dctx, fromWireSpans(reply.res.Spans))
 	}
@@ -716,32 +726,16 @@ func (co *Coordinator) attemptShard(ctx context.Context, id uint64, req Request,
 
 // dispatch sends one shard request on l and waits for its reply, the
 // context, or the link's death. sent=false means the frame never left.
-func (co *Coordinator) dispatch(ctx context.Context, id uint64, req Request, files []wire.FileSpec, sh shard, winChLo, winT0, winT1, halo int, l *workerLink) (shardReply, bool) {
+func (co *Coordinator) dispatch(ctx context.Context, wreq wire.ShardRequest, l *workerLink) (shardReply, bool) {
 	conn := l.current()
 	if conn == nil {
 		return shardReply{}, false
-	}
-	wreq := wire.ShardRequest{
-		ID: id, Shard: sh.idx, Op: string(req.Op), Files: files,
-		ChLo: winChLo + sh.lo, ChHi: winChLo + sh.hi, Halo: halo,
-		T0: winT0, T1: winT1, Rate: req.Rate,
-		M: req.LocalSimi.M, K: req.LocalSimi.K, L: req.LocalSimi.L,
-		STA: req.STALTA.STASamples, LTA: req.STALTA.LTASamples,
-	}
-	switch req.Op {
-	case OpLocalSimi:
-		wreq.Stride = req.LocalSimi.Stride
-	case OpSTALTA:
-		wreq.Stride = req.STALTA.Stride
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		wreq.DeadlineUnixNano = dl.UnixNano()
 	}
 	// Propagate the request trace: the worker parents its fragment under
 	// this attempt's dispatch span (the context's current span).
 	wreq.TraceID = string(trace.IDFrom(ctx))
 	wreq.ParentSpan = trace.SpanFrom(ctx)
-	k := pendKey{id, sh.idx}
+	k := pendKey{wreq.ID, wreq.Shard}
 	ch := co.register(k, l)
 	t0 := time.Now()
 	if err := conn.SendEnvelope(wire.TypeShardRequest, wreq); err != nil {
@@ -765,7 +759,7 @@ func (co *Coordinator) dispatch(ctx context.Context, id uint64, req Request, fil
 		// this request's other shards legitimately running on the same
 		// worker. The stale reply, if it ever lands, routes to nothing.
 		return shardReply{
-			err:    fmt.Errorf("cluster: shard %d reply timed out on %s", sh.idx, l.addr),
+			err:    fmt.Errorf("cluster: shard %d reply timed out on %s", wreq.Shard, l.addr),
 			worker: l.addr,
 		}, true
 	case <-ctx.Done():
@@ -774,7 +768,7 @@ func (co *Coordinator) dispatch(ctx context.Context, id uint64, req Request, fil
 		// also holds the absolute deadline, so even a lost cancel frame
 		// only delays the stop until the deadline.
 		if c := l.current(); c != nil {
-			_ = c.SendEnvelope(wire.TypeCancel, wire.Cancel{ID: id})
+			_ = c.SendEnvelope(wire.TypeCancel, wire.Cancel{ID: wreq.ID})
 		}
 		return shardReply{err: ctx.Err(), cancelled: true, worker: l.addr}, true
 	case <-co.closed:

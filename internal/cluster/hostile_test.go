@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +32,7 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	nch, nt := v.Shape()
-	good := wire.ShardRequest{ID: 1, Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt}
+	good := wire.ShardRequest{ID: 1, Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, WinChHi: nch, T0: 0, T1: nt}
 	withFiles := func(mutate func(fs []wire.FileSpec)) []wire.FileSpec {
 		fs := append([]wire.FileSpec(nil), files...)
 		mutate(fs)
@@ -74,12 +76,20 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 		}, true},
 		{"more channels declared than the files hold degrades", func(r *wire.ShardRequest) {
 			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumChannels, fs[1].NumChannels = 2*nch, 2*nch })
-			r.ChLo, r.ChHi = 0, 2*nch
+			r.ChLo, r.ChHi, r.WinChHi = 0, 2*nch, 2*nch
 		}, false},
+		{"window past the view", func(r *wire.ShardRequest) { r.WinChHi = nch + 1 }, true},
+		{"negative window", func(r *wire.ShardRequest) { r.WinChLo = -1 }, true},
+		{"shard rows below their window", func(r *wire.ShardRequest) { r.WinChLo = 3 }, true},
+		{"shard rows above their window", func(r *wire.ShardRequest) { r.WinChHi = 5 }, true},
+		{"no window at all", func(r *wire.ShardRequest) { r.WinChLo, r.WinChHi = 0, 0 }, true},
 	} {
-		for _, op := range []Op{OpRead, OpLocalSimi} {
+		simi := shardFrame(t, &detect.LocalSimiParams{M: 3, K: 1, L: 1, Stride: 4}, v, 2, 6)
+		for _, op := range []Op{OpRead, Op(simi.Op)} {
 			req := good
-			req.Op, req.M, req.K, req.L, req.Stride = string(op), 3, 1, 1, 4
+			if op != OpRead {
+				req.Op, req.Params = simi.Op, simi.Params
+			}
 			tc.mutate(&req)
 			res, data, err := executeShard(context.Background(), req, 2)
 			if tc.reject && err == nil {
@@ -100,45 +110,88 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 // are bounded against the window the shard runs on before they size
 // anything. M = 3e9 used to reach the first edge cell's 144 GB borrow and end
 // dassw with a runtime out-of-memory throw no recover catches; LTA did the
-// same through STA/LTA's edge buffer.
+// same through STA/LTA's edge buffer. The worker bounds a frame through the
+// one Validate every surface uses, so the table is a property over the
+// registry: for every shardable op the frame at its defaults runs, and every
+// parameter it declares, set to a size no machine has, is refused — as are
+// the geometries that only fail against the shard's own window, and a
+// parameter block that is not the op's.
 func TestExecuteShardBoundsDetectorParams(t *testing.T) {
-	v, _ := makeView(t, 8, 2)
-	files, err := filesOf(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, rate := makeView(t, 8, 2)
 	_, nt := v.Shape()
-	good := wire.ShardRequest{
-		ID: 1, Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt, Halo: 1,
-		M: 3, K: 1, L: 1, STA: 2, LTA: 8, Stride: 4,
+	refused := func(name string, req wire.ShardRequest) {
+		t.Helper()
+		if res, _, err := executeShard(context.Background(), req, 2); !errors.Is(err, detect.ErrBadParams) {
+			t.Errorf("%s (%s %s): accepted as %d×%d, err %v", name, req.Op, req.Params, res.Channels, res.Samples, err)
+		}
+	}
+	shardable := 0
+	for _, op := range detect.Ops() {
+		p := op.Default(rate, nt)
+		if p.Workload(nt).Prepare != nil {
+			continue
+		}
+		shardable++
+		good := shardFrame(t, p, v, 2, 6)
+		if _, _, err := executeShard(context.Background(), good, 2); err != nil {
+			t.Fatalf("the %s frame at its defaults: %v", op.Name, err)
+		}
+		for _, f := range detect.Fields(p) {
+			for _, huge := range []string{"3000000000", strconv.Itoa(math.MaxInt)} {
+				q := op.Default(rate, nt)
+				if err := detect.Set(q, f.Key, huge); err != nil {
+					t.Fatal(err)
+				}
+				refused(f.Key+" larger than memory", shardFrame(t, q, v, 2, 6))
+			}
+		}
+		for name, raw := range map[string]string{
+			"not JSON":            `{"m":`,
+			"not an object":       `[1,2,3]`,
+			"an unknown field":    strings.Replace(string(good.Params), "{", `{"window_of_opportunity":1,`, 1),
+			"trailing bytes":      string(good.Params) + `{}`,
+			"no parameters":       ``,
+			"every field missing": `{}`,
+		} {
+			req := good
+			req.Params = json.RawMessage(raw)
+			refused(name, req)
+		}
+	}
+	if shardable < 2 {
+		t.Fatalf("%d shardable ops registered, want local similarity and STA/LTA at least", shardable)
+	}
+
+	// Geometries that fit the request's window but not the shard's, and sums
+	// that wrap.
+	simi := func(m, k, l, stride int) detect.Params {
+		return &detect.LocalSimiParams{M: m, K: k, L: l, Stride: stride}
+	}
+	stalta := func(sta, lta, stride int) detect.Params {
+		return &detect.STALTAParams{STASamples: sta, LTASamples: lta, Stride: stride}
 	}
 	for _, tc := range []struct {
 		name   string
-		op     Op
-		mutate func(r *wire.ShardRequest)
+		p      detect.Params
+		lo, hi int
 	}{
-		{"M sizing a 144 GB edge buffer", OpLocalSimi, func(r *wire.ShardRequest) { r.M = 3000000000 }},
-		{"M+L wrapping", OpLocalSimi, func(r *wire.ShardRequest) { r.M, r.L = math.MaxInt, math.MaxInt }},
-		{"lag scan one sample past the window", OpLocalSimi, func(r *wire.ShardRequest) { r.L = (nt-1)/2 - r.M + 1 }},
-		{"K past every row", OpLocalSimi, func(r *wire.ShardRequest) { r.K = math.MaxInt }},
-		{"K with no row to reach", OpLocalSimi, func(r *wire.ShardRequest) { r.ChLo, r.ChHi, r.Halo = 3, 4, 0 }},
-		{"stride wrapping the output extent", OpLocalSimi, func(r *wire.ShardRequest) { r.Stride = math.MaxInt }},
-		{"negative M", OpLocalSimi, func(r *wire.ShardRequest) { r.M = math.MinInt }},
-		{"LTA sizing a 24 GB edge buffer", OpSTALTA, func(r *wire.ShardRequest) { r.LTA = 3000000000 }},
-		{"LTA one sample past the window", OpSTALTA, func(r *wire.ShardRequest) { r.LTA = nt + 1 }},
-		{"STA and LTA past the window", OpSTALTA, func(r *wire.ShardRequest) { r.STA, r.LTA = math.MaxInt-1, math.MaxInt }},
-		{"STA/LTA stride wrapping the output extent", OpSTALTA, func(r *wire.ShardRequest) { r.Stride = math.MaxInt }},
+		{"M+L wrapping", simi(math.MaxInt, 1, math.MaxInt, 4), 2, 6},
+		{"lag scan one sample past the window", simi(3, 1, (nt-1)/2-3+1, 4), 2, 6},
+		{"negative M", simi(math.MinInt, 1, 1, 4), 2, 6},
+		{"LTA one sample past the window", stalta(2, nt+1, 4), 2, 6},
+		{"STA and LTA past the window", stalta(math.MaxInt-1, math.MaxInt, 4), 2, 6},
 	} {
-		req := good
-		req.Op = string(tc.op)
-		if _, _, err := executeShard(context.Background(), req, 2); err != nil {
-			t.Fatalf("%s: the unmutated %s frame: %v", tc.name, tc.op, err)
-		}
-		tc.mutate(&req)
-		if res, _, err := executeShard(context.Background(), req, 2); !errors.Is(err, detect.ErrBadParams) {
-			t.Errorf("%s (%s): accepted as %d×%d, err %v", tc.name, tc.op, res.Channels, res.Samples, err)
-		}
+		refused(tc.name, shardFrame(t, tc.p, v, tc.lo, tc.hi))
 	}
+	lone := shardFrame(t, simi(3, 1, 1, 4), v, 3, 4)
+	lone.Halo = 0
+	refused("K with no row to reach", lone)
+	swapped := shardFrame(t, simi(3, 1, 1, 4), v, 2, 6)
+	swapped.Op = detect.STALTAParams{}.Op()
+	refused("another op's parameter block", swapped)
+	unknown := shardFrame(t, simi(3, 1, 1, 4), v, 2, 6)
+	unknown.Op = "never-registered"
+	refused("an unregistered op", unknown)
 }
 
 // shardClient is a coordinator reduced to its socket: handshake, then raw
@@ -230,12 +283,12 @@ func (sc *shardClient) wantResult(req wire.ShardRequest, v *dass.View) {
 // served, and so is a new connection's.
 func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	leakcheck.Check(t)
-	v, _ := makeView(t, 8, 2)
+	v, rate := makeView(t, 8, 2)
 	files, err := filesOf(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nt := v.Shape()
+	nch, nt := v.Shape()
 	// The last line of defence is the job's recover; make one job need it.
 	const panicOp = "panic-for-test"
 	w := NewWorker(WorkerConfig{Cores: 2, HeartbeatEvery: 100 * time.Millisecond})
@@ -253,7 +306,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	go func() { _ = w.Serve(ln) }()
 	t.Cleanup(w.Close)
 	addr := ln.Addr().String()
-	good := wire.ShardRequest{Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, T0: 0, T1: nt}
+	good := wire.ShardRequest{Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, WinChHi: nch, T0: 0, T1: nt}
 
 	sc := dialWorker(t, addr)
 	negHalo := good
@@ -272,13 +325,44 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 
 	// Detector parameters that would size a borrow no machine has: an
 	// out-of-memory throw is not a panic, so these must never get that far.
-	hugeM := good
-	hugeM.ID, hugeM.Op, hugeM.Halo = 6, string(OpLocalSimi), 1
-	hugeM.M, hugeM.K, hugeM.L = 3000000000, 1, 4
-	sc.wantError(hugeM, "bad parameters")
-	hugeLTA := good
-	hugeLTA.ID, hugeLTA.Op, hugeLTA.STA, hugeLTA.LTA = 7, string(OpSTALTA), 2, 3000000000
-	sc.wantError(hugeLTA, "bad parameters")
+	// The same holds for every parameter of every registered op, and for a
+	// parameter block that is not an object, has an unknown field, or names an
+	// op nobody registered. (One that is not JSON at all, or has trailing
+	// bytes, cannot ride in an envelope that decodes: that frame is dropped
+	// unanswered, below; executeShard refuses the bytes themselves in
+	// TestExecuteShardBoundsDetectorParams.)
+	id := uint64(100)
+	hostile := func(req wire.ShardRequest) {
+		t.Helper()
+		id++
+		req.ID = id
+		sc.wantError(req, "bad parameters")
+	}
+	for _, op := range detect.Ops() {
+		p := op.Default(rate, nt)
+		if p.Workload(nt).Prepare != nil {
+			continue
+		}
+		frame := shardFrame(t, p, v, 2, 6)
+		for _, f := range detect.Fields(p) {
+			q := op.Default(rate, nt)
+			if err := detect.Set(q, f.Key, "3000000000"); err != nil {
+				t.Fatal(err)
+			}
+			hostile(shardFrame(t, q, v, 2, 6))
+		}
+		for _, raw := range []string{`[1,2,3]`, `"m=3"`, strings.Replace(string(frame.Params), "{", `{"nope":1,`, 1)} {
+			req := frame
+			req.Params = json.RawMessage(raw)
+			hostile(req)
+		}
+		req := frame
+		req.Op = "never-registered"
+		hostile(req)
+	}
+	if err := sc.c.Send(wire.Frame{Type: wire.TypeShardRequest, Payload: []byte(`{"id":8,"op":"read","params":{"m":}`)}); err != nil {
+		t.Fatal(err)
+	}
 
 	next := good
 	next.ID = 4

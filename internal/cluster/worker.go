@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
@@ -426,51 +427,27 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 		return wire.ShardResult{}, nil, err
 	}
 	nch, nt := full.Shape()
-	if req.ChLo < 0 || req.ChHi > nch || req.ChLo >= req.ChHi ||
-		req.T0 < 0 || req.T1 > nt || req.T0 >= req.T1 {
+	if req.WinChLo < 0 || req.WinChHi > nch || req.ChLo < req.WinChLo || req.ChHi > req.WinChHi ||
+		req.ChLo >= req.ChHi || req.T0 < 0 || req.T1 > nt || req.T0 >= req.T1 {
 		return wire.ShardResult{}, nil, fmt.Errorf(
-			"cluster: shard window [%d:%d)×[%d:%d) out of file-set bounds %d×%d",
-			req.ChLo, req.ChHi, req.T0, req.T1, nch, nt)
+			"cluster: shard rows [%d:%d) of window [%d:%d)×[%d:%d) out of file-set bounds %d×%d",
+			req.ChLo, req.ChHi, req.WinChLo, req.WinChHi, req.T0, req.T1, nch, nt)
 	}
 	// Halo widens the read: a negative one would put the core rows outside
-	// it. The reach is clamped to the rows that exist before it is added, so
-	// a huge one cannot wrap either bound. The window sits inside the view,
-	// whose shape viewOf bounded, so nothing below sizes an allocation past
-	// the element cap.
+	// it. The reach is clamped to the window's rows before it is added — the
+	// in-process stencil clamps at the view's edge, so a shard touching it
+	// must — and a huge one cannot wrap either bound. The window sits inside
+	// the view, whose shape viewOf bounded: no allocation passes the cap.
 	if req.Halo < 0 {
 		return wire.ShardResult{}, nil, fmt.Errorf("cluster: negative shard halo %d", req.Halo)
 	}
-	gLo := req.ChLo - min(req.Halo, req.ChLo)
-	gHi := req.ChHi + min(req.Halo, nch-req.ChHi)
+	gLo := req.ChLo - min(req.Halo, req.ChLo-req.WinChLo)
+	gHi := req.ChHi + min(req.Halo, req.WinChHi-req.ChHi)
 	sub, err := full.Subset(gLo, gHi, req.T0, req.T1)
 	if err != nil {
 		return wire.ShardResult{}, nil, err
 	}
-	sub = sub.WithContext(ctx)
-
-	var (
-		out  *dasf.Array2D
-		tr   pfs.Trace
-		gaps []dass.Gap
-	)
-	switch Op(req.Op) {
-	case OpRead:
-		out, tr, gaps, err = sub.ReadPolicy(dass.FailDegrade)
-	case OpLocalSimi:
-		p := detect.LocalSimiParams{M: req.M, K: req.K, L: req.L, Stride: req.Stride}
-		if verr := p.Validate(sub.Shape()); verr != nil {
-			return wire.ShardResult{}, nil, verr
-		}
-		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)
-	case OpSTALTA:
-		p := detect.STALTAParams{STASamples: req.STA, LTASamples: req.LTA, Stride: req.Stride}
-		if verr := p.Validate(sub.Shape()); verr != nil {
-			return wire.ShardResult{}, nil, verr
-		}
-		out, tr, gaps, err = applyShard(sub, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, cores)
-	default:
-		return wire.ShardResult{}, nil, fmt.Errorf("cluster: unknown op %q", req.Op)
-	}
+	out, tr, gaps, err := applyShard(req, sub.WithContext(ctx), cores)
 	if err != nil {
 		return wire.ShardResult{}, nil, err
 	}
@@ -507,12 +484,43 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 	return res, data, nil
 }
 
-// applyShard runs a stencil op over the shard's sub-view under FailDegrade
-// — the same engine loop, on the same scratch-aware UDF, as an in-process
-// /detect — and normalizes the engine's report to (output, trace, gaps).
-func applyShard(sub *dass.View, w haee.PointsWorkload, cores int) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+// workloadOf bounds an analysis against the nch × nt window it is to run on,
+// for coordinator and worker alike: a registered name, the one Validate every
+// surface uses, and a workload that reads nothing outside its rows.
+func workloadOf(p detect.Params, nch, nt int) (arrayudf.Workload, error) {
+	if _, ok := detect.Lookup(p.Op()); !ok {
+		return arrayudf.Workload{}, fmt.Errorf("cluster: unknown op %q", p.Op())
+	}
+	if err := p.Validate(nch, nt); err != nil {
+		return arrayudf.Workload{}, err
+	}
+	w := p.Workload(nt)
+	if w.Prepare != nil {
+		return w, fmt.Errorf("%w: %s", ErrNotShardable, p.Op())
+	}
+	return w, nil
+}
+
+// applyShard runs a frame's operation over the shard's sub-view under
+// FailDegrade: the read itself, or an analysis on top of it — the same engine
+// loop, on the same scratch-aware UDF, as an in-process /detect — with the
+// engine's report normalized to (output, trace, gaps). The parameter block is
+// bytes from the network: Decode, then bound.
+func applyShard(req wire.ShardRequest, sub *dass.View, cores int) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+	if Op(req.Op) == OpRead {
+		return sub.ReadPolicy(dass.FailDegrade)
+	}
+	p, err := detect.Decode(req.Op, req.Params)
+	if err != nil {
+		return nil, pfs.Trace{}, nil, err
+	}
+	nch, nt := sub.Shape()
+	w, err := workloadOf(p, nch, nt)
+	if err != nil {
+		return nil, pfs.Trace{}, nil, err
+	}
 	eng := haee.New(haee.Config{Nodes: 1, CoresPerNode: cores, Mode: haee.Hybrid, FailPolicy: dass.FailDegrade})
-	rep, err := eng.RunPoints(sub, w, "")
+	rep, err := eng.Run(sub, w, "")
 	if err != nil {
 		return nil, rep.ReadTrace, nil, err
 	}

@@ -132,10 +132,7 @@ func (d *Dataset) SampleRate() float64 {
 	if d.cat.Len() == 0 {
 		return 0
 	}
-	if v, ok := d.cat.Entries()[0].Info.Global[dasf.KeySamplingFrequency]; ok {
-		return float64(v.Int)
-	}
-	return 0
+	return d.cat.Entries()[0].Info.SampleRate()
 }
 
 // Search finds files by start timestamp and count (das_search -s/-c).
@@ -224,25 +221,32 @@ func reportOf(rep haee.Report) Report {
 	return out
 }
 
-// LocalSimiOptions configures earthquake detection (Algorithm 2).
-type LocalSimiOptions struct {
-	detect.LocalSimiParams
-	// Threshold is the detection cut in background standard deviations
-	// (default 1.5 when zero).
-	Threshold float64
-	// OutPath, when set, writes the similarity map as a DASF file.
-	OutPath string
+// Run executes a registered analysis (detect.Op) over the view: its parameter
+// block is bounded against the view, told the framework's fail policy, and
+// run as the workload it builds. A non-empty outPath also gets the result.
+func (f *Framework) Run(v *dass.View, p detect.Params, outPath string) (*dasf.Array2D, Report, error) {
+	v, sp := traceOp(v, "core."+p.Op())
+	nch, nt := v.Shape()
+	if err := p.Validate(nch, nt); err != nil {
+		sp.EndErr(err)
+		return nil, Report{}, err
+	}
+	detect.SetFailPolicy(p, f.cfg.FailPolicy)
+	out, rep, err := f.run(v, p.Workload(nt), outPath)
+	sp.EndErr(err)
+	return out, rep, err
 }
 
-// DefaultLocalSimi returns the parameters used throughout the paper's
-// demonstrations, scaled to the sampling rate.
-func DefaultLocalSimi(rate float64) LocalSimiOptions {
-	return LocalSimiOptions{
-		LocalSimiParams: detect.LocalSimiParams{
-			M: max(int(rate/4), 2), K: 1, L: 4, Stride: max(int(rate/5), 1),
-		},
-		Threshold: 1.5,
+// run is the tail every facade shares: engine, out-of-memory verdict, report.
+func (f *Framework) run(v *dass.View, w arrayudf.Workload, outPath string) (*dasf.Array2D, Report, error) {
+	rep, err := f.engine().Run(v, w, outPath)
+	if err != nil {
+		return nil, Report{}, err
 	}
+	if rep.OOM {
+		return nil, reportOf(rep), ErrOutOfMemory
+	}
+	return rep.Output, reportOf(rep), nil
 }
 
 // traceOp opens a compute span named op under the view's request trace (a
@@ -256,38 +260,33 @@ func traceOp(v *dass.View, op string) (*dass.View, *trace.Span) {
 	return v.WithContext(ctx), sp
 }
 
+// LocalSimiOptions configures earthquake detection (Algorithm 2).
+type LocalSimiOptions struct {
+	detect.LocalSimiParams
+	// Threshold is the detection cut in background standard deviations
+	// (detect.DefaultThreshold when zero).
+	Threshold float64
+	// OutPath, when set, writes the similarity map as a DASF file.
+	OutPath string
+}
+
+// DefaultLocalSimi returns the registry's local-similarity defaults for the
+// sampling rate.
+func DefaultLocalSimi(rate float64) LocalSimiOptions {
+	return LocalSimiOptions{LocalSimiParams: *detect.DefaultLocalSimi(rate), Threshold: detect.DefaultThreshold}
+}
+
 // LocalSimilarity computes the local-similarity map over the view and
 // returns it along with the detected events.
 func (f *Framework) LocalSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.Array2D, []detect.Region, Report, error) {
-	v, sp := traceOp(v, "core.localsimi")
-	out, regions, rep, err := f.localSimilarity(v, opt)
-	if sp != nil {
-		sp.SetAttrInt("events", int64(len(regions)))
-	}
-	sp.EndErr(err)
-	return out, regions, rep, err
-}
-
-func (f *Framework) localSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.Array2D, []detect.Region, Report, error) {
-	nch, nt := v.Shape()
-	if err := opt.Validate(nch, nt); err != nil {
-		return nil, nil, Report{}, err
-	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
-		Spec: opt.Spec(), UDFScratch: opt.UDFScratch(),
-	}, opt.OutPath)
+	out, rep, err := f.Run(v, &opt.LocalSimiParams, opt.OutPath)
 	if err != nil {
-		return nil, nil, Report{}, err
+		return nil, nil, rep, err
 	}
-	if rep.OOM {
-		return nil, nil, reportOf(rep), ErrOutOfMemory
+	if opt.Threshold == 0 {
+		opt.Threshold = detect.DefaultThreshold
 	}
-	thresh := opt.Threshold
-	if thresh == 0 {
-		thresh = 1.5
-	}
-	regions := detect.FindEventsBanded(rep.Output, thresh, max(nch/8, 4))
-	return rep.Output, regions, reportOf(rep), nil
+	return out, detect.BandedEvents(out, opt.Threshold), rep, nil
 }
 
 // InterferometryOptions configures ambient-noise interferometry
@@ -298,98 +297,16 @@ type InterferometryOptions struct {
 	OutPath string
 }
 
-// DefaultInterferometry returns a standard pipeline for the sampling rate:
-// lowpass at rate/8, decimate by 2, correlate against channel 0.
+// DefaultInterferometry returns the registry's interferometry defaults for
+// the sampling rate.
 func DefaultInterferometry(rate float64) InterferometryOptions {
-	return InterferometryOptions{
-		InterferometryParams: detect.InterferometryParams{
-			Rate: rate, FilterOrder: 3, CutoffHz: rate / 8,
-			ResampleP: 1, ResampleQ: 2, MasterChannel: 0, MaxLag: 128,
-		},
-	}
+	return InterferometryOptions{InterferometryParams: *detect.DefaultInterferometry(rate)}
 }
 
 // Interferometry computes per-channel noise correlations against the
 // master channel.
 func (f *Framework) Interferometry(v *dass.View, opt InterferometryOptions) (*dasf.Array2D, Report, error) {
-	nch, nt := v.Shape()
-	if err := opt.Validate(nch, nt); err != nil {
-		return nil, Report{}, err
-	}
-	if opt.FailPolicy == dass.FailAbort {
-		opt.FailPolicy = f.cfg.FailPolicy // framework default unless overridden
-	}
-	return f.runRows(v, opt.Workload(nt), opt.OutPath)
-}
-
-// runRows runs a rows workload on the framework's engine.
-func (f *Framework) runRows(v *dass.View, w arrayudf.RowsWorkload, outPath string) (*dasf.Array2D, Report, error) {
-	rep, err := f.engine().RunRows(v, w, outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
-}
-
-// StackedInterferometryOptions configures windowed interferometry with
-// correlation stacking — the production ambient-noise workflow (ref [16]).
-type StackedInterferometryOptions struct {
-	detect.StackingParams
-	// OutPath, when set, writes the stacked correlations as a DASF file.
-	OutPath string
-}
-
-// DefaultStackedInterferometry windows the record into 8 segments with 25%
-// overlap on top of the default pipeline.
-func DefaultStackedInterferometry(rate float64, totalSamples int) StackedInterferometryOptions {
-	win := max(totalSamples/8, 64)
-	return StackedInterferometryOptions{
-		StackingParams: detect.StackingParams{
-			InterferometryParams: DefaultInterferometry(rate).InterferometryParams,
-			WindowSamples:        win,
-			OverlapSamples:       win / 4,
-		},
-	}
-}
-
-// StackedInterferometry computes per-channel noise correlations stacked
-// over time windows.
-func (f *Framework) StackedInterferometry(v *dass.View, opt StackedInterferometryOptions) (*dasf.Array2D, Report, error) {
-	nch, nt := v.Shape()
-	if err := opt.Validate(nch, nt); err != nil {
-		return nil, Report{}, err
-	}
-	if opt.FailPolicy == dass.FailAbort {
-		opt.FailPolicy = f.cfg.FailPolicy
-	}
-	return f.runRows(v, opt.Workload(nt), opt.OutPath)
-}
-
-// STALTA computes the classical short-term/long-term-average trigger map —
-// the single-channel baseline the local-similarity method outperforms on
-// dense arrays.
-func (f *Framework) STALTA(v *dass.View, p detect.STALTAParams, outPath string) (*dasf.Array2D, Report, error) {
-	v, sp := traceOp(v, "core.stalta")
-	out, rep, err := f.stalta(v, p, outPath)
-	sp.EndErr(err)
-	return out, rep, err
-}
-
-func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) (*dasf.Array2D, Report, error) {
-	if err := p.Validate(v.Shape()); err != nil {
-		return nil, Report{}, err
-	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	return f.Run(v, &opt.InterferometryParams, opt.OutPath)
 }
 
 // Apply runs an arbitrary stencil UDF over the view — the raw
@@ -397,27 +314,16 @@ func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) 
 // engine. ghostChannels is the stencil's channel reach; timeStride > 1
 // evaluates every timeStride-th sample.
 func (f *Framework) Apply(v *dass.View, ghostChannels, timeStride int, udf func(s *arrayudf.Stencil) float64, outPath string) (*dasf.Array2D, Report, error) {
-	v, sp := traceOp(v, "core.apply")
-	out, rep, err := f.apply(v, ghostChannels, timeStride, udf, outPath)
-	sp.EndErr(err)
-	return out, rep, err
-}
-
-func (f *Framework) apply(v *dass.View, ghostChannels, timeStride int, udf func(s *arrayudf.Stencil) float64, outPath string) (*dasf.Array2D, Report, error) {
 	if udf == nil {
 		return nil, Report{}, fmt.Errorf("core: Apply needs a UDF")
 	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
+	v, sp := traceOp(v, "core.apply")
+	out, rep, err := f.run(v, arrayudf.Workload{
 		Spec:       arrayudf.Spec{GhostChannels: ghostChannels, TimeStride: timeStride},
 		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 { return udf(s) },
 	}, outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	sp.EndErr(err)
+	return out, rep, err
 }
 
 // CleanMergeFiles removes the VCA files Merge wrote into the dataset

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/detect"
+	"dassa/internal/obs/trace"
 )
 
 func makeDataset(t *testing.T, channels, files int) (*Dataset, dasgen.Config) {
@@ -203,9 +205,10 @@ func TestStackedInterferometryFacade(t *testing.T) {
 	}
 	fw := New(Config{Nodes: 2, CoresPerNode: 2})
 	_, nt := v.Shape()
-	opt := DefaultStackedInterferometry(cfg.SampleRate, nt)
+	op, _ := detect.Lookup(detect.StackingParams{}.Op())
+	opt := op.Default(cfg.SampleRate, nt).(*detect.StackingParams)
 	opt.MaxLag = 20
-	corr, rep, err := fw.StackedInterferometry(v, opt)
+	corr, rep, err := fw.Run(v, opt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +222,10 @@ func TestStackedInterferometryFacade(t *testing.T) {
 	if rep.ReadTrace.Opens == 0 {
 		t.Error("report missing I/O accounting")
 	}
-	bad := opt
+	bad := *opt
 	bad.WindowSamples = 2
-	if _, _, err := fw.StackedInterferometry(v, bad); err == nil {
-		t.Error("invalid window should fail")
+	if _, _, err := fw.Run(v, &bad, ""); !errors.Is(err, detect.ErrBadParams) {
+		t.Errorf("invalid window: err = %v, want ErrBadParams", err)
 	}
 }
 
@@ -238,7 +241,7 @@ func TestSTALTAFacade(t *testing.T) {
 		LTASamples: int(2 * cfg.SampleRate),
 		Stride:     5,
 	}
-	m, _, err := fw.STALTA(v, p, "")
+	m, _, err := fw.Run(v, &p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +256,54 @@ func TestSTALTAFacade(t *testing.T) {
 	}
 	bad := p
 	bad.STASamples = 0
-	if _, _, err := fw.STALTA(v, bad, ""); err == nil {
-		t.Error("invalid params should fail")
+	if _, _, err := fw.Run(v, &bad, ""); !errors.Is(err, detect.ErrBadParams) {
+		t.Errorf("invalid params: err = %v, want ErrBadParams", err)
+	}
+}
+
+// TestRunEveryRegisteredOp: Run needs nothing per operation. Whatever the
+// registry holds runs at its defaults, gives the extent its workload
+// announces, lands in a request trace under its own name, and is refused —
+// before anything is read — when its parameters do not fit the view.
+func TestRunEveryRegisteredOp(t *testing.T) {
+	ds, cfg := makeDataset(t, 12, 4)
+	v, err := ds.MergeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nch, nt := v.Shape()
+	fw := New(Config{Nodes: 2, CoresPerNode: 2})
+	for _, op := range detect.Ops() {
+		p := op.Default(cfg.SampleRate, nt)
+		if p.Op() != op.Name {
+			t.Fatalf("%s: its defaults belong to %q", op.Name, p.Op())
+		}
+		store := trace.NewStore(1, 1)
+		ctx, root := trace.New(context.Background(), store, "test", "", "run")
+		out, rep, err := fw.Run(v.WithContext(ctx), p, "")
+		root.End()
+		if err != nil {
+			t.Fatalf("%s at its defaults: %v", op.Name, err)
+		}
+		if want := p.Workload(nt).OutSamples(nt); out.Channels != nch || out.Samples != want {
+			t.Errorf("%s: output %d×%d, want %d×%d", op.Name, out.Channels, out.Samples, nch, want)
+		}
+		if rep.ReadTrace.Opens == 0 {
+			t.Errorf("%s: report missing I/O accounting", op.Name)
+		}
+		named := false
+		for _, sp := range store.Recent()[0].Spans {
+			named = named || sp.Name == "core."+op.Name
+		}
+		if !named {
+			t.Errorf("%s: no core.%s span in the request trace", op.Name, op.Name)
+		}
+		narrow, err := v.Subset(0, 1, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, rep, err := fw.Run(narrow, p, ""); !errors.Is(err, detect.ErrBadParams) || rep.ReadTrace.Opens != 0 {
+			t.Errorf("%s on a 1×2 view: err %v after %d opens, want ErrBadParams before any read", op.Name, err, rep.ReadTrace.Opens)
+		}
 	}
 }

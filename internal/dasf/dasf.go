@@ -209,6 +209,13 @@ type Info struct {
 	Members []Member
 }
 
+// SampleRate returns the sampling frequency in Hz recorded in the global
+// metadata (KeySamplingFrequency), 0 when the file does not say. What 0 means
+// is the caller's policy.
+func (i Info) SampleRate() float64 {
+	return float64(i.Global[KeySamplingFrequency].Int)
+}
+
 // Array2D is an in-memory [channels × samples] array stored row-major by
 // channel: sample (c, t) lives at Data[c*Samples+t]. Analysis code works in
 // float64 regardless of the on-disk dtype.

@@ -22,12 +22,15 @@ import (
 // the two compared channels sit ±K channels away; 2L+1 window positions are
 // scanned on each neighbor.
 type LocalSimiParams struct {
-	M int // half window width
-	K int // channel offset to the neighbors
-	L int // half lag-scan extent
+	M int `json:"m" key:"M" help:"half window width (samples; default rate/4)"`
+	K int `json:"k" key:"K" help:"channel offset to the two compared neighbours (default 1)"`
+	L int `json:"l" key:"L" help:"half lag-scan extent (samples; default 4)"`
 	// Stride evaluates the similarity every Stride samples (0/1 = all).
-	Stride int
+	Stride int `json:"stride" key:"stride" help:"evaluate every N samples (default rate/5)"`
 }
+
+// Op names the registered operation these parameters belong to (ops.go).
+func (LocalSimiParams) Op() string { return DefaultOp }
 
 // ErrBadParams marks a detector parameter set refused by Validate, so
 // callers at a trust boundary can answer "bad request" rather than "failed".
@@ -54,6 +57,11 @@ func (p LocalSimiParams) Validate(nch, nt int) error {
 // K channels away, so blocks carry K ghost channels.
 func (p LocalSimiParams) Spec() arrayudf.Spec {
 	return arrayudf.Spec{GhostChannels: p.K, TimeStride: p.Stride}
+}
+
+// Workload returns Algorithm 2 as the points workload the engine runs.
+func (p LocalSimiParams) Workload(int) arrayudf.Workload {
+	return arrayudf.Workload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
 }
 
 // grid cuts a row where on-grid windows start (−M) and end (M+1); a segment
@@ -139,25 +147,34 @@ func (p LocalSimiParams) UDFScratch() func(s *arrayudf.Stencil, scr *daslib.Scra
 // against a master channel.
 type InterferometryParams struct {
 	// Rate is the input sampling rate in Hz.
-	Rate float64
+	Rate float64 `json:"rate"`
 	// FilterOrder and CutoffHz define the Butterworth lowpass
 	// Das_butter(n, fc) applied with Das_filtfilt.
-	FilterOrder int
-	CutoffHz    float64
+	FilterOrder int     `json:"filter_order"`
+	CutoffHz    float64 `json:"cutoff_hz" key:"cutoff" help:"lowpass cutoff Hz (default rate/8)"`
 	// ResampleP/ResampleQ change the rate by P/Q after filtering
 	// (Das_resample).
-	ResampleP, ResampleQ int
+	ResampleP int `json:"resample_p"`
+	ResampleQ int `json:"resample_q" key:"resample" help:"keep 1/Q of the samples (default 2)"`
 	// MasterChannel is the view-relative channel every channel is
 	// correlated against.
-	MasterChannel int
+	MasterChannel int `json:"master_channel" key:"master" help:"master channel, view-relative (default 0)"`
 	// MaxLag limits the correlation output to ±MaxLag samples (at the
 	// resampled rate). Zero keeps the full correlation.
-	MaxLag int
-	// FailPolicy governs reads performed by the workload itself (the master
-	// channel): under dass.FailDegrade a master whose member file stays bad
-	// is zero-filled over the gap instead of aborting the run.
-	FailPolicy dass.FailPolicy
+	MaxLag int `json:"max_lag" key:"maxlag" help:"correlation half-width (resampled samples; default 128)"`
+	// failPolicy governs the read the workload performs itself (the master
+	// channel, see SetFailPolicy). It is the run's, not a parameter: no key
+	// sets it and it does not cross the wire.
+	failPolicy dass.FailPolicy
 }
+
+// Op names the registered operation these parameters belong to (ops.go).
+func (InterferometryParams) Op() string { return "interferometry" }
+
+// SetFailPolicy decides the one read the workload performs itself: under
+// dass.FailDegrade a master channel whose member file stays bad is
+// zero-filled over the gap instead of aborting the run.
+func (p *InterferometryParams) SetFailPolicy(policy dass.FailPolicy) { p.failPolicy = policy }
 
 // Validate checks the parameters against the nch × nt view they are to run
 // on, before anything is read: the filter design is realisable, the master
@@ -316,7 +333,7 @@ func readMasterRow(v *dass.View, ch int, policy dass.FailPolicy) ([]float64, pfs
 // Every calling rank performs its own read — one per core in pure MPI, one
 // per node in hybrid mode — which is exactly the paper's I/O-call argument.
 func (p InterferometryParams) PrepareMaster(v *dass.View) (*Master, pfs.Trace, error) {
-	raw, tr, err := readMasterRow(v, p.MasterChannel, p.FailPolicy)
+	raw, tr, err := readMasterRow(v, p.MasterChannel, p.failPolicy)
 	if err != nil {
 		return nil, tr, err
 	}
@@ -335,9 +352,9 @@ func (p InterferometryParams) PrepareMaster(v *dass.View) (*Master, pfs.Trace, e
 // ordered negative→positive, ±MaxLag) — preprocess into scratch, then the
 // master correlates exactly the kept lags straight into the engine-owned
 // row.
-func (p InterferometryParams) Workload(nt int) arrayudf.RowsWorkload {
+func (p InterferometryParams) Workload(nt int) arrayudf.Workload {
 	resLen := daslib.ResampleLen(nt, p.ResampleP, p.ResampleQ)
-	return arrayudf.RowsWorkload{
+	return arrayudf.Workload{
 		RowLen: p.RowLen(nt),
 		Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
 			m, tr, err := p.PrepareMaster(v)
@@ -375,9 +392,11 @@ func TrimLags(corr []float64, na, nb, rowLen int) []float64 {
 // Region is a detected event: a time interval (in output sample indices)
 // with elevated similarity, plus the channel span where it was strongest.
 type Region struct {
-	TLo, THi   int
-	ChLo, ChHi int
-	Peak       float64
+	TLo  int     `json:"t_lo"`
+	THi  int     `json:"t_hi"`
+	ChLo int     `json:"ch_lo"`
+	ChHi int     `json:"ch_hi"`
+	Peak float64 `json:"peak"`
 }
 
 // FindEvents scans a similarity map (channels × time) for intervals whose

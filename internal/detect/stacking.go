@@ -25,10 +25,13 @@ import (
 type StackingParams struct {
 	InterferometryParams
 	// WindowSamples is the raw-sample length of one correlation window.
-	WindowSamples int
+	WindowSamples int `json:"window_samples" key:"window" help:"correlation window (raw samples; default 1/8 of the record, at least 64)"`
 	// OverlapSamples shifts successive windows by WindowSamples−Overlap.
-	OverlapSamples int
+	OverlapSamples int `json:"overlap_samples" key:"overlap" help:"window overlap (raw samples; default a quarter of the default window)"`
 }
+
+// Op names the registered operation these parameters belong to (ops.go).
+func (StackingParams) Op() string { return "stacked" }
 
 // Validate checks the windowing on top of the base parameters, against the
 // nch × nt view: one window is what the base pipeline filters, and at least
@@ -101,7 +104,7 @@ func (p StackingParams) prepareStackedMaster(raw []float64) (*StackedMaster, err
 // builds the per-window payload — the rank-level Prepare step for engine
 // runs.
 func (p StackingParams) PrepareStackedMasterFromView(v *dass.View) (*StackedMaster, pfs.Trace, error) {
-	raw, tr, err := readMasterRow(v, p.MasterChannel, p.FailPolicy)
+	raw, tr, err := readMasterRow(v, p.MasterChannel, p.failPolicy)
 	if err != nil {
 		return nil, tr, err
 	}
@@ -114,9 +117,9 @@ func (p StackingParams) PrepareStackedMasterFromView(v *dass.View) (*StackedMast
 // time extent is unused: a stacked row's length follows from the window).
 // Every rank prepares the per-window masters from the view it is handed and
 // shares the row UDF bound to them and to that view's context.
-func (p StackingParams) Workload(_ int) arrayudf.RowsWorkload {
+func (p StackingParams) Workload(_ int) arrayudf.Workload {
 	type rowUDF = func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch)
-	return arrayudf.RowsWorkload{
+	return arrayudf.Workload{
 		RowLen: p.StackedRowLen(),
 		Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
 			m, tr, err := p.PrepareStackedMasterFromView(v)

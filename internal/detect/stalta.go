@@ -19,11 +19,14 @@ import (
 type STALTAParams struct {
 	// STASamples and LTASamples are the short and long window lengths;
 	// STA < LTA.
-	STASamples int
-	LTASamples int
+	STASamples int `json:"sta" key:"sta" help:"short window (samples; default rate/10)"`
+	LTASamples int `json:"lta" key:"lta" help:"long window (samples; default rate)"`
 	// Stride evaluates the ratio every Stride samples (0/1 = all).
-	Stride int
+	Stride int `json:"stride" key:"stride" help:"evaluate every N samples (default 1)"`
 }
+
+// Op names the registered operation these parameters belong to (ops.go).
+func (STALTAParams) Op() string { return "stalta" }
 
 // Validate checks the parameters against the nch × nt view they are to run
 // on: the long window, which sizes the edge buffer, fits the time extent,
@@ -43,6 +46,11 @@ func (p STALTAParams) Validate(nch, nt int) error {
 // zones are needed — which is also why it cannot use spatial coherence.
 func (p STALTAParams) Spec() arrayudf.Spec {
 	return arrayudf.Spec{TimeStride: p.Stride}
+}
+
+// Workload returns the trigger as the points workload the engine runs.
+func (p STALTAParams) Workload(int) arrayudf.Workload {
+	return arrayudf.Workload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
 }
 
 // grid cuts a row where the on-grid long and short windows start and where

@@ -90,15 +90,6 @@ func (cfg Config) ranks() (worldSize, threads int) {
 	return cfg.Nodes * cfg.CoresPerNode, 1
 }
 
-// PointsWorkload is a per-cell analysis (Algorithm 2 shape).
-type PointsWorkload struct {
-	Spec arrayudf.Spec
-	// UDFScratch maps one cell to one value; it must be thread-safe. scr is
-	// the calling thread's scratch arena, for whatever buffers the UDF
-	// cannot borrow from the block itself.
-	UDFScratch func(s *arrayudf.Stencil, scr *daslib.Scratch) float64
-}
-
 // Report summarizes a run: wall-clock per phase (max across ranks), the
 // global I/O trace, the memory estimate that decides OOM, and on rank 0
 // the assembled output.
@@ -176,10 +167,7 @@ func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt i
 	if own <= 0 {
 		return dasf.NewArray2D(0, outT)
 	}
-	stride := spec.TimeStride
-	if stride <= 0 {
-		stride = 1
-	}
+	stride := max(spec.TimeStride, 1)
 	out := dasf.NewArray2D(own, outT)
 	scratches, stencils, release := teamScratch(team, blk)
 	defer release()
@@ -212,58 +200,45 @@ func ApplyRowsInto(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *a
 	return out
 }
 
-// RunRows executes a rows workload over the view. If outPath is non-empty,
-// rank 0 writes the assembled result as a DASF file (the single-big-array
-// write both modes share in Figure 8).
-func (e *Engine) RunRows(v *dass.View, w arrayudf.RowsWorkload, outPath string) (Report, error) {
+// Run executes a workload over the view: B = Apply(A, f), points or rows as
+// the workload says. If outPath is non-empty, rank 0 writes the assembled
+// result as a DASF file (the single-big-array write both modes share in
+// Figure 8). Cancellation is checked once per channel row — a row UDF's call,
+// a point UDF's first strided cell — and its panic unwinds through the omp
+// team and mpi.Run to the caller as the context's error.
+func (e *Engine) Run(v *dass.View, w arrayudf.Workload, outPath string) (Report, error) {
 	if err := e.cfg.validate(); err != nil {
 		return Report{}, err
 	}
-	if w.UDFInto == nil || w.RowLen <= 0 {
-		return Report{}, fmt.Errorf("haee: RowsWorkload needs a UDF and positive RowLen")
+	if (w.UDFScratch == nil) == (w.UDFInto == nil) || (w.UDFInto != nil && w.RowLen <= 0) {
+		return Report{}, fmt.Errorf("haee: a workload needs one UDF, and a row UDF a positive RowLen")
+	}
+	_, nt := v.Shape()
+	cancelled := func() {
+		if err := v.Context().Err(); err != nil {
+			panic(fmt.Errorf("haee: compute: %w", err))
+		}
 	}
 	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
+		if w.UDFInto == nil {
+			return ApplyMTScratch(team, blk, w.Spec, nt, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+				if s.T() == 0 {
+					cancelled()
+				}
+				return w.UDFScratch(s, scr)
+			}), 0, pfs.Trace{}
+		}
 		var shared any
 		var sharedBytes int64
 		var prepTr pfs.Trace
 		if w.Prepare != nil {
 			shared, sharedBytes, prepTr = w.Prepare(c, v)
 		}
-		// One UDF call is one channel — the row engine's tile. The
-		// cancellation panic unwinds through the omp team to the rank, and
-		// through mpi.Run to the caller as the context's error.
 		out := ApplyRowsInto(team, blk, w.RowLen, func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
-			if err := v.Context().Err(); err != nil {
-				panic(fmt.Errorf("haee: rows compute: %w", err))
-			}
+			cancelled()
 			w.UDFInto(s, shared, dst, scr)
 		})
 		return out, sharedBytes, prepTr
-	})
-}
-
-// RunPoints executes a PointsWorkload over the view.
-func (e *Engine) RunPoints(v *dass.View, w PointsWorkload, outPath string) (Report, error) {
-	if err := e.cfg.validate(); err != nil {
-		return Report{}, err
-	}
-	if w.UDFScratch == nil {
-		return Report{}, fmt.Errorf("haee: PointsWorkload needs a UDF")
-	}
-	_, nt := v.Shape()
-	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
-		// Check cancellation once per channel row (the first strided cell),
-		// not per cell — cancellation latency stays one row, the hot loop
-		// stays hot.
-		udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-			if s.T() == 0 {
-				if err := v.Context().Err(); err != nil {
-					panic(fmt.Errorf("haee: points compute: %w", err))
-				}
-			}
-			return w.UDFScratch(s, scr)
-		}
-		return ApplyMTScratch(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
 	})
 }
 

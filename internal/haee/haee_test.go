@@ -53,15 +53,20 @@ func TestModeString(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	e := New(Config{Nodes: 0, CoresPerNode: 4})
-	if _, err := e.RunPoints(nil, PointsWorkload{UDFScratch: func(*arrayudf.Stencil, *daslib.Scratch) float64 { return 0 }}, ""); err == nil {
+	if _, err := e.Run(nil, arrayudf.Workload{UDFScratch: func(*arrayudf.Stencil, *daslib.Scratch) float64 { return 0 }}, ""); err == nil {
 		t.Error("zero nodes should fail")
 	}
 	e = New(Config{Nodes: 1, CoresPerNode: 1})
-	if _, err := e.RunPoints(nil, PointsWorkload{}, ""); err == nil {
+	if _, err := e.Run(nil, arrayudf.Workload{}, ""); err == nil {
 		t.Error("nil UDF should fail")
 	}
-	if _, err := e.RunRows(nil, arrayudf.RowsWorkload{}, ""); err == nil {
-		t.Error("empty rows workload should fail")
+	rowUDF := func(*arrayudf.Stencil, any, []float64, *daslib.Scratch) {}
+	if _, err := e.Run(nil, arrayudf.Workload{UDFInto: rowUDF}, ""); err == nil {
+		t.Error("a rows workload without a row length should fail")
+	}
+	cellUDF := func(*arrayudf.Stencil, *daslib.Scratch) float64 { return 0 }
+	if _, err := e.Run(nil, arrayudf.Workload{UDFScratch: cellUDF, UDFInto: rowUDF, RowLen: 1}, ""); err == nil {
+		t.Error("a workload that is both points and rows should fail")
 	}
 }
 
@@ -75,7 +80,7 @@ func TestApplyMTMatchesSequentialApply(t *testing.T) {
 	// Sequential reference via arrayudf.Apply on one rank.
 	var want *dasf.Array2D
 	eng := New(Config{Nodes: 1, CoresPerNode: 1, Mode: PureMPI})
-	rep, err := eng.RunPoints(v, PointsWorkload{Spec: spec, UDFScratch: udf}, "")
+	rep, err := eng.Run(v, arrayudf.Workload{Spec: spec, UDFScratch: udf}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestApplyMTMatchesSequentialApply(t *testing.T) {
 		{Nodes: 3, CoresPerNode: 2, Mode: Hybrid},
 		{Nodes: 2, CoresPerNode: 3, Mode: PureMPI},
 	} {
-		rep, err := New(cfg).RunPoints(v, PointsWorkload{Spec: spec, UDFScratch: udf}, "")
+		rep, err := New(cfg).Run(v, arrayudf.Workload{Spec: spec, UDFScratch: udf}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +150,11 @@ func TestHybridSharesMasterMemory(t *testing.T) {
 	_, nt := v.Shape()
 	wl := params.Workload(nt)
 
-	repMPI, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI}).RunRows(v, wl, "")
+	repMPI, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	repHyb, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid}).RunRows(v, wl, "")
+	repHyb, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +188,20 @@ func TestOOMDetection(t *testing.T) {
 	_, nt := v.Shape()
 	wl := params.Workload(nt)
 	// A memory cap between hybrid's and pure MPI's footprint OOMs only MPI.
-	hyb, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid}).RunRows(v, wl, "")
+	hyb, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpiRep, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI}).RunRows(v, wl, "")
+	mpiRep, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := (hyb.MemPerNode + mpiRep.MemPerNode) / 2
-	hyb2, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid, NodeMemoryBytes: cap}).RunRows(v, wl, "")
+	hyb2, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: Hybrid, NodeMemoryBytes: cap}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpi2, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI, NodeMemoryBytes: cap}).RunRows(v, wl, "")
+	mpi2, err := New(Config{Nodes: 2, CoresPerNode: 4, Mode: PureMPI, NodeMemoryBytes: cap}).Run(v, wl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +222,7 @@ func TestRunRowsWritesOutput(t *testing.T) {
 	_, nt := v.Shape()
 	wl := params.Workload(nt)
 	out := filepath.Join(t.TempDir(), "result.dasf")
-	rep, err := New(Config{Nodes: 2, CoresPerNode: 2, Mode: Hybrid}).RunRows(v, wl, out)
+	rep, err := New(Config{Nodes: 2, CoresPerNode: 2, Mode: Hybrid}).Run(v, wl, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +298,7 @@ func TestApplyRowsMTWrongLenPanics(t *testing.T) {
 // the request counts depend on which.
 func TestBlockLoadFansOverTheRanksTeam(t *testing.T) {
 	v, _, _ := makeView(t, 12, 5)
-	w := PointsWorkload{
+	w := arrayudf.Workload{
 		Spec: arrayudf.Spec{GhostChannels: 1},
 		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 			return s.At(0, -1) + s.Value() + s.At(0, 1)
@@ -311,7 +316,7 @@ func TestBlockLoadFansOverTheRanksTeam(t *testing.T) {
 	} {
 		store := trace.NewStore(4, 4)
 		ctx, root := trace.New(context.Background(), store, "test", "", "run")
-		rep, err := New(tc.cfg).RunPoints(v.WithContext(ctx), w, "")
+		rep, err := New(tc.cfg).Run(v.WithContext(ctx), w, "")
 		root.End()
 		if err != nil {
 			t.Fatal(err)

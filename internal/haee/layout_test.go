@@ -32,10 +32,10 @@ func TestPointsLayoutInvariance(t *testing.T) {
 	}
 	for _, w := range []struct {
 		name string
-		PointsWorkload
+		arrayudf.Workload
 	}{
-		{"localsimi", PointsWorkload{Spec: simi.Spec(), UDFScratch: simi.UDFScratch()}},
-		{"stalta", PointsWorkload{Spec: stalta.Spec(), UDFScratch: stalta.UDFScratch()}},
+		{simi.Op(), simi.Workload(nt)},
+		{stalta.Op(), stalta.Workload(nt)},
 	} {
 		var want *dasf.Array2D
 		var blk arrayudf.Block
@@ -64,7 +64,7 @@ func TestPointsLayoutInvariance(t *testing.T) {
 		}
 		for _, l := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {3, 2}} {
 			for _, mode := range []Mode{PureMPI, Hybrid} {
-				rep, err := New(Config{Nodes: l[0], CoresPerNode: l[1], Mode: mode}).RunPoints(v, w.PointsWorkload, "")
+				rep, err := New(Config{Nodes: l[0], CoresPerNode: l[1], Mode: mode}).Run(v, w.Workload, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,12 +96,12 @@ func TestRowsLayoutInvariance(t *testing.T) {
 	}
 	for _, w := range []struct {
 		name string
-		arrayudf.RowsWorkload
+		arrayudf.Workload
 	}{
-		{"interferometry", interf.Workload(nt)},
-		{"stacked", stacked.Workload(nt)},
+		{interf.Op(), interf.Workload(nt)},
+		{stacked.Op(), stacked.Workload(nt)},
 	} {
-		ref, err := New(Config{Nodes: 1, CoresPerNode: 1, Mode: Hybrid}).RunRows(v, w.RowsWorkload, "")
+		ref, err := New(Config{Nodes: 1, CoresPerNode: 1, Mode: Hybrid}).Run(v, w.Workload, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestRowsLayoutInvariance(t *testing.T) {
 		}
 		for _, l := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {3, 2}} {
 			for _, mode := range []Mode{PureMPI, Hybrid} {
-				rep, err := New(Config{Nodes: l[0], CoresPerNode: l[1], Mode: mode}).RunRows(v, w.RowsWorkload, "")
+				rep, err := New(Config{Nodes: l[0], CoresPerNode: l[1], Mode: mode}).Run(v, w.Workload, "")
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 
 	"dassa/internal/cluster"
 	"dassa/internal/dasgen"
+	"dassa/internal/detect"
 	"dassa/internal/testutil/leakcheck"
 )
 
@@ -55,10 +56,10 @@ func newClusterServer(t *testing.T, dir string, workers []string) *Server {
 }
 
 type clusterDetectResp struct {
-	Op          string       `json:"op"`
-	Events      []regionJSON `json:"events"`
-	Degraded    bool         `json:"degraded"`
-	Distributed bool         `json:"distributed"`
+	Op          string          `json:"op"`
+	Events      []detect.Region `json:"events"`
+	Degraded    bool            `json:"degraded"`
+	Distributed bool            `json:"distributed"`
 }
 
 type clusterReadResp struct {

@@ -13,6 +13,7 @@ import (
 
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/detect"
 	"dassa/internal/testutil/leakcheck"
 )
 
@@ -217,9 +218,9 @@ func TestDetectEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	var dr struct {
-		Op     string       `json:"op"`
-		Events []regionJSON `json:"events"`
-		WallMS float64      `json:"wall_ms"`
+		Op     string          `json:"op"`
+		Events []detect.Region `json:"events"`
+		WallMS float64         `json:"wall_ms"`
 	}
 	if resp := getJSON(t, ts, "/detect?op=stalta&sta=3&lta=25", &dr); resp.StatusCode != 200 {
 		t.Fatalf("/detect stalta status %d", resp.StatusCode)
@@ -232,6 +233,23 @@ func TestDetectEndpoints(t *testing.T) {
 	}
 	if resp := getJSON(t, ts, "/detect?op=nope", nil); resp.StatusCode != 400 {
 		t.Fatalf("unknown op: status %d, want 400", resp.StatusCode)
+	}
+	// The key list has one definition: what das_analyze takes as a flag,
+	// /detect takes as a parameter, bounded by the same Validate. An analysis
+	// without an event stage is not a detection.
+	for q, want := range map[string]int{
+		"/detect?op=localsimi&K=2&L=3":   200,
+		"/detect?op=stalta&stride=5":     200,
+		"/detect?op=localsimi&K=8":       400,
+		"/detect?op=localsimi&L=seven":   400,
+		"/detect?op=interferometry":      400,
+		"/detect?op=stacked&window=64":   400,
+		"/detect?threshold=1.5e":         400,
+		"/detect?op=stalta&threshold=-1": 200,
+	} {
+		if resp := getJSON(t, ts, q, nil); resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", q, resp.StatusCode, want)
+		}
 	}
 	// Detector parameters are bounded against the window before they size
 	// anything: M = 3e9 used to reach the first edge cell's buffer and end

@@ -329,17 +329,14 @@ func (s *Server) writeCancelled(w http.ResponseWriter, err error) {
 }
 
 // writeQueryError maps a pipeline error onto the right status: cancellation
-// → 499/504, detector parameters the window cannot hold → 400, anything
-// else → 500.
+// → 499/504, anything else → 500. (What the client got wrong was answered 400
+// before the pipeline ran.)
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case dass.IsCancellation(err):
+	if dass.IsCancellation(err) {
 		s.writeCancelled(w, err)
-	case errors.Is(err, detect.ErrBadParams):
-		badRequest(w, "%v", err)
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		return
 	}
+	writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -449,6 +446,20 @@ func (s *Server) selectEntries(r *http.Request) ([]dass.Entry, error) {
 	return cat.Entries(), nil
 }
 
+// selectView resolves the request's selection to the view over it — metadata
+// only, nothing is read — and the number of files behind it.
+func (s *Server) selectView(r *http.Request) (*dass.View, int, error) {
+	entries, err := s.selectEntries(r)
+	if err == nil && len(entries) == 0 {
+		err = errors.New("no files match the selection")
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	v, err := dass.ViewOver(entries)
+	return v, len(entries), err
+}
+
 // handleSearch is GET /search — das_search over the live catalog.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	matches, err := s.selectEntries(r)
@@ -468,16 +479,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // selection grammar plus ch0/ch1 (channel range), t0/t1 (sample range,
 // view-relative) and data=0 to return only the summary.
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	entries, err := s.selectEntries(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	if len(entries) == 0 {
-		badRequest(w, "no files match the selection")
-		return
-	}
-	v, err := dass.ViewOver(entries)
+	v, files, err := s.selectView(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -529,14 +531,14 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	s.quality.recordRead(tr, gaps)
 	if sp := trace.Current(r.Context()); sp != nil {
-		sp.SetAttrInt("files", int64(len(entries)))
+		sp.SetAttrInt("files", int64(files))
 		sp.SetAttrInt("gaps", int64(len(gaps)))
 		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
 	resp := map[string]any{
 		"num_channels": arr.Channels,
 		"num_samples":  arr.Samples,
-		"files":        len(entries),
+		"files":        files,
 		"io": map[string]int64{
 			"opens": tr.Opens, "reads": tr.Reads, "bytes_read": tr.BytesRead,
 		},
@@ -553,26 +555,45 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// regionJSON is one detected event in /detect results.
-type regionJSON struct {
-	TLo  int     `json:"t_lo"`
-	THi  int     `json:"t_hi"`
-	ChLo int     `json:"ch_lo"`
-	ChHi int     `json:"ch_hi"`
-	Peak float64 `json:"peak"`
-}
-
-// handleDetect is GET /detect — a windowed detection job on the in-process
-// HAEE engine, gated by the bounded job semaphore. op=localsimi (default)
-// or stalta, over the /search selection grammar.
+// handleDetect is GET /detect — a windowed detection job over the /search
+// selection grammar: op= names a registered analysis with an event stage
+// (detect.Op; detect.DefaultOp when absent), any key its parameter block
+// declares overrides a default, threshold= cuts the events. All of it is
+// checked against the metadata-only view before a job slot is taken: a
+// malformed request never queues behind real detections to be told 400.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	entries, err := s.selectEntries(r)
+	v, files, err := s.selectView(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	if len(entries) == 0 {
-		badRequest(w, "no files match the selection")
+	q := r.URL.Query()
+	name := q.Get("op")
+	if name == "" {
+		name = detect.DefaultOp
+	}
+	op, _ := detect.Lookup(name)
+	if op.Events == nil {
+		badRequest(w, "unknown op %q: no registered analysis with an event stage has that name", name)
+		return
+	}
+	threshold, err := queryFloat(r, "threshold", detect.DefaultThreshold)
+	rate := v.Info().SampleRate()
+	if rate <= 0 {
+		rate = 100
+	}
+	nch, nt := v.Shape()
+	p := op.Default(rate, nt)
+	for _, f := range detect.Fields(p) {
+		if val := q.Get(f.Key); val != "" {
+			err = errors.Join(err, detect.Set(p, f.Key, val))
+		}
+	}
+	if err == nil {
+		err = p.Validate(nch, nt)
+	}
+	if err != nil {
+		badRequest(w, "%v", err)
 		return
 	}
 
@@ -586,94 +607,28 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v, err := dass.ViewOver(entries)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
+	// The job runs across the worker pool or in process; either way the event
+	// stage runs here, on the whole map.
 	v = v.WithSlabReader(s.cache.SlabReader()).WithContext(r.Context())
-	rate := 0.0
-	if val, ok := entries[0].Info.Global[dasf.KeySamplingFrequency]; ok {
-		rate = float64(val.Int)
-	}
-	if rate <= 0 {
-		rate = 100
-	}
-	threshold, err := queryFloat(r, "threshold", 1.5)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-
-	op := r.URL.Query().Get("op")
-	if op == "" {
-		op = "localsimi"
-	}
 	t0 := time.Now()
-	var regions []detect.Region
+	var out *dasf.Array2D
 	var rep core.Report
 	var cres *cluster.Result
 	var distributed bool
-	// Each op validates its parameters, then runs either across the
-	// worker pool (event regions are computed coordinator-side on the
-	// merged map, exactly as the local engine would) or in process.
-	switch op {
-	case "localsimi":
-		opt := core.DefaultLocalSimi(rate)
-		opt.Threshold = threshold
-		if opt.M, err = queryInt(r, "M", opt.M); err != nil {
-			badRequest(w, "%v", err)
-			return
+	if s.co != nil {
+		cres, distributed, err = s.runCluster(r.Context(), cluster.Request{View: v, Params: p})
+		if distributed && err == nil {
+			out = cres.Data
 		}
-		if opt.Stride, err = queryInt(r, "stride", opt.Stride); err != nil {
-			badRequest(w, "%v", err)
-			return
-		}
-		if s.co != nil {
-			cres, distributed, err = s.runCluster(r.Context(), cluster.Request{
-				View: v, Op: cluster.OpLocalSimi, Rate: rate, LocalSimi: opt.LocalSimiParams,
-			})
-		}
-		if !distributed {
-			_, regions, rep, err = s.fw.LocalSimilarity(v, opt)
-		} else if err == nil {
-			nch, _ := v.Shape()
-			regions = detect.FindEventsBanded(cres.Data, opt.Threshold, max(nch/8, 4))
-		}
-	case "stalta":
-		p := detect.STALTAParams{STASamples: max(int(rate/10), 2), LTASamples: max(int(rate), 8)}
-		if p.STASamples, err = queryInt(r, "sta", p.STASamples); err != nil {
-			badRequest(w, "%v", err)
-			return
-		}
-		if p.LTASamples, err = queryInt(r, "lta", p.LTASamples); err != nil {
-			badRequest(w, "%v", err)
-			return
-		}
-		var out *dasf.Array2D
-		if s.co != nil {
-			cres, distributed, err = s.runCluster(r.Context(), cluster.Request{
-				View: v, Op: cluster.OpSTALTA, Rate: rate, STALTA: p,
-			})
-			if distributed && err == nil {
-				out = cres.Data
-			}
-		}
-		if !distributed {
-			out, rep, err = s.fw.STALTA(v, p, "")
-		}
-		if err == nil {
-			nch, _ := v.Shape()
-			regions = detect.FindEventsBanded(out, threshold, max(nch/8, 4))
-		}
-	default:
-		badRequest(w, "unknown op %q (want localsimi or stalta)", op)
-		return
+	}
+	if !distributed {
+		out, rep, err = s.fw.Run(v, p, "")
 	}
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
+	regions := op.Events(out, threshold)
 	s.jobsDone.Add(1)
 	degraded := rep.Degraded()
 	if distributed {
@@ -684,19 +639,15 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sp := trace.Current(r.Context()); sp != nil {
-		sp.SetAttr("op", op)
-		sp.SetAttrInt("files", int64(len(entries)))
+		sp.SetAttr("op", name)
+		sp.SetAttrInt("files", int64(files))
 		sp.SetAttrInt("events", int64(len(regions)))
 		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
-	events := make([]regionJSON, len(regions))
-	for i, reg := range regions {
-		events[i] = regionJSON{TLo: reg.TLo, THi: reg.THi, ChLo: reg.ChLo, ChHi: reg.ChHi, Peak: reg.Peak}
-	}
 	resp := map[string]any{
-		"op":          op,
-		"files":       len(entries),
-		"events":      events,
+		"op":          name,
+		"files":       files,
+		"events":      append([]detect.Region{}, regions...), // [] when there are none, not null
 		"wall_ms":     time.Since(t0).Milliseconds(),
 		"degraded":    degraded,
 		"phases":      rep.Phases,

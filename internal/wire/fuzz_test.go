@@ -19,7 +19,7 @@ func FuzzWireDecode(f *testing.F) {
 	req, _ := Encode(TypeShardRequest, ShardRequest{
 		ID: 1, Shard: 0, Op: "localsimi",
 		Files: []FileSpec{{Path: "a.dasf", NumChannels: 4, NumSamples: 8, Timestamp: 170728224510}},
-		ChLo:  0, ChHi: 4, T0: 0, T1: 8, Rate: 50, M: 2, K: 1, L: 1, Stride: 2,
+		ChLo:  0, ChHi: 4, T0: 0, T1: 8, Params: []byte(`{"m":2,"k":1,"l":1,"stride":2}`),
 	})
 	f.Add(AppendFrame(nil, req))
 	res, _ := EncodeResult(ShardResult{ID: 1, Channels: 2, Samples: 2,

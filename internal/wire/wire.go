@@ -24,7 +24,7 @@ import (
 const (
 	magic0  = 0xDA
 	magic1  = 0x55
-	Version = 1
+	Version = 2
 
 	// headerLen is the fixed frame prefix: magic(2) version(1) type(1)
 	// length(4, big endian).
@@ -245,25 +245,23 @@ type ShardRequest struct {
 	ID    uint64 `json:"id"`
 	Shard int    `json:"shard"`
 	// DeadlineUnixNano is the request's absolute deadline (0 = none).
-	DeadlineUnixNano int64      `json:"deadline_unix_nano,omitempty"`
-	Op               string     `json:"op"` // read | localsimi | stalta
-	Files            []FileSpec `json:"files"`
+	DeadlineUnixNano int64 `json:"deadline_unix_nano,omitempty"`
+	// Op is "read" or a registered analysis (detect.Op), whose parameter
+	// block travels opaquely in Params: a new analysis changes nothing here.
+	Op     string          `json:"op"`
+	Params json.RawMessage `json:"params,omitempty"`
+	Files  []FileSpec      `json:"files"`
 	// ChLo/ChHi are the shard's core channel rows; Halo extends the read
 	// below/above by the stencil's ghost reach so shard borders compute
-	// exactly (the worker trims halo rows before replying).
-	ChLo int     `json:"ch_lo"`
-	ChHi int     `json:"ch_hi"`
-	Halo int     `json:"halo,omitempty"`
-	T0   int     `json:"t0"`
-	T1   int     `json:"t1"`
-	Rate float64 `json:"rate,omitempty"`
-	// Detection parameters (op-dependent; zero values use worker defaults).
-	M      int `json:"m,omitempty"`
-	K      int `json:"k,omitempty"`
-	L      int `json:"l,omitempty"`
-	Stride int `json:"stride,omitempty"`
-	STA    int `json:"sta,omitempty"`
-	LTA    int `json:"lta,omitempty"`
+	// exactly (the worker trims halo rows before replying) — but never past
+	// WinChLo/WinChHi, the request window's rows, where the stencil clamps.
+	ChLo    int `json:"ch_lo"`
+	ChHi    int `json:"ch_hi"`
+	Halo    int `json:"halo,omitempty"`
+	WinChLo int `json:"win_ch_lo,omitempty"`
+	WinChHi int `json:"win_ch_hi"`
+	T0      int `json:"t0"`
+	T1      int `json:"t1"`
 	// TraceID/ParentSpan propagate request tracing across the process
 	// boundary: the worker records its shard spans under ParentSpan and
 	// ships them back in ShardResult.Spans. Both are omitempty, so frames

@@ -139,6 +139,11 @@ func TestCLIWorkflow(t *testing.T) {
 	if !strings.Contains(out, "detected") || !strings.Contains(out, "phases:") {
 		t.Fatalf("das_analyze output: %s", out)
 	}
+	// One measurement, one line: the phases, each the slowest rank's.
+	if n := strings.Count(out, "phases:"); n != 1 || strings.Contains(out, "breakdown:") {
+		t.Errorf("das_analyze prints %d phases: lines (want 1) and a breakdown: line %v:\n%s",
+			n, strings.Contains(out, "breakdown:"), out)
+	}
 	if _, err := os.Stat(simOut); err != nil {
 		t.Errorf("similarity map not written: %v", err)
 	}

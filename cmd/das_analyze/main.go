@@ -249,11 +249,7 @@ func main() {
 	summary(rep.Output)
 
 	fmt.Printf("engine: %s, %d node(s) × %d core(s)\n", engMode, *nodes, *cores)
-	fmt.Printf("phases: read %v (exchange %v), compute %v, write %v (total %v)\n",
-		rep.ReadTime.Round(time.Millisecond), rep.ExchangeTime.Round(time.Millisecond),
-		rep.ComputeTime.Round(time.Millisecond),
-		rep.WriteTime.Round(time.Millisecond), rep.Total().Round(time.Millisecond))
-	fmt.Printf("breakdown: %s\n", rep.Phases.String())
+	fmt.Printf("phases: %s, total %.1fms\n", rep.Phases, float64(rep.Total())/1e6)
 	fmt.Printf("I/O: %d opens, %d read calls, %.1f MB read; est. memory/node %.1f MB\n",
 		rep.ReadTrace.Opens, rep.ReadTrace.Reads, float64(rep.ReadTrace.BytesRead)/1e6,
 		float64(rep.MemPerNode)/1e6)

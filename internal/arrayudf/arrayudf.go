@@ -191,7 +191,7 @@ func IndependentRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fail
 		}
 		t0 := time.Now()
 		d, tr, subGaps, err := sub.ReadPolicy(policy)
-		v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(t0))
+		obs.SpansFrom(v.Context()).Add(c.Rank(), obs.PhaseRead, time.Since(t0))
 		if err != nil {
 			panic(fmt.Errorf("arrayudf: block read: %w", err))
 		}

@@ -59,7 +59,7 @@ func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fai
 	// The halo messages are the exchange cost this strategy adds on top of
 	// the reader's all-to-all; the recorder folds both into PhaseExchange.
 	tHalo := time.Now()
-	defer func() { v.ObserveSpan(rank, obs.PhaseExchange, time.Since(tHalo)) }()
+	defer func() { obs.SpansFrom(v.Context()).Add(rank, obs.PhaseExchange, time.Since(tHalo)) }()
 	width := ownHi - ownLo
 	send := min(nominal, width)
 	// Everyone with a neighbor sends `send` boundary rows; receivers keep

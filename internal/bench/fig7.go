@@ -70,7 +70,7 @@ func RunFig7(o Options) ([]Fig7Row, error) {
 	for _, m := range methods {
 		var tr pfs.Trace
 		spans := obs.NewSpans(o.Ranks)
-		view := m.view.WithSpans(spans)
+		view := m.view.WithContext(obs.ContextWithSpans(m.view.Context(), spans))
 		wall, err := timeIt(func() error {
 			_, werr := mpi.Run(o.Ranks, func(c *mpi.Comm) {
 				_, t := m.read(c, view)

@@ -7,6 +7,7 @@ import (
 
 	"dassa/internal/dass"
 	"dassa/internal/haee"
+	"dassa/internal/obs"
 )
 
 // Fig8Row is one (node count, mode) configuration of Figure 8.
@@ -104,8 +105,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			workers := nodes * o.CoresPerNode
-			row := Fig8Row{
+			rows = append(rows, Fig8Row{
 				Nodes:        nodes,
 				Mode:         mode,
 				OOM:          rep.OOM,
@@ -113,11 +113,10 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 				Opens:        rep.ReadTrace.Opens,
 				Reads:        rep.ReadTrace.Reads,
 				ReadModel:    o.Model.Project(rep.ReadTrace).Total(),
-				ComputeModel: modeledWall(unit, nch, workers),
-				WriteWall:    rep.WriteTime,
+				ComputeModel: modeledWall(unit, nch, nodes*o.CoresPerNode),
+				WriteWall:    rep.Phases.Max[obs.PhaseWrite],
 				Phases:       phasesOf(rep.Phases),
-			}
-			rows = append(rows, row)
+			})
 		}
 	}
 

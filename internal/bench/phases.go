@@ -16,9 +16,9 @@ type PhasesJSON struct {
 // phasesOf flattens a span report into the row form.
 func phasesOf(rep obs.PhaseReport) PhasesJSON {
 	return PhasesJSON{
-		ReadMS:     rep.Stat(obs.PhaseRead).MaxMS,
-		ExchangeMS: rep.Stat(obs.PhaseExchange).MaxMS,
-		ComputeMS:  rep.Stat(obs.PhaseCompute).MaxMS,
-		WriteMS:    rep.Stat(obs.PhaseWrite).MaxMS,
+		ReadMS:     float64(rep.Max[obs.PhaseRead]) / 1e6,
+		ExchangeMS: float64(rep.Max[obs.PhaseExchange]) / 1e6,
+		ComputeMS:  float64(rep.Max[obs.PhaseCompute]) / 1e6,
+		WriteMS:    float64(rep.Max[obs.PhaseWrite]) / 1e6,
 	}
 }

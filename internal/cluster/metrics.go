@@ -33,7 +33,6 @@ func newMetrics(reg *obs.Registry, co *Coordinator) *metrics {
 	}
 	for _, o := range shardOutcomes {
 		m.shards[o] = reg.Counter("dassa_cluster_shards_total",
-			//dassalint:ignore metriclabel o ranges over shardOutcomes, a closed vocabulary
 			"shard fates by outcome", obs.L("outcome", o))
 	}
 	reg.GaugeFunc("dassa_cluster_workers", "registered workers currently alive",
@@ -50,7 +49,6 @@ func newMetrics(reg *obs.Registry, co *Coordinator) *metrics {
 	for _, l := range co.links {
 		m.latency[l.addr] = reg.Histogram("dassa_cluster_shard_seconds",
 			"per-worker shard round-trip latency", obs.LatencyBuckets(),
-			//dassalint:ignore metriclabel worker addresses come from the -workers flag, fixed at startup
 			obs.L("worker", l.addr))
 	}
 	return m

@@ -380,7 +380,7 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 		return
 	}
 	res.ID, res.Shard = req.ID, req.Shard
-	res.WallNS = time.Since(start).Nanoseconds()
+	wall := time.Since(start)
 	f, err := wire.EncodeResult(res, data)
 	if err != nil {
 		_ = c.SendEnvelope(wire.TypeShardError, wire.ShardError{
@@ -394,7 +394,7 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 	} else {
 		w.cfg.Log.Info("cluster: shard done",
 			"id", req.ID, "shard", req.Shard, "trace_id", req.TraceID,
-			"wall_ms", res.WallNS/1e6)
+			"wall_ms", wall.Milliseconds())
 	}
 }
 

@@ -198,11 +198,9 @@ func (d *Dataset) Rescan() error {
 type Report struct {
 	ReadTrace  pfs.Trace
 	MemPerNode int64
-	Phases     struct{ Read, Exchange, Compute, Write string }
-	// Breakdown is the per-rank phase decomposition (read/exchange/compute/
-	// write, max and mean across ranks) — the machine-readable counterpart
-	// of Phases, mirroring the paper's Figs. 8–10.
-	Breakdown obs.PhaseReport
+	// Phases is the engine's phase record (haee.Report.Phases), each phase
+	// the slowest rank's time as a time.Duration string.
+	Phases struct{ Read, Exchange, Compute, Write string }
 	// Quality accounts for degraded reads (non-nil only under
 	// dass.FailDegrade); Quality.Degraded() reports whether data was lost.
 	Quality *dass.QualityReport
@@ -212,12 +210,12 @@ type Report struct {
 func (r Report) Degraded() bool { return r.Quality.Degraded() }
 
 func reportOf(rep haee.Report) Report {
-	out := Report{ReadTrace: rep.ReadTrace, MemPerNode: rep.MemPerNode,
-		Breakdown: rep.Phases, Quality: rep.Quality}
-	out.Phases.Read = rep.ReadTime.String()
-	out.Phases.Exchange = rep.ExchangeTime.String()
-	out.Phases.Compute = rep.ComputeTime.String()
-	out.Phases.Write = rep.WriteTime.String()
+	out := Report{ReadTrace: rep.ReadTrace, MemPerNode: rep.MemPerNode, Quality: rep.Quality}
+	ph := rep.Phases.Max
+	out.Phases.Read = ph[obs.PhaseRead].String()
+	out.Phases.Exchange = ph[obs.PhaseExchange].String()
+	out.Phases.Compute = ph[obs.PhaseCompute].String()
+	out.Phases.Write = ph[obs.PhaseWrite].String()
 	return out
 }
 

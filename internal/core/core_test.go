@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/detect"
+	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 )
 
@@ -136,8 +138,8 @@ func TestLocalSimilarityFacade(t *testing.T) {
 	if _, err := os.Stat(out); err != nil {
 		t.Errorf("similarity map not written: %v", err)
 	}
-	if rep.Phases.Compute == "" {
-		t.Error("report missing phase timings")
+	if d, err := time.ParseDuration(rep.Phases.Compute); err != nil || d <= 0 {
+		t.Errorf("report compute phase %q (%v), want a positive duration", rep.Phases.Compute, err)
 	}
 	// Invalid parameters are rejected.
 	bad := opt
@@ -258,6 +260,53 @@ func TestSTALTAFacade(t *testing.T) {
 	bad.STASamples = 0
 	if _, _, err := fw.Run(v, &bad, ""); !errors.Is(err, detect.ErrBadParams) {
 		t.Errorf("invalid params: err = %v, want ErrBadParams", err)
+	}
+}
+
+// TestPhasesOneMeasurement: a run's phases are measured once, and every
+// place that reports them is a view of that one record — the report's
+// strings, the haee.* spans in the request trace (to the nanosecond), and
+// the increase of the dassa_phase_seconds histograms (one rank, so one
+// observation per phase).
+func TestPhasesOneMeasurement(t *testing.T) {
+	ds, cfg := makeDataset(t, 12, 3)
+	v, err := ds.MergeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := func(p obs.Phase) *obs.Histogram {
+		return obs.Default().Histogram("dassa_phase_seconds", "", obs.LatencyBuckets(), obs.L("phase", p.String()))
+	}
+	var before [obs.NumPhases]float64
+	for _, p := range obs.Phases() {
+		before[p] = hist(p).Sum()
+	}
+	store := trace.NewStore(1, 1)
+	ctx, root := trace.New(context.Background(), store, "test", "", "run")
+	_, rep, err := New(Config{Nodes: 1, CoresPerNode: 2}).Run(v.WithContext(ctx), detect.DefaultLocalSimi(cfg.SampleRate), "")
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanNS := map[string]int64{}
+	for _, sp := range store.Recent()[0].Spans {
+		spanNS[sp.Name] = sp.DurNS
+	}
+	for p, s := range [obs.NumPhases]string{rep.Phases.Read, rep.Phases.Exchange, rep.Phases.Compute, rep.Phases.Write} {
+		ph := obs.Phase(p)
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			t.Fatalf("%s: report string %q: %v", ph, s, err)
+		}
+		if ph != obs.PhaseExchange && d <= 0 {
+			t.Errorf("%s: report %v, want a measured phase", ph, d)
+		}
+		if got, ok := spanNS["haee."+ph.String()]; ok != (d > 0) || got != int64(d) {
+			t.Errorf("%s: span haee.%s = %dns (present %v), report %dns", ph, ph, got, ok, int64(d))
+		}
+		if inc := hist(ph).Sum() - before[p]; math.Abs(inc-d.Seconds()) > 1e-6 {
+			t.Errorf("%s: dassa_phase_seconds grew by %gs, report %gs", ph, inc, d.Seconds())
+		}
 	}
 }
 

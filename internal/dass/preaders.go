@@ -111,7 +111,7 @@ func ReadIndependentPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs.
 		}
 		t0 := time.Now()
 		data, tr, subGaps, err := sub.ReadPolicy(policy)
-		v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(t0))
+		obs.SpansFrom(v.Context()).Add(c.Rank(), obs.PhaseRead, time.Since(t0))
 		if err != nil {
 			panic(fmt.Errorf("dass: independent read: %w", err))
 		}
@@ -148,6 +148,7 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 	blk := Block{ChLo: lo, ChHi: hi, Data: dasf.NewArray2D(hi-lo, nt)}
 	var local pfs.Trace
 	var gaps []Gap
+	rec := obs.SpansFrom(v.Context())
 	for _, sp := range v.memberSpans() {
 		// File boundaries are the collective's natural cancellation points:
 		// every rank hits the same check before the same broadcast, so the
@@ -163,7 +164,7 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 			flat = make([]float64, nch*width)
 			tRead := time.Now()
 			err := v.readMemberSpan(sp, flat, width, &local)
-			v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(tRead))
+			rec.Add(c.Rank(), obs.PhaseRead, time.Since(tRead))
 			if err != nil {
 				if policy.fatal(err) {
 					panic(fmt.Errorf("dass: collective read: %w", err))
@@ -175,7 +176,7 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 		}
 		tEx := time.Now()
 		flat = mpi.Bcast(c, root, flat)
-		v.ObserveSpan(c.Rank(), obs.PhaseExchange, time.Since(tEx))
+		rec.Add(c.Rank(), obs.PhaseExchange, time.Since(tEx))
 		// Keep only this rank's channel rows.
 		for ch := lo; ch < hi; ch++ {
 			src := flat[ch*width : (ch+1)*width]
@@ -209,6 +210,7 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 	blk := Block{ChLo: lo, ChHi: hi, Data: dasf.NewArray2D(hi-lo, nt)}
 	var local pfs.Trace
 	var gaps []Gap
+	rec := obs.SpansFrom(v.Context())
 	spans := v.memberSpans()
 	rounds := (len(spans) + p - 1) / p
 	for r := 0; r < rounds; r++ {
@@ -228,7 +230,7 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 			mine := make([]float64, nch*width)
 			tRead := time.Now()
 			err := v.readMemberSpan(sp, mine, width, &local)
-			v.ObserveSpan(rank, obs.PhaseRead, time.Since(tRead))
+			rec.Add(rank, obs.PhaseRead, time.Since(tRead))
 			if err != nil {
 				if policy.fatal(err) {
 					panic(fmt.Errorf("dass: comm-avoiding read: %w", err))
@@ -251,7 +253,7 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 		}
 		tEx := time.Now()
 		recv := mpi.Alltoallv(c, send)
-		v.ObserveSpan(rank, obs.PhaseExchange, time.Since(tEx))
+		rec.Add(rank, obs.PhaseExchange, time.Since(tEx))
 		// Place every source's contribution at its file's time offset.
 		for s := 0; s < p; s++ {
 			srcIdx := r*p + s

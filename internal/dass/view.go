@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"dassa/internal/dasf"
-	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/omp"
 	"dassa/internal/pfs"
@@ -26,13 +24,11 @@ type View struct {
 	// slab, when non-nil, replaces the direct open-and-read of member
 	// hyperslabs — the hook a block cache plugs into (see WithSlabReader).
 	slab SlabReaderFunc
-	// spans, when non-nil, receives per-rank phase timings from the
-	// parallel readers — the hook behind the paper's read/exchange/compute
-	// breakdown (see WithSpans).
-	spans *obs.Spans
 	// ctx, when non-nil, bounds every read issued through the view: member
 	// opens, slab reads, retry backoff, and the parallel readers' rank
-	// loops all honor its cancellation (see WithContext).
+	// loops all honor its cancellation (see WithContext). The parallel
+	// readers record their read and exchange time into the phase recorder
+	// it carries (obs.SpansFrom), if any.
 	ctx context.Context
 	// team, when non-nil, is the thread team a read fans the view's member
 	// files over (see WithTeam); without one the same loop runs on a team
@@ -58,16 +54,6 @@ type SlabReaderFunc func(ctx context.Context, path string, chLo, chHi, tLo, tHi 
 func (v *View) WithSlabReader(fn SlabReaderFunc) *View {
 	cp := *v
 	cp.slab = fn
-	return &cp
-}
-
-// WithSpans returns a copy of the view whose parallel reads record per-rank
-// phase timings (read vs exchange) into s. Subsets keep the recorder; a nil
-// s disables recording. Like WithSlabReader, this is a hook: the view layer
-// stays dependency-free and the engine decides where timings accumulate.
-func (v *View) WithSpans(s *obs.Spans) *View {
-	cp := *v
-	cp.spans = s
 	return &cp
 }
 
@@ -102,13 +88,6 @@ func (v *View) Context() context.Context {
 		return context.Background()
 	}
 	return v.ctx
-}
-
-// ObserveSpan records d under phase p for rank. Safe on views without a
-// recorder — engines above the read path (ghost exchange, compute) call
-// this unconditionally.
-func (v *View) ObserveSpan(rank int, p obs.Phase, d time.Duration) {
-	v.spans.Add(rank, p, d)
 }
 
 // ViewOver builds a VCA-shaped view over the entries entirely in memory —

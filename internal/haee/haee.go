@@ -98,18 +98,9 @@ type Report struct {
 	Nodes        int
 	CoresPerNode int
 
-	ReadTime    time.Duration
-	ComputeTime time.Duration
-	WriteTime   time.Duration
-
-	// ExchangeTime is the communication component of the load phase —
-	// broadcasts, all-to-alls, halo messages — max across ranks. It is a
-	// subset of ReadTime (which keeps its historical meaning of full block
-	// load wall time), isolating the paper's exchange cost.
-	ExchangeTime time.Duration
-
-	// Phases is the per-rank phase breakdown (read/exchange/compute/write)
-	// reduced across ranks — the machine-readable form of Figs. 8–10.
+	// Phases is the run's one timing: read (the readers' storage calls),
+	// exchange (their broadcasts, all-to-alls and halo messages), compute
+	// and write, each the slowest rank's — the form of Figs. 8–10.
 	Phases obs.PhaseReport
 
 	ReadTrace  pfs.Trace
@@ -127,8 +118,14 @@ type Report struct {
 	Output *dasf.Array2D
 }
 
-// Total returns the end-to-end wall time.
-func (r Report) Total() time.Duration { return r.ReadTime + r.ComputeTime + r.WriteTime }
+// Total returns the end-to-end wall time: the phases, back to back.
+func (r Report) Total() time.Duration {
+	var t time.Duration
+	for _, d := range r.Phases.Max {
+		t += d
+	}
+	return t
+}
 
 // Engine executes workloads under a machine layout.
 type Engine struct {
@@ -242,8 +239,8 @@ func (e *Engine) Run(v *dass.View, w arrayudf.Workload, outPath string) (Report,
 	})
 }
 
-// run is the shared phase driver: read → compute → gather/write, with
-// per-phase timing reduced to the max across ranks.
+// run is the shared phase loop: read → compute → gather/write, each phase
+// measured once per rank into one recorder that the report reduces.
 func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	outPath string,
 	compute func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace),
@@ -255,10 +252,11 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 
 	rep := Report{Mode: cfg.Mode, Nodes: cfg.Nodes, CoresPerNode: cfg.CoresPerNode}
 	nch, _ := v.Shape()
-	// Per-rank phase recorder: the parallel readers fill read/exchange via
-	// the view hook; the driver below records compute and write.
+	// Per-rank phase recorder, carried in the view's context next to the
+	// request trace: the readers record read and exchange, the rank body
+	// below compute and write.
 	spans := obs.NewSpans(worldSize)
-	v = v.WithSpans(spans)
+	v = v.WithContext(obs.ContextWithSpans(v.Context(), spans))
 	var runErr error
 	// cancelled panics the rank with the view context's error at a phase
 	// boundary; mpi.Run unwraps it so callers see context.Canceled /
@@ -275,16 +273,12 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 		// The team that computes on the block also reads it: the view fans
 		// its member files over the rank's threads (one thread in PureMPI).
 		cancelled("load")
-		t0 := time.Now()
 		blk, readTr, quality := arrayudf.LoadBlock(c, v.WithTeam(team), spec)
-		readSec := time.Since(t0).Seconds()
 
 		cancelled("compute")
-		t0 = time.Now()
+		t0 := time.Now()
 		out, sharedBytes, prepTr := compute(c, team, blk)
-		computeDur := time.Since(t0)
-		computeSec := computeDur.Seconds()
-		spans.Add(c.Rank(), obs.PhaseCompute, computeDur)
+		spans.Add(c.Rank(), obs.PhaseCompute, time.Since(t0))
 		readTr.Add(prepTr) // prepare-phase I/O counts as read I/O
 
 		// Memory estimate: each rank holds its block + shared payload; a
@@ -301,10 +295,9 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 		memPerNode := memVec[0] * int64(ranksPerNode)
 		oom := cfg.NodeMemoryBytes > 0 && memPerNode > cfg.NodeMemoryBytes
 
-		// Phase times: max across ranks. I/O traces: summed across ranks —
-		// the total request pressure on the storage system is exactly what
-		// Figure 8 compares between the two modes.
-		times := mpi.Reduce(c, 0, []float64{readSec, computeSec}, mpi.MaxF64)
+		// I/O traces: summed across ranks — the total request pressure on
+		// the storage system is exactly what Figure 8 compares between the
+		// two modes.
 		trSum := mpi.Reduce(c, 0, []int64{readTr.Opens, readTr.Reads, readTr.BytesRead,
 			readTr.Retries, readTr.Faults, readTr.SlowReads, readTr.MaskedSamples}, mpi.SumI64)
 		if c.Rank() == 0 {
@@ -361,15 +354,9 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 			writeTr.Opens, writeTr.Writes, writeTr.BytesWritten = wr[0], wr[1], wr[2]
 		}
 		full := arrayudf.Gather(c, nch, arrayudf.Result{Data: out, ChLo: blk.ChLo, ChHi: blk.ChHi})
-		writeDur := time.Since(t0)
-		writeSec := writeDur.Seconds()
-		spans.Add(c.Rank(), obs.PhaseWrite, writeDur)
-		wtimes := mpi.Reduce(c, 0, []float64{writeSec}, mpi.MaxF64)
+		spans.Add(c.Rank(), obs.PhaseWrite, time.Since(t0))
 
 		if c.Rank() == 0 {
-			rep.ReadTime = time.Duration(times[0] * float64(time.Second))
-			rep.ComputeTime = time.Duration(times[1] * float64(time.Second))
-			rep.WriteTime = time.Duration(wtimes[0] * float64(time.Second))
 			rep.ReadTrace = readTr
 			rep.ReadTrace.Processes = worldSize
 			rep.WriteTrace = writeTr
@@ -383,10 +370,9 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	// The recorder outlives the world: reduce it once here, on the caller's
 	// goroutine, and feed the process-wide histograms so a scrape of
 	// /metrics sees every engine run's phase distribution.
-	rep.ExchangeTime = spans.Max(obs.PhaseExchange)
 	rep.Phases = spans.Report()
 	spans.ObserveInto(obs.Default())
-	annotateTrace(v.Context(), runStart, &rep)
+	annotateTrace(v.Context(), runStart, rep.Phases)
 	if err != nil {
 		var re *mpi.RankError
 		if errors.As(err, &re) && re.TraceID == "" {
@@ -397,28 +383,17 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	return rep, runErr
 }
 
-// annotateTrace lands the engine's phase breakdown in the request trace (if
-// the view carries one) as completed child spans. Phase wall times are
-// max-across-ranks, so the spans are laid out back to back from the run's
-// start — an approximation of the critical path, not per-rank timelines.
-func annotateTrace(ctx context.Context, runStart time.Time, rep *Report) {
+// annotateTrace lands the run's phases in the request trace (if the view
+// carries one) as completed child spans haee.read, haee.exchange,
+// haee.compute and haee.write. Phase wall times are max-across-ranks and
+// disjoint, so the spans are laid out back to back from the run's start —
+// an approximation of the critical path, not per-rank timelines.
+func annotateTrace(ctx context.Context, runStart time.Time, phases obs.PhaseReport) {
 	at := runStart
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"haee.read", rep.ReadTime},
-		{"haee.compute", rep.ComputeTime},
-		{"haee.write", rep.WriteTime},
-	} {
-		if ph.d <= 0 {
-			continue
+	for _, p := range obs.Phases() {
+		if d := phases.Max[p]; d > 0 {
+			trace.Add(ctx, "haee."+p.String(), at, d)
+			at = at.Add(d)
 		}
-		trace.Add(ctx, ph.name, at, ph.d)
-		at = at.Add(ph.d)
-	}
-	// Exchange overlaps the read phase rather than following it.
-	if rep.ExchangeTime > 0 {
-		trace.Add(ctx, "haee.exchange", runStart, rep.ExchangeTime)
 	}
 }

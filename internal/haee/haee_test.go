@@ -12,6 +12,7 @@ import (
 	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
+	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/omp"
 )
@@ -236,13 +237,48 @@ func TestRunRowsWritesOutput(t *testing.T) {
 	if rep.WriteTrace.BytesWritten == 0 {
 		t.Error("write trace empty")
 	}
-	if rep.Total() <= 0 {
-		t.Error("phase timings missing")
+	ph := rep.Phases.Max
+	if sum := ph[obs.PhaseRead] + ph[obs.PhaseExchange] + ph[obs.PhaseCompute] + ph[obs.PhaseWrite]; rep.Total() <= 0 || rep.Total() != sum {
+		t.Errorf("Total() = %v, want the phases' sum %v > 0", rep.Total(), sum)
 	}
 	// The master channel's self-correlation peaks at 1 at zero lag.
 	zero := wl.RowLen / 2
 	if d := math.Abs(rep.Output.At(0, zero) - 1); d > 1e-6 {
 		t.Errorf("master self-correlation at zero lag = %g, want 1", rep.Output.At(0, zero))
+	}
+}
+
+// TestPhaseSpansAreTheReport: the haee.* spans a traced run leaves are its
+// report's phases, laid back to back from the read: the comm-avoiding reader
+// makes the exchange a phase of its own, disjoint from the read.
+func TestPhaseSpansAreTheReport(t *testing.T) {
+	v, _, _ := makeView(t, 12, 4)
+	w := arrayudf.Workload{
+		Spec:       arrayudf.Spec{GhostChannels: 1},
+		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 { return s.At(0, -1) + s.At(0, 1) },
+	}
+	store := trace.NewStore(1, 1)
+	ctx, root := trace.New(context.Background(), store, "test", "", "run")
+	rep, err := New(Config{Nodes: 2, CoresPerNode: 2, Mode: Hybrid, ReadStrategy: arrayudf.CommAvoidingRead}).
+		Run(v.WithContext(ctx), w, "")
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Phases.Ranks != 2 || rep.Phases.Max[obs.PhaseExchange] <= 0 {
+		t.Fatalf("phases %v: want 2 ranks and a measured exchange", rep.Phases)
+	}
+	spans := map[string]trace.SpanData{}
+	for _, sp := range store.Recent()[0].Spans {
+		spans[sp.Name] = sp
+	}
+	at := spans["haee.read"].StartUnixNano
+	for _, p := range obs.Phases() {
+		sp, ok := spans["haee."+p.String()]
+		if !ok || sp.DurNS != int64(rep.Phases.Max[p]) || sp.StartUnixNano != at {
+			t.Errorf("haee.%s span %+v (present %v), want %v from %d", p, sp, ok, rep.Phases.Max[p], at)
+		}
+		at += sp.DurNS
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cowopt enforces DASSA's copy-on-write option convention:
 // `With*` methods that return their receiver's type (dass.View's
-// WithSlabReader/WithSpans and friends) must build a modified copy, never
+// WithSlabReader/WithContext and friends) must build a modified copy, never
 // mutate the receiver in place. Views are shared freely across request
 // goroutines precisely because option application cannot alias-write them.
 package cowopt

@@ -19,7 +19,6 @@ import (
 	"dassa/internal/lint/goleak"
 	"dassa/internal/lint/loader"
 	"dassa/internal/lint/lockio"
-	"dassa/internal/lint/metriclabel"
 	"dassa/internal/lint/spanclose"
 	"dassa/internal/lint/wraperr"
 )
@@ -31,7 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 		cowopt.Analyzer,
 		goleak.Analyzer,
 		lockio.Analyzer,
-		metriclabel.Analyzer,
 		spanclose.Analyzer,
 		wraperr.Analyzer,
 	}

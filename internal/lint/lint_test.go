@@ -46,13 +46,13 @@ func TestIgnoreSuppression(t *testing.T) {
 		analyzer string
 		want     bool
 	}{
-		{4, "lockio", true},       // same-line trailing comment
-		{4, "closecheck", false},  // different analyzer not covered
-		{9, "closecheck", true},   // comment line above the statement
-		{9, "lockio", true},       // comma-separated list
-		{9, "metriclabel", false}, // not in the list
-		{13, "wraperr", true},     // "all" covers every analyzer
-		{17, "lockio", false},     // plain comment is not an ignore
+		{4, "lockio", true},      // same-line trailing comment
+		{4, "closecheck", false}, // different analyzer not covered
+		{9, "closecheck", true},  // comment line above the statement
+		{9, "lockio", true},      // comma-separated list
+		{9, "spanclose", false},  // not in the list
+		{13, "wraperr", true},    // "all" covers every analyzer
+		{17, "lockio", false},    // plain comment is not an ignore
 	}
 	for _, c := range cases {
 		if got := ig.Covers(at(c.line), c.analyzer); got != c.want {
@@ -101,7 +101,7 @@ func TestAuditIgnoresFlagsUnknownNames(t *testing.T) {
 }
 
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"closecheck", "cowopt", "goleak", "lockio", "metriclabel", "spanclose", "wraperr"}
+	want := []string{"closecheck", "cowopt", "goleak", "lockio", "spanclose", "wraperr"}
 	got := names(Analyzers())
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() = %v, want %v", got, want)

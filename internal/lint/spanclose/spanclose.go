@@ -1,9 +1,9 @@
-// Package spanclose verifies that every phase span started with
-// Spans.Start is ended on all paths out of the function: either via
-// `defer sp.End()` (which also survives panics) or by an End call that no
-// early return can skip. An unclosed span silently drops a rank's phase
-// time and skews the read/exchange/compute breakdown the paper's figures
-// are built from.
+// Package spanclose verifies that every request-trace span opened with
+// trace.Start, trace.New or trace.StartRemote is ended on all paths out of
+// the function: either via `defer sp.End()` (which also survives panics)
+// or by an End/EndErr call that no early return can skip. An unended span
+// never reaches the trace, so the tree stops accounting for its parent's
+// wall time — and an unended root never completes the trace at all.
 package spanclose
 
 import (
@@ -16,7 +16,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "spanclose",
-	Doc: "every span constructor (Spans.Start, trace.Start/New/StartRemote) " +
+	Doc: "every trace span constructor (trace.Start/New/StartRemote) " +
 		"must be matched by End or EndErr on all return paths " +
 		"(including panics) — prefer `defer sp.End()`",
 	Run: run,
@@ -31,12 +31,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// spanResult matches a call that creates a span: a callee named Start,
-// New, or StartRemote with exactly one result whose (possibly pointer)
-// named type is Span — the obs.Spans method shape and the trace package's
-// multi-result constructors (`ctx, sp := trace.Start(...)`), without
-// hard-coding import paths so testdata stand-ins are exercised too.
-// Returns the Span's index among the call's results.
+// spanResult matches a call that creates a span: a package-level function
+// named Start, New, or StartRemote with exactly one result whose (possibly
+// pointer) named type is Span — the trace package's constructors
+// (`ctx, sp := trace.Start(...)`), without hard-coding import paths so
+// testdata stand-ins are exercised too. Returns the Span's index among the
+// call's results.
 func spanResult(pass *analysis.Pass, call *ast.CallExpr) (idx, results int, ok bool) {
 	fn := astutil.Callee(pass.TypesInfo, call)
 	if fn == nil {
@@ -48,7 +48,7 @@ func spanResult(pass *analysis.Pass, call *ast.CallExpr) (idx, results int, ok b
 		return 0, 0, false
 	}
 	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
+	if sig == nil || sig.Recv() != nil {
 		return 0, 0, false
 	}
 	idx = -1
@@ -90,19 +90,15 @@ func checkUnit(pass *analysis.Pass, u astutil.FuncUnit) {
 }
 
 func checkStart(pass *analysis.Pass, u astutil.FuncUnit, call *ast.CallExpr, idx, results int) {
-	// Chained `x.Start(...).End()` ends immediately: fine.
-	if parentIsSelector(u.Body, call) {
-		return
-	}
-	// `return s.Start(...)` or `finish(s.Start(...))`: the span escapes
-	// unassigned — ending it is the receiver's responsibility.
+	// `return trace.Start(...)` or `finish(trace.Start(...))`: the span
+	// escapes unassigned — ending it is the receiver's responsibility.
 	if escapesUnassigned(u.Body, call) {
 		return
 	}
 	assign, lhs := assignmentOf(u.Body, call, idx, results)
 	if assign == nil || lhs == nil || lhs.Name == "_" {
 		pass.Reportf(call.Pos(),
-			"spanclose: Span result discarded; the phase time is never recorded — "+
+			"spanclose: Span result discarded; the span never reaches the trace — "+
 				"assign it and `defer sp.End()`")
 		return
 	}
@@ -223,22 +219,9 @@ func escapesUnassigned(body *ast.BlockStmt, call *ast.CallExpr) bool {
 	return found
 }
 
-// parentIsSelector reports whether call is immediately selected on
-// (x.Start(...).End() chains).
-func parentIsSelector(body *ast.BlockStmt, call *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && ast.Unparen(sel.X) == call {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// assignmentOf finds the `sp := x.Start(...)` (or multi-value
-// `ctx, sp := trace.Start(...)`) statement and the identifier bound to the
-// call's Span result, if that is how the result is consumed.
+// assignmentOf finds the `ctx, sp := trace.Start(...)` statement and the
+// identifier bound to the call's Span result, if that is how the result is
+// consumed.
 func assignmentOf(body *ast.BlockStmt, call *ast.CallExpr, idx, results int) (*ast.AssignStmt, *ast.Ident) {
 	var as *ast.AssignStmt
 	ast.Inspect(body, func(n ast.Node) bool {

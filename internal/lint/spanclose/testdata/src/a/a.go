@@ -1,114 +1,45 @@
 package a
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
-// Local stand-ins with the obs API shape: Spans.Start returns a Span
-// whose End records the elapsed phase time.
-type Spans struct{}
+// Local stand-ins with the trace package's constructor shapes:
+// package-level Start/New returning (Ctx, *Span), StartRemote returning a
+// third value, and End/EndErr as the closers. Local names matter, not
+// import paths: the analyzer matches the constructor name and a (possibly
+// pointer) result type named Span.
+type Ctx struct{}
 
 type Span struct{}
 
-func (s *Spans) Start(rank, phase int) Span { return Span{} }
-
-func (sp Span) End() time.Duration { return 0 }
-
-func work() error { return errors.New("boom") }
-
-func finish(sp Span) {}
-
-type holder struct{ sp Span }
-
-// Clean: the canonical form survives early returns and panics.
-func goodDefer(s *Spans) error {
-	sp := s.Start(0, 1)
-	defer sp.End()
-	return work()
-}
-
-// Clean: straight-line Start then End, nothing can skip it.
-func goodLinear(s *Spans) {
-	sp := s.Start(0, 1)
-	_ = work()
-	sp.End()
-}
-
-// Clean: chained Start-End measures an empty phase but closes it.
-func goodChained(s *Spans) {
-	s.Start(0, 1).End()
-}
-
-// Clean: handing the span to another function transfers responsibility.
-func goodEscapeArg(s *Spans) {
-	sp := s.Start(0, 1)
-	finish(sp)
-}
-
-// Clean: returning the span transfers responsibility to the caller.
-func goodEscapeReturn(s *Spans) Span {
-	return s.Start(0, 1)
-}
-
-// Clean: a deferred closure ends it.
-func goodDeferClosure(s *Spans) error {
-	sp := s.Start(0, 1)
-	defer func() {
-		sp.End()
-	}()
-	return work()
-}
-
-// Clean: stored into a field — whoever owns the struct ends it.
-func goodEscapeField(s *Spans, h *holder) {
-	sp := s.Start(0, 1)
-	h.sp = sp
-}
-
-// Bad: the Span result is thrown away; End can never be called.
-func badDiscarded(s *Spans) {
-	s.Start(0, 1) // want `spanclose: Span result discarded`
-}
-
-// Bad: assigned to blank, same hole.
-func badBlank(s *Spans) {
-	_ = s.Start(0, 1) // want `spanclose: Span result discarded`
-}
-
-// Bad: started and simply never ended.
-func badNeverEnded(s *Spans) {
-	sp := s.Start(0, 1) // want `spanclose: span is started but never ended`
-	_ = sp
-	_ = work()
-}
-
-// Bad: the early return skips the End.
-func badEarlyReturn(s *Spans) error {
-	sp := s.Start(0, 1) // want `spanclose: span may not be ended on every return path`
-	if err := work(); err != nil {
-		return err
-	}
-	sp.End()
-	return nil
-}
-
-// Stand-ins with the trace package's constructor shapes: package-level
-// Start/New returning (Ctx, *Span), StartRemote returning a third value,
-// and EndErr as an alternative closer.
-type Ctx struct{}
-
 type Remote struct{}
 
-// Local names matter, not import paths: the analyzer matches the
-// constructor name and a (possibly pointer) result type named Span.
 func Start(c Ctx, name string) (Ctx, *Span)   { return c, &Span{} }
 func New(c Ctx, name string) (Ctx, *Span)     { return c, &Span{} }
 func StartRemote(c Ctx) (Ctx, *Span, *Remote) { return c, &Span{}, &Remote{} }
 
+func (sp *Span) End()             {}
 func (sp *Span) EndErr(err error) {}
 
-// Clean: multi-result Start, EndErr on the straight line.
+// Recorder has a Start method of the same shape: only the package-level
+// constructors open spans, so methods are not checked.
+type Recorder struct{}
+
+func (r *Recorder) Start(c Ctx, name string) (Ctx, *Span) { return c, &Span{} }
+
+func work() error { return errors.New("boom") }
+
+func finish(c Ctx, sp *Span) {}
+
+type holder struct{ sp *Span }
+
+// Clean: the canonical form survives early returns and panics.
+func goodDefer(c Ctx) error {
+	_, sp := Start(c, "op")
+	defer sp.End()
+	return work()
+}
+
+// Clean: EndErr on the straight line, nothing can skip it.
 func goodMultiEndErr(c Ctx) error {
 	c2, sp := Start(c, "op")
 	_ = c2
@@ -144,6 +75,28 @@ func goodMultiEscape(c Ctx) (Ctx, *Span) {
 	return c2, sp
 }
 
+// Clean: returning the call itself transfers responsibility too.
+func goodEscapeReturn(c Ctx) (Ctx, *Span) {
+	return Start(c, "op")
+}
+
+// Clean: handing the span to another function transfers responsibility.
+func goodEscapeArg(c Ctx) {
+	c2, sp := Start(c, "op")
+	finish(c2, sp)
+}
+
+// Clean: stored into a field — whoever owns the struct ends it.
+func goodEscapeField(c Ctx, h *holder) {
+	_, sp := Start(c, "op")
+	h.sp = sp
+}
+
+// Clean: a method named Start is not a trace constructor.
+func goodMethod(c Ctx, r *Recorder) {
+	_, _ = r.Start(c, "op")
+}
+
 // Bad: Span result bound to blank in a multi-assign.
 func badMultiBlank(c Ctx) {
 	_, _ = Start(c, "op") // want `spanclose: Span result discarded`
@@ -163,4 +116,11 @@ func badMultiEarlyReturn(c Ctx) error {
 	}
 	sp.EndErr(nil)
 	return nil
+}
+
+// Bad: a remote root that is never ended never ships its fragment.
+func badRemoteNeverEnded(c Ctx) {
+	_, sp, _ := StartRemote(c) // want `spanclose: span is started but never ended`
+	_ = sp
+	_ = work()
 }

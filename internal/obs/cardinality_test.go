@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestSeriesCapAdversarial is the runtime half of what the metriclabel
-// analyzer enforces statically: even if an unbounded request string
-// reaches a label value, the registry must stay bounded.
+// TestSeriesCapAdversarial is the registry's cardinality bound: even if an
+// unbounded request string reaches a label value, the registry must stay
+// bounded.
 func TestSeriesCapAdversarial(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 10_000; i++ {

@@ -1,8 +1,8 @@
 // Package obs is DASSA's unified observability layer: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms) exposed via
-// expvar and the Prometheus text format, lightweight phase-span tracing
-// that reproduces the paper's per-rank read/exchange/compute breakdown
-// (Figs. 8–10), and a log/slog-based structured logger shared by the CLIs
+// expvar and the Prometheus text format, the per-rank phase recorder that
+// measures the paper's read/exchange/compute/write breakdown (Figs. 8–10),
+// and a log/slog-based structured logger shared by the CLIs
 // and the dassd daemon. Everything here is stdlib-only so any package —
 // including the lowest storage layer — can instrument itself without
 // import cycles or new dependencies.
@@ -188,9 +188,8 @@ type Registry struct {
 
 // DefaultSeriesLimit is the per-family series cap: far above any bounded
 // label set the code registers (routes, phases, outcomes), far below what
-// an unbounded label value could mint. The static analyzer (metriclabel)
-// keeps unbounded values out at compile time; this cap is the runtime
-// backstop for whatever slips through.
+// an unbounded label value could mint, including values no static check
+// could see.
 const DefaultSeriesLimit = 64
 
 // overflowLabels marks the single series that absorbs registrations past

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -42,9 +43,11 @@ func Phases() []Phase {
 	return []Phase{PhaseRead, PhaseExchange, PhaseCompute, PhaseWrite}
 }
 
-// Spans accumulates per-rank phase durations for one parallel run. Each
-// rank adds to its own slot; slots are atomics so a late Report (or a
-// concurrent metrics scrape) never races rank goroutines.
+// Spans is the one measurement of a parallel run's phases: per-rank
+// accumulated durations, each phase timed once where it happens. Each rank
+// adds to its own slot; slots are atomics so a late Report (or a concurrent
+// metrics scrape) never races rank goroutines. A nil recorder drops every
+// record.
 type Spans struct {
 	ns [][NumPhases]atomic.Int64
 }
@@ -57,9 +60,6 @@ func NewSpans(ranks int) *Spans {
 	return &Spans{ns: make([][NumPhases]atomic.Int64, ranks)}
 }
 
-// Ranks returns the world size the recorder was built for.
-func (s *Spans) Ranks() int { return len(s.ns) }
-
 // Add accumulates d into (rank, phase). Out-of-range ranks are dropped —
 // a recorder sized for one world must not panic if reused on a larger one.
 func (s *Spans) Add(rank int, p Phase, d time.Duration) {
@@ -69,78 +69,29 @@ func (s *Spans) Add(rank int, p Phase, d time.Duration) {
 	s.ns[rank][p].Add(int64(d))
 }
 
-// Get returns the accumulated duration of (rank, phase).
-func (s *Spans) Get(rank int, p Phase) time.Duration {
-	if s == nil || rank < 0 || rank >= len(s.ns) || p >= NumPhases {
-		return 0
-	}
-	return time.Duration(s.ns[rank][p].Load())
+// spansKey is the zero-size context key a run's recorder travels under.
+type spansKey struct{}
+
+// ContextWithSpans returns a copy of ctx carrying s, next to whatever
+// request trace ctx already carries: the readers of a view bound to it
+// record their read and exchange time into s.
+func ContextWithSpans(ctx context.Context, s *Spans) context.Context {
+	return context.WithValue(ctx, spansKey{}, s)
 }
 
-// Max returns the largest accumulated duration of the phase across ranks —
-// the per-phase wall time a bulk-synchronous run actually pays.
-func (s *Spans) Max(p Phase) time.Duration {
-	if s == nil {
-		return 0
-	}
-	var m int64
-	for r := range s.ns {
-		if v := s.ns[r][p].Load(); v > m {
-			m = v
-		}
-	}
-	return time.Duration(m)
+// SpansFrom returns the recorder ctx carries, or nil (which records
+// nothing) when it carries none.
+func SpansFrom(ctx context.Context) *Spans {
+	s, _ := ctx.Value(spansKey{}).(*Spans)
+	return s
 }
 
-// Span is one in-progress phase measurement on one rank.
-type Span struct {
-	s     *Spans
-	rank  int
-	phase Phase
-	t0    time.Time
-}
-
-// Start begins timing (rank, phase); call End to record.
-func (s *Spans) Start(rank int, p Phase) Span {
-	return Span{s: s, rank: rank, phase: p, t0: time.Now()}
-}
-
-// End records the elapsed time and returns it.
-func (sp Span) End() time.Duration {
-	d := time.Since(sp.t0)
-	sp.s.Add(sp.rank, sp.phase, d)
-	return d
-}
-
-// PhaseStat summarizes one phase across ranks.
-type PhaseStat struct {
-	// MaxMS is the slowest rank's time — the phase's wall-clock cost in a
-	// bulk-synchronous run.
-	MaxMS float64 `json:"max_ms"`
-	// MeanMS is the average across ranks; a Max≫Mean gap means imbalance.
-	MeanMS float64 `json:"mean_ms"`
-	// SumMS is total rank-time spent in the phase.
-	SumMS float64 `json:"sum_ms"`
-}
-
-// PhaseReport is the machine-readable per-run phase breakdown, keyed by
-// phase name ("read", "exchange", "compute", "write").
+// PhaseReport is a run's phase breakdown: per phase, the slowest rank's
+// time — the wall time a bulk-synchronous run pays for that phase.
 type PhaseReport struct {
-	Ranks  int                  `json:"ranks"`
-	Phases map[string]PhaseStat `json:"phases"`
-}
-
-// Stat returns the named phase's stats (zero value when absent).
-func (r PhaseReport) Stat(p Phase) PhaseStat { return r.Phases[p.String()] }
-
-// TotalMaxMS sums the per-phase max times — the modeled bulk-synchronous
-// wall time of the run.
-func (r PhaseReport) TotalMaxMS() float64 {
-	var t float64
-	for _, st := range r.Phases {
-		t += st.MaxMS
-	}
-	return t
+	Ranks int
+	// Max is indexed by Phase; phases a run never entered stay zero.
+	Max [NumPhases]time.Duration
 }
 
 func (r PhaseReport) String() string {
@@ -149,7 +100,7 @@ func (r PhaseReport) String() string {
 		if i > 0 {
 			b.WriteString(" | ")
 		}
-		fmt.Fprintf(&b, "%s %.1fms", p, r.Stat(p).MaxMS)
+		fmt.Fprintf(&b, "%s %.1fms", p, float64(r.Max[p])/1e6)
 	}
 	fmt.Fprintf(&b, " (max across %d ranks)", r.Ranks)
 	return b.String()
@@ -157,24 +108,14 @@ func (r PhaseReport) String() string {
 
 // Report reduces the per-rank accumulators into a PhaseReport.
 func (s *Spans) Report() PhaseReport {
-	rep := PhaseReport{Phases: map[string]PhaseStat{}}
+	var rep PhaseReport
 	if s == nil {
 		return rep
 	}
 	rep.Ranks = len(s.ns)
-	for _, p := range Phases() {
-		var sum, maxNS int64
-		for r := range s.ns {
-			v := s.ns[r][p].Load()
-			sum += v
-			if v > maxNS {
-				maxNS = v
-			}
-		}
-		rep.Phases[p.String()] = PhaseStat{
-			MaxMS:  float64(maxNS) / 1e6,
-			MeanMS: float64(sum) / float64(len(s.ns)) / 1e6,
-			SumMS:  float64(sum) / 1e6,
+	for r := range s.ns {
+		for p := range rep.Max {
+			rep.Max[p] = max(rep.Max[p], time.Duration(s.ns[r][p].Load()))
 		}
 	}
 	return rep

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -16,60 +18,42 @@ func TestSpansReport(t *testing.T) {
 		s.Add(rank, PhaseExchange, 5*time.Millisecond)
 	}
 	s.Add(3, PhaseCompute, 100*time.Millisecond)
+	s.Add(3, PhaseCompute, 20*time.Millisecond) // accumulates
 
-	if got := s.Max(PhaseRead); got != 40*time.Millisecond {
-		t.Fatalf("Max(read) = %v, want 40ms", got)
-	}
 	rep := s.Report()
-	if rep.Ranks != 4 {
-		t.Fatalf("ranks = %d", rep.Ranks)
+	want := PhaseReport{Ranks: 4, Max: [NumPhases]time.Duration{
+		PhaseRead:     40 * time.Millisecond,
+		PhaseExchange: 5 * time.Millisecond,
+		PhaseCompute:  120 * time.Millisecond,
+	}}
+	if rep != want {
+		t.Fatalf("report = %+v, want %+v", rep, want)
 	}
-	rd := rep.Stat(PhaseRead)
-	if rd.MaxMS != 40 || rd.SumMS != 100 || rd.MeanMS != 25 {
-		t.Fatalf("read stat = %+v", rd)
-	}
-	if ex := rep.Stat(PhaseExchange); ex.MaxMS != 5 || ex.SumMS != 20 {
-		t.Fatalf("exchange stat = %+v", ex)
-	}
-	if cp := rep.Stat(PhaseCompute); cp.MaxMS != 100 || cp.SumMS != 100 {
-		t.Fatalf("compute stat = %+v", cp)
-	}
-	if got := rep.TotalMaxMS(); got != 40+5+100 {
-		t.Fatalf("TotalMaxMS = %g", got)
-	}
-	str := rep.String()
-	for _, phase := range []string{"read", "exchange", "compute", "write"} {
-		if !strings.Contains(str, phase) {
-			t.Fatalf("report string misses %q: %s", phase, str)
-		}
-	}
-}
-
-func TestSpanStartEnd(t *testing.T) {
-	s := NewSpans(2)
-	sp := s.Start(1, PhaseCompute)
-	time.Sleep(2 * time.Millisecond)
-	d := sp.End()
-	if d <= 0 || s.Get(1, PhaseCompute) != d {
-		t.Fatalf("span recorded %v, got %v", d, s.Get(1, PhaseCompute))
+	if got, want := rep.String(), "read 40.0ms | exchange 5.0ms | compute 120.0ms | write 0.0ms (max across 4 ranks)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
 // TestSpansNilAndBoundsSafe: nil recorders and out-of-range ranks are
-// dropped, not panics — views without observers call through nil.
+// dropped, not panics — readers of a view whose context carries no
+// recorder record through nil.
 func TestSpansNilAndBoundsSafe(t *testing.T) {
 	var s *Spans
 	s.Add(0, PhaseRead, time.Second)
-	if s.Get(0, PhaseRead) != 0 || s.Max(PhaseRead) != 0 {
-		t.Fatal("nil spans must read as zero")
-	}
-	if rep := s.Report(); rep.Ranks != 0 {
+	if rep := s.Report(); rep != (PhaseReport{}) {
 		t.Fatalf("nil report: %+v", rep)
 	}
+	if got := SpansFrom(context.Background()); got != nil {
+		t.Fatalf("a context without a recorder gave %p", got)
+	}
+	SpansFrom(context.Background()).Add(0, PhaseRead, time.Second)
+
 	s2 := NewSpans(2)
-	s2.Add(5, PhaseRead, time.Second) // out of range: dropped
-	if s2.Max(PhaseRead) != 0 {
-		t.Fatal("out-of-range rank must be dropped")
+	ctx := ContextWithSpans(context.Background(), s2)
+	SpansFrom(ctx).Add(1, PhaseExchange, time.Millisecond)
+	SpansFrom(ctx).Add(5, PhaseRead, time.Second) // out of range: dropped
+	if rep := s2.Report(); rep.Max[PhaseRead] != 0 || rep.Max[PhaseExchange] != time.Millisecond {
+		t.Fatalf("recorder from the context: %+v", rep)
 	}
 }
 
@@ -92,18 +76,16 @@ func TestSpansConcurrent(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			_ = s.Report()
-			_ = s.Max(PhaseCompute)
 		}
 	}()
 	wg.Wait()
 	<-done
+	// Every rank added 250 µs to each phase.
 	rep := s.Report()
-	var sum float64
 	for _, p := range Phases() {
-		sum += rep.Stat(p).SumMS
-	}
-	if want := 8 * 1000 * 0.001; sum != want { // 8000 µs in ms
-		t.Fatalf("sum = %gms, want %gms", sum, want)
+		if rep.Max[p] != 250*time.Microsecond {
+			t.Fatalf("%s max = %v, want 250µs", p, rep.Max[p])
+		}
 	}
 }
 
@@ -117,6 +99,9 @@ func TestObserveInto(t *testing.T) {
 	h := r.Histogram("dassa_phase_seconds", "", LatencyBuckets(), L("phase", "read"))
 	if h.Count() != 2 {
 		t.Fatalf("read observations = %d, want 2", h.Count())
+	}
+	if got := h.Sum(); math.Abs(got-0.005) > 1e-12 {
+		t.Fatalf("read sum = %gs, want 0.005s", got)
 	}
 	var sb strings.Builder
 	_ = r.WriteProm(&sb)

@@ -60,6 +60,8 @@ type clusterDetectResp struct {
 	Events      []detect.Region `json:"events"`
 	Degraded    bool            `json:"degraded"`
 	Distributed bool            `json:"distributed"`
+	// Phases is nil when the body has no phases key.
+	Phases map[string]string `json:"phases"`
 }
 
 type clusterReadResp struct {
@@ -137,6 +139,19 @@ func TestClusterDetectAndReadMatchLocal(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Events, want.Events) {
 			t.Fatalf("op=%s events diverge: cluster %+v local %+v", op, got.Events, want.Events)
+		}
+		// The local body reports the engine's phases; a distributed one has
+		// no local engine run and so no phases key.
+		if got.Phases != nil {
+			t.Errorf("op=%s: distributed body carries phases %v", op, got.Phases)
+		}
+		if len(want.Phases) != 4 {
+			t.Errorf("op=%s: local phases %v, want read/exchange/compute/write", op, want.Phases)
+		}
+		for k, s := range want.Phases {
+			if _, err := time.ParseDuration(s); err != nil {
+				t.Errorf("op=%s: local phase %s = %q: %v", op, k, s, err)
+			}
 		}
 	}
 

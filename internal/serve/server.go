@@ -630,36 +630,32 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	regions := op.Events(out, threshold)
 	s.jobsDone.Add(1)
-	degraded := rep.Degraded()
-	if distributed {
-		s.quality.recordReport(cres.Quality)
-		degraded = cres.Degraded()
-	} else {
-		s.quality.recordReport(rep.Quality)
-	}
-
-	if sp := trace.Current(r.Context()); sp != nil {
-		sp.SetAttr("op", name)
-		sp.SetAttrInt("files", int64(files))
-		sp.SetAttrInt("events", int64(len(regions)))
-		sp.SetAttr("distributed", strconv.FormatBool(distributed))
-	}
 	resp := map[string]any{
 		"op":          name,
 		"files":       files,
 		"events":      append([]detect.Region{}, regions...), // [] when there are none, not null
 		"wall_ms":     time.Since(t0).Milliseconds(),
-		"degraded":    degraded,
-		"phases":      rep.Phases,
 		"distributed": distributed,
 	}
-	if distributed {
+	if distributed { // the phases ran on the workers: their haee.* spans are in the trace
+		s.quality.recordReport(cres.Quality)
+		resp["degraded"] = cres.Degraded()
 		resp["cluster"] = map[string]any{
 			"workers":         cres.Workers,
 			"shards":          cres.Shards,
 			"redispatched":    cres.Redispatched,
 			"degraded_shards": cres.DegradedShards,
 		}
+	} else {
+		s.quality.recordReport(rep.Quality)
+		resp["degraded"] = rep.Degraded()
+		resp["phases"] = rep.Phases
+	}
+	if sp := trace.Current(r.Context()); sp != nil {
+		sp.SetAttr("op", name)
+		sp.SetAttrInt("files", int64(files))
+		sp.SetAttrInt("events", int64(len(regions)))
+		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -324,7 +324,6 @@ type ShardResult struct {
 	Samples  int    `json:"samples"`
 	Gaps     []Gap  `json:"gaps,omitempty"`
 	Trace    Trace  `json:"trace"`
-	WallNS   int64  `json:"wall_ns"`
 	// Spans is the worker's trace fragment (omitempty: absent both for
 	// untraced requests and for peers that predate tracing).
 	Spans []Span `json:"spans,omitempty"`

@@ -128,7 +128,8 @@ func scanDirCached(dir string, tolerant bool, skip func(path string) bool) (*Cat
 			e.Info.Path = filepath.Join(dir, de.Name())
 			rerootMembers(&e.Info, dir)
 			if e.Info.Kind == dasf.KindData {
-				c.entries = append(c.entries, Entry{Path: e.Info.Path, Info: e.Info, Timestamp: e.Timestamp})
+				c.entries = append(c.entries, Entry{Path: e.Info.Path, Info: e.Info, Timestamp: e.Timestamp,
+					Size: e.Size, ModTime: e.ModTime})
 			}
 			fresh = append(fresh, e)
 			continue
@@ -159,7 +160,8 @@ func scanDirCached(dir string, tolerant bool, skip func(path string) bool) (*Cat
 				return nil, nil, err
 			}
 			e.Timestamp = ts
-			c.entries = append(c.entries, Entry{Path: path, Info: info, Timestamp: ts})
+			c.entries = append(c.entries, Entry{Path: path, Info: info, Timestamp: ts,
+				Size: e.Size, ModTime: e.ModTime})
 		}
 		fresh = append(fresh, e)
 	}

@@ -19,13 +19,17 @@ import (
 	"dassa/internal/pfs"
 )
 
-// Entry is one data file in a catalog: its path, parsed metadata, and the
+// Entry is one data file in a catalog: its path, parsed metadata, the
 // acquisition timestamp extracted from the metadata (or the file name as a
-// fallback).
+// fallback), and the file's size and modification time (ns) as the scan
+// statted them — the stamp that tells a rewrite in place from the file the
+// metadata was read from.
 type Entry struct {
 	Path      string
 	Info      dasf.Info
 	Timestamp int64 // yymmddhhmmss
+	Size      int64
+	ModTime   int64
 }
 
 // Catalog is a time-ordered index of DAS data files. Building it touches
@@ -78,6 +82,10 @@ func ScanDir(dir string) (*Catalog, error) {
 func ScanFiles(paths []string) (*Catalog, error) {
 	c := &Catalog{}
 	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			return nil, fmt.Errorf("dass: %w", err)
+		}
 		info, st, err := dasf.ReadInfo(p)
 		if err != nil {
 			return nil, err
@@ -92,7 +100,8 @@ func ScanFiles(paths []string) (*Catalog, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.entries = append(c.entries, Entry{Path: p, Info: info, Timestamp: ts})
+		c.entries = append(c.entries, Entry{Path: p, Info: info, Timestamp: ts,
+			Size: fi.Size(), ModTime: fi.ModTime().UnixNano()})
 	}
 	sort.Slice(c.entries, func(i, j int) bool {
 		if c.entries[i].Timestamp != c.entries[j].Timestamp {

@@ -64,6 +64,11 @@ func (p LocalSimiParams) Workload(int) arrayudf.Workload {
 	return arrayudf.Workload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
 }
 
+// TimeReach is the lag scan's span, M+L samples either side: UDFScratch
+// scans a cell whose span would cross a time edge directly, on clamped
+// copies, and assembles any other from the samples inside it.
+func (p LocalSimiParams) TimeReach() (back, fwd int) { return p.M + p.L, p.M + p.L }
+
 // grid cuts a row where on-grid windows start (−M) and end (M+1); a segment
 // record is ‖W‖² and, per neighbour, every lag's dot product and squared
 // norm.

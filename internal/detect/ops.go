@@ -193,6 +193,21 @@ func SetFailPolicy(p Params, policy dass.FailPolicy) {
 	}
 }
 
+// TimeReach reports how far along time a cell's value reads, for a block
+// that declares it: the cell at t is a function of the samples
+// [t−back, t+fwd] and of t modulo the stride alone, unless that span leaves
+// the view, where the cell clamps at the edge. Score tiles rest on this
+// contract (DESIGN.md §8); a block that does not declare a reach (ok=false)
+// is never tiled.
+func TimeReach(p Params) (back, fwd int, ok bool) {
+	r, ok := p.(interface{ TimeReach() (back, fwd int) })
+	if !ok {
+		return 0, 0, false
+	}
+	back, fwd = r.TimeReach()
+	return back, fwd, true
+}
+
 // Decode reads the parameter block of the operation registered under name as
 // json.Marshal wrote it. Both come off the network: an unregistered name, an
 // unknown field or anything after the object is refused; a field left out

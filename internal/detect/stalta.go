@@ -53,6 +53,10 @@ func (p STALTAParams) Workload(int) arrayudf.Workload {
 	return arrayudf.Workload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
 }
 
+// TimeReach is the trailing long window: LTASamples−1 samples back, none
+// forward; the first LTASamples−1 cells of a row clamp at its start.
+func (p STALTAParams) TimeReach() (back, fwd int) { return p.LTASamples - 1, 0 }
+
 // grid cuts a row where the on-grid long and short windows start and where
 // both end; a segment record is its energy.
 func (p STALTAParams) grid() *segGrid {

@@ -74,11 +74,14 @@ type IngestStats struct {
 }
 
 // fileStamp is what the ingester remembers per cataloged file to detect
-// in-place change cheaply (the scan itself re-validates via the index).
+// in-place change cheaply (the scan itself re-validates via the index). Size
+// and mtime are the index's own staleness test, so a rewrite that keeps the
+// header is seen as exactly the change the index re-parsed the file for.
 type fileStamp struct {
-	timestamp int64
-	samples   int
-	offset    int64
+	timestamp     int64
+	samples       int
+	offset        int64
+	size, modTime int64
 }
 
 // quarState tracks one misbehaving file through the quarantine state
@@ -110,9 +113,9 @@ type QuarantinedFile struct {
 // the request handlers reading the catalog; the lock is only taken to
 // swap in the finished snapshot.
 type Ingester struct {
-	cfg   IngestConfig
-	cache *BlockCache
-	log   *slog.Logger
+	cfg    IngestConfig
+	caches []*BlockCache // dropped a file's entries when it changes or leaves
+	log    *slog.Logger
 
 	// scanning coalesces concurrent ScanOnce calls: while one scan runs,
 	// further calls are no-ops. The scanner owns known/vcaTail/vcaSeen/quar,
@@ -132,9 +135,10 @@ type Ingester struct {
 	stats    IngestStats
 }
 
-// NewIngester builds an ingester over dir. cache may be nil (no
-// invalidation hooks). Call ScanOnce or Run to populate the catalog.
-func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
+// NewIngester builds an ingester over dir; a file that changes or leaves the
+// catalog is invalidated in each of caches (none: no invalidation hooks).
+// Call ScanOnce or Run to populate the catalog.
+func NewIngester(cfg IngestConfig, caches ...*BlockCache) *Ingester {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 2 * time.Second
 	}
@@ -146,7 +150,7 @@ func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
 	}
 	return &Ingester{
 		cfg:     cfg,
-		cache:   cache,
+		caches:  caches,
 		log:     obs.OrNop(cfg.Log),
 		cat:     dass.CatalogOf(nil),
 		known:   map[string]fileStamp{},
@@ -212,7 +216,8 @@ func (ing *Ingester) ScanOnce() error {
 	for _, e := range entries {
 		seen[e.Path] = true
 		st, ok := ing.known[e.Path]
-		now := fileStamp{timestamp: e.Timestamp, samples: e.Info.NumSamples, offset: e.Info.DataOffset}
+		now := fileStamp{timestamp: e.Timestamp, samples: e.Info.NumSamples, offset: e.Info.DataOffset,
+			size: e.Size, modTime: e.ModTime}
 		switch {
 		case !ok:
 			ingested++
@@ -226,9 +231,7 @@ func (ing *Ingester) ScanOnce() error {
 			}
 		case st != now:
 			changed++
-			if ing.cache != nil {
-				ing.cache.InvalidatePath(e.Path)
-			}
+			ing.invalidate(e.Path)
 		}
 		ing.known[e.Path] = now
 	}
@@ -236,9 +239,7 @@ func (ing *Ingester) ScanOnce() error {
 		if !seen[path] {
 			delete(ing.known, path)
 			removed++
-			if ing.cache != nil {
-				ing.cache.InvalidatePath(path)
-			}
+			ing.invalidate(path)
 		}
 	}
 
@@ -279,6 +280,13 @@ func (ing *Ingester) ScanOnce() error {
 			"bad", len(bad), "newest", newest, "lag_ms", lag)
 	}
 	return nil
+}
+
+// invalidate drops everything the caches hold of one file.
+func (ing *Ingester) invalidate(path string) {
+	for _, c := range ing.caches {
+		c.InvalidatePath(path)
+	}
 }
 
 // quarantineSkip returns the scan's skip hook: quarantined files whose next

@@ -116,6 +116,15 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("dassa_cache_entries", "blocks resident in the cache",
 		func() float64 { return float64(s.cache.Stats().Entries) })
 
+	// Score store: tiles served from it or computed, and the cells the
+	// sub-runs computed.
+	for result, n := range map[string]*atomic.Int64{"hit": &s.tiles.hits, "miss": &s.tiles.misses} {
+		reg.CounterFunc("dassa_score_tiles_total", "score tiles looked up in the store, by result",
+			func() float64 { return float64(n.Load()) }, obs.L("result", result))
+	}
+	s.cellsComputed = reg.Counter("dassa_score_cells_computed_total",
+		"detector cells computed by in-process /detect sub-runs")
+
 	// Ingest loop.
 	reg.CounterFunc("dassa_ingest_scans_total", "ingest poll cycles completed",
 		func() float64 { return float64(s.ing.Stats().Scans) })

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +202,68 @@ func TestReadThroughCache(t *testing.T) {
 				t.Fatalf("cached read differs at [%d][%d]", c, i)
 			}
 		}
+	}
+}
+
+// TestRewriteInPlaceInvalidates: a file rewritten in place with the same
+// header and other samples is a change. The index re-parses it because its
+// size or mtime moved, and the ingester must see the same stamp move: after
+// the next scan /read serves the new samples, not the cached block, and
+// files_changed counts the rewrite.
+func TestRewriteInPlaceInvalidates(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	staged := stageFiles(t, 2)
+	for _, p := range staged {
+		arrive(t, dir, p)
+	}
+	cfg := genCfg(2)
+	cfg.Seed++
+	alt, err := dasgen.Generate(t.TempDir(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, dir)
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type readResp struct {
+		Data [][]float64 `json:"data"`
+	}
+	var before, after readResp
+	getJSON(t, ts, "/read", &before)
+	rewriteInPlace(t, filepath.Join(dir, filepath.Base(staged[0])), alt[0])
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, ts, "/read", &after)
+
+	r, err := dasf.Open(alt[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want, err := r.ReadSlab(0, 8, 0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range after.Data {
+		if !slices.Equal(after.Data[c][:50], want.Row(c)) {
+			t.Fatalf("channel %d: /read after the rewrite serves %v…, the file holds %v…", c, after.Data[c][:3], want.Row(c)[:3])
+		}
+		if !slices.Equal(after.Data[c][50:], before.Data[c][50:]) {
+			t.Fatalf("channel %d: the file not rewritten changed", c)
+		}
+	}
+	var status struct {
+		Ingest IngestStats `json:"ingest"`
+	}
+	getJSON(t, ts, "/status", &status)
+	if status.Ingest.FilesChanged != 1 {
+		t.Fatalf("files_changed = %d, want 1", status.Ingest.FilesChanged)
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 // Config sizes the daemon.
 type Config struct {
 	Ingest IngestConfig
-	// CacheBytes bounds the block cache (default 64 MiB).
+	// CacheBytes bounds the block cache (default 64 MiB). The score store
+	// beside it gets a sixteenth of that on top.
 	CacheBytes int64
 	// MaxConcurrent bounds simultaneously executing queries; excess
 	// requests wait in a bounded queue (default 4).
@@ -163,7 +164,7 @@ func (a *admission) stats() AdmissionStats {
 	}
 }
 
-// Server is the dassd HTTP service: ingester + cache + handlers.
+// Server is the dassd HTTP service: ingester + caches + handlers.
 type Server struct {
 	cfg        Config
 	ing        *Ingester
@@ -179,6 +180,11 @@ type Server struct {
 	start      time.Time
 	traces     *trace.Store
 
+	// tiles is the score store: the detector cells the in-process /detect
+	// path computed, by tile (scores.go).
+	tiles         *BlockCache
+	cellsComputed *obs.Counter
+
 	log      *slog.Logger
 	reg      *obs.Registry
 	quality  qualityCounters
@@ -190,15 +196,16 @@ type Server struct {
 // to populate the catalog, and s.Handler() for the HTTP mux.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := NewBlockCache(cfg.CacheBytes)
+	cache, tiles := NewBlockCache(cfg.CacheBytes), NewBlockCache(cfg.CacheBytes/16)
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
 	}
 	s := &Server{
 		cfg:   cfg,
-		ing:   NewIngester(cfg.Ingest, cache),
+		ing:   NewIngester(cfg.Ingest, cache, tiles),
 		cache: cache,
+		tiles: tiles,
 		fw: core.New(core.Config{
 			Nodes:        cfg.Nodes,
 			CoresPerNode: cfg.CoresPerNode,
@@ -447,17 +454,17 @@ func (s *Server) selectEntries(r *http.Request) ([]dass.Entry, error) {
 }
 
 // selectView resolves the request's selection to the view over it — metadata
-// only, nothing is read — and the number of files behind it.
-func (s *Server) selectView(r *http.Request) (*dass.View, int, error) {
+// only, nothing is read — and the files behind it.
+func (s *Server) selectView(r *http.Request) (*dass.View, []dass.Entry, error) {
 	entries, err := s.selectEntries(r)
 	if err == nil && len(entries) == 0 {
 		err = errors.New("no files match the selection")
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	v, err := dass.ViewOver(entries)
-	return v, len(entries), err
+	return v, entries, err
 }
 
 // handleSearch is GET /search — das_search over the live catalog.
@@ -479,7 +486,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // selection grammar plus ch0/ch1 (channel range), t0/t1 (sample range,
 // view-relative) and data=0 to return only the summary.
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	v, files, err := s.selectView(r)
+	v, entries, err := s.selectView(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -531,14 +538,14 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	s.quality.recordRead(tr, gaps)
 	if sp := trace.Current(r.Context()); sp != nil {
-		sp.SetAttrInt("files", int64(files))
+		sp.SetAttrInt("files", int64(len(entries)))
 		sp.SetAttrInt("gaps", int64(len(gaps)))
 		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
 	resp := map[string]any{
 		"num_channels": arr.Channels,
 		"num_samples":  arr.Samples,
-		"files":        files,
+		"files":        len(entries),
 		"io": map[string]int64{
 			"opens": tr.Opens, "reads": tr.Reads, "bytes_read": tr.BytesRead,
 		},
@@ -562,7 +569,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 // checked against the metadata-only view before a job slot is taken: a
 // malformed request never queues behind real detections to be told 400.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	v, files, err := s.selectView(r)
+	v, entries, err := s.selectView(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -607,12 +614,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The job runs across the worker pool or in process; either way the event
-	// stage runs here, on the whole map.
-	v = v.WithSlabReader(s.cache.SlabReader()).WithContext(r.Context())
+	// The job runs across the worker pool or in process — there from the
+	// score store and sub-runs over what it lacks; either way the event stage
+	// runs here, on the whole map.
+	v = v.WithContext(r.Context())
 	t0 := time.Now()
 	var out *dasf.Array2D
-	var rep core.Report
+	var local scored
 	var cres *cluster.Result
 	var distributed bool
 	if s.co != nil {
@@ -622,7 +630,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !distributed {
-		out, rep, err = s.fw.Run(v, p, "")
+		local, err = s.score(r.Context(), v, entries, p)
+		out = local.out
 	}
 	if err != nil {
 		s.writeQueryError(w, err)
@@ -632,7 +641,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.jobsDone.Add(1)
 	resp := map[string]any{
 		"op":          name,
-		"files":       files,
+		"files":       len(entries),
 		"events":      append([]detect.Region{}, regions...), // [] when there are none, not null
 		"wall_ms":     time.Since(t0).Milliseconds(),
 		"distributed": distributed,
@@ -647,13 +656,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			"degraded_shards": cres.DegradedShards,
 		}
 	} else {
-		s.quality.recordReport(rep.Quality)
-		resp["degraded"] = rep.Degraded()
-		resp["phases"] = rep.Phases
+		resp["degraded"] = local.degraded
+		resp["phases"] = local.phases
 	}
 	if sp := trace.Current(r.Context()); sp != nil {
 		sp.SetAttr("op", name)
-		sp.SetAttrInt("files", int64(files))
+		sp.SetAttrInt("files", int64(len(entries)))
 		sp.SetAttrInt("events", int64(len(regions)))
 		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
@@ -697,6 +705,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"catalog":   catalog,
 		"ingest":    s.ing.Stats(),
 		"cache":     s.cache.Stats(),
+		"scores":    s.tiles.Stats(),
 		"admission": s.adm.stats(),
 		"quality":   s.quality.stats(),
 		"jobs": map[string]any{

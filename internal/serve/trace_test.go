@@ -104,19 +104,35 @@ func TestTraceMiddleware(t *testing.T) {
 		}
 	}
 
-	// A /detect run nests the compute facade and engine phases.
-	dresp := getJSON(t, ts, "/detect?op=stalta", nil)
-	did := dresp.Header.Get(trace.Header)
-	var dtd trace.TraceData
-	getJSON(t, ts, "/debug/traces/"+did, &dtd)
-	dnames := map[string]bool{}
-	for _, sp := range dtd.Spans {
-		dnames[sp.Name] = true
-	}
-	for _, want := range []string{"http /detect", "core.stalta", "haee.read", "haee.compute"} {
-		if !dnames[want] {
-			t.Errorf("detect trace missing span %q (have %v)", want, dnames)
+	// A cold /detect run nests the score planner, the compute facade and the
+	// engine phases; a warm repeat of it is served from the score store.
+	detectSpans := func() map[string]map[string]string {
+		t.Helper()
+		dresp := getJSON(t, ts, "/detect?op=stalta", nil)
+		var dtd trace.TraceData
+		getJSON(t, ts, "/debug/traces/"+dresp.Header.Get(trace.Header), &dtd)
+		spans := map[string]map[string]string{}
+		for _, sp := range dtd.Spans {
+			attrs := map[string]string{}
+			for _, a := range sp.Attrs {
+				attrs[a.K] = a.V
+			}
+			spans[sp.Name] = attrs
 		}
+		return spans
+	}
+	cold := detectSpans()
+	for _, want := range []string{"http /detect", "serve.scores", "core.stalta", "haee.read", "haee.compute"} {
+		if cold[want] == nil {
+			t.Errorf("cold detect trace missing span %q (have %v)", want, cold)
+		}
+	}
+	warm := detectSpans()
+	if sc := warm["serve.scores"]; sc == nil || sc["sub_runs"] != "0" || sc["cells_computed"] != "0" || sc["tiles_hit"] != sc["tiles"] {
+		t.Errorf("warm detect: serve.scores %v, want every tile hit and no sub-run", sc)
+	}
+	if sc := cold["serve.scores"]; sc["sub_runs"] != "1" || sc["tiles_hit"] != "0" {
+		t.Errorf("cold detect: serve.scores %v, want one sub-run and no tile hit", sc)
 	}
 }
 

@@ -1,12 +1,12 @@
 package serve
 
 // Cluster fan-out: when Config.Workers is set the daemon owns a
-// cluster.Coordinator and /read and /detect execute across the worker
-// pool instead of the in-process engine. The fallback contract is
-// deliberate: a run that finds no healthy worker at all degrades to the
-// local engine (counted, logged) rather than erroring — a half-dead
-// cluster is the coordinator's problem (re-dispatch / NaN-degrade), but
-// a fully dead one should not take the daemon's query surface with it.
+// cluster.Coordinator, and /read windows and /detect's sub-runs (scores.go)
+// execute across the worker pool. The fallback contract is deliberate: a
+// request that finds no healthy worker at all degrades to the local engine
+// (counted once, logged) rather than erroring — a half-dead cluster is the
+// coordinator's problem (re-dispatch / NaN-degrade), but a fully dead one
+// should not take the daemon's query surface with it.
 
 import (
 	"context"
@@ -46,7 +46,7 @@ func (s *Server) initCluster() {
 	}
 	s.co = co
 	s.reg.CounterFunc("dassa_cluster_fallbacks_total",
-		"cluster runs that fell back to the local engine (no healthy workers)",
+		"requests that fell back to the local engine (no healthy workers)",
 		func() float64 { return float64(s.coFallback.Load()) })
 }
 
@@ -76,14 +76,20 @@ func (s *Server) runCluster(ctx context.Context, req cluster.Request) (res *clus
 	return res, true, err
 }
 
-// clusterRead serves a /read window through the worker pool. used=false
-// falls back to the local read path.
-func (s *Server) clusterRead(ctx context.Context, sub *dass.View) (arr *dasf.Array2D, tr pfs.Trace, gaps []dass.Gap, used bool, err error) {
-	res, used, err := s.runCluster(ctx, cluster.Request{View: sub, Op: cluster.OpRead})
-	if !used || err != nil {
-		return nil, pfs.Trace{}, nil, used, err
+// read reads a /read window across the worker pool, or in process when none
+// is configured or healthy; distributed reports which.
+func (s *Server) read(ctx context.Context, sub *dass.View) (arr *dasf.Array2D, tr pfs.Trace, gaps []dass.Gap, distributed bool, err error) {
+	if s.co != nil {
+		res, used, err := s.runCluster(ctx, cluster.Request{View: sub, Op: cluster.OpRead})
+		if err != nil {
+			return nil, tr, nil, true, err
+		}
+		if used {
+			return res.Data, res.Trace, res.Quality.Gaps, true, nil
+		}
 	}
-	return res.Data, res.Trace, res.Quality.Gaps, true, nil
+	arr, tr, gaps, err = sub.ReadPolicy(dass.FailDegrade)
+	return arr, tr, gaps, false, err
 }
 
 // handleHealthz is GET /healthz: liveness. Always 200 once the process

@@ -17,15 +17,11 @@ import (
 	"dassa/internal/dass"
 )
 
-// BlockKey identifies one cached hyperslab of one physical file — or, in the
-// daemon's score store, one tile of detector cells (scores.go).
+// BlockKey identifies one cached hyperslab of one physical file.
 type BlockKey struct {
 	Path       string
 	ChLo, ChHi int
 	TLo, THi   int
-	// tile is a score tile's identity, Path then its first member file;
-	// empty for sample blocks.
-	tile string
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
@@ -101,38 +97,7 @@ func (c *BlockCache) shard(k BlockKey) *cacheShard {
 		b[2*i+1] = byte(v >> 8)
 	}
 	h.Write(b[:])
-	h.Write([]byte(k.tile))
 	return &c.shards[h.Sum32()%cacheShards]
-}
-
-// lookup returns the array cached under key without loading it, counted as
-// a hit or a miss: the score store's read, whose loads are sub-runs that
-// fill many tiles at once (scores.go).
-func (c *BlockCache) lookup(key BlockKey) (*dasf.Array2D, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	var data *dasf.Array2D
-	el, ok := s.entries[key]
-	if ok {
-		s.ll.MoveToFront(el)
-		data = el.Value.(*cacheEntry).data
-	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return data, true
-}
-
-// store caches data under key as a completed load would: the array is
-// shared from now on and must not be modified.
-func (c *BlockCache) store(key BlockKey, data *dasf.Array2D) {
-	s := c.shard(key)
-	s.mu.Lock()
-	c.insertLocked(s, key, data)
-	s.mu.Unlock()
 }
 
 // Get returns the block for key, loading it at most once across concurrent

@@ -113,9 +113,9 @@ type QuarantinedFile struct {
 // the request handlers reading the catalog; the lock is only taken to
 // swap in the finished snapshot.
 type Ingester struct {
-	cfg    IngestConfig
-	caches []*BlockCache // dropped a file's entries when it changes or leaves
-	log    *slog.Logger
+	cfg   IngestConfig
+	cache *BlockCache // drops a file's blocks when it changes or leaves (nil: none)
+	log   *slog.Logger
 
 	// scanning coalesces concurrent ScanOnce calls: while one scan runs,
 	// further calls are no-ops. The scanner owns known/vcaTail/vcaSeen/quar,
@@ -136,9 +136,9 @@ type Ingester struct {
 }
 
 // NewIngester builds an ingester over dir; a file that changes or leaves the
-// catalog is invalidated in each of caches (none: no invalidation hooks).
-// Call ScanOnce or Run to populate the catalog.
-func NewIngester(cfg IngestConfig, caches ...*BlockCache) *Ingester {
+// catalog is invalidated in cache (nil: no invalidation hook). Call
+// ScanOnce or Run to populate the catalog.
+func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 2 * time.Second
 	}
@@ -150,7 +150,7 @@ func NewIngester(cfg IngestConfig, caches ...*BlockCache) *Ingester {
 	}
 	return &Ingester{
 		cfg:     cfg,
-		caches:  caches,
+		cache:   cache,
 		log:     obs.OrNop(cfg.Log),
 		cat:     dass.CatalogOf(nil),
 		known:   map[string]fileStamp{},
@@ -282,10 +282,10 @@ func (ing *Ingester) ScanOnce() error {
 	return nil
 }
 
-// invalidate drops everything the caches hold of one file.
+// invalidate drops everything the cache holds of one file.
 func (ing *Ingester) invalidate(path string) {
-	for _, c := range ing.caches {
-		c.InvalidatePath(path)
+	if ing.cache != nil {
+		ing.cache.InvalidatePath(path)
 	}
 }
 

@@ -62,19 +62,14 @@ func ScanDirCached(dir string) (*Catalog, error) {
 	return c, err
 }
 
-// ScanDirCachedTolerant is ScanDirCached for an ingest loop: files whose
-// header fails validation are skipped and reported instead of aborting the
-// scan, and are not recorded in the index (so the next scan retries them —
-// the right behaviour for a file still being copied in).
-func ScanDirCachedTolerant(dir string) (*Catalog, []BadFile, error) {
-	return scanDirCached(dir, true, nil)
-}
-
-// ScanDirCachedTolerantSkip is ScanDirCachedTolerant with a skip hook: a
-// file for which skip(path) returns true is treated as absent — not probed,
-// not cataloged, not reported bad. This is how an ingester's quarantine
-// list circuit-breaks a poisoned file out of the scan path instead of
-// paying its read failure on every poll.
+// ScanDirCachedTolerantSkip is ScanDirCached for an ingest loop: files
+// whose header fails validation are skipped and reported instead of
+// aborting the scan, and are not recorded in the index (so the next scan
+// retries them — the right behaviour for a file still being copied in). A
+// file for which skip(path) returns true (skip may be nil) is treated as
+// absent — not probed, not cataloged, not reported bad. This is how an
+// ingester's quarantine list circuit-breaks a poisoned file out of the
+// scan path instead of paying its read failure on every poll.
 func ScanDirCachedTolerantSkip(dir string, skip func(path string) bool) (*Catalog, []BadFile, error) {
 	return scanDirCached(dir, true, skip)
 }

@@ -54,7 +54,7 @@ var dasfIOFuncs = map[string]bool{
 var dassIOFuncs = map[string]bool{
 	"CreateVCA": true, "AppendToVCA": true, "OpenView": true,
 	"ScanDir": true, "ScanDirTolerant": true, "ScanDirCached": true,
-	"ScanDirCachedTolerant": true,
+	"ScanDirCachedTolerantSkip": true,
 }
 
 // netIOFuncs covers the dial/listen/request surface of net and net/http.

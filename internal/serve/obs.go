@@ -101,19 +101,19 @@ func (s *Server) registerMetrics() {
 		"queries waiting for an execution slot",
 		func() float64 { return float64(len(s.adm.queue)) })
 
-	// Block cache.
-	reg.CounterFunc("dassa_cache_hits_total", "block cache hits",
+	// Member file cache.
+	reg.CounterFunc("dassa_cache_hits_total", "member file cache hits",
 		func() float64 { return float64(s.cache.hits.Load()) })
-	reg.CounterFunc("dassa_cache_misses_total", "block cache misses (loader runs)",
+	reg.CounterFunc("dassa_cache_misses_total", "member file cache misses (loader runs)",
 		func() float64 { return float64(s.cache.misses.Load()) })
 	reg.CounterFunc("dassa_cache_coalesced_total",
 		"waiters that piggybacked on an in-flight load",
 		func() float64 { return float64(s.cache.coalesced.Load()) })
-	reg.CounterFunc("dassa_cache_evictions_total", "blocks evicted by the LRU",
+	reg.CounterFunc("dassa_cache_evictions_total", "member files evicted by the LRU",
 		func() float64 { return float64(s.cache.evictions.Load()) })
-	reg.GaugeFunc("dassa_cache_bytes", "resident cached block bytes",
+	reg.GaugeFunc("dassa_cache_bytes", "resident cached member file bytes",
 		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.GaugeFunc("dassa_cache_entries", "blocks resident in the cache",
+	reg.GaugeFunc("dassa_cache_entries", "member files resident in the cache",
 		func() float64 { return float64(s.cache.Stats().Entries) })
 
 	// Score store: tiles served from it or computed, and the cells the

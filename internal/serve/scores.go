@@ -101,35 +101,9 @@ func (s *Server) score(ctx context.Context, v *dass.View, entries []dass.Entry, 
 		s.quality.recordReport(rep.Quality)
 		return arr, rep.Quality, nil
 	}
-	m, err := scores.Compute(ctx, v.WithSlabReader(s.memberSlabs(entries)), entries, p, s.tiles, run)
+	m, err := scores.Compute(ctx, v.WithSlabReader(s.cache.SlabReader()), entries, p, s.tiles, run)
 	res.out, res.degraded, res.Stats = m.Out, m.Degraded, m.Stats
 	res.phases.Read, res.phases.Exchange = took[0].String(), took[1].String()
 	res.phases.Compute, res.phases.Write = took[2].String(), took[3].String()
 	return res, err
-}
-
-// memberSlabs is the sub-runs' read hook. A sub-view cuts its first and
-// last member short; read through the block cache as such, every cut would
-// be a one-off key no later request asks for (its tiles make the same
-// sub-run unnecessary), crowding out the blocks that are asked for. So each
-// member is read whole, under the key a whole-window run uses, and the
-// sub-view's part copied out of it.
-func (s *Server) memberSlabs(entries []dass.Entry) dass.SlabReaderFunc {
-	samples := make(map[string]int, len(entries))
-	for _, e := range entries {
-		samples[e.Path] = e.Info.NumSamples
-	}
-	read := s.cache.SlabReader()
-	return func(ctx context.Context, path string, chLo, chHi, tLo, tHi int) (*dasf.Array2D, dasf.IOStats, error) {
-		n := samples[path]
-		whole, st, err := read(ctx, path, chLo, chHi, 0, n)
-		if err != nil || (tLo == 0 && tHi == n) {
-			return whole, st, err
-		}
-		part := dasf.NewArray2D(chHi-chLo, tHi-tLo)
-		for c := 0; c < part.Channels; c++ {
-			copy(part.Row(c), whole.Row(c)[tLo:tHi])
-		}
-		return part, st, nil
-	}
 }

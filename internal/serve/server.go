@@ -26,8 +26,10 @@ import (
 // Config sizes the daemon.
 type Config struct {
 	Ingest IngestConfig
-	// CacheBytes bounds the block cache (default 64 MiB). The score store
-	// beside it gets a sixteenth of that on top.
+	// CacheBytes bounds the block cache's decoded member files (default
+	// 64 MiB, as float64). A member larger than this is read per request
+	// and never kept. The score store beside it gets a sixteenth of that
+	// on top.
 	CacheBytes int64
 	// MaxConcurrent bounds simultaneously executing queries; excess
 	// requests wait in a bounded queue (default 4).

@@ -30,9 +30,7 @@ race:
 	$(GO) test -race ./...
 
 # Project-invariant analyzers (cmd/dassalint) + their self-tests. The
-# suite lints _test.go files too via per-package test variants; add
-# -tests=false for the narrow pre-variant behavior, -json for machine-
-# readable findings.
+# suite lints _test.go files too via per-package test variants.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dassalint ./...
@@ -56,7 +54,6 @@ fuzz:
 	$(GO) test ./internal/dass -run='^$$' -fuzz='^FuzzIndexCache$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/dass -run='^$$' -fuzz='^FuzzSearchRegex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
-	$(GO) test ./internal/lint -run='^$$' -fuzz='^FuzzFindingsJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/daslib -run='^$$' -fuzz='^FuzzRFFTRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 
 # In-tree kernel and engine benchmarks (daslib, detect, dass, haee, obs).

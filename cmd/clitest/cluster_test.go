@@ -129,9 +129,10 @@ func TestClusterDaemons(t *testing.T) {
 	// traceDoc mirrors the /debug/traces/{id} payload closely enough to
 	// walk the span tree.
 	type traceDoc struct {
-		TraceID string `json:"trace_id"`
-		Root    string `json:"root"`
-		Spans   []struct {
+		TraceID      string `json:"trace_id"`
+		Root         string `json:"root"`
+		UnendedSpans int    `json:"unended_spans"`
+		Spans        []struct {
 			SpanID  string `json:"span_id"`
 			Parent  string `json:"parent"`
 			Name    string `json:"name"`
@@ -184,6 +185,9 @@ func TestClusterDaemons(t *testing.T) {
 	}
 	if td.Root != "http /detect" {
 		t.Fatalf("trace root %q, want \"http /detect\"", td.Root)
+	}
+	if td.UnendedSpans != 0 {
+		t.Fatalf("trace %s has %d spans still open when its root ended", healthyID, td.UnendedSpans)
 	}
 	procs := map[string]bool{}
 	var dispatches int

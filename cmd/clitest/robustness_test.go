@@ -76,6 +76,8 @@ func TestCLIExitCodes(t *testing.T) {
 		// worker is dialled.
 		{"das_analyze", "-in", vca, "-op", "interferometry", "-workers", "127.0.0.1:1"},
 		{"das_analyze", "-in", vca, "-op", "stacked", "-workers", "127.0.0.1:1"},
+		// The block cache has no off switch: a budget below 1 MiB is refused.
+		{"dassd", "-cache-mb", "0"},
 	}
 	for _, args := range usage {
 		if out, code := runCode(t, args[0], args[1:]...); code != 2 {

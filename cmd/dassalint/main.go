@@ -4,14 +4,11 @@
 //
 //	go run ./cmd/dassalint ./...            # whole repo incl. _test.go (what CI runs)
 //	go run ./cmd/dassalint -only lockio ./internal/serve
-//	go run ./cmd/dassalint -json ./...      # one JSON object per finding
-//	go run ./cmd/dassalint -tests=false ./... # skip test variants
 //	go run ./cmd/dassalint -list
 //
-// Exit codes: 0 clean, 1 findings, 2 usage/load failure — the contract
-// is the same in -json mode. Individual findings can be suppressed —
-// with a reason — by an inline comment on the flagged line or the line
-// above:
+// Exit codes: 0 clean, 1 findings, 2 usage/load failure. Individual
+// findings can be suppressed — with a reason — by an inline comment on
+// the flagged line or the line above:
 //
 //	//dassalint:ignore lockio scan mutex is not on any request path
 package main
@@ -28,10 +25,8 @@ import (
 func main() {
 	listFlag := flag.Bool("list", false, "list analyzers and the invariants they encode")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit findings as JSON objects, one per line (file/line/col/analyzer/message)")
-	tests := flag.Bool("tests", true, "lint _test.go files via per-package test variants")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dassalint [-list] [-only a,b] [-json] [-tests=false] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: dassalint [-list] [-only a,b] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,20 +52,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dassalint:", err)
 		os.Exit(2)
 	}
-	findings, err := lint.Run(wd, patterns, onlyList, lint.Options{IncludeTests: *tests})
+	findings, err := lint.Run(wd, patterns, onlyList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dassalint:", err)
 		os.Exit(2)
 	}
-	if *jsonFlag {
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "dassalint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "dassalint: %d finding(s)\n", len(findings))

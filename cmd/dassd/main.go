@@ -62,7 +62,7 @@ func main() {
 		poll     = flag.Duration("poll", 2*time.Second, "ingest poll interval")
 		retain   = flag.Int("retain", 0, "serve only the newest N files (0 = all)")
 		liveVCA  = flag.Bool("live-vca", true, "maintain a rolling VCA ("+serve.LiveVCAName+") over the ingested series")
-		cacheMB  = flag.Int64("cache-mb", 64, "block cache budget in MiB (0 disables)")
+		cacheMB  = flag.Int64("cache-mb", 64, "block cache budget in MiB, at least 1 (the score store gets a sixteenth on top)")
 		inflight = flag.Int("max-inflight", 4, "queries executing concurrently")
 		queue    = flag.Int("queue", 8, "queries waiting for a slot before new ones get 429")
 		wait     = flag.Duration("queue-wait", 5*time.Second, "longest a queued query waits before 429")
@@ -82,6 +82,10 @@ func main() {
 	logger, err := newLogger(os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dassd: %v\n", err)
+		os.Exit(2)
+	}
+	if *cacheMB < 1 {
+		fmt.Fprintf(os.Stderr, "dassd: -cache-mb must be at least 1, got %d\n", *cacheMB)
 		os.Exit(2)
 	}
 

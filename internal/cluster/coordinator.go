@@ -19,15 +19,16 @@ import (
 	"dassa/internal/wire"
 )
 
+// shardsPerWorker sets the default shard count as a multiple of the
+// healthy worker count: enough to overlap I/O and compute without
+// fragmenting small windows.
+const shardsPerWorker = 2
+
 // Config sizes a Coordinator. Zero values choose sane defaults.
 type Config struct {
 	// Workers are the dassw addresses (host:port) to dial. At least one is
 	// required.
 	Workers []string
-	// ShardsPerWorker sets the default shard count as a multiple of the
-	// healthy worker count (default 2 — enough to overlap I/O and compute
-	// without fragmenting small windows).
-	ShardsPerWorker int
 	// MaxAttempts bounds how many workers a shard is offered to before the
 	// coordinator gives up on it (default 3).
 	MaxAttempts int
@@ -65,9 +66,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ShardsPerWorker <= 0 {
-		c.ShardsPerWorker = 2
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
@@ -522,7 +520,7 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 
 	nshards := req.Shards
 	if nshards <= 0 {
-		nshards = co.cfg.ShardsPerWorker * max(co.healthyCount(), 1)
+		nshards = shardsPerWorker * max(co.healthyCount(), 1)
 	}
 	nshards = min(max(nshards, 1), width)
 

@@ -73,6 +73,9 @@ func TestClusterTraceReassembly(t *testing.T) {
 	if orphans := td.Orphans(); len(orphans) != 0 {
 		t.Errorf("reassembled trace has %d orphan spans: %v", len(orphans), orphans)
 	}
+	if td.UnendedSpans != 0 {
+		t.Errorf("reassembled trace has %d spans still open when their root ended", td.UnendedSpans)
+	}
 }
 
 // TestClusterTraceRedispatch kills one worker mid-request and checks the
@@ -139,5 +142,8 @@ func TestClusterTraceRedispatch(t *testing.T) {
 	}
 	if orphans := td.Orphans(); len(orphans) != 0 {
 		t.Errorf("trace has %d orphan spans after worker death: %v", len(orphans), orphans)
+	}
+	if td.UnendedSpans != 0 {
+		t.Errorf("trace has %d spans still open when their root ended after worker death", td.UnendedSpans)
 	}
 }

@@ -33,14 +33,6 @@ func PkgPath(f *types.Func) string {
 	return f.Pkg().Path()
 }
 
-// PkgPathEndsWith reports whether f's declaring package path is path or
-// ends with "/"+path — so "dasf" matches both "dassa/internal/dasf" and a
-// testdata stand-in package literally named "dasf".
-func PkgPathEndsWith(f *types.Func, path string) bool {
-	p := PkgPath(f)
-	return p == path || strings.HasSuffix(p, "/"+path)
-}
-
 // RecvNamed returns the named type of f's receiver with pointers
 // dereferenced, or nil for non-methods.
 func RecvNamed(f *types.Func) *types.Named {
@@ -71,7 +63,9 @@ func NamedOf(t types.Type) *types.Named {
 }
 
 // IsNamed reports whether t (possibly behind pointers) is the named type
-// pkgPath.name. pkgPath matches by suffix like PkgPathEndsWith.
+// pkgPath.name. pkgPath matches the full path or its "/"-suffix, so
+// "dasf" matches both "dassa/internal/dasf" and a testdata stand-in
+// package literally named "dasf".
 func IsNamed(t types.Type, pkgPath, name string) bool {
 	n := NamedOf(t)
 	if n == nil || n.Obj().Pkg() == nil {
@@ -115,14 +109,6 @@ type FuncUnit struct {
 	Body *ast.BlockStmt
 }
 
-// Name returns the declared name or "func literal".
-func (u FuncUnit) Name() string {
-	if u.Decl != nil {
-		return u.Decl.Name.Name
-	}
-	return "func literal"
-}
-
 // Units collects every function unit in the file.
 func Units(file *ast.File) []FuncUnit {
 	var out []FuncUnit
@@ -154,28 +140,6 @@ func WalkUnit(body *ast.BlockStmt, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
-}
-
-// ContainsReturnOrPanic reports whether any statement nested in n returns,
-// branches out, or panics.
-func ContainsReturnOrPanic(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt, *ast.BranchStmt:
-			found = true
-			return false
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // IsPanicCall reports whether stmt is a bare panic(...) call.

@@ -5,10 +5,8 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"regexp"
 	"sort"
 	"strings"
@@ -19,7 +17,6 @@ import (
 	"dassa/internal/lint/goleak"
 	"dassa/internal/lint/loader"
 	"dassa/internal/lint/lockio"
-	"dassa/internal/lint/spanclose"
 	"dassa/internal/lint/wraperr"
 )
 
@@ -30,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		cowopt.Analyzer,
 		goleak.Analyzer,
 		lockio.Analyzer,
-		spanclose.Analyzer,
 		wraperr.Analyzer,
 	}
 }
@@ -46,61 +42,17 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }
 
-// JSONFinding is the stable machine-readable shape of one finding, for
-// CI annotations and editor integrations.
-type JSONFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON streams findings to w as one JSON object per line (the
-// github-annotation-friendly NDJSON shape). Paths and messages are
-// escaped by encoding/json, so quotes, backslashes, and control bytes
-// in filenames survive the trip.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	enc := json.NewEncoder(w)
-	for _, f := range findings {
-		jf := JSONFinding{
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		}
-		if err := enc.Encode(jf); err != nil {
-			return fmt.Errorf("lint: encoding finding: %w", err)
-		}
-	}
-	return nil
-}
-
-// Options tunes a Run.
-type Options struct {
-	// IncludeTests loads every package's test variant too, so _test.go
-	// files pass through the same analyzers (the chaos suites are where
-	// lock-under-I/O and leaked-goroutine patterns hide).
-	IncludeTests bool
-}
-
 // ignoreRE matches `//dassalint:ignore name[,name] optional reason`. The
 // name list is strictly comma-separated lowercase words so a lowercase
 // reason clause ("startup-only path") cannot bleed into it.
 var ignoreRE = regexp.MustCompile(`^//\s*dassalint:ignore\s+([a-z]+(?:\s*,\s*[a-z]+)*)`)
 
-// Run loads patterns relative to dir and applies the selected analyzers
-// (nil/empty only = all). Findings suppressed by a //dassalint:ignore
-// comment on the same or preceding line are dropped.
-func Run(dir string, patterns, only []string, opts Options) ([]Finding, error) {
-	var pkgs []*loader.Package
-	var err error
-	if opts.IncludeTests {
-		pkgs, err = loader.LoadWithTests(dir, patterns)
-	} else {
-		pkgs, err = loader.Load(dir, patterns)
-	}
+// Run loads patterns relative to dir, each package with its test
+// variant, and applies the selected analyzers (nil/empty only = all).
+// Findings suppressed by a //dassalint:ignore comment on the same or
+// preceding line are dropped.
+func Run(dir string, patterns, only []string) ([]Finding, error) {
+	pkgs, err := loader.LoadWithTests(dir, patterns)
 	if err != nil {
 		return nil, err
 	}

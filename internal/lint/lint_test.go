@@ -50,7 +50,7 @@ func TestIgnoreSuppression(t *testing.T) {
 		{4, "closecheck", false}, // different analyzer not covered
 		{9, "closecheck", true},  // comment line above the statement
 		{9, "lockio", true},      // comma-separated list
-		{9, "spanclose", false},  // not in the list
+		{9, "goleak", false},     // not in the list
 		{13, "wraperr", true},    // "all" covers every analyzer
 		{17, "lockio", false},    // plain comment is not an ignore
 	}
@@ -101,7 +101,7 @@ func TestAuditIgnoresFlagsUnknownNames(t *testing.T) {
 }
 
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"closecheck", "cowopt", "goleak", "lockio", "spanclose", "wraperr"}
+	want := []string{"closecheck", "cowopt", "goleak", "lockio", "wraperr"}
 	got := names(Analyzers())
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() = %v, want %v", got, want)

@@ -5,10 +5,10 @@
 // library's gc importer, so full types.Info is available even though the
 // proxy-less build environment cannot fetch x/tools/go/packages.
 //
-// LoadWithTests additionally lists with -test, so every package's test
-// variant (the package recompiled with its in-package _test.go files) and
-// external _test package are parsed and typechecked too; the generated
-// *.test main packages are skipped. External test packages resolve their
+// LoadWithTests lists with -test, so every package's test variant (the
+// package recompiled with its in-package _test.go files) and external
+// _test package are parsed and typechecked too; the generated *.test
+// main packages are skipped. External test packages resolve their
 // import of the package under test to that package's test-variant export
 // data, exactly as the go command links them.
 package loader
@@ -116,25 +116,9 @@ func newInfo() *types.Info {
 	}
 }
 
-// Load lists patterns (e.g. "./...") relative to dir, then parses and
-// typechecks every matched package from source. Dependencies are imported
-// via export data, so one Load of "./..." costs one build of the module.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	return load(dir, patterns, false)
-}
-
-// LoadWithTests is Load plus test variants: for every matched package
-// with in-package test files, the test variant (all sources + _test.go)
-// replaces the plain package in the result, and external _test packages
-// are appended as packages of their own. The generated *.test test-binary
-// mains are skipped — their only source file is machine-written.
-func LoadWithTests(dir string, patterns []string) ([]*Package, error) {
-	return load(dir, patterns, true)
-}
-
-// testVariantOf extracts the tested package's import path when p is an
-// internal test variant: ImportPath "p [p.test]" with ForTest "p" and the
-// package name of p itself (external test packages carry a _test name).
+// isInternalTestVariant reports whether p is an internal test variant:
+// ImportPath "p [p.test]" with ForTest "p" and the package name of p
+// itself (external test packages carry a _test name).
 func (p *listPkg) isInternalTestVariant() bool {
 	return p.ForTest != "" && strings.HasPrefix(p.ImportPath, p.ForTest+" [") &&
 		!strings.HasSuffix(p.Name, "_test")
@@ -144,16 +128,24 @@ func (p *listPkg) isExternalTestPkg() bool {
 	return p.ForTest != "" && strings.HasSuffix(p.Name, "_test")
 }
 
-func load(dir string, patterns []string, tests bool) ([]*Package, error) {
+// LoadWithTests lists patterns (e.g. "./...") relative to dir, then
+// parses and typechecks every matched package from source. Dependencies
+// are imported via export data, so one call on "./..." costs one build of
+// the module. For every matched package with in-package test files, the
+// test variant (all sources + _test.go) replaces the plain package in the
+// result, and external _test packages are appended as packages of their
+// own. The generated *.test test-binary mains are skipped — their only
+// source file is machine-written.
+func LoadWithTests(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, patterns, tests)
+	listed, err := goList(dir, patterns, true)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}   // plain import path → export data
-	variants := map[string]string{}  // tested import path → variant export data
+	exports := map[string]string{}  // plain import path → export data
+	variants := map[string]string{} // tested import path → variant export data
 	var targets []listPkg
 	hasVariant := map[string]bool{} // tested import path → internal variant listed
 	for _, p := range listed {
@@ -165,7 +157,7 @@ func load(dir string, patterns []string, tests bool) ([]*Package, error) {
 			// cmd/clitest holds only an external test package, so the
 			// plain package entry is an empty error stub while the real
 			// sources arrive as the _test variant.
-			if tests && len(p.GoFiles) == 0 && !p.DepOnly {
+			if len(p.GoFiles) == 0 && !p.DepOnly {
 				continue
 			}
 			return nil, fmt.Errorf("lint/loader: %s: %s", p.ImportPath, p.Error.Err)

@@ -96,21 +96,6 @@ func TestLoadWithTestsVariants(t *testing.T) {
 	}
 }
 
-// TestLoadWithoutTestsUnchanged pins the default path: no _test.go files
-// and no bracketed variant import paths.
-func TestLoadWithoutTestsUnchanged(t *testing.T) {
-	pkgs, err := loader.Load(moduleRoot, []string{"./internal/lint"})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(pkgs) != 1 || pkgs[0].ImportPath != "dassa/internal/lint" {
-		t.Fatalf("Load = %v, want exactly dassa/internal/lint", keys2(pkgs))
-	}
-	if hasFileSuffix(fileNames(pkgs[0].Fset, pkgs[0]), "_test.go") {
-		t.Errorf("plain Load must not include _test.go files")
-	}
-}
-
 // TestLoadDirIncludesTestFiles proves the analysistest entry point feeds
 // in-package _test.go fixtures through the typechecker (external _test
 // package files are skipped, not an error).
@@ -132,14 +117,6 @@ func keys(m map[string]*loader.Package) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k)
-	}
-	return out
-}
-
-func keys2(pkgs []*loader.Package) []string {
-	var out []string
-	for _, p := range pkgs {
-		out = append(out, p.ImportPath)
 	}
 	return out
 }

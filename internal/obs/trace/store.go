@@ -18,6 +18,7 @@ type TraceData struct {
 	Status        string     `json:"status,omitempty"`
 	Spans         []SpanData `json:"spans"`
 	DroppedSpans  int        `json:"dropped_spans,omitempty"`
+	UnendedSpans  int        `json:"unended_spans,omitempty"` // open when the root ended
 }
 
 // Summary is the listing row /debug/traces serves: identity and size,
@@ -31,6 +32,7 @@ type Summary struct {
 	Status        string  `json:"status,omitempty"`
 	Spans         int     `json:"spans"`
 	DroppedSpans  int     `json:"dropped_spans,omitempty"`
+	UnendedSpans  int     `json:"unended_spans,omitempty"`
 }
 
 // Summary compresses the trace to its listing row.
@@ -44,6 +46,7 @@ func (td *TraceData) Summary() Summary {
 		Status:        td.Status,
 		Spans:         len(td.Spans),
 		DroppedSpans:  td.DroppedSpans,
+		UnendedSpans:  td.UnendedSpans,
 	}
 }
 
@@ -183,6 +186,9 @@ func WriteTree(w io.Writer, td *TraceData) {
 	fmt.Fprintf(w, "trace %s  %s  %.1fms  spans=%d", td.TraceID, td.Root, float64(td.DurNS)/1e6, len(td.Spans))
 	if td.DroppedSpans > 0 {
 		fmt.Fprintf(w, "  dropped=%d", td.DroppedSpans)
+	}
+	if td.UnendedSpans > 0 {
+		fmt.Fprintf(w, "  unended=%d", td.UnendedSpans)
 	}
 	fmt.Fprintln(w)
 

@@ -20,6 +20,7 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,6 +38,8 @@ const (
 	MaxAttrs = 16
 	// maxAttrLen truncates oversized attr values (error strings, paths).
 	maxAttrLen = 256
+	// unendedAttr carries a fragment's unended-span count on its root.
+	unendedAttr = "unended_spans"
 )
 
 // ID is a request-scoped trace identifier: hex characters (dashes
@@ -160,10 +163,14 @@ func (sp *Span) SetStatus(status string) {
 }
 
 // End records the span into its trace. Idempotent; ending the root span
-// completes the trace and hands it to the store.
+// completes the trace and hands it to the store. A fragment root (no
+// store) carries the spans still open under it as an attribute.
 func (sp *Span) End() {
 	if sp == nil || sp.ended {
 		return
+	}
+	if n := sp.t.open.Add(-1); n > 0 && sp == sp.t.root && sp.t.store == nil {
+		sp.SetAttrInt(unendedAttr, n)
 	}
 	sp.ended = true
 	sp.t.record(SpanData{
@@ -203,14 +210,18 @@ type Trace struct {
 	proc  string
 	store *Store
 
+	open atomic.Int64 // spans started and not yet ended, root included
+
 	mu      sync.Mutex
 	spans   []SpanData
 	dropped int
+	unended int // merged fragments' unended spans
 	done    bool
 	root    *Span
 }
 
 func (t *Trace) newSpan(name string, parent uint64) *Span {
+	t.open.Add(1)
 	return &Span{t: t, id: newSpanID(), parent: parent, name: name, start: time.Now()}
 }
 
@@ -239,6 +250,7 @@ func (t *Trace) record(sd SpanData, isRoot bool) {
 			Status:        sd.Status,
 			Spans:         t.spans,
 			DroppedSpans:  t.dropped,
+			UnendedSpans:  int(t.open.Load()) + t.unended,
 		}
 	}
 	t.mu.Unlock()
@@ -257,6 +269,11 @@ func (t *Trace) merge(spans []SpanData) {
 		}
 		if len(sd.Attrs) > MaxAttrs {
 			sd.Attrs = sd.Attrs[:MaxAttrs]
+		}
+		for _, a := range sd.Attrs {
+			if n, _ := strconv.Atoi(a.V); a.K == unendedAttr && n > 0 {
+				t.unended += n
+			}
 		}
 		t.spans = append(t.spans, sd)
 	}

@@ -232,6 +232,53 @@ func TestRemoteReassembly(t *testing.T) {
 	}
 }
 
+// TestUnendedSpansCounted pins the runtime check that every span ends:
+// a span still open when its root ends is counted on the trace, and a
+// worker fragment's count rides its root span into the reassembled trace.
+func TestUnendedSpansCounted(t *testing.T) {
+	leakcheck.Check(t)
+	st := NewStore(4, 2)
+	run := func(endChild bool) *TraceData {
+		ctx, root := New(context.Background(), st, "p", "", "root")
+		_, child := Start(ctx, "child")
+		if endChild {
+			child.End()
+		}
+		root.End()
+		child.End() // late: dropped, and the count already taken
+		return st.Get(IDFrom(ctx))
+	}
+	if td := run(false); td.UnendedSpans != 1 || td.Summary().UnendedSpans != 1 {
+		t.Fatalf("child never ended: UnendedSpans = %d (summary %d), want 1", td.UnendedSpans, td.Summary().UnendedSpans)
+	} else {
+		var tree strings.Builder
+		WriteTree(&tree, td)
+		if !strings.Contains(tree.String(), "unended=1") {
+			t.Fatalf("tree header does not report the unended span:\n%s", tree.String())
+		}
+	}
+	if td := run(true); td.UnendedSpans != 0 {
+		t.Fatalf("child ended before the root: UnendedSpans = %d, want 0", td.UnendedSpans)
+	}
+
+	// A worker fragment with an open child: its root carries the count,
+	// and the coordinator's reassembled trace adds it to its own.
+	ctx, root := New(context.Background(), st, "coordinator", "", "detect")
+	wctx, wroot, rem := StartRemote(context.Background(), IDFrom(ctx), "worker-1", SpanFrom(ctx), "worker.shard")
+	_, open := Start(wctx, "dass.read")
+	wroot.End()
+	spans := rem.Spans()
+	if len(spans) != 1 || len(spans[0].Attrs) != 1 || spans[0].Attrs[0] != (Attr{K: "unended_spans", V: "1"}) {
+		t.Fatalf("fragment root attrs = %+v, want unended_spans=1", spans)
+	}
+	open.End()
+	Merge(ctx, spans)
+	root.End()
+	if td := st.Get(IDFrom(ctx)); td.UnendedSpans != 1 {
+		t.Fatalf("reassembled trace UnendedSpans = %d, want the fragment's 1", td.UnendedSpans)
+	}
+}
+
 func TestEndErrStatuses(t *testing.T) {
 	leakcheck.Check(t)
 	st := NewStore(2, 2)

@@ -90,6 +90,9 @@ func TestTraceMiddleware(t *testing.T) {
 	if orphans := td.Orphans(); len(orphans) != 0 {
 		t.Fatalf("trace has %d orphan spans: %v", len(orphans), orphans)
 	}
+	if td.UnendedSpans != 0 {
+		t.Fatalf("trace has %d spans still open when its root ended", td.UnendedSpans)
+	}
 	rootAttrs := map[string]string{}
 	for _, sp := range td.Spans {
 		if sp.Name == "http /read" {

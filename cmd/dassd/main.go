@@ -130,7 +130,10 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	go s.Ingester().Run(ctx)
+	// Run writes the catalog index snapshot on its way out; wait for it
+	// before exiting.
+	ingested := make(chan struct{})
+	go func() { s.Ingester().Run(ctx); close(ingested) }()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -161,5 +164,6 @@ func main() {
 		logger.Error("shutdown failed", "err", err)
 		os.Exit(1)
 	}
+	<-ingested
 	logger.Info("shutdown complete")
 }

@@ -1,6 +1,7 @@
 package dasf
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -240,6 +241,37 @@ func TestVCARoundTrip(t *testing.T) {
 	// Reading a slab from a VCA directly is an error (dass resolves members).
 	if _, err := r.ReadSlab(0, 8, 0, 250); err == nil {
 		t.Error("ReadSlab on VCA should fail")
+	}
+}
+
+// TestVCALongMemberTable round-trips a VCA whose member table is several
+// times the header probe: a day of per-minute files is well past it.
+func TestVCALongMemberTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.vca")
+	members := make([]Member, 1000)
+	for i := range members {
+		members[i] = Member{Name: fmt.Sprintf("westSac_%012d.dasf", 170728224510+i),
+			NumChannels: 4, NumSamples: 10 + i%7, Timestamp: int64(170728224510 + i)}
+	}
+	if err := WriteVCA(path, testMeta(), Float64, members); err != nil {
+		t.Fatal(err)
+	}
+	info, st, err := ReadInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Members) != len(members) {
+		t.Fatalf("read %d members, wrote %d", len(info.Members), len(members))
+	}
+	for i, m := range info.Members {
+		want := members[i]
+		want.Name = filepath.Join(filepath.Dir(path), want.Name)
+		if m != want {
+			t.Fatalf("member %d = %+v, want %+v", i, m, want)
+		}
+	}
+	if fi, err := os.Stat(path); err != nil || st.BytesRead != fi.Size() || st.Reads != 2 {
+		t.Errorf("read %d bytes in %d reads of a %d-byte file; want all of it in 2", st.BytesRead, st.Reads, fi.Size())
 	}
 }
 

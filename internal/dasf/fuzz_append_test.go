@@ -44,6 +44,21 @@ func FuzzOpenAppendedVCA(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), orig...))
 	f.Add(append([]byte(nil), orig[:len(orig)*3/4]...)) // truncation seed
+	// A member table longer than the header probe: the reader fetches the
+	// rest of it.
+	long := make([]dasf.Member, 300)
+	for i := range long {
+		long[i] = dasf.Member{Name: filepath.Base(entries[i%len(entries)].Path),
+			NumChannels: cfg.Channels, NumSamples: entries[0].Info.NumSamples, Timestamp: int64(i)}
+	}
+	if err := dasf.WriteVCA(vca, entries[0].Info.Global, dasf.Float64, long); err != nil {
+		f.Fatal(err)
+	}
+	longRaw, err := os.ReadFile(vca)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(longRaw)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "f.dasf")

@@ -308,12 +308,27 @@ func (r *Reader) parseInfo(path string) error {
 		if nm == 0 {
 			return corruptf("dasf: %s: VCA with zero members", path)
 		}
-		// Each member record needs ≥ 18 bytes; a count beyond what the
-		// buffer could hold is corruption, and allocation is bounded by the
-		// buffer size either way.
-		if nm > (len(buf)-pos)/18+1 {
-			return corruptf("dasf: %s: VCA declares %d members, buffer holds at most %d",
-				path, nm, (len(buf)-pos)/18+1)
+		// The member table runs to the end of the file, past the probe read
+		// once a VCA has a few hundred members. Each record needs ≥ 18
+		// bytes, so the file's size bounds the count before anything is
+		// allocated; then the rest of the table is fetched in one read.
+		st, err := r.f.Stat()
+		if err != nil {
+			return fmt.Errorf("dasf: %s: %w", path, err)
+		}
+		if room := (st.Size() - int64(pos)) / 18; int64(nm) > room {
+			return corruptf("dasf: %s: VCA declares %d members, file holds at most %d", path, nm, room)
+		}
+		if end := min(st.Size(), int64(pos)+int64(nm)*(18+math.MaxUint16)); end > int64(len(buf)) {
+			rest := make([]byte, end)
+			copy(rest, buf)
+			n, err := r.readAt(rest[len(buf):], int64(len(buf)))
+			if err != nil && err != io.EOF {
+				return fmt.Errorf("dasf: %s: %w", path, err)
+			}
+			r.stats.Reads++
+			r.stats.BytesRead += int64(n)
+			buf = rest[:len(buf)+n]
 		}
 		dir := filepath.Dir(path)
 		members := make([]Member, nm)

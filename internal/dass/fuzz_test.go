@@ -70,13 +70,13 @@ func FuzzIndexCache(f *testing.F) {
 		if err == nil && cat.Len() != 1 {
 			t.Fatalf("scan over 1 data file cataloged %d entries", cat.Len())
 		}
-		if _, _, err := ScanDirCachedTolerantSkip(dir, nil); err != nil {
+		if _, _, err := NewScanner(dir).Scan(nil); err != nil {
 			// Tolerant scans only fail on directory-level errors; a bad
 			// index alone must not surface.
 			t.Fatalf("tolerant scan failed under fuzzed index: %v", err)
 		}
 		// The scan above rewrote the index; it must round-trip.
-		if _, _, err := ScanDirCachedTolerantSkip(dir, nil); err != nil {
+		if _, _, err := NewScanner(dir).Scan(nil); err != nil {
 			t.Fatalf("rescan of rebuilt index failed: %v", err)
 		}
 	})

@@ -174,7 +174,7 @@ func TestScanDirCachedTolerant(t *testing.T) {
 	if _, err := ScanDirCached(dir); err == nil {
 		t.Fatal("strict scan accepted a corrupt file")
 	}
-	cat, bad, err := ScanDirCachedTolerantSkip(dir, nil)
+	cat, bad, err := NewScanner(dir).Scan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestScanDirCachedTolerant(t *testing.T) {
 	}
 
 	// The corrupt file is not cached: fixing it in place is picked up.
-	cat2, bad2, err := ScanDirCachedTolerantSkip(dir, nil)
+	cat2, bad2, err := NewScanner(dir).Scan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

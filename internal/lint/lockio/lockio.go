@@ -50,11 +50,11 @@ var dasfIOFuncs = map[string]bool{
 	"WriteVCA": true, "CreateData": true, "OpenForWrite": true,
 }
 
-// dassIOFuncs are catalog/VCA operations that hit the filesystem.
+// dassIOFuncs are catalog/VCA operations that hit the filesystem; every
+// method of dass.Scanner does too.
 var dassIOFuncs = map[string]bool{
 	"CreateVCA": true, "AppendToVCA": true, "OpenView": true,
-	"ScanDir": true, "ScanDirTolerant": true, "ScanDirCached": true,
-	"ScanDirCachedTolerantSkip": true,
+	"ScanDir": true, "ScanDirCached": true,
 }
 
 // netIOFuncs covers the dial/listen/request surface of net and net/http.
@@ -238,7 +238,8 @@ func ioCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		switch {
 		case rp == "os" && recv.Obj().Name() == "File":
 			return "os.File." + name, true
-		case pathEnds(rp, "dasf") && (recv.Obj().Name() == "Reader" || recv.Obj().Name() == "ParallelWriter"):
+		case pathEnds(rp, "dasf") && (recv.Obj().Name() == "Reader" || recv.Obj().Name() == "ParallelWriter"),
+			pathEnds(rp, "dass") && recv.Obj().Name() == "Scanner":
 			return recv.Obj().Name() + "." + name, true
 		case (rp == "net/http" || rp == "net") && netIOFuncs[name]:
 			return recv.Obj().Name() + "." + name, true

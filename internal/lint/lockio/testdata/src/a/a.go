@@ -3,6 +3,8 @@ package a
 import (
 	"os"
 	"sync"
+
+	"dassa/internal/dass"
 )
 
 type store struct {
@@ -22,6 +24,13 @@ func (s *store) badDirect(path string) ([]byte, error) {
 	}
 	s.m[path] = b
 	return b, nil
+}
+
+// Bad: a catalog poll lists, stats and reads headers.
+func (s *store) badScan(sc *dass.Scanner) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _, _ = sc.Scan(nil) // want `lockio: Scanner.Scan while s.mu is held`
 }
 
 // Clean: snapshot-then-store — the I/O happens before the lock.

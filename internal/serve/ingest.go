@@ -118,9 +118,10 @@ type Ingester struct {
 	log   *slog.Logger
 
 	// scanning coalesces concurrent ScanOnce calls: while one scan runs,
-	// further calls are no-ops. The scanner owns known/vcaTail/vcaSeen/quar,
-	// so they need no lock.
+	// further calls are no-ops. The scanner owns scan/known/vcaTail/vcaSeen/
+	// quar, so they need no lock.
 	scanning atomic.Bool
+	scan     *dass.Scanner // the catalog index, kept between polls
 	known    map[string]fileStamp
 	vcaTail  int64 // newest member timestamp in the live VCA
 	vcaSeen  map[string]bool
@@ -153,6 +154,7 @@ func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
 		cache:   cache,
 		log:     obs.OrNop(cfg.Log),
 		cat:     dass.CatalogOf(nil),
+		scan:    dass.NewScanner(cfg.Dir),
 		known:   map[string]fileStamp{},
 		vcaSeen: map[string]bool{},
 		quar:    map[string]*quarState{},
@@ -160,6 +162,8 @@ func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
 }
 
 // Run polls until ctx is cancelled. The first scan happens immediately.
+// On the way out it writes the catalog index snapshot, so the next start
+// reads headers only for files that arrived since.
 func (ing *Ingester) Run(ctx context.Context) {
 	t := time.NewTicker(ing.cfg.Poll)
 	defer t.Stop()
@@ -169,9 +173,22 @@ func (ing *Ingester) Run(ctx context.Context) {
 		}
 		select {
 		case <-ctx.Done():
+			ing.saveIndex()
 			return
 		case <-t.C:
 		}
+	}
+}
+
+// saveIndex writes the scanner's index snapshot under the scanning guard,
+// waiting out a scan in flight.
+func (ing *Ingester) saveIndex() {
+	for !ing.scanning.CompareAndSwap(false, true) {
+		time.Sleep(time.Millisecond)
+	}
+	defer ing.scanning.Store(false)
+	if err := ing.scan.Save(); err != nil {
+		ing.log.Error("ingest index snapshot failed", "err", err)
 	}
 }
 
@@ -187,7 +204,7 @@ func (ing *Ingester) ScanOnce() error {
 	defer ing.scanning.Store(false)
 
 	t0 := time.Now()
-	cat, bad, err := dass.ScanDirCachedTolerantSkip(ing.cfg.Dir, ing.quarantineSkip(t0))
+	cat, bad, err := ing.scan.Scan(ing.quarantineSkip(t0))
 	if err != nil {
 		return err
 	}
@@ -206,9 +223,9 @@ func (ing *Ingester) ScanOnce() error {
 	}
 
 	// Diff against what we served before: invalidate cached blocks of
-	// changed files, count arrivals, measure ingest lag. known is owned by
-	// the (single) active scanner, so no lock is held across the os.Stat
-	// calls or the cache invalidations.
+	// changed files, count arrivals, measure ingest lag (from the mtime the
+	// scan statted). known is owned by the (single) active scanner, so no
+	// lock is held across the cache invalidations.
 	var ingested, changed, removed int64
 	seen := map[string]bool{}
 	var newest int64 = -1
@@ -221,10 +238,8 @@ func (ing *Ingester) ScanOnce() error {
 		switch {
 		case !ok:
 			ingested++
-			if fi, err := os.Stat(e.Path); err == nil {
-				if l := time.Since(fi.ModTime()).Milliseconds(); l > lag {
-					lag = l
-				}
+			if l := time.Since(time.Unix(0, e.ModTime)).Milliseconds(); l > lag {
+				lag = l
 			}
 			if e.Timestamp > newest {
 				newest = e.Timestamp

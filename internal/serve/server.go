@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
@@ -541,14 +543,73 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		"gaps":        len(gaps),
 		"distributed": distributed,
 	}
-	if r.URL.Query().Get("data") != "0" {
-		rows := make([][]float64, arr.Channels)
-		for c := range rows {
-			rows[c] = arr.Row(c)
-		}
-		resp["data"] = rows
+	if r.URL.Query().Get("data") == "0" {
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReadJSON(w, resp, arr)
+}
+
+// writeReadJSON answers a /read with its samples: resp is the summary and
+// arr goes out as its "data" rows, in the bytes encoding/json would write
+// for the whole map, except that a masked (NaN) sample is null. encoding/json
+// refuses NaN, and once the header is sent a refused body cannot be an
+// error any more.
+func writeReadJSON(w http.ResponseWriter, resp map[string]any, arr *dasf.Array2D) {
+	var summary bytes.Buffer
+	enc := json.NewEncoder(&summary)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(resp); err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// "data" sorts before every summary key, so it opens the object.
+	b := append(make([]byte, 0, 64<<10), `{"data":[`...)
+	for c := 0; c < arr.Channels; c++ {
+		if c > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for i, v := range arr.Row(c) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, v)
+		}
+		b = append(b, ']')
+		if len(b) >= 32<<10 {
+			if _, err := w.Write(b); err != nil {
+				return
+			}
+			b = b[:0]
+		}
+	}
+	b = append(b, "],"...)
+	b = append(b, summary.Bytes()[1:]...)
+	_, _ = w.Write(b)
+}
+
+// appendJSONFloat appends f the way encoding/json writes a float64, or
+// null when f is not finite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // handleDetect is GET /detect — a windowed detection job over the /search

@@ -61,7 +61,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8057", "HTTP listen address (host:port, port 0 picks one)")
 		poll     = flag.Duration("poll", 2*time.Second, "ingest poll interval")
 		retain   = flag.Int("retain", 0, "serve only the newest N files (0 = all)")
-		liveVCA  = flag.Bool("live-vca", true, "maintain a rolling VCA ("+serve.LiveVCAName+") over the ingested series")
+		liveVCA  = flag.Bool("live-vca", true, "keep a VCA ("+serve.LiveVCAName+") of exactly the served window, rewritten on change and bounded by -retain")
 		cacheMB  = flag.Int64("cache-mb", 64, "block cache budget in MiB, at least 1 (the score store gets a sixteenth on top)")
 		inflight = flag.Int("max-inflight", 4, "queries executing concurrently")
 		queue    = flag.Int("queue", 8, "queries waiting for a slot before new ones get 429")

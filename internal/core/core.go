@@ -64,15 +64,11 @@ func (c Config) withDefaults() Config {
 // exceeded Config.NodeMemoryBytes.
 var ErrOutOfMemory = fmt.Errorf("core: estimated per-node memory exceeds the configured budget")
 
-// IsCancellation reports whether err stems from a cancelled or expired
-// context. Every Framework method honors cancellation through the view it
-// is given: bind a context with v.WithContext(ctx) and a run that is
-// cancelled mid-read or mid-compute returns an error satisfying this
-// predicate (and errors.Is against context.Canceled / DeadlineExceeded) —
-// never a silently degraded result, whatever the FailPolicy.
-func IsCancellation(err error) bool { return dass.IsCancellation(err) }
-
-// Framework executes analyses under a machine layout.
+// Framework executes analyses under a machine layout. Every method honors
+// cancellation through the view it is given (v.WithContext(ctx)): a run
+// cancelled mid-read or mid-compute returns an error satisfying
+// dass.IsCancellation, never a silently degraded result, whatever the
+// FailPolicy.
 type Framework struct {
 	cfg Config
 }

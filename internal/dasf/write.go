@@ -288,7 +288,7 @@ func WriteVCA(path string, global Meta, dtype DType, members []Member) error {
 	// Write-then-rename so the VCA is replaced atomically: a reader that
 	// races an AppendToVCA sees either the old member list or the new one,
 	// never a truncated file. This is what lets a long-running ingester
-	// extend a live VCA while queries read it.
+	// rewrite a live VCA while queries read it.
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		return fmt.Errorf("dasf: %w", err)

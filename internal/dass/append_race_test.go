@@ -9,12 +9,11 @@ import (
 	"dassa/internal/dasgen"
 )
 
-// TestAppendToVCARacesReaders is the daemon's ingest path in miniature: one
-// goroutine extends a live VCA with AppendToVCA while several readers open
-// and read the same VCA in a loop. Run under -race. Every read must see a
-// consistent file — either the old member list or the new one, never a
-// truncated or mixed header — which is what WriteVCA's write-then-rename
-// guarantees.
+// TestAppendToVCARacesReaders: one goroutine extends a VCA with
+// AppendToVCA while several readers open and read the same VCA in a loop.
+// Run under -race. Every read must see a consistent file — either the old
+// member list or the new one, never a truncated or mixed header — which is
+// what WriteVCA's write-then-rename guarantees.
 func TestAppendToVCARacesReaders(t *testing.T) {
 	dir := t.TempDir()
 	const files = 12

@@ -43,11 +43,10 @@ func CreateVCA(path string, entries []Entry) (pfs.Trace, error) {
 }
 
 // AppendToVCA extends an existing virtual array with newly recorded files
-// — the incremental operation a continuously running DAS deployment needs
 // ("long-term DAS deployments with continuous recording tend to create
 // infinitely many files", §IV-B). Only metadata moves; the appended entries
 // must continue the series (same channels/dtype, non-decreasing
-// timestamps).
+// timestamps). It reads and rewrites the whole member table.
 func AppendToVCA(vcaPath string, entries []Entry) (pfs.Trace, error) {
 	var tr pfs.Trace
 	tr.Processes = 1

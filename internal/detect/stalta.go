@@ -130,21 +130,6 @@ func energyWindow(s *arrayudf.Stencil, scr *daslib.Scratch, n int) float64 {
 	return sum
 }
 
-// TriggerRate returns the fraction of evaluated points whose ratio exceeds
-// thresh — the false-trigger metric the comparison bench reports.
-func TriggerRate(ratios []float64, thresh float64) float64 {
-	if len(ratios) == 0 {
-		return 0
-	}
-	hits := 0
-	for _, v := range ratios {
-		if v > thresh {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(ratios))
-}
-
 // MaxRatio returns the series maximum (detection strength at the event).
 func MaxRatio(ratios []float64) float64 {
 	best := math.Inf(-1)

@@ -124,16 +124,6 @@ func TestSTALTAVsLocalSimilarityFalseTriggers(t *testing.T) {
 	if got := MaxRatio(ratioSeries(stalta, shaken.Row(8))); got < 5 {
 		t.Errorf("STA/LTA missed the earthquake: %g", got)
 	}
-}
-
-func TestTriggerRate(t *testing.T) {
-	r := []float64{1, 2, 6, 1, 9}
-	if got := TriggerRate(r, 5); got != 0.4 {
-		t.Errorf("TriggerRate = %g, want 0.4", got)
-	}
-	if TriggerRate(nil, 5) != 0 {
-		t.Error("empty rate should be 0")
-	}
 	if MaxRatio(nil) != 0 {
 		t.Error("empty max should be 0")
 	}

@@ -183,25 +183,6 @@ func TestRetryDo(t *testing.T) {
 	})
 }
 
-func TestRetryTimeBudget(t *testing.T) {
-	b := NewTimeBudget(time.Millisecond)
-	p := RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, Jitter: 0.01, Budget: b}
-	start := time.Now()
-	attempts, err := p.Do(func() error { return ErrTransient })
-	elapsed := time.Since(start)
-	// All ten attempts run, but total sleeping is capped by the 1ms budget
-	// (generous bound for scheduler noise).
-	if attempts != 10 || !errors.Is(err, ErrTransient) {
-		t.Errorf("attempts=%d err=%v", attempts, err)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("budgeted retries took %v; budget was 1ms", elapsed)
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("budget has %v left after exhaustion", b.Remaining())
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	cfg, err := ParseSpec("seed=42,transient=0.3,max=5,missing=a.dasf,missing=b.dasf,corrupt=c.dasf,slowp=0.1,slowlat=2ms")
 	if err != nil {

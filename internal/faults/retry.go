@@ -4,47 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
-// TimeBudget is a shared, thread-safe pool of backoff time. Attach one
-// budget to the retry policies of many concurrent readers to bound the
-// total wall-clock a whole run may spend waiting on a flaky file system.
-type TimeBudget struct {
-	remaining atomic.Int64 // nanoseconds
-}
-
-// NewTimeBudget creates a budget of total backoff time.
-func NewTimeBudget(total time.Duration) *TimeBudget {
-	b := &TimeBudget{}
-	b.remaining.Store(int64(total))
-	return b
-}
-
-// take withdraws up to d from the budget and returns how much was granted.
-func (b *TimeBudget) take(d time.Duration) time.Duration {
-	for {
-		cur := b.remaining.Load()
-		if cur <= 0 {
-			return 0
-		}
-		grant := min(time.Duration(cur), d)
-		if b.remaining.CompareAndSwap(cur, cur-int64(grant)) {
-			return grant
-		}
-	}
-}
-
-// Remaining returns the unspent backoff budget.
-func (b *TimeBudget) Remaining() time.Duration {
-	return time.Duration(max(b.remaining.Load(), 0))
-}
-
 // RetryPolicy bounds how a transient failure is retried: attempt count,
-// exponential backoff with jitter, a per-operation deadline, and an
-// optional shared total budget. The zero value performs exactly one
-// attempt (no retries) — the seed repository's behaviour.
+// exponential backoff with jitter, and a per-operation deadline. The zero
+// value performs exactly one attempt (no retries) — the seed repository's
+// behaviour.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included).
 	// Values < 1 mean 1.
@@ -60,10 +26,6 @@ type RetryPolicy struct {
 	// OpDeadline bounds one Do call end to end, backoff included. Zero
 	// means no per-op deadline.
 	OpDeadline time.Duration
-	// Budget, when set, is a shared pool all backoff sleeps draw from;
-	// when it runs dry, remaining retries happen back to back and, once
-	// attempts are exhausted, the last error is returned as usual.
-	Budget *TimeBudget
 }
 
 // WithRetries returns a policy making n retries (n+1 attempts) with the
@@ -116,21 +78,12 @@ func (p RetryPolicy) DoContext(ctx context.Context, op func() error) (attempts i
 			return attempts, fmt.Errorf("faults: retry deadline %v exceeded after %d attempts: %w",
 				p.OpDeadline, attempts, err)
 		}
-		sleep := delay + time.Duration(rand.Float64()*jitter*float64(delay))
-		if p.Budget != nil {
-			sleep = p.Budget.take(sleep)
-		}
-		if sleep > 0 {
-			t := time.NewTimer(sleep)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return attempts, fmt.Errorf("%w (after %d attempts, last error: %w)", ctx.Err(), attempts, err)
-			case <-t.C:
-			}
-		} else if cerr := ctx.Err(); cerr != nil {
-			// Budget-exhausted back-to-back retries still honor cancellation.
-			return attempts, fmt.Errorf("%w (after %d attempts, last error: %w)", cerr, attempts, err)
+		t := time.NewTimer(delay + time.Duration(rand.Float64()*jitter*float64(delay)))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return attempts, fmt.Errorf("%w (after %d attempts, last error: %w)", ctx.Err(), attempts, err)
+		case <-t.C:
 		}
 		delay = min(delay*2, maxDelay)
 	}

@@ -111,11 +111,6 @@ func LatencyBuckets() []float64 {
 	return ExpBuckets(0.001, 2, 17)
 }
 
-// SizeBuckets are the default byte-size buckets: 1 KiB to 4 GiB.
-func SizeBuckets() []float64 {
-	return ExpBuckets(1024, 4, 12)
-}
-
 // ExpBuckets returns n exponentially spaced upper bounds starting at start.
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {

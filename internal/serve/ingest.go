@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -25,10 +27,10 @@ type IngestConfig struct {
 	// keeps everything. Files aging out are dropped from the catalog (and
 	// the block cache), never deleted from disk.
 	RetainFiles int
-	// LiveVCA maintains a rolling virtual concatenated array over the
-	// ingested series (CreateVCA once, AppendToVCA incrementally) at
-	// Dir/<LiveVCAName>, so offline tools see the same merged view the
-	// daemon serves.
+	// LiveVCA keeps a virtual concatenated array of exactly the served
+	// catalog at Dir/<LiveVCAName>, rewritten by every poll that changes
+	// the catalog, so offline tools see the same merged view the daemon
+	// serves. RetainFiles bounds it as it bounds the catalog.
 	LiveVCA bool
 	// QuarantineAfter circuit-breaks a file out of the scan path after this
 	// many consecutive failed scans: a poisoned minute stops costing a read
@@ -45,8 +47,8 @@ type IngestConfig struct {
 	Log *slog.Logger
 }
 
-// LiveVCAName is the rolling VCA the ingester maintains inside the watched
-// directory when IngestConfig.LiveVCA is set.
+// LiveVCAName is the VCA of the served window the ingester keeps inside the
+// watched directory when IngestConfig.LiveVCA is set.
 const LiveVCAName = "live.vca.dasf"
 
 // IngestStats is a point-in-time snapshot of the ingest loop's counters.
@@ -57,8 +59,8 @@ type IngestStats struct {
 	FilesChanged  int64 `json:"files_changed"`  // in-place rewrites detected
 	FilesRemoved  int64 `json:"files_removed"`  // deletions + retention drops
 	BadFiles      int   `json:"bad_files"`      // skipped by the last scan
-	VCAAppends    int64 `json:"vca_appends"`
-	VCAErrors     int64 `json:"vca_errors"`
+	VCAAppends    int64 `json:"vca_appends"`    // live-VCA writes (rewrites and removals)
+	VCAErrors     int64 `json:"vca_errors"`     // failed ones: an unmergeable window, a write error
 	// QuarantinedFiles counts files currently circuit-broken out of the
 	// catalog; QuarantineEvents counts entries into quarantine and
 	// ReadmittedFiles counts clean-probe exits, over the daemon's life.
@@ -118,13 +120,11 @@ type Ingester struct {
 	log   *slog.Logger
 
 	// scanning coalesces concurrent ScanOnce calls: while one scan runs,
-	// further calls are no-ops. The scanner owns scan/known/vcaTail/vcaSeen/
-	// quar, so they need no lock.
+	// further calls are no-ops. The scanner owns scan/known/quar, so
+	// they need no lock.
 	scanning atomic.Bool
 	scan     *dass.Scanner // the catalog index, kept between polls
 	known    map[string]fileStamp
-	vcaTail  int64 // newest member timestamp in the live VCA
-	vcaSeen  map[string]bool
 	quar     map[string]*quarState
 
 	mu  sync.RWMutex // guards cat, bad, quarView, stats only
@@ -150,14 +150,13 @@ func NewIngester(cfg IngestConfig, cache *BlockCache) *Ingester {
 		cfg.QuarantineMaxBackoff = 5 * time.Minute
 	}
 	return &Ingester{
-		cfg:     cfg,
-		cache:   cache,
-		log:     obs.OrNop(cfg.Log),
-		cat:     dass.CatalogOf(nil),
-		scan:    dass.NewScanner(cfg.Dir),
-		known:   map[string]fileStamp{},
-		vcaSeen: map[string]bool{},
-		quar:    map[string]*quarState{},
+		cfg:   cfg,
+		cache: cache,
+		log:   obs.OrNop(cfg.Log),
+		cat:   dass.CatalogOf(nil),
+		scan:  dass.NewScanner(cfg.Dir),
+		known: map[string]fileStamp{},
+		quar:  map[string]*quarState{},
 	}
 }
 
@@ -193,7 +192,7 @@ func (ing *Ingester) saveIndex() {
 }
 
 // ScanOnce runs one poll cycle: tolerant cached scan, cache invalidation
-// for changed/removed files, retention trim, and live-VCA extension. All
+// for changed/removed files, retention trim, and the live-VCA rewrite. All
 // filesystem work happens before the catalog lock is taken; the lock only
 // publishes the finished snapshot. A ScanOnce that races another returns
 // immediately — the in-flight scan will surface the same state.
@@ -258,9 +257,9 @@ func (ing *Ingester) ScanOnce() error {
 		}
 	}
 
-	var vcaAppends, vcaErrors int64
-	if ing.cfg.LiveVCA {
-		vcaAppends, vcaErrors = ing.extendLiveVCA(entries)
+	var vcaWrites, vcaErrors int64
+	if ing.cfg.LiveVCA && ingested+changed+removed > 0 {
+		vcaWrites, vcaErrors = ing.writeLiveVCA(entries)
 	}
 
 	// Publish: the only part of the scan that runs under the lock.
@@ -275,7 +274,7 @@ func (ing *Ingester) ScanOnce() error {
 	ing.stats.FilesIngested += ingested
 	ing.stats.FilesChanged += changed
 	ing.stats.FilesRemoved += removed
-	ing.stats.VCAAppends += vcaAppends
+	ing.stats.VCAAppends += vcaWrites
 	ing.stats.VCAErrors += vcaErrors
 	ing.stats.FilesTotal = len(entries)
 	ing.stats.BadFiles = len(bad)
@@ -398,36 +397,25 @@ func (ing *Ingester) Quarantined() []QuarantinedFile {
 	return append([]QuarantinedFile(nil), ing.quarView...)
 }
 
-// extendLiveVCA keeps Dir/live.vca.dasf covering the ingested series:
-// created on the first batch, extended with AppendToVCA afterwards. Files
-// that cannot continue the series (shape change, out-of-order arrival) are
-// counted, not fatal. Runs on the scanner's side of the fence: vcaSeen and
-// vcaTail are scanner-owned, and the VCA writes happen with no lock held.
-func (ing *Ingester) extendLiveVCA(entries []dass.Entry) (appends, errors int64) {
+// writeLiveVCA rewrites Dir/live.vca.dasf to cover exactly the served
+// window, or removes it when the window is empty. WriteVCA's write-then-
+// rename keeps the swap atomic for readers. A window that cannot be merged
+// (a shape or dtype change) is counted, not fatal, and the previous file
+// stays. Runs on the scanner's side of the fence, with no lock held.
+func (ing *Ingester) writeLiveVCA(entries []dass.Entry) (writes, failed int64) {
 	path := filepath.Join(ing.cfg.Dir, LiveVCAName)
-	var pending []dass.Entry
-	for _, e := range entries {
-		if !ing.vcaSeen[e.Path] && e.Timestamp >= ing.vcaTail {
-			pending = append(pending, e)
-		}
-	}
-	if len(pending) == 0 {
-		return 0, 0
-	}
 	var err error
-	if _, statErr := os.Stat(path); statErr != nil {
-		_, err = dass.CreateVCA(path, pending)
+	if len(entries) == 0 {
+		if err = os.Remove(path); errors.Is(err, fs.ErrNotExist) {
+			err = nil
+		}
 	} else {
-		_, err = dass.AppendToVCA(path, pending)
+		_, err = dass.CreateVCA(path, entries)
 	}
 	if err != nil {
-		ing.log.Warn("live VCA append failed", "err", err)
+		ing.log.Warn("live VCA write failed", "err", err)
 		return 0, 1
 	}
-	for _, e := range pending {
-		ing.vcaSeen[e.Path] = true
-	}
-	ing.vcaTail = pending[len(pending)-1].Timestamp
 	return 1, 0
 }
 

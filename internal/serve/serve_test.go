@@ -117,7 +117,8 @@ func TestIngestSearchAndLiveVCA(t *testing.T) {
 		t.Fatalf("after arrival: %d files, want 5", sr.TotalFiles)
 	}
 
-	// The live VCA covers the series and was extended, not rebuilt.
+	// The live VCA covers the served window, rewritten by each poll that
+	// changed it.
 	vca := filepath.Join(dir, LiveVCAName)
 	info, _, err := dasf.ReadInfo(vca)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/dass"
+	"dassa/internal/haee"
 	"dassa/internal/mpi"
 	"dassa/internal/pfs"
 )
@@ -114,7 +115,7 @@ func RunFig11(o Options) (Fig11Result, error) {
 		// measured unit cost as the per-channel work stand-in.
 		row := Fig11Row{
 			Workers:      nodes,
-			ComputeTime:  modeledWall(unit, paperChannels, procs),
+			ComputeTime:  haee.ComputeWall(unit, paperChannels, procs),
 			IOTime:       o.Model.Project(tr).Total(),
 			ReadOpsTotal: tr.Opens + tr.Reads,
 		}

@@ -113,7 +113,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 				Opens:        rep.ReadTrace.Opens,
 				Reads:        rep.ReadTrace.Reads,
 				ReadModel:    o.Model.Project(rep.ReadTrace).Total(),
-				ComputeModel: modeledWall(unit, nch, nodes*o.CoresPerNode),
+				ComputeModel: haee.ComputeWall(unit, nch, nodes*o.CoresPerNode),
 				WriteWall:    rep.Phases.Max[obs.PhaseWrite],
 				Phases:       phasesOf(rep.Phases),
 			})

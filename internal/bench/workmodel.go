@@ -20,7 +20,8 @@ import (
 //   - the per-rank evaluation counts come from the REAL partitioner, so load
 //     imbalance (the only structural reason compute efficiency drops below
 //     100% for these embarrassingly parallel UDFs) is exact;
-//   - modeled wall time = max over ranks of (evaluations × measured cost).
+//   - modeled wall time = max over ranks of (evaluations × measured cost),
+//     haee.ComputeWall, the model the layout tuner predicts with.
 //
 // Raw measured serial times are always printed alongside the model, and the
 // same workload code paths execute for real — only the wall-clock
@@ -63,22 +64,6 @@ func computeProbe(o Options, v *dass.View) (time.Duration, int, error) {
 		unit = time.Nanosecond
 	}
 	return unit, nch, nil
-}
-
-// modeledWall returns the work-model wall time for nch channels split over
-// workers: max per-worker channel count × unit cost.
-func modeledWall(unit time.Duration, nch, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	maxPer := 0
-	for r := 0; r < workers; r++ {
-		lo, hi := dass.Partition(nch, workers, r)
-		if hi-lo > maxPer {
-			maxPer = hi - lo
-		}
-	}
-	return time.Duration(int64(unit) * int64(maxPer))
 }
 
 // formatEff renders an efficiency percentage.

@@ -132,49 +132,14 @@ func filesOf(v *dass.View) ([]wire.FileSpec, error) {
 	return specs, nil
 }
 
-// viewOf rebuilds the full-extent view a request's file specs describe —
-// the worker-side inverse of filesOf. Single files map to a plain view;
-// several become an in-memory VCA, exactly like dass.ViewOver.
-func viewOf(files []wire.FileSpec) (*dass.View, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("cluster: request names no files")
-	}
-	// The specs arrive in a frame, and the view they describe sizes the
-	// block a read allocates: bound the declared shape by division before
-	// anything adds or multiplies it.
-	nch := files[0].NumChannels
-	if nch <= 0 {
-		return nil, fmt.Errorf("cluster: member %s declares %d channels", files[0].Path, nch)
-	}
-	total := 0
-	for _, f := range files {
-		if f.NumChannels != nch {
-			return nil, fmt.Errorf("cluster: member %s has %d channels, series has %d",
-				f.Path, f.NumChannels, nch)
-		}
-		if f.NumSamples <= 0 || int64(f.NumSamples) > dasf.MaxArrayElements/int64(nch)-int64(total) {
-			return nil, fmt.Errorf("cluster: member %s declares %d samples: the %d-channel series would pass the element cap",
-				f.Path, f.NumSamples, nch)
-		}
-		total += f.NumSamples
-	}
-	if len(files) == 1 {
-		return dass.NewView(dasf.Info{
-			Path: files[0].Path, Kind: dasf.KindData,
-			NumChannels: nch, NumSamples: total,
-		})
-	}
-	members := make([]dasf.Member, len(files))
+// entriesOf turns a frame's file specs back into the entries dass.ViewOver
+// merges, as dassd's windows are — the worker-side inverse of filesOf.
+func entriesOf(files []wire.FileSpec) []dass.Entry {
+	entries := make([]dass.Entry, len(files))
 	for i, f := range files {
-		members[i] = dasf.Member{
-			Name: f.Path, NumChannels: f.NumChannels,
-			NumSamples: f.NumSamples, Timestamp: f.Timestamp,
-		}
+		entries[i] = dass.Entry{Path: f.Path, Timestamp: f.Timestamp, Info: dasf.Info{
+			Path: f.Path, Kind: dasf.KindData, NumChannels: f.NumChannels, NumSamples: f.NumSamples,
+		}}
 	}
-	return dass.NewView(dasf.Info{
-		Path:        fmt.Sprintf("<cluster view of %d files>", len(files)),
-		Kind:        dasf.KindVCA,
-		NumChannels: nch, NumSamples: total,
-		Members: members,
-	})
+	return entries
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -95,7 +97,7 @@ func shardFrame(t *testing.T, p detect.Params, v *dass.View, lo, hi int) wire.Sh
 	}
 	nch, nt := v.Shape()
 	return wire.ShardRequest{
-		ID: 1, Op: p.Op(), Params: raw, Files: files, Halo: p.Workload(nt).Spec.GhostChannels,
+		ID: 1, Op: p.Op(), Params: raw, Files: files,
 		ChLo: lo, ChHi: hi, WinChLo: 0, WinChHi: nch, T0: 0, T1: nt,
 	}
 }
@@ -275,7 +277,7 @@ func TestViewSpecRoundTrip(t *testing.T) {
 	if len(files) != 3 {
 		t.Fatalf("filesOf returned %d specs, want 3", len(files))
 	}
-	back, err := viewOf(files)
+	back, err := dass.ViewOver(entriesOf(files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,5 +402,49 @@ func TestExecuteShardScores(t *testing.T) {
 	same("cut shard", shard(cut, st), shard(cut, nil))
 	if after := st.Stats(); after != before {
 		t.Fatalf("a shard that cuts its files used the store: %+v after %+v", after, before)
+	}
+}
+
+// TestHeadCutWindowThenWholeWindow: a window [0, T) that ends inside the file
+// set starts at sample 0 but does not span its files whole, so a worker must
+// not key its tiles as whole-file ones. One worker, with its store, serves
+// such a window and then the whole window twice, at seeded cut points inside
+// the last member and one on a member boundary; every result is the
+// in-process run's over the same view.
+func TestHeadCutWindowThenWholeWindow(t *testing.T) {
+	leakcheck.Check(t)
+	v, _ := makeView(t, 12, 3)
+	nch, nt := v.Shape()
+	member := nt / 3
+	rng := rand.New(rand.NewSource(38))
+	cuts := []int{2 * member}
+	for len(cuts) < 4 {
+		cuts = append(cuts, 2*member+1+rng.Intn(member-1))
+	}
+	p := &detect.LocalSimiParams{M: 3, K: 1, L: 1, Stride: 4}
+	fw := core.New(core.Config{CoresPerNode: 2})
+	for _, cut := range cuts {
+		t.Run(strconv.Itoa(cut), func(t *testing.T) {
+			head, err := v.Subset(0, nch, 0, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, addr := startWorker(t, WorkerConfig{Cores: 2})
+			co := newCoord(t, []string{addr}, nil)
+			for i, win := range []*dass.View{head, v, v} {
+				res, err := co.Run(context.Background(), Request{View: win, Params: p, Shards: 2})
+				if err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				if res.Degraded() {
+					t.Fatalf("request %d: degraded (%d shards lost)", i, res.DegradedShards)
+				}
+				want, _, err := fw.Run(win, p, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameValues(t, res.Data, want)
+			}
+		})
 	}
 }

@@ -427,8 +427,6 @@ func (l *workerLink) serve(conn *wire.Conn) {
 				cancelled: se.Cancelled,
 				worker:    l.addr,
 			})
-		case wire.TypeGoodbye:
-			return
 		default:
 			cfg.Log.Warn("cluster: unexpected frame", "worker", l.addr, "type", f.Type.String())
 		}
@@ -503,7 +501,7 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tmpl.Halo, wantSamples = w.Spec.GhostChannels, w.OutSamples(wantSamples)
+		wantSamples = w.OutSamples(wantSamples)
 		if tmpl.Params, err = json.Marshal(req.Params); err != nil {
 			return nil, fmt.Errorf("cluster: encode %s parameters: %w", req.Op, err)
 		}
@@ -717,7 +715,7 @@ func (co *Coordinator) attemptShard(ctx context.Context, wreq wire.ShardRequest,
 	}
 	reply, sent = co.dispatch(dctx, wreq, l)
 	if sent && reply.err == nil {
-		trace.Merge(dctx, fromWireSpans(reply.res.Spans))
+		trace.Merge(dctx, reply.res.Spans)
 	}
 	return reply, sent
 }

@@ -24,8 +24,9 @@ import (
 // coordinator never would.
 
 // TestExecuteShardRejectsHostileFrames tables the frames whose numbers used
-// to reach an index or an allocation unchecked. The first is the one that
-// took dassw down: Halo −1 made the core rows start before the read window.
+// to reach an index or an allocation unchecked. The frame carries no halo:
+// the worker takes the reach from the op it decodes, so a negative or huge
+// one cannot be sent.
 func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 	v, _ := makeView(t, 8, 2)
 	files, err := filesOf(v)
@@ -45,9 +46,6 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 		mutate func(r *wire.ShardRequest)
 		reject bool
 	}{
-		{"negative halo", func(r *wire.ShardRequest) { r.Halo = -1 }, true},
-		{"most negative halo", func(r *wire.ShardRequest) { r.Halo = math.MinInt }, true},
-		{"halo past every row is clamped, not wrapped", func(r *wire.ShardRequest) { r.Halo = math.MaxInt }, false},
 		{"negative channel", func(r *wire.ShardRequest) { r.ChLo = -1 }, true},
 		{"channels past the view", func(r *wire.ShardRequest) { r.ChHi = nch + 1 }, true},
 		{"inverted time window", func(r *wire.ShardRequest) { r.T0, r.T1 = 10, 10 }, true},
@@ -189,9 +187,6 @@ func TestExecuteShardBoundsDetectorParams(t *testing.T) {
 	} {
 		refused(tc.name, shardFrame(t, tc.p, v, tc.lo, tc.hi))
 	}
-	lone := shardFrame(t, simi(3, 1, 1, 4), v, 3, 4)
-	lone.Halo = 0
-	refused("K with no row to reach", lone)
 	swapped := shardFrame(t, simi(3, 1, 1, 4), v, 2, 6)
 	swapped.Op = detect.STALTAParams{}.Op()
 	refused("another op's parameter block", swapped)
@@ -283,7 +278,7 @@ func (sc *shardClient) wantResult(req wire.ShardRequest, v *dass.View) {
 	sameValues(sc.t, &dasf.Array2D{Channels: res.Channels, Samples: res.Samples, Data: data}, want)
 }
 
-// TestWorkerSurvivesHostileFrames: the negative-halo frame, a shape past the
+// TestWorkerSurvivesHostileFrames: a negative shard row, a shape past the
 // element cap, a job that panics outright and detector parameters larger
 // than memory each cost one ShardError; the same connection's next shard is
 // served, and so is a new connection's.
@@ -315,9 +310,9 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	good := wire.ShardRequest{Op: string(OpRead), Files: files, ChLo: 2, ChHi: 6, WinChHi: nch, T0: 0, T1: nt}
 
 	sc := dialWorker(t, addr)
-	negHalo := good
-	negHalo.ID, negHalo.Halo = 1, -1
-	sc.wantError(negHalo, "halo")
+	negRow := good
+	negRow.ID, negRow.ChLo = 1, -1
+	sc.wantError(negRow, "out of file-set bounds")
 
 	huge := good
 	huge.ID = 2

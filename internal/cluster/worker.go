@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"dassa/internal/arrayudf"
+	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
-	"dassa/internal/haee"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/pfs"
@@ -347,8 +347,6 @@ func (w *Worker) handle(nc net.Conn) {
 			if err := wire.DecodeInto(f, &cn); err == nil {
 				st.cancel(cn.ID, errCancelled)
 			}
-		case wire.TypeGoodbye:
-			return
 		case wire.TypeHeartbeat:
 			// Coordinator-side beats are allowed and ignored.
 		default:
@@ -429,16 +427,19 @@ func (w *Worker) executeTraced(ctx context.Context, req wire.ShardRequest) (wire
 	if err != nil {
 		return res, data, err
 	}
-	res.Spans = toWireSpans(rem.Spans())
+	res.Spans = rem.Spans()
 	return res, data, nil
 }
 
-// executeShard runs one shard's slice of the pipeline: rebuild the view,
-// subset to the shard window plus halo, run the op under FailDegrade —
-// assembled from st's tiles when st is non-nil — trim halo rows, and lift
-// gaps back to absolute channel coordinates.
+// executeShard runs one shard's slice of the pipeline the way dassd runs a
+// window: rebuild the view with dass.ViewOver, bound the op
+// against the request window and take its channel reach, subset to the
+// shard rows plus that reach, run the op under FailDegrade — assembled from
+// st's tiles when st is non-nil and the shard spans its files whole — trim
+// the reach rows, and lift gaps back to absolute channel coordinates.
 func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *scores.LRU) (wire.ShardResult, []float64, error) {
-	full, err := viewOf(req.Files)
+	entries := entriesOf(req.Files)
+	full, err := dass.ViewOver(entries)
 	if err != nil {
 		return wire.ShardResult{}, nil, err
 	}
@@ -449,21 +450,36 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 			"cluster: shard rows [%d:%d) of window [%d:%d)×[%d:%d) out of file-set bounds %d×%d",
 			req.ChLo, req.ChHi, req.WinChLo, req.WinChHi, req.T0, req.T1, nch, nt)
 	}
-	// Halo widens the read: a negative one would put the core rows outside
-	// it. The reach is clamped to the window's rows before it is added — the
+	// The parameter block is bytes from the network: decode it, then bound
+	// it against the request window, as the coordinator did, before its
+	// reach widens the read. The reach is clamped to the window's rows — the
 	// in-process stencil clamps at the view's edge, so a shard touching it
-	// must — and a huge one cannot wrap either bound. The window sits inside
-	// the view, whose shape viewOf bounded: no allocation passes the cap.
-	if req.Halo < 0 {
-		return wire.ShardResult{}, nil, fmt.Errorf("cluster: negative shard halo %d", req.Halo)
+	// must — and the window sits inside the view ViewOver bounded.
+	var p detect.Params
+	halo := 0
+	if Op(req.Op) != OpRead {
+		if p, err = detect.Decode(req.Op, req.Params); err != nil {
+			return wire.ShardResult{}, nil, err
+		}
+		w, err := workloadOf(p, req.WinChHi-req.WinChLo, req.T1-req.T0)
+		if err != nil {
+			return wire.ShardResult{}, nil, err
+		}
+		halo = w.Spec.GhostChannels
 	}
-	gLo := req.ChLo - min(req.Halo, req.ChLo-req.WinChLo)
-	gHi := req.ChHi + min(req.Halo, req.WinChHi-req.ChHi)
+	gLo := req.ChLo - min(halo, req.ChLo-req.WinChLo)
+	gHi := req.ChHi + min(halo, req.WinChHi-req.ChHi)
 	sub, err := full.Subset(gLo, gHi, req.T0, req.T1)
 	if err != nil {
 		return wire.ShardResult{}, nil, err
 	}
-	out, tr, gaps, err := applyShard(ctx, req, sub.WithContext(ctx), cores, st)
+	// Tiles are keyed by whole member files: only an analysis over the
+	// whole file set may use the store.
+	var stamped []dass.Entry
+	if p != nil && st != nil && req.T0 == 0 && req.T1 == nt {
+		stamped = stamp(entries)
+	}
+	out, tr, gaps, err := applyShard(ctx, sub.WithContext(ctx), p, cores, stamped, st)
 	if err != nil {
 		return wire.ShardResult{}, nil, err
 	}
@@ -517,42 +533,21 @@ func workloadOf(p detect.Params, nch, nt int) (arrayudf.Workload, error) {
 	return w, nil
 }
 
-// applyShard runs a frame's operation over the shard's sub-view under
-// FailDegrade: the read itself, or an analysis on top of it — the same engine
-// loop, on the same scratch-aware UDF, as an in-process /detect — with the
-// engine's report normalized to (output, trace, gaps). The parameter block is
-// bytes from the network: Decode, then bound. An analysis over whole member
-// files is assembled from st's tiles and engine runs over what they lack.
-func applyShard(ctx context.Context, req wire.ShardRequest, sub *dass.View, cores int, st *scores.LRU) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
-	if Op(req.Op) == OpRead {
+// applyShard runs the shard's sub-view under FailDegrade: the read itself
+// when p is nil, else p through core.Framework.Run, as an in-process /detect
+// runs it, with the runs' reports normalized to (output, trace, gaps). With
+// entries — the sub-view's members, stamped — the output is assembled from
+// st's tiles and runs over what they lack.
+func applyShard(ctx context.Context, sub *dass.View, p detect.Params, cores int, entries []dass.Entry, st *scores.LRU) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+	if p == nil {
 		return sub.ReadPolicy(dass.FailDegrade)
 	}
-	p, err := detect.Decode(req.Op, req.Params)
-	if err != nil {
-		return nil, pfs.Trace{}, nil, err
-	}
-	nch, nt := sub.Shape()
-	if _, err := workloadOf(p, nch, nt); err != nil {
-		return nil, pfs.Trace{}, nil, err
-	}
-	eng := haee.New(haee.Config{Nodes: 1, CoresPerNode: cores, Mode: haee.Hybrid, FailPolicy: dass.FailDegrade})
+	fw := core.New(core.Config{CoresPerNode: cores, FailPolicy: dass.FailDegrade})
 	var tr pfs.Trace
-	run := func(_ context.Context, part *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
-		pch, pnt := part.Shape()
-		w, err := workloadOf(p, pch, pnt)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := eng.Run(part, w, "")
+	run := func(ctx context.Context, part *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
+		out, rep, err := fw.Run(part.WithContext(ctx), p, "")
 		tr.Add(rep.ReadTrace)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep.Output, rep.Quality, nil
-	}
-	var entries []dass.Entry
-	if st != nil {
-		entries = shardEntries(req, nt)
+		return out, rep.Quality, err
 	}
 	if entries == nil {
 		out, q, err := run(ctx, sub)
@@ -569,25 +564,16 @@ func applyShard(ctx context.Context, req wire.ShardRequest, sub *dass.View, core
 	return m.Out, tr, m.Gaps, err
 }
 
-// shardEntries returns the members of a shard that spans its files whole,
-// stamped by one stat each, as the score store keys them. It returns nil
-// when the shard cuts its files or a member cannot be stat'd: that shard
-// runs uncached and degrades or fails as it always did.
-func shardEntries(req wire.ShardRequest, nt int) []dass.Entry {
-	if req.T0 != 0 || req.T1 != nt {
-		return nil
-	}
-	entries := make([]dass.Entry, len(req.Files))
-	for i, f := range req.Files {
-		fi, err := os.Stat(f.Path)
+// stamp fills in each member's size and modification time, one stat each,
+// as the score store keys them. It returns nil when a member cannot be
+// stat'd: that shard runs uncached and degrades or fails as it always did.
+func stamp(entries []dass.Entry) []dass.Entry {
+	for i := range entries {
+		fi, err := os.Stat(entries[i].Path)
 		if err != nil {
 			return nil
 		}
-		entries[i] = dass.Entry{
-			Path:      f.Path,
-			Info:      dasf.Info{Path: f.Path, NumChannels: f.NumChannels, NumSamples: f.NumSamples},
-			Timestamp: f.Timestamp, Size: fi.Size(), ModTime: fi.ModTime().UnixNano(),
-		}
+		entries[i].Size, entries[i].ModTime = fi.Size(), fi.ModTime().UnixNano()
 	}
 	return entries
 }

@@ -22,7 +22,6 @@ import (
 	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
-	"dassa/internal/faults"
 	"dassa/internal/haee"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
@@ -40,10 +39,6 @@ type Config struct {
 	// NodeMemoryBytes, when positive, makes runs fail with ErrOutOfMemory
 	// instead of exceeding the per-node budget.
 	NodeMemoryBytes int64
-	// MaxRetries retries transient storage failures up to this many times
-	// per operation (with exponential backoff). Zero keeps the historical
-	// fail-on-first-error behaviour. Applied process-wide at New.
-	MaxRetries int
 	// FailPolicy decides what a member file that stays bad after retries
 	// does to a run: dass.FailAbort (default) kills it, dass.FailDegrade
 	// masks the loss with NaN gaps and fills in Report.Quality.
@@ -73,14 +68,10 @@ type Framework struct {
 	cfg Config
 }
 
-// New creates a framework with the given layout. A positive MaxRetries
-// installs the process-wide retry policy every storage read goes through.
+// New creates a framework with the given layout. It changes no
+// process-wide state: the storage retry policy is dasf.SetRetryPolicy's.
 func New(cfg Config) *Framework {
-	cfg = cfg.withDefaults()
-	if cfg.MaxRetries > 0 {
-		dasf.SetRetryPolicy(faults.WithRetries(cfg.MaxRetries))
-	}
-	return &Framework{cfg: cfg}
+	return &Framework{cfg: cfg.withDefaults()}
 }
 
 func (f *Framework) engine() *haee.Engine {
@@ -136,18 +127,6 @@ func (d *Dataset) Search(start int64, count int) []dass.Entry {
 	return d.cat.SearchStartCount(start, count)
 }
 
-// SearchRegex finds files whose timestamp matches the anchored pattern
-// (das_search -e).
-func (d *Dataset) SearchRegex(pattern string) ([]dass.Entry, error) {
-	return d.cat.SearchRegex(pattern)
-}
-
-// SearchRange finds files recorded in [start, end) — both yymmddhhmmss
-// timestamps.
-func (d *Dataset) SearchRange(start, end int64) []dass.Entry {
-	return d.cat.SearchRange(start, end)
-}
-
 // Merge virtually concatenates the given files and returns a view over the
 // result. The VCA file is written next to the data (metadata only).
 func (d *Dataset) Merge(entries []dass.Entry) (*dass.View, error) {
@@ -165,28 +144,6 @@ func (d *Dataset) Merge(entries []dass.Entry) (*dass.View, error) {
 // MergeAll merges the whole dataset.
 func (d *Dataset) MergeAll() (*dass.View, error) {
 	return d.Merge(d.cat.Entries())
-}
-
-// ViewOf virtually concatenates the entries entirely in memory — no VCA
-// file is written and nothing needs cleaning up afterwards. This is the
-// merge an always-on service (dassd) uses per request.
-func (d *Dataset) ViewOf(entries []dass.Entry) (*dass.View, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("core: nothing to merge")
-	}
-	return dass.ViewOver(entries)
-}
-
-// Rescan refreshes the catalog from disk through the persistent index, so
-// newly arrived or rewritten files become visible. Long-running callers
-// (the dassd ingest loop) call this each poll interval.
-func (d *Dataset) Rescan() error {
-	cat, err := dass.ScanDirCached(d.dir)
-	if err != nil {
-		return err
-	}
-	d.cat = cat
-	return nil
 }
 
 // Report summarizes a framework run for callers that want phase timings

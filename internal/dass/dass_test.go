@@ -220,6 +220,46 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
+// TestViewOverBoundsShape: the entries a view is built over may come from a
+// frame, and the shape they declare sizes the block a read allocates. Each
+// of these is refused before anything multiplies it; the well-formed series
+// they are cut from is not.
+func TestViewOverBoundsShape(t *testing.T) {
+	series := func(nch int, samples ...int) []Entry {
+		es := make([]Entry, len(samples))
+		for i, n := range samples {
+			path := filepath.Join("d", "m"+string(rune('a'+i))+".dasf")
+			es[i] = Entry{Path: path, Timestamp: int64(i), Info: dasf.Info{Path: path, NumChannels: nch, NumSamples: n}}
+		}
+		return es
+	}
+	for _, es := range [][]Entry{series(4, 10), series(4, 10, 10, 10), series(1<<10, 1<<20, 1<<20)} {
+		if _, err := ViewOver(es); err != nil {
+			t.Fatalf("%d well-formed entries refused: %v", len(es), err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+	}{
+		{"a zero-sample member", series(4, 10, 0, 10)},
+		{"a zero-sample single file", series(4, 0)},
+		{"a negative-sample member", series(4, -10, 10)},
+		{"the most negative sample count", series(4, 10, math.MinInt)},
+		{"zero channels", series(0, 10, 10)},
+		{"negative channels", series(-8, 10, 10)},
+		{"negative channels, one file", series(-8, 10)},
+		{"a single file past the element cap", series(1<<16, 1<<20)},
+		{"members summing past the element cap", series(1<<10, 1<<20, 1<<20, 1)},
+		{"sample counts that wrap when summed", series(8, math.MaxInt, math.MaxInt)},
+	} {
+		if v, err := ViewOver(tc.entries); err == nil {
+			nch, nt := v.Shape()
+			t.Errorf("%s: accepted as a %d×%d view", tc.name, nch, nt)
+		}
+	}
+}
+
 func TestViewSubsetAndRead(t *testing.T) {
 	dir, cat, cfg := makeSeries(t, 10, 3)
 	vcaPath := filepath.Join(dir, "v.dasf")

@@ -94,16 +94,30 @@ func (v *View) Context() context.Context {
 // no virtual file is written. This is what an always-on service wants: the
 // per-request window over its live catalog, with nothing to clean up.
 // Entries must form a mergeable series (same channels and dtype,
-// non-decreasing timestamps), exactly like CreateVCA.
+// non-decreasing timestamps), exactly like CreateVCA. The shape they declare
+// sizes the block a read allocates, and may come from a frame: it is bounded
+// by division against dasf.MaxArrayElements before anything adds or
+// multiplies it.
 func ViewOver(entries []Entry) (*View, error) {
 	if err := validateContiguous(entries); err != nil {
 		return nil, err
+	}
+	nch := entries[0].Info.NumChannels
+	if nch <= 0 {
+		return nil, fmt.Errorf("dass: %s declares %d channels", entries[0].Path, nch)
+	}
+	total := 0
+	for _, e := range entries {
+		if n := e.Info.NumSamples; n <= 0 || int64(n) > dasf.MaxArrayElements/int64(nch)-int64(total) {
+			return nil, fmt.Errorf("dass: %s declares %d samples: the %d-channel series would pass the element cap",
+				e.Path, n, nch)
+		}
+		total += e.Info.NumSamples
 	}
 	if len(entries) == 1 {
 		return NewView(entries[0].Info)
 	}
 	members := make([]dasf.Member, len(entries))
-	total := 0
 	for i, e := range entries {
 		members[i] = dasf.Member{
 			Name:        e.Path,
@@ -111,13 +125,12 @@ func ViewOver(entries []Entry) (*View, error) {
 			NumSamples:  e.Info.NumSamples,
 			Timestamp:   e.Timestamp,
 		}
-		total += e.Info.NumSamples
 	}
 	info := dasf.Info{
 		Path:        fmt.Sprintf("<memory VCA of %d files>", len(entries)),
 		Kind:        dasf.KindVCA,
 		Global:      entries[0].Info.Global.Clone(),
-		NumChannels: entries[0].Info.NumChannels,
+		NumChannels: nch,
 		NumSamples:  total,
 		DType:       entries[0].Info.DType,
 		Members:     members,

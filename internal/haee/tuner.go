@@ -100,16 +100,17 @@ func predict(in TunerInput, nodes int, mode Mode) Layout {
 		CoresPerNode: in.CoresPerNode,
 		Mode:         mode,
 		ReadTime:     in.Model.Project(tr).Total(),
-		ComputeTime:  tunerComputeWall(in.UnitCost, in.Channels, nodes*in.CoresPerNode),
+		ComputeTime:  ComputeWall(in.UnitCost, in.Channels, nodes*in.CoresPerNode),
 		MemPerNode:   mem,
 		Feasible:     in.NodeMemoryBytes <= 0 || mem <= in.NodeMemoryBytes,
 	}
 	return l
 }
 
-// tunerComputeWall mirrors the bench work model: max per-worker channel
-// count × unit cost.
-func tunerComputeWall(unit time.Duration, channels, workers int) time.Duration {
+// ComputeWall is the work model's compute wall time for channels split over
+// workers: max per-worker channel count × unit cost. The tuner predicts with
+// it and the paper's scaling figures (internal/bench) model with it.
+func ComputeWall(unit time.Duration, channels, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}

@@ -77,19 +77,24 @@ func (s *Server) runCluster(ctx context.Context, req cluster.Request) (res *clus
 }
 
 // read reads a /read window across the worker pool, or in process when none
-// is configured or healthy; distributed reports which.
-func (s *Server) read(ctx context.Context, sub *dass.View) (arr *dasf.Array2D, tr pfs.Trace, gaps []dass.Gap, distributed bool, err error) {
+// is configured or healthy; distributed reports which. Its quality report is
+// the one a /detect's run gives: the coordinator's, or the local read's
+// built the same way.
+func (s *Server) read(ctx context.Context, sub *dass.View) (arr *dasf.Array2D, tr pfs.Trace, q *dass.QualityReport, distributed bool, err error) {
 	if s.co != nil {
 		res, used, err := s.runCluster(ctx, cluster.Request{View: sub, Op: cluster.OpRead})
 		if err != nil {
 			return nil, tr, nil, true, err
 		}
 		if used {
-			return res.Data, res.Trace, res.Quality.Gaps, true, nil
+			return res.Data, res.Trace, res.Quality, true, nil
 		}
 	}
-	arr, tr, gaps, err = sub.ReadPolicy(dass.FailDegrade)
-	return arr, tr, gaps, false, err
+	arr, tr, gaps, err := sub.ReadPolicy(dass.FailDegrade)
+	if err != nil {
+		return nil, tr, nil, false, err
+	}
+	return arr, tr, dass.BuildQuality(sub, gaps, tr), false, nil
 }
 
 // handleHealthz is GET /healthz: liveness. Always 200 once the process

@@ -9,7 +9,6 @@ import (
 	"dassa/internal/dass"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
-	"dassa/internal/pfs"
 )
 
 // QualityStats aggregates data-loss accounting over the daemon's life:
@@ -37,22 +36,6 @@ func (q *qualityCounters) stats() QualityStats {
 		LostFiles:     q.lost.Load(),
 		Retries:       q.retries.Load(),
 	}
-}
-
-// recordRead folds one /read result (trace + raw gap list) in.
-func (q *qualityCounters) recordRead(tr pfs.Trace, gaps []dass.Gap) {
-	q.retries.Add(tr.Retries)
-	if len(gaps) == 0 {
-		return
-	}
-	q.degraded.Add(1)
-	q.gaps.Add(int64(len(gaps)))
-	q.masked.Add(tr.MaskedSamples)
-	files := map[string]bool{}
-	for _, g := range gaps {
-		files[g.File] = true
-	}
-	q.lost.Add(int64(len(files)))
 }
 
 // recordReport folds one engine run's QualityReport in (nil = clean).

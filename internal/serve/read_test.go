@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -141,5 +142,67 @@ func TestDegradedReadHasABody(t *testing.T) {
 	}
 	if off != body.NumSamples {
 		t.Fatalf("members hold %d samples, /read answered %d", off, body.NumSamples)
+	}
+}
+
+// TestDegradedReadMovesQuality: a /read with one member missing moves
+// /status "quality" by one degraded read, one gap, the cells it masked and
+// one lost file — for the whole window and for a window that cuts the lost
+// member and the channels.
+func TestDegradedReadMovesQuality(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	var paths []string
+	for _, p := range stageFiles(t, 3) {
+		paths = append(paths, arrive(t, dir, p))
+	}
+	s := newTestServer(t, dir)
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	info, _, err := dasf.ReadInfo(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(paths[1]); err != nil {
+		t.Fatal(err)
+	}
+	quality := func() QualityStats {
+		var status struct {
+			Quality QualityStats `json:"quality"`
+		}
+		getJSON(t, ts, "/status", &status)
+		return status.Quality
+	}
+
+	nch, m := info.NumChannels, info.NumSamples
+	for _, tc := range []struct {
+		query  string
+		masked int
+	}{
+		{"/read?data=0", nch * m},
+		{fmt.Sprintf("/read?data=0&ch0=1&ch1=%d&t0=%d&t1=%d", nch-1, m/2, m+m/3), (nch - 2) * (m / 3)},
+	} {
+		before := quality()
+		var body struct {
+			Gaps int `json:"gaps"`
+		}
+		if resp := getJSON(t, ts, tc.query, &body); resp.StatusCode != http.StatusOK || body.Gaps != 1 {
+			t.Fatalf("%s: status %d, %d gaps", tc.query, resp.StatusCode, body.Gaps)
+		}
+		after := quality()
+		got := QualityStats{
+			DegradedReads: after.DegradedReads - before.DegradedReads,
+			Gaps:          after.Gaps - before.Gaps,
+			MaskedSamples: after.MaskedSamples - before.MaskedSamples,
+			LostFiles:     after.LostFiles - before.LostFiles,
+			Retries:       after.Retries - before.Retries,
+		}
+		want := QualityStats{DegradedReads: 1, Gaps: 1, MaskedSamples: int64(tc.masked), LostFiles: 1}
+		if got != want {
+			t.Errorf("%s moved quality by %+v, want %+v", tc.query, got, want)
+		}
 	}
 }

@@ -65,11 +65,6 @@ type Config struct {
 	// Registry receives the daemon's metrics; nil uses obs.Default(), so
 	// storage-layer counters and server counters land on one /metrics page.
 	Registry *obs.Registry
-	// TraceRecent/TraceSlowest size the in-memory request-trace store: a
-	// ring of the most recent traces plus the slowest outliers retained
-	// past eviction. Zero means trace.DefaultRecent / trace.DefaultSlowest.
-	TraceRecent  int
-	TraceSlowest int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// daemon's mux. Off by default: profiling endpoints expose internals.
 	EnablePprof bool
@@ -218,7 +213,7 @@ func NewServer(cfg Config) *Server {
 		adm:    newAdmission(cfg),
 		jobs:   make(chan struct{}, cfg.DetectJobs),
 		start:  time.Now(),
-		traces: trace.NewStore(cfg.TraceRecent, cfg.TraceSlowest),
+		traces: trace.NewStore(trace.DefaultRecent, trace.DefaultSlowest),
 		log:    obs.OrNop(cfg.Log),
 		reg:    reg,
 	}
@@ -522,15 +517,15 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	arr, tr, gaps, distributed, err := s.read(r.Context(), sub)
+	arr, tr, q, distributed, err := s.read(r.Context(), sub)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	s.quality.recordRead(tr, gaps)
+	s.quality.recordReport(q)
 	if sp := trace.Current(r.Context()); sp != nil {
 		sp.SetAttrInt("files", int64(len(entries)))
-		sp.SetAttrInt("gaps", int64(len(gaps)))
+		sp.SetAttrInt("gaps", int64(len(q.Gaps)))
 		sp.SetAttr("distributed", strconv.FormatBool(distributed))
 	}
 	resp := map[string]any{
@@ -540,7 +535,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		"io": map[string]int64{
 			"opens": tr.Opens, "reads": tr.Reads, "bytes_read": tr.BytesRead,
 		},
-		"gaps":        len(gaps),
+		"gaps":        len(q.Gaps),
 		"distributed": distributed,
 	}
 	if r.URL.Query().Get("data") == "0" {

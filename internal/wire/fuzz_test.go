@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"dassa/internal/obs/trace"
 )
 
 // FuzzWireDecode feeds arbitrary bytes to the frame decoder and, when a
@@ -33,9 +35,9 @@ func FuzzWireDecode(f *testing.F) {
 	})
 	f.Add(AppendFrame(nil, treq))
 	tres, _ := EncodeResult(ShardResult{ID: 2, Shard: 1, Channels: 1, Samples: 2,
-		Spans: []Span{{SpanID: 7, Parent: 3, Name: "worker.shard", Process: "w1",
+		Spans: []trace.SpanData{{SpanID: 7, Parent: 3, Name: "worker.shard", Process: "w1",
 			StartUnixNano: 1700000000, DurNS: 42, Status: "error",
-			Attrs: []SpanAttr{{K: "shard", V: "1"}}}}}, []float64{1, 2})
+			Attrs: []trace.Attr{{K: "shard", V: "1"}}}}}, []float64{1, 2})
 	f.Add(AppendFrame(nil, tres))
 	cancel, _ := Encode(TypeCancel, Cancel{ID: 9})
 	f.Add(AppendFrame(nil, cancel))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"dassa/internal/obs/trace"
 )
 
 func TestCheckVersion(t *testing.T) {
@@ -77,8 +79,8 @@ func TestTraceFieldsBackCompat(t *testing.T) {
 
 	// Results: spans ride the JSON header through EncodeResult/DecodeResult.
 	frame, err := EncodeResult(ShardResult{ID: 7, Shard: 2, Channels: 1, Samples: 2,
-		Spans: []Span{{SpanID: 9, Parent: 3, Name: "worker.shard", Process: "w1", DurNS: 5,
-			Attrs: []SpanAttr{{K: "op", V: "read"}}}}}, []float64{1, 2})
+		Spans: []trace.SpanData{{SpanID: 9, Parent: 3, Name: "worker.shard", Process: "w1", DurNS: 5,
+			Attrs: []trace.Attr{{K: "op", V: "read"}}}}}, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

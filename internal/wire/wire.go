@@ -16,6 +16,8 @@ import (
 	"io"
 	"math"
 	"sync/atomic"
+
+	"dassa/internal/obs/trace"
 )
 
 // Protocol constants. Version is checked on both sides of the handshake;
@@ -24,7 +26,7 @@ import (
 const (
 	magic0  = 0xDA
 	magic1  = 0x55
-	Version = 2
+	Version = 3
 
 	// headerLen is the fixed frame prefix: magic(2) version(1) type(1)
 	// length(4, big endian).
@@ -62,10 +64,8 @@ const (
 	TypeCancel
 	// TypeHeartbeat is the worker's liveness beacon (worker → coordinator).
 	TypeHeartbeat
-	// TypeGoodbye announces an orderly close from either side.
-	TypeGoodbye
 
-	typeMax = TypeGoodbye
+	typeMax = TypeHeartbeat
 )
 
 func (t Type) String() string {
@@ -84,8 +84,6 @@ func (t Type) String() string {
 		return "cancel"
 	case TypeHeartbeat:
 		return "heartbeat"
-	case TypeGoodbye:
-		return "goodbye"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -251,13 +249,13 @@ type ShardRequest struct {
 	Op     string          `json:"op"`
 	Params json.RawMessage `json:"params,omitempty"`
 	Files  []FileSpec      `json:"files"`
-	// ChLo/ChHi are the shard's core channel rows; Halo extends the read
-	// below/above by the stencil's ghost reach so shard borders compute
-	// exactly (the worker trims halo rows before replying) — but never past
-	// WinChLo/WinChHi, the request window's rows, where the stencil clamps.
+	// ChLo/ChHi are the shard's core channel rows. The worker widens the
+	// read below/above by the stencil's ghost reach, which it takes from the
+	// op it decodes, so shard borders compute exactly (it trims those rows
+	// before replying) — but never past WinChLo/WinChHi, the request
+	// window's rows, where the stencil clamps.
 	ChLo    int `json:"ch_lo"`
 	ChHi    int `json:"ch_hi"`
-	Halo    int `json:"halo,omitempty"`
 	WinChLo int `json:"win_ch_lo,omitempty"`
 	WinChHi int `json:"win_ch_hi"`
 	T0      int `json:"t0"`
@@ -293,28 +291,6 @@ type Trace struct {
 	Masked    int64 `json:"masked,omitempty"`
 }
 
-// SpanAttr is one key/value annotation on a wire Span.
-type SpanAttr struct {
-	K string `json:"k"`
-	V string `json:"v"`
-}
-
-// Span mirrors one completed trace span on the wire: the worker's locally
-// recorded fragment of a request trace, shipped home in ShardResult.Spans
-// so the coordinator can reassemble one cross-process tree. Span IDs ride
-// as JSON strings (like the trace package's export) so no consumer rounds
-// them through float64.
-type Span struct {
-	SpanID        uint64     `json:"span_id,string"`
-	Parent        uint64     `json:"parent,string,omitempty"`
-	Name          string     `json:"name"`
-	Process       string     `json:"process,omitempty"`
-	StartUnixNano int64      `json:"start_unix_nano"`
-	DurNS         int64      `json:"dur_ns"`
-	Status        string     `json:"status,omitempty"`
-	Attrs         []SpanAttr `json:"attrs,omitempty"`
-}
-
 // ShardResult is a completed shard: a JSON header followed by the raw
 // row-major float64 block (channels × samples, little endian).
 type ShardResult struct {
@@ -324,9 +300,10 @@ type ShardResult struct {
 	Samples  int    `json:"samples"`
 	Gaps     []Gap  `json:"gaps,omitempty"`
 	Trace    Trace  `json:"trace"`
-	// Spans is the worker's trace fragment (omitempty: absent both for
-	// untraced requests and for peers that predate tracing).
-	Spans []Span `json:"spans,omitempty"`
+	// Spans is the worker's recorded fragment of the request trace, shipped
+	// home so the coordinator can reassemble one cross-process tree
+	// (omitempty: absent for untraced requests).
+	Spans []trace.SpanData `json:"spans,omitempty"`
 }
 
 // ShardError reports a shard the worker could not complete. Cancelled

@@ -6,7 +6,7 @@
 //	dassw -addr 127.0.0.1:9057
 //
 // The worker speaks the length-prefixed wire protocol: Hello/Welcome
-// handshake, heartbeats every -heartbeat, shard requests carrying absolute
+// handshake, a heartbeat every second, shard requests carrying absolute
 // deadlines, and cancel frames that poison in-flight shards. File paths in
 // requests are absolute — the worker must see the same filesystem as the
 // coordinator (the paper's parallel-FS model).
@@ -36,7 +36,6 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9057", "listen address (host:port, port 0 picks one)")
 		name    = flag.String("name", "", "worker name in handshakes and logs (default the listen address)")
 		cores   = flag.Int("cores", 4, "per-shard compute parallelism")
-		beat    = flag.Duration("heartbeat", time.Second, "liveness beacon period")
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "longest a drain waits for in-flight shards")
 		inject  = flag.String("inject", "", "storage fault injection spec (same grammar as das_analyze -inject)")
 	)
@@ -63,11 +62,10 @@ func main() {
 		os.Exit(1)
 	}
 	w := cluster.NewWorker(cluster.WorkerConfig{
-		Name:           *name,
-		Cores:          *cores,
-		HeartbeatEvery: *beat,
-		DrainTimeout:   *drainTO,
-		Log:            logger,
+		Name:         *name,
+		Cores:        *cores,
+		DrainTimeout: *drainTO,
+		Log:          logger,
 	})
 	// Printed on stdout so wrappers (and the e2e test) can discover the
 	// port when -addr ends in :0.

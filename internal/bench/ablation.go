@@ -116,7 +116,7 @@ func RunAblations(o Options) (AblationResult, error) {
 	// where iteration i costs i units. (Timing the real dynamic schedule
 	// would be meaningless on a single-core box: one worker can drain the
 	// shared counter before the others are even scheduled.) Static assigns
-	// contiguous near-equal ranges — exactly what omp.Static executes — so
+	// contiguous near-equal ranges — exactly what omp.Team executes — so
 	// the later range costs more; dynamic behaves like greedy
 	// list-scheduling of fixed-size chunks onto the least-loaded thread.
 	const iters = 4096

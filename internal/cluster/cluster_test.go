@@ -66,11 +66,11 @@ func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
 func newCoord(t *testing.T, addrs []string, mutate func(*Config)) *Coordinator {
 	t.Helper()
 	cfg := Config{
-		Workers:        addrs,
-		HeartbeatEvery: 100 * time.Millisecond,
-		DialTimeout:    2 * time.Second,
-		RedialBackoff:  50 * time.Millisecond,
-		FailPolicy:     dass.FailDegrade,
+		Workers:       addrs,
+		DeadAfter:     300 * time.Millisecond,
+		DialTimeout:   2 * time.Second,
+		RedialBackoff: 50 * time.Millisecond,
+		FailPolicy:    dass.FailDegrade,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -201,6 +201,31 @@ func TestClusterNoWorkers(t *testing.T) {
 	_, err := co.Run(context.Background(), Request{View: v, Op: OpRead})
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("want ErrNoWorkers, got %v", err)
+	}
+}
+
+// TestDefaultHeartbeatKeepsLinkAlive: a worker beating at its default
+// period keeps a coordinator at its default DeadAfter linked through idle
+// time — the two sides run on one clock, so no idle link dies and redials.
+func TestDefaultHeartbeatKeepsLinkAlive(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{})
+	go func() { _ = w.Serve(ln) }()
+	t.Cleanup(w.Close)
+	co := newCoord(t, []string{ln.Addr().String()}, func(c *Config) { c.DeadAfter = 0 })
+	waitFor(t, 10*time.Second, func() bool { return co.HealthyWorkers() == 1 })
+	lost := 0
+	for end := time.Now().Add(4 * time.Second); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if co.HealthyWorkers() == 0 {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d samples over 4 s of idle found no healthy worker", lost)
 	}
 }
 

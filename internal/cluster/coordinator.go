@@ -32,11 +32,9 @@ type Config struct {
 	// MaxAttempts bounds how many workers a shard is offered to before the
 	// coordinator gives up on it (default 3).
 	MaxAttempts int
-	// HeartbeatEvery is the liveness beacon period workers are expected to
-	// honor (default 1s); DeadAfter is the silence threshold after which a
-	// connection is declared dead (default 3 × HeartbeatEvery).
-	HeartbeatEvery time.Duration
-	DeadAfter      time.Duration
+	// DeadAfter is the silence after which a connection is declared dead
+	// (default three worker heartbeats, 3 × heartbeatEvery).
+	DeadAfter time.Duration
 	// DialTimeout bounds each connection attempt (default 5s);
 	// RedialBackoff is the pause between attempts to a dead worker
 	// (default 1s).
@@ -69,11 +67,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
-	}
 	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * c.HeartbeatEvery
+		c.DeadAfter = 3 * heartbeatEvery
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
@@ -173,9 +168,6 @@ func (co *Coordinator) healthyCount() int {
 	}
 	return n
 }
-
-// Healthy reports whether at least one worker is alive.
-func (co *Coordinator) Healthy() bool { return co.healthyCount() > 0 }
 
 // HealthyWorkers returns how many workers currently have a live
 // connection (readiness probes report it).
@@ -313,7 +305,7 @@ func (l *workerLink) abort() {
 
 // manage dials, serves, and redials the worker until the coordinator
 // closes. Liveness rides on read deadlines: the worker heartbeats every
-// HeartbeatEvery, so a DeadAfter silence means the worker (or the path to
+// heartbeatEvery, so a DeadAfter silence means the worker (or the path to
 // it) is gone.
 func (l *workerLink) manage() {
 	cfg := l.co.cfg

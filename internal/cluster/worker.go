@@ -32,7 +32,9 @@ type WorkerConfig struct {
 	// Cores is the per-shard compute parallelism (default 4, like the
 	// in-process engine).
 	Cores int
-	// HeartbeatEvery is the liveness beacon period (default 1s).
+	// HeartbeatEvery is the liveness beacon period (default
+	// heartbeatEvery, the beat the coordinator's default DeadAfter
+	// expects). No daemon sets it; it is the tests' seam for fast beats.
 	HeartbeatEvery time.Duration
 	// DrainTimeout bounds how long Drain waits for in-flight shards
 	// (default 10s).
@@ -45,6 +47,11 @@ type WorkerConfig struct {
 	Faults wire.FaultConfig
 }
 
+// heartbeatEvery is the one liveness clock of a cluster: a worker beats at
+// this period and a coordinator declares a link dead after three beats of
+// silence.
+const heartbeatEvery = time.Second
+
 // scoreBytes bounds a worker's score store, dassd's default store size.
 const scoreBytes = 4 << 20
 
@@ -53,7 +60,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.Cores = 4
 	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
+		c.HeartbeatEvery = heartbeatEvery
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second

@@ -6,21 +6,6 @@ import (
 	"sync"
 )
 
-// DemeanInPlace subtracts the mean of x in place.
-func DemeanInPlace(x []float64) {
-	if len(x) == 0 {
-		return
-	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	for i, v := range x {
-		x[i] = v - mean
-	}
-}
-
 // DetrendInPlace removes the least-squares straight-line fit from x in
 // place, matching MATLAB's detrend (the paper's Das_detrend).
 func DetrendInPlace(x []float64) {
@@ -255,14 +240,6 @@ func MovingAverage(x []float64, half int) []float64 {
 	return out
 }
 
-// RMS returns the root-mean-square amplitude of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return math.Sqrt(SumSquares(x) / float64(len(x)))
-}
-
 // hannCache holds the shared Hann window per length, built once like the
 // twiddle tables — STFT alone rebuilds the same window per call otherwise.
 var hannCache = struct {
@@ -423,9 +400,10 @@ func OneBitNormalize(x []float64) []float64 {
 // SpectralWhitenInto flattens the amplitude spectrum of x (keeping phase)
 // into dst (len(dst) == len(x); dst may alias x), optionally restricted to
 // [loHz, hiHz] at the given rate; outside the band the spectrum is zeroed.
-// Used by ambient-noise interferometry. The spectrum buffer is borrowed from
-// s, both transforms take the packed real-input path, and the bin
-// frequencies come from fftFreqAbs rather than a materialized FFTFreqs table.
+// It is the whitening step of ambient-noise interferometry; the
+// interferometry op here does not whiten. The spectrum buffer is borrowed
+// from s, both transforms take the packed real-input path, and the bin
+// frequencies come from fftFreqAbs.
 func SpectralWhitenInto(dst, x []float64, loHz, hiHz, rate float64, s *Scratch) {
 	n := len(x)
 	checkLen("SpectralWhitenInto dst", len(dst), n)

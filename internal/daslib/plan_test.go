@@ -404,7 +404,6 @@ func TestPlannedPathsAllocFree(t *testing.T) {
 		{"IFFTInto", func() { pow2.IFFTInto(cdst, xc, s) }},
 		{"RFFTInto", func() { RFFTInto(cdst, x, s) }},
 		{"IRFFTInto", func() { IRFFTInto(fdst, cdst, s) }},
-		{"DemeanInPlace", func() { DemeanInPlace(fdst) }},
 		{"DetrendInPlace", func() { DetrendInPlace(fdst) }},
 		{"TaperInPlace", func() { TaperInPlace(fdst, 0.1) }},
 		{"FiltFiltInto", func() {

@@ -181,26 +181,3 @@ func (rp *resamplePlan) scalar(dst, x []float64, lo, hi int) {
 		dst[m] = acc
 	}
 }
-
-// Decimate reduces the sample rate by an integer factor r after zero-phase
-// Butterworth lowpass filtering (order 8 at 0.8·Nyquist/r), matching
-// MATLAB's decimate defaults.
-func Decimate(x []float64, r int) ([]float64, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("daslib: Decimate factor must be ≥ 1, got %d", r)
-	}
-	if r == 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
-	}
-	y, err := butterFiltFilt(x, 8, Lowpass, 0.8/float64(r))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, (len(x)+r-1)/r)
-	for i := range out {
-		out[i] = y[i*r]
-	}
-	return out, nil
-}

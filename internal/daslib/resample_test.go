@@ -127,8 +127,8 @@ func TestResampleRejectsAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := RMS(y[200:1800]); r > 0.05 {
-		t.Errorf("aliased energy RMS = %g, want ≈0 (input RMS %g)", r, RMS(x))
+	if r := rms(y[200:1800]); r > 0.05 {
+		t.Errorf("aliased energy RMS = %g, want ≈0 (input RMS %g)", r, rms(x))
 	}
 }
 
@@ -177,12 +177,12 @@ func BenchmarkResampleDecimate(b *testing.B) {
 func TestDecimate(t *testing.T) {
 	rate := 500.0
 	x := sine(4000, 5, rate)
-	y, err := Decimate(x, 4)
-	if err != nil {
+	y := make([]float64, ResampleLen(len(x), 1, 4))
+	if err := ResampleInto(y, x, 1, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(y) != 1000 {
-		t.Fatalf("Decimate length = %d, want 1000", len(y))
+		t.Fatalf("decimated length = %d, want 1000", len(y))
 	}
 	want := sine(1000, 5, 125)
 	for i := 100; i < 900; i++ {
@@ -190,12 +190,8 @@ func TestDecimate(t *testing.T) {
 			t.Fatalf("decimated[%d] = %g, want %g", i, y[i], want[i])
 		}
 	}
-	if _, err := Decimate(x, 0); err == nil {
+	if err := ResampleInto(nil, x, 1, 0, nil); err == nil {
 		t.Error("factor 0 should fail")
-	}
-	y, err = Decimate(x[:10], 1)
-	if err != nil || len(y) != 10 {
-		t.Error("factor 1 should copy")
 	}
 }
 

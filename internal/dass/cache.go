@@ -181,12 +181,7 @@ func (s *Scanner) scan(tolerant bool, skip func(path string) bool) (*Catalog, []
 		}
 	}
 
-	sort.Slice(c.entries, func(i, j int) bool {
-		if c.entries[i].Timestamp != c.entries[j].Timestamp {
-			return c.entries[i].Timestamp < c.entries[j].Timestamp
-		}
-		return c.entries[i].Path < c.entries[j].Path
-	})
+	sortEntries(c.entries)
 
 	if dirty {
 		s.stamp = scanStart

@@ -103,14 +103,19 @@ func ScanFiles(paths []string) (*Catalog, error) {
 		c.entries = append(c.entries, Entry{Path: p, Info: info, Timestamp: ts,
 			Size: fi.Size(), ModTime: fi.ModTime().UnixNano()})
 	}
-	sort.Slice(c.entries, func(i, j int) bool {
-		if c.entries[i].Timestamp != c.entries[j].Timestamp {
-			return c.entries[i].Timestamp < c.entries[j].Timestamp
-		}
-		return c.entries[i].Path < c.entries[j].Path
-	})
+	sortEntries(c.entries)
 	c.Trace.Processes = 1
 	return c, nil
+}
+
+// sortEntries puts entries in catalog order: by Timestamp, ties by Path.
+func sortEntries(entries []Entry) {
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Timestamp != entries[j].Timestamp {
+			return entries[i].Timestamp < entries[j].Timestamp
+		}
+		return entries[i].Path < entries[j].Path
+	})
 }
 
 // CatalogOf builds a catalog directly from already-parsed entries — the
@@ -118,12 +123,7 @@ func ScanFiles(paths []string) (*Catalog, error) {
 // entries are copied and time-sorted; no I/O happens.
 func CatalogOf(entries []Entry) *Catalog {
 	c := &Catalog{entries: append([]Entry(nil), entries...)}
-	sort.Slice(c.entries, func(i, j int) bool {
-		if c.entries[i].Timestamp != c.entries[j].Timestamp {
-			return c.entries[i].Timestamp < c.entries[j].Timestamp
-		}
-		return c.entries[i].Path < c.entries[j].Path
-	})
+	sortEntries(c.entries)
 	return c
 }
 

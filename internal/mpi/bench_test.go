@@ -57,9 +57,9 @@ func BenchmarkAllreduce8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	_, err := Run(8, func(c *Comm) {
-		data := make([]float64, 256)
+		data := make([]int64, 256)
 		for i := 0; i < b.N; i++ {
-			Allreduce(c, data, SumF64)
+			Allreduce(c, data, SumI64)
 		}
 	})
 	if err != nil {

@@ -168,22 +168,6 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // ReduceOp combines src into dst elementwise; len(dst) == len(src).
 type ReduceOp[T any] func(dst, src []T)
 
-// SumF64 adds src into dst.
-func SumF64(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// MaxF64 keeps the elementwise maximum in dst.
-func MaxF64(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
 // SumI64 adds src into dst.
 func SumI64(dst, src []int64) {
 	for i, v := range src {

@@ -200,11 +200,6 @@ func Send[T any](c *Comm, dst, tag int, data []T) {
 	c.world.boxes[dst].put(message{src: c.rank, tag: tag, payload: cp, bytes: nbytes})
 }
 
-// SendValue sends a single value (convenience for scalars and small structs).
-func SendValue[T any](c *Comm, dst, tag int, v T) {
-	Send(c, dst, tag, []T{v})
-}
-
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. src may be AnySource and tag may be AnyTag.
 // The payload type must match the Send exactly; a mismatch panics.
@@ -219,21 +214,4 @@ func Recv[T any](c *Comm, src, tag int) []T {
 			c.rank, m.payload, m.src, m.tag, *new(T)))
 	}
 	return p
-}
-
-// RecvValue receives a single value sent with SendValue.
-func RecvValue[T any](c *Comm, src, tag int) T {
-	p := Recv[T](c, src, tag)
-	if len(p) != 1 {
-		panic(fmt.Sprintf("mpi: RecvValue got payload of length %d, want 1", len(p)))
-	}
-	return p[0]
-}
-
-// SendRecv sends to dst and receives from src in one operation. Because
-// sends are eager this cannot deadlock, but having a single call keeps
-// pairwise-exchange code readable.
-func SendRecv[T any](c *Comm, dst, sendTag int, data []T, src, recvTag int) []T {
-	Send(c, dst, sendTag, data)
-	return Recv[T](c, src, recvTag)
 }

@@ -105,13 +105,13 @@ func TestRecvAnySource(t *testing.T) {
 		if c.Rank() == 0 {
 			sum := 0
 			for i := 1; i < p; i++ {
-				sum += RecvValue[int](c, AnySource, 0)
+				sum += Recv[int](c, AnySource, 0)[0]
 			}
 			if sum != 1+2+3+4 {
 				t.Errorf("sum = %d", sum)
 			}
 		} else {
-			SendValue(c, 0, 0, c.Rank())
+			Send(c, 0, 0, []int{c.Rank()})
 		}
 	})
 	if err != nil {
@@ -124,11 +124,11 @@ func TestFIFOPerPair(t *testing.T) {
 	_, err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				SendValue(c, 1, 0, i)
+				Send(c, 1, 0, []int{i})
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := RecvValue[int](c, 0, 0); got != i {
+				if got := Recv[int](c, 0, 0)[0]; got != i {
 					t.Errorf("message %d arrived as %d", i, got)
 					return
 				}
@@ -311,8 +311,8 @@ func TestAlltoallv(t *testing.T) {
 func TestReduceSumAndMax(t *testing.T) {
 	const p = 6
 	_, err := Run(p, func(c *Comm) {
-		data := []float64{float64(c.Rank()), 1}
-		sum := Reduce(c, 0, data, SumF64)
+		data := []int64{int64(c.Rank()), 1}
+		sum := Reduce(c, 0, data, SumI64)
 		if c.Rank() == 0 {
 			if sum[0] != 15 || sum[1] != p {
 				t.Errorf("Reduce sum = %v", sum)
@@ -320,7 +320,7 @@ func TestReduceSumAndMax(t *testing.T) {
 		} else if sum != nil {
 			t.Errorf("non-root got %v", sum)
 		}
-		mx := Reduce(c, 3, []float64{float64(c.Rank())}, MaxF64)
+		mx := Reduce(c, 3, []int64{int64(c.Rank())}, MaxI64)
 		if c.Rank() == 3 && mx[0] != p-1 {
 			t.Errorf("Reduce max = %v", mx)
 		}
@@ -350,7 +350,8 @@ func TestSendRecvCombined(t *testing.T) {
 	_, err := Run(p, func(c *Comm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() - 1 + p) % p
-		got := SendRecv(c, next, 0, []int{c.Rank()}, prev, 0)
+		Send(c, next, 0, []int{c.Rank()})
+		got := Recv[int](c, prev, 0)
 		if got[0] != prev {
 			t.Errorf("rank %d received %d, want %d", c.Rank(), got[0], prev)
 		}

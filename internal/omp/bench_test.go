@@ -12,16 +12,6 @@ func BenchmarkForStatic(b *testing.B) {
 	}
 }
 
-func BenchmarkForDynamic(b *testing.B) {
-	team := NewTeam(4, WithSchedule(Dynamic), WithChunk(256))
-	sink := make([]float64, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		team.For(len(sink), func(j int) { sink[j] = float64(j) * 1.5 })
-	}
-}
-
 func BenchmarkForAppendPrefixMerge(b *testing.B) {
 	team := NewTeam(4)
 	b.ReportAllocs()
@@ -41,16 +31,5 @@ func BenchmarkForAppendLocked(b *testing.B) {
 		ForAppendLocked(team, 10000, func(j int, out *[]float64) {
 			*out = append(*out, float64(j))
 		})
-	}
-}
-
-func BenchmarkReduceF64(b *testing.B) {
-	team := NewTeam(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReduceF64(team, 100000, 0,
-			func(j int) float64 { return float64(j) },
-			func(a, c float64) float64 { return a + c })
 	}
 }

@@ -1,74 +1,29 @@
 // Package omp provides an OpenMP-style fork-join threading engine: parallel
-// for-loops with static or dynamic schedules, per-thread partial results
-// merged by prefix sums, and simple reductions. It is the intra-node half of
-// DASSA's hybrid execution model — the paper's Algorithm 1 (ApplyMT) maps
-// onto Team.ForAppend.
+// for-loops over a static schedule, with per-thread partial results merged
+// by prefix sums. It is the intra-node half of DASSA's hybrid execution
+// model — the paper's Algorithm 1 (ApplyMT) maps onto Team.ForAppend.
 package omp
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// Schedule selects how loop iterations are divided among threads.
-type Schedule int
-
-const (
-	// Static divides the iteration space into one contiguous chunk per
-	// thread, like #pragma omp for schedule(static). This is what
-	// Algorithm 1 in the paper uses.
-	Static Schedule = iota
-	// Dynamic hands out fixed-size chunks from a shared counter, like
-	// schedule(dynamic, chunk). Useful when iteration costs vary.
-	Dynamic
-)
-
-func (s Schedule) String() string {
-	switch s {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	default:
-		return fmt.Sprintf("Schedule(%d)", int(s))
-	}
-}
 
 // Team is a fixed-size group of worker threads, analogous to an OpenMP
-// parallel region's thread team.
+// parallel region's thread team. Its loops use a static schedule: the
+// iteration space is cut into one contiguous chunk per thread, like
+// #pragma omp for schedule(static), which is what Algorithm 1 in the
+// paper uses.
 type Team struct {
-	threads  int
-	schedule Schedule
-	chunk    int // dynamic chunk size
-}
-
-// Option configures a Team.
-type Option func(*Team)
-
-// WithSchedule selects the loop schedule (default Static).
-func WithSchedule(s Schedule) Option { return func(t *Team) { t.schedule = s } }
-
-// WithChunk sets the dynamic-schedule chunk size (default 64).
-func WithChunk(n int) Option {
-	return func(t *Team) {
-		if n > 0 {
-			t.chunk = n
-		}
-	}
+	threads int
 }
 
 // NewTeam creates a team of n threads. n <= 0 means runtime.NumCPU().
-func NewTeam(n int, opts ...Option) *Team {
+func NewTeam(n int) *Team {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
-	t := &Team{threads: n, schedule: Static, chunk: 64}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+	return &Team{threads: n}
 }
 
 // Threads returns the team size.
@@ -109,8 +64,8 @@ func (pc *panicCollector) rethrow() {
 	}
 }
 
-// For runs body(i) for every i in [0, n), split across the team according
-// to its schedule. body must be safe to call concurrently from different
+// For runs body(i) for every i in [0, n), split across the team in
+// contiguous chunks. body must be safe to call concurrently from different
 // threads for different i. For blocks until all iterations finish. If a
 // body panics, the panic is re-raised on the calling goroutine.
 func (t *Team) For(n int, body func(i int)) {
@@ -130,38 +85,16 @@ func (t *Team) ForThread(n int, body func(i, h int)) {
 	var pc panicCollector
 	var wg sync.WaitGroup
 	wg.Add(threads)
-	switch t.schedule {
-	case Dynamic:
-		var next atomic.Int64
-		for h := 0; h < threads; h++ {
-			go func(h int) {
-				defer wg.Done()
-				pc.guard(func() {
-					for {
-						lo := int(next.Add(int64(t.chunk))) - t.chunk
-						if lo >= n {
-							return
-						}
-						hi := min(lo+t.chunk, n)
-						for i := lo; i < hi; i++ {
-							body(i, h)
-						}
-					}
-				})
-			}(h)
-		}
-	default: // Static
-		for h := 0; h < threads; h++ {
-			go func(h int) {
-				defer wg.Done()
-				pc.guard(func() {
-					lo, hi := staticRange(n, threads, h)
-					for i := lo; i < hi; i++ {
-						body(i, h)
-					}
-				})
-			}(h)
-		}
+	for h := 0; h < threads; h++ {
+		go func(h int) {
+			defer wg.Done()
+			pc.guard(func() {
+				lo, hi := staticRange(n, threads, h)
+				for i := lo; i < hi; i++ {
+					body(i, h)
+				}
+			})
+		}(h)
 	}
 	wg.Wait()
 	pc.rethrow()
@@ -171,7 +104,7 @@ func (t *Team) ForThread(n int, body func(i, h int)) {
 // body over its share of [0, n) iterations, appending any number of results
 // to a private per-thread vector (no locks on the hot path); sizes are then
 // prefix-summed and the private vectors are copied into a single shared
-// output in parallel, preserving iteration order under the static schedule.
+// output in parallel, preserving iteration order.
 func ForAppend[T any](t *Team, n int, body func(i int, out *[]T)) []T {
 	if n <= 0 {
 		return nil
@@ -234,41 +167,4 @@ func ForAppendLocked[T any](t *Team, n int, body func(i int, out *[]T)) []T {
 		mu.Unlock()
 	})
 	return out
-}
-
-// ReduceF64 computes a parallel elementwise-free scalar reduction: body(i)
-// values combined with op (op must be associative and commutative), starting
-// from identity.
-func ReduceF64(t *Team, n int, identity float64, body func(i int) float64, op func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return identity
-	}
-	threads := t.threads
-	if threads > n {
-		threads = n
-	}
-	partial := make([]float64, threads)
-	var pc panicCollector
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for h := 0; h < threads; h++ {
-		go func(h int) {
-			defer wg.Done()
-			pc.guard(func() {
-				acc := identity
-				lo, hi := staticRange(n, threads, h)
-				for i := lo; i < hi; i++ {
-					acc = op(acc, body(i))
-				}
-				partial[h] = acc
-			})
-		}(h)
-	}
-	wg.Wait()
-	pc.rethrow()
-	acc := identity
-	for _, v := range partial {
-		acc = op(acc, v)
-	}
-	return acc
 }

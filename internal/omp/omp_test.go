@@ -50,14 +50,14 @@ func TestStaticRangeBalance(t *testing.T) {
 }
 
 func TestForVisitsAllOnce(t *testing.T) {
-	for _, sched := range []Schedule{Static, Dynamic} {
-		team := NewTeam(4, WithSchedule(sched), WithChunk(3))
+	for _, threads := range []int{1, 3, 4, 7} {
+		team := NewTeam(threads)
 		const n = 1000
 		counts := make([]atomic.Int32, n)
 		team.For(n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Errorf("%v: iteration %d ran %d times", sched, i, c)
+				t.Errorf("%d threads: iteration %d ran %d times", threads, i, c)
 			}
 		}
 	}
@@ -156,36 +156,11 @@ func TestForAppendLockedSameMultiset(t *testing.T) {
 	}
 }
 
-func TestReduceF64(t *testing.T) {
-	team := NewTeam(6)
-	sum := ReduceF64(team, 1000, 0, func(i int) float64 { return float64(i) },
-		func(a, b float64) float64 { return a + b })
-	if sum != 499500 {
-		t.Errorf("sum = %v, want 499500", sum)
-	}
-	maxv := ReduceF64(team, 100, -1e300, func(i int) float64 { return float64((i * 37) % 100) },
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	if maxv != 99 {
-		t.Errorf("max = %v, want 99", maxv)
-	}
-	if got := ReduceF64(team, 0, 7, nil, nil); got != 7 {
-		t.Errorf("empty reduce = %v, want identity 7", got)
-	}
-}
-
 func TestNewTeamDefaults(t *testing.T) {
 	if NewTeam(0).Threads() <= 0 {
 		t.Error("NewTeam(0) should default to NumCPU")
 	}
 	if got := NewTeam(3).Threads(); got != 3 {
 		t.Errorf("Threads() = %d, want 3", got)
-	}
-	if Static.String() != "static" || Dynamic.String() != "dynamic" {
-		t.Error("Schedule.String() broken")
 	}
 }

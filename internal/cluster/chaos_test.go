@@ -364,7 +364,7 @@ func TestClusterBlackHoleRedispatch(t *testing.T) {
 	sameValues(t, res.Data, want)
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

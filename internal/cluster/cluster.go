@@ -70,8 +70,8 @@ type Request struct {
 	// read in one place: an analysis request without Params runs it.
 	Rate      float64
 	LocalSimi detect.LocalSimiParams
-	// Shards overrides the shard count (0 = 2 shards per healthy worker,
-	// clamped to the channel width).
+	// Shards overrides the shard count (0 = one shard per healthy worker,
+	// clamped to the channel width); only tests set it.
 	Shards int
 }
 

@@ -47,7 +47,7 @@ func makeView(t *testing.T, channels, files int) (*dass.View, float64) {
 // startWorker serves a shard worker on a loopback listener and returns it
 // with its address. Close is registered for cleanup (idempotent, so tests
 // that kill the worker themselves are fine).
-func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
+func startWorker(t testing.TB, cfg WorkerConfig) (*Worker, string) {
 	t.Helper()
 	if cfg.HeartbeatEvery == 0 {
 		cfg.HeartbeatEvery = 100 * time.Millisecond
@@ -63,7 +63,7 @@ func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
 }
 
 // newCoord builds a coordinator over addrs with fast test timings.
-func newCoord(t *testing.T, addrs []string, mutate func(*Config)) *Coordinator {
+func newCoord(t testing.TB, addrs []string, mutate func(*Config)) *Coordinator {
 	t.Helper()
 	cfg := Config{
 		Workers:       addrs,

@@ -19,11 +19,6 @@ import (
 	"dassa/internal/wire"
 )
 
-// shardsPerWorker sets the default shard count as a multiple of the
-// healthy worker count: enough to overlap I/O and compute without
-// fragmenting small windows.
-const shardsPerWorker = 2
-
 // Config sizes a Coordinator. Zero values choose sane defaults.
 type Config struct {
 	// Workers are the dassw addresses (host:port) to dial. At least one is
@@ -112,8 +107,10 @@ type pendEntry struct {
 }
 
 type shardReply struct {
-	res       wire.ShardResult
-	data      []float64
+	res wire.ShardResult
+	// block is the result's little-endian values, validated against res's
+	// shape and decoded only by the merge, into the merged map.
+	block     []byte
 	worker    string
 	err       error
 	cancelled bool
@@ -403,12 +400,12 @@ func (l *workerLink) serve(conn *wire.Conn) {
 		case wire.TypeHeartbeat:
 			// The read deadline reset above is the liveness bookkeeping.
 		case wire.TypeShardResult:
-			res, data, err := wire.DecodeResult(f)
+			res, block, err := wire.ParseResult(f)
 			if err != nil {
 				cfg.Log.Warn("cluster: undecodable result", "worker", l.addr, "err", err)
 				continue
 			}
-			l.co.route(pendKey{res.ID, res.Shard}, shardReply{res: res, data: data, worker: l.addr})
+			l.co.route(pendKey{res.ID, res.Shard}, shardReply{res: res, block: block, worker: l.addr})
 		case wire.TypeShardError:
 			var se wire.ShardError
 			if err := wire.DecodeInto(f, &se); err != nil {
@@ -435,7 +432,7 @@ type shard struct {
 type outcome struct {
 	sh           shard
 	res          wire.ShardResult
-	data         []float64
+	block        []byte
 	worker       string
 	err          error
 	cancelled    bool
@@ -508,9 +505,12 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		return nil, ErrNoWorkers
 	}
 
+	// One band per healthy worker, as HAEE runs one rank per node: the
+	// worker's own team computes the band, and fewer bands compute fewer
+	// halo rows twice.
 	nshards := req.Shards
 	if nshards <= 0 {
-		nshards = shardsPerWorker * max(co.healthyCount(), 1)
+		nshards = max(co.healthyCount(), 1)
 	}
 	nshards = min(max(nshards, 1), width)
 
@@ -548,9 +548,9 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 	ok := 0
 	for _, oc := range outcomes {
 		res.Redispatched += oc.redispatches
-		if oc.err == nil && oc.res.Samples != wantSamples {
-			oc.err = fmt.Errorf("cluster: shard %d returned %d samples, want %d",
-				oc.sh.idx, oc.res.Samples, wantSamples)
+		if n := oc.sh.hi - oc.sh.lo; oc.err == nil && (oc.res.Channels != n || oc.res.Samples != wantSamples) {
+			oc.err = fmt.Errorf("cluster: shard %d returned %d×%d values, want %d×%d",
+				oc.sh.idx, oc.res.Channels, oc.res.Samples, n, wantSamples)
 		}
 		if oc.err != nil {
 			if oc.cancelled && ctx.Err() == nil {
@@ -592,9 +592,7 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		co.m.outcome("done")
 		ok++
 		workers[oc.worker] = true
-		for c := 0; c < oc.res.Channels; c++ {
-			copy(out.Row(oc.sh.lo+c), oc.data[c*oc.res.Samples:(c+1)*oc.res.Samples])
-		}
+		wire.DecodeValues(out.Data[oc.sh.lo*wantSamples:oc.sh.hi*wantSamples], oc.block)
 		t := oc.res.Trace
 		tr.Opens += t.Opens
 		tr.Reads += t.Reads
@@ -670,7 +668,7 @@ func (co *Coordinator) runShard(ctx context.Context, tmpl wire.ShardRequest, sh 
 		}
 		if reply.err == nil {
 			// Clear any earlier attempt's failure — the shard made it.
-			oc.res, oc.data, oc.worker, oc.err = reply.res, reply.data, reply.worker, nil
+			oc.res, oc.block, oc.worker, oc.err = reply.res, reply.block, reply.worker, nil
 			return oc
 		}
 		if reply.cancelled && ctx.Err() != nil {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,4 +375,109 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	again.ID = 5
 	dialWorker(t, addr).wantResult(again, v)
 	waitFor(t, 2*time.Second, func() bool { return w.InFlight() == 0 })
+}
+
+// misshapenWorker is a worker reduced to its socket: it answers the
+// handshake and every shard request with reply's result, never a heartbeat.
+func misshapenWorker(t *testing.T, reply func(wire.ShardRequest) (wire.ShardResult, []float64)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); conns.Wait() })
+	conns.Add(1)
+	go func() {
+		defer conns.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				c := wire.NewConn(nc, 0)
+				defer c.Abort()
+				for {
+					f, err := c.Recv()
+					if err != nil {
+						return
+					}
+					switch f.Type {
+					case wire.TypeHello:
+						_ = c.SendEnvelope(wire.TypeWelcome, wire.Welcome{Worker: "misshapen", Version: wire.Version})
+					case wire.TypeShardRequest:
+						var req wire.ShardRequest
+						if wire.DecodeInto(f, &req) != nil {
+							return
+						}
+						res, data := reply(req)
+						res.ID, res.Shard = req.ID, req.Shard
+						if rf, err := wire.EncodeResult(res, data); err == nil {
+							_ = c.Send(rf)
+						}
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCoordinatorRefusesMisshapenResult: a well-formed result whose row
+// count is not its shard's is a lost shard, like one with the wrong sample
+// count — NaN-masked with its gap under FailDegrade, an error under
+// FailAbort. A row short once left a zero row reported clean, and a row
+// over wrote into the next shard or past the map.
+func TestCoordinatorRefusesMisshapenResult(t *testing.T) {
+	leakcheck.Check(t)
+	v, _ := makeView(t, 8, 1)
+	nch, nt := v.Shape()
+	const bad, value = 1, 7.0 // the last of two shards is misshapen
+	badLo, badHi := dass.Partition(nch, 2, bad)
+	for _, delta := range []int{-1, +1} {
+		addr := misshapenWorker(t, func(req wire.ShardRequest) (wire.ShardResult, []float64) {
+			rows := req.ChHi - req.ChLo
+			if req.Shard == bad {
+				rows += delta
+			}
+			data := make([]float64, rows*(req.T1-req.T0))
+			for i := range data {
+				data[i] = value
+			}
+			return wire.ShardResult{Channels: rows, Samples: req.T1 - req.T0}, data
+		})
+		for _, policy := range []dass.FailPolicy{dass.FailDegrade, dass.FailAbort} {
+			t.Run(fmt.Sprintf("rows%+d/%s", delta, policy), func(t *testing.T) {
+				co := newCoord(t, []string{addr}, func(c *Config) {
+					c.FailPolicy = policy
+					c.DeadAfter = time.Minute // the socket sends no heartbeat
+				})
+				res, err := co.Run(context.Background(), Request{View: v, Op: OpRead, Shards: 2})
+				if policy == dass.FailAbort {
+					if err == nil {
+						t.Fatal("a misshapen shard did not fail the run")
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Degraded() || res.DegradedShards != 1 || len(res.Quality.Gaps) == 0 {
+					t.Fatalf("degraded=%v, %d shards lost, gaps %v: want the misshapen shard lost",
+						res.Degraded(), res.DegradedShards, res.Quality.Gaps)
+				}
+				for c := range nch {
+					for i, x := range res.Data.Row(c) {
+						if lost := c >= badLo && c < badHi; lost != math.IsNaN(x) || !lost && x != value {
+							t.Fatalf("row %d sample %d of %d = %v (shard %d rows [%d,%d) lost)",
+								c, i, nt, x, bad, badLo, badHi)
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -491,13 +491,11 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 		return wire.ShardResult{}, nil, err
 	}
 
-	// Trim halo rows: the reply carries exactly the core [ChLo, ChHi).
+	// The reply carries exactly the core rows [ChLo, ChHi), contiguous in
+	// the output: the halo rows are left out, not trimmed by a copy.
 	coreLo := req.ChLo - gLo
 	coreN := req.ChHi - req.ChLo
-	data := make([]float64, coreN*out.Samples)
-	for c := 0; c < coreN; c++ {
-		copy(data[c*out.Samples:(c+1)*out.Samples], out.Row(coreLo+c))
-	}
+	data := out.Data[coreLo*out.Samples : (coreLo+coreN)*out.Samples]
 	res := wire.ShardResult{
 		Channels: coreN,
 		Samples:  out.Samples,

@@ -16,9 +16,8 @@ package scores
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
@@ -162,15 +161,21 @@ func planScores(v *dass.View, entries []dass.Entry, p detect.Params) scorePlan {
 	// and each touched member's path and stamp.
 	raw, _ := json.Marshal(p)
 	chLo, chHi, _, _ := v.Window()
+	var b []byte
 	for i := range pl.tiles {
 		tl := &pl.tiles[i]
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s %s ch[%d,%d) phase %d head %t tail %t", p.Op(), raw, chLo, chHi,
-			offs[tl.m0]%pl.stride, tl.head, tl.tail)
+		b = append(append(append(b[:0], p.Op()...), ' '), raw...)
+		b = strconv.AppendInt(append(b, " ch "...), int64(chLo), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(chHi), 10)
+		b = strconv.AppendInt(append(b, " phase "...), int64(offs[tl.m0]%pl.stride), 10)
+		b = strconv.AppendBool(append(b, " head "...), tl.head)
+		b = strconv.AppendBool(append(b, " tail "...), tl.tail)
 		for _, e := range entries[tl.m0 : tl.m1+1] {
-			fmt.Fprintf(&b, "\x00%s %d %d", e.Path, e.Size, e.ModTime)
+			b = append(append(b, 0), e.Path...)
+			b = strconv.AppendInt(append(b, ' '), e.Size, 10)
+			b = strconv.AppendInt(append(b, ' '), e.ModTime, 10)
 		}
-		tl.key = b.String()
+		tl.key = string(b)
 	}
 	return pl
 }

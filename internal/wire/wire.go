@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync/atomic"
 
 	"dassa/internal/obs/trace"
@@ -111,25 +112,33 @@ func BytesIn() int64 { return bytesIn.Load() }
 // BytesOut returns the total bytes written to connections by this process.
 func BytesOut() int64 { return bytesOut.Load() }
 
-// AppendFrame encodes f onto buf and returns the extended slice.
-func AppendFrame(buf []byte, f Frame) []byte {
+// frameHeader encodes the prefix of a frame of type t with n payload bytes.
+func frameHeader(t Type, n int) [headerLen]byte {
 	var hdr [headerLen]byte
 	hdr[0], hdr[1] = magic0, magic1
 	hdr[2] = Version
-	hdr[3] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Payload)))
+	hdr[3] = byte(t)
+	binary.BigEndian.PutUint32(hdr[4:], uint32(n))
+	return hdr
+}
+
+// AppendFrame encodes f onto buf and returns the extended slice.
+func AppendFrame(buf []byte, f Frame) []byte {
+	hdr := frameHeader(f.Type, len(f.Payload))
 	buf = append(buf, hdr[:]...)
 	return append(buf, f.Payload...)
 }
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w: the header and the payload in one
+// vectored write on a socket, without copying the payload.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(f.Payload))
 	}
-	buf := AppendFrame(make([]byte, 0, headerLen+len(f.Payload)), f)
-	n, err := w.Write(buf)
-	bytesOut.Add(int64(n))
+	hdr := frameHeader(f.Type, len(f.Payload))
+	bufs := net.Buffers{hdr[:], f.Payload}
+	n, err := bufs.WriteTo(w)
+	bytesOut.Add(n)
 	return err
 }
 
@@ -165,11 +174,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if length > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: declared %d bytes", ErrTooLarge, length)
 	}
-	payload := make([]byte, 0, min(int(length), readChunk))
-	for len(payload) < int(length) {
-		chunk := min(int(length)-len(payload), readChunk)
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
+	// The first chunk is read into the payload as allocated; only a frame
+	// longer than one chunk grows it, a chunk at a time.
+	payload := make([]byte, min(int(length), readChunk))
+	for start := 0; ; start = len(payload) {
 		n, err := io.ReadFull(r, payload[start:])
 		bytesIn.Add(int64(n))
 		if err != nil {
@@ -178,8 +186,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			}
 			return Frame{}, err
 		}
+		if len(payload) == int(length) {
+			return Frame{Type: t, Payload: payload}, nil
+		}
+		payload = append(payload, make([]byte, min(int(length)-len(payload), readChunk))...)
 	}
-	return Frame{Type: t, Payload: payload}, nil
 }
 
 // VersionError reports a handshake peer announcing an incompatible
@@ -369,9 +380,23 @@ func EncodeResult(res ShardResult, data []float64) (Frame, error) {
 	return Frame{Type: TypeShardResult, Payload: payload}, nil
 }
 
-// DecodeResult parses a ShardResult frame. Every length is validated
-// against the payload actually present before any allocation sized by it.
+// DecodeResult parses a ShardResult frame into its header and a fresh
+// slice of its values.
 func DecodeResult(f Frame) (ShardResult, []float64, error) {
+	res, block, err := ParseResult(f)
+	if err != nil {
+		return res, nil, err
+	}
+	data := make([]float64, len(block)/8)
+	DecodeValues(data, block)
+	return res, data, nil
+}
+
+// ParseResult validates a ShardResult frame and returns its header and its
+// little-endian value block, which aliases the payload. Every length is
+// validated against the payload actually present: the block holds exactly
+// Channels×Samples values.
+func ParseResult(f Frame) (ShardResult, []byte, error) {
 	var res ShardResult
 	if f.Type != TypeShardResult {
 		return res, nil, fmt.Errorf("%w: %s is not a shard result", ErrBadFrame, f.Type)
@@ -386,17 +411,21 @@ func DecodeResult(f Frame) (ShardResult, []float64, error) {
 	if err := json.Unmarshal(f.Payload[4:4+hdrLen], &res); err != nil {
 		return res, nil, fmt.Errorf("%w: result header: %w", ErrBadFrame, err)
 	}
-	raw := f.Payload[4+hdrLen:]
+	block := f.Payload[4+hdrLen:]
 	cells, ok := cellCount(res.Channels, res.Samples)
-	if !ok || cells*8 != len(raw) {
+	if !ok || cells*8 != len(block) {
 		return res, nil, fmt.Errorf("%w: result declares %d×%d cells, carries %d bytes",
-			ErrBadFrame, res.Channels, res.Samples, len(raw))
+			ErrBadFrame, res.Channels, res.Samples, len(block))
 	}
-	data := make([]float64, cells)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	return res, block, nil
+}
+
+// DecodeValues decodes a value block ParseResult returned into dst, which
+// holds exactly len(block)/8 values.
+func DecodeValues(dst []float64, block []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
 	}
-	return res, data, nil
 }
 
 // cellCount returns channels×samples for a declared result shape, or false

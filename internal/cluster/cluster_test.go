@@ -102,6 +102,21 @@ func shardFrame(t *testing.T, p detect.Params, v *dass.View, lo, hi int) wire.Sh
 	}
 }
 
+// executeShard is computeShard with the reply's header written and its
+// values decoded back, as the tests compare them.
+func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *scores.LRU) (wire.ShardResult, []float64, error) {
+	res, rb, err := computeShard(ctx, req, cores, st)
+	if err != nil {
+		return res, nil, err
+	}
+	f, err := rb.Frame(res)
+	if err != nil {
+		return res, nil, err
+	}
+	_, data, err := wire.DecodeResult(f)
+	return res, data, err
+}
+
 // sameValues compares arrays elementwise, NaN-aware.
 func sameValues(t *testing.T, got, want *dasf.Array2D) {
 	t.Helper()

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +90,6 @@ type Coordinator struct {
 	closing  atomic.Bool
 	managers sync.WaitGroup
 
-	// rr cycles shard placement across healthy links.
-	rr atomic.Uint64
-
 	mu      sync.Mutex
 	pending map[pendKey]*pendEntry
 }
@@ -109,8 +107,10 @@ type pendEntry struct {
 type shardReply struct {
 	res wire.ShardResult
 	// block is the result's little-endian values, validated against res's
-	// shape and decoded only by the merge, into the merged map.
+	// shape and decoded only by the merge, into the merged map; it aliases
+	// frame's payload, which the merge then recycles.
 	block     []byte
+	frame     wire.Frame
 	worker    string
 	err       error
 	cancelled bool
@@ -173,23 +173,35 @@ func (co *Coordinator) HealthyWorkers() int { return co.healthyCount() }
 // Workers returns the configured worker addresses.
 func (co *Coordinator) Workers() []string { return co.cfg.Workers }
 
-// pickLink returns a healthy link, preferring one different from avoid.
-// Nil means no worker is alive.
-func (co *Coordinator) pickLink(avoid *workerLink) *workerLink {
+// pickLink places shard i. Its first attempt (failed nil) goes to the i-th
+// healthy link in configured order, modulo the healthy count, so a band of
+// a repeated window goes to the worker holding its tiles. A redispatch goes
+// to the next healthy link after the one that failed, or back to it when it
+// is the only one alive. Nil means no worker is alive.
+func (co *Coordinator) pickLink(i int, failed *workerLink) *workerLink {
 	n := len(co.links)
-	start := int(co.rr.Add(1)) % n
-	var fallback *workerLink
-	for i := 0; i < n; i++ {
-		l := co.links[(start+i)%n]
-		if !l.isAlive() {
-			continue
+	if failed == nil {
+		if h := co.healthyCount(); h > 0 {
+			k := i % h
+			for _, l := range co.links {
+				if !l.isAlive() {
+					continue
+				}
+				if k == 0 {
+					return l
+				}
+				k--
+			}
 		}
-		if l != avoid {
+		return nil // none alive, or one died since the count
+	}
+	at := slices.Index(co.links, failed)
+	for j := 1; j <= n; j++ {
+		if l := co.links[(at+j)%n]; l.isAlive() {
 			return l
 		}
-		fallback = l
 	}
-	return fallback
+	return nil
 }
 
 // waitHealthy blocks until a worker is alive, the grace period ends, or
@@ -405,7 +417,7 @@ func (l *workerLink) serve(conn *wire.Conn) {
 				cfg.Log.Warn("cluster: undecodable result", "worker", l.addr, "err", err)
 				continue
 			}
-			l.co.route(pendKey{res.ID, res.Shard}, shardReply{res: res, block: block, worker: l.addr})
+			l.co.route(pendKey{res.ID, res.Shard}, shardReply{res: res, block: block, frame: f, worker: l.addr})
 		case wire.TypeShardError:
 			var se wire.ShardError
 			if err := wire.DecodeInto(f, &se); err != nil {
@@ -433,6 +445,7 @@ type outcome struct {
 	sh           shard
 	res          wire.ShardResult
 	block        []byte
+	frame        wire.Frame
 	worker       string
 	err          error
 	cancelled    bool
@@ -593,6 +606,7 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 		ok++
 		workers[oc.worker] = true
 		wire.DecodeValues(out.Data[oc.sh.lo*wantSamples:oc.sh.hi*wantSamples], oc.block)
+		wire.Recycle(oc.frame) // the block is in the map: nothing reads the frame again
 		t := oc.res.Trace
 		tr.Opens += t.Opens
 		tr.Reads += t.Reads
@@ -639,7 +653,7 @@ func (co *Coordinator) runShard(ctx context.Context, tmpl wire.ShardRequest, sh 
 			oc.err, oc.cancelled = err, true
 			return oc
 		}
-		l := co.pickLink(last)
+		l := co.pickLink(sh.idx, last)
 		if l == nil {
 			if !co.waitHealthy(ctx, co.cfg.RedialBackoff+co.cfg.DialTimeout) {
 				oc.err = ErrNoWorkers
@@ -648,7 +662,7 @@ func (co *Coordinator) runShard(ctx context.Context, tmpl wire.ShardRequest, sh 
 				}
 				return oc
 			}
-			l = co.pickLink(last)
+			l = co.pickLink(sh.idx, last)
 			if l == nil {
 				oc.err = ErrNoWorkers
 				return oc
@@ -668,7 +682,7 @@ func (co *Coordinator) runShard(ctx context.Context, tmpl wire.ShardRequest, sh 
 		}
 		if reply.err == nil {
 			// Clear any earlier attempt's failure — the shard made it.
-			oc.res, oc.block, oc.worker, oc.err = reply.res, reply.block, reply.worker, nil
+			oc.res, oc.block, oc.frame, oc.worker, oc.err = reply.res, reply.block, reply.frame, reply.worker, nil
 			return oc
 		}
 		if reply.cancelled && ctx.Err() != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"dassa/internal/dasf"
+	"dassa/internal/dasgen"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 	"dassa/internal/scores"
@@ -478,6 +480,55 @@ func TestCoordinatorRefusesMisshapenResult(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestWorkerChecksShapesAgainstHeaders: a frame that declares a real
+// 128 ch × 1 000-sample member fifty times longer is refused with a
+// ShardError before a cold run sizes a block from it, for a read and a
+// detection alike, and the refusal costs far less than the declared block.
+func TestWorkerChecksShapesAgainstHeaders(t *testing.T) {
+	dir := t.TempDir()
+	cfg := dasgen.Config{Channels: 128, SampleRate: 250, FileSeconds: 4, NumFiles: 1, Seed: 7, DType: dasf.Float32}
+	if _, err := dasgen.Generate(dir, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := dass.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := dass.ViewOver(cat.Entries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filesOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files[0].NumChannels != 128 || files[0].NumSamples != 1000 {
+		t.Fatalf("fixture is %d×%d, want 128×1000", files[0].NumChannels, files[0].NumSamples)
+	}
+	files[0].NumSamples *= 50
+	declared := uint64(8 * files[0].NumChannels * files[0].NumSamples) // the block's bytes
+	simi, err := json.Marshal(detect.DefaultLocalSimi(cfg.SampleRate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t, WorkerConfig{Cores: 1})
+	sc := dialWorker(t, addr)
+	for i, req := range []wire.ShardRequest{
+		{Op: string(OpRead)},
+		{Op: detect.DefaultOp, Params: simi},
+	} {
+		req.ID, req.Files = uint64(i+1), files
+		req.ChHi, req.WinChHi, req.T1 = 128, 128, files[0].NumSamples
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc.wantError(req, "its header says 1000")
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > declared/8 {
+			t.Errorf("%s: the refusal allocated %d B, want well under the declared block's %d B", req.Op, alloc, declared)
 		}
 	}
 }

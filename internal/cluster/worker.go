@@ -75,8 +75,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type Worker struct {
 	cfg WorkerConfig
 	ln  net.Listener
-	// exec runs one shard: executeShard over the worker's score store,
-	// except in tests that need a job to misbehave.
+	// exec, when set, runs a shard in place of computeShard: the tests'
+	// seam for a job that misbehaves. Its values are encoded as a read's.
 	exec func(ctx context.Context, req wire.ShardRequest, cores int) (wire.ShardResult, []float64, error)
 	// scores holds the detector cells of the shards this worker computed,
 	// so a shard asked again computes only what it lacks (internal/scores).
@@ -94,11 +94,7 @@ type Worker struct {
 
 // NewWorker creates a worker; call Serve to start accepting.
 func NewWorker(cfg WorkerConfig) *Worker {
-	w := &Worker{cfg: cfg.withDefaults(), scores: scores.NewLRU(scoreBytes)}
-	w.exec = func(ctx context.Context, req wire.ShardRequest, cores int) (wire.ShardResult, []float64, error) {
-		return executeShard(ctx, req, cores, w.scores)
-	}
-	return w
+	return &Worker{cfg: cfg.withDefaults(), scores: scores.NewLRU(scoreBytes)}
 }
 
 // ScoreStats snapshots the worker's score store.
@@ -387,7 +383,7 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 	}
 
 	start := time.Now()
-	res, data, err := w.executeTraced(ctx, req)
+	res, rb, err := w.executeTraced(ctx, req)
 	if err != nil {
 		cancelled := dass.IsCancellation(err) ||
 			errors.Is(err, errCancelled) || errors.Is(err, errConnDead)
@@ -401,7 +397,7 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 	}
 	res.ID, res.Shard = req.ID, req.Shard
 	wall := time.Since(start)
-	f, err := wire.EncodeResult(res, data)
+	f, err := rb.Frame(res)
 	if err != nil {
 		_ = c.SendEnvelope(wire.TypeShardError, wire.ShardError{
 			ID: req.ID, Shard: req.Shard, Msg: fmt.Sprintf("encode result: %v", err),
@@ -418,42 +414,57 @@ func (w *Worker) runJob(c *wire.Conn, st *connState, req wire.ShardRequest) {
 	}
 }
 
-// executeTraced runs executeShard under the request's trace, when it
-// carries one: the worker records its fragment locally (rooted at
-// "worker.shard", parented under the coordinator's dispatch span) and
-// ships the spans back in the result for reassembly.
-func (w *Worker) executeTraced(ctx context.Context, req wire.ShardRequest) (wire.ShardResult, []float64, error) {
+// executeTraced runs the shard under the request's trace, when it carries
+// one: the worker records its fragment locally (rooted at "worker.shard",
+// parented under the coordinator's dispatch span) and ships the spans back
+// in the result for reassembly.
+func (w *Worker) executeTraced(ctx context.Context, req wire.ShardRequest) (wire.ShardResult, wire.ResultBuf, error) {
 	if req.TraceID == "" {
-		return w.exec(ctx, req, w.cfg.Cores)
+		return w.execute(ctx, req)
 	}
 	ctx, root, rem := trace.StartRemote(ctx, trace.ID(req.TraceID), w.cfg.Name, req.ParentSpan, "worker.shard")
 	root.SetAttrInt("shard", int64(req.Shard))
 	root.SetAttr("op", req.Op)
-	res, data, err := w.exec(ctx, req, w.cfg.Cores)
+	res, rb, err := w.execute(ctx, req)
 	root.EndErr(err)
 	if err != nil {
-		return res, data, err
+		return res, rb, err
 	}
 	res.Spans = rem.Spans()
-	return res, data, nil
+	return res, rb, nil
 }
 
-// executeShard runs one shard's slice of the pipeline the way dassd runs a
-// window: rebuild the view with dass.ViewOver, bound the op
-// against the request window and take its channel reach, subset to the
-// shard rows plus that reach, run the op under FailDegrade — assembled from
-// st's tiles when st is non-nil and the shard spans its files whole — trim
-// the reach rows, and lift gaps back to absolute channel coordinates.
-func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *scores.LRU) (wire.ShardResult, []float64, error) {
+// execute runs one shard over the worker's score store, or through the
+// tests' exec seam when one is set.
+func (w *Worker) execute(ctx context.Context, req wire.ShardRequest) (wire.ShardResult, wire.ResultBuf, error) {
+	if w.exec == nil {
+		return computeShard(ctx, req, w.cfg.Cores, w.scores)
+	}
+	res, data, err := w.exec(ctx, req, w.cfg.Cores)
+	if err != nil {
+		return res, wire.ResultBuf{}, err
+	}
+	rb, err := valuesBuf(data)
+	return res, rb, err
+}
+
+// computeShard runs one shard's slice of the pipeline the way dassd runs a
+// window: rebuild the view with dass.ViewOver, bound the op against the
+// request window and take its channel reach, subset to the shard rows plus
+// that reach, and run the op under FailDegrade — assembled from st's tiles
+// when the shard spans its files whole — into the reply's value block, which
+// holds the core rows only. Gaps are lifted back to absolute channel
+// coordinates.
+func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *scores.LRU) (wire.ShardResult, wire.ResultBuf, error) {
 	entries := entriesOf(req.Files)
 	full, err := dass.ViewOver(entries)
 	if err != nil {
-		return wire.ShardResult{}, nil, err
+		return wire.ShardResult{}, wire.ResultBuf{}, err
 	}
 	nch, nt := full.Shape()
 	if req.WinChLo < 0 || req.WinChHi > nch || req.ChLo < req.WinChLo || req.ChHi > req.WinChHi ||
 		req.ChLo >= req.ChHi || req.T0 < 0 || req.T1 > nt || req.T0 >= req.T1 {
-		return wire.ShardResult{}, nil, fmt.Errorf(
+		return wire.ShardResult{}, wire.ResultBuf{}, fmt.Errorf(
 			"cluster: shard rows [%d:%d) of window [%d:%d)×[%d:%d) out of file-set bounds %d×%d",
 			req.ChLo, req.ChHi, req.WinChLo, req.WinChHi, req.T0, req.T1, nch, nt)
 	}
@@ -463,42 +474,37 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 	// in-process stencil clamps at the view's edge, so a shard touching it
 	// must — and the window sits inside the view ViewOver bounded.
 	var p detect.Params
-	halo := 0
+	halo, samples := 0, req.T1-req.T0
 	if Op(req.Op) != OpRead {
 		if p, err = detect.Decode(req.Op, req.Params); err != nil {
-			return wire.ShardResult{}, nil, err
+			return wire.ShardResult{}, wire.ResultBuf{}, err
 		}
-		w, err := workloadOf(p, req.WinChHi-req.WinChLo, req.T1-req.T0)
+		w, err := workloadOf(p, req.WinChHi-req.WinChLo, samples)
 		if err != nil {
-			return wire.ShardResult{}, nil, err
+			return wire.ShardResult{}, wire.ResultBuf{}, err
 		}
-		halo = w.Spec.GhostChannels
+		halo, samples = w.Spec.GhostChannels, w.OutSamples(samples)
 	}
 	gLo := req.ChLo - min(halo, req.ChLo-req.WinChLo)
 	gHi := req.ChHi + min(halo, req.WinChHi-req.ChHi)
 	sub, err := full.Subset(gLo, gHi, req.T0, req.T1)
 	if err != nil {
-		return wire.ShardResult{}, nil, err
+		return wire.ShardResult{}, wire.ResultBuf{}, err
 	}
 	// Tiles are keyed by whole member files: only an analysis over the
 	// whole file set may use the store.
-	var stamped []dass.Entry
-	if p != nil && st != nil && req.T0 == 0 && req.T1 == nt {
-		stamped = stamp(entries)
+	if p == nil || req.T0 != 0 || req.T1 != nt || stamp(entries) == nil {
+		st = nil
 	}
-	out, tr, gaps, err := applyShard(ctx, sub.WithContext(ctx), p, cores, stamped, st)
+	rows := coreRows{lo: req.ChLo - gLo, n: req.ChHi - req.ChLo, samples: samples}
+	rb, tr, gaps, err := applyShard(ctx, sub.WithContext(ctx), entries, p, cores, st, rows)
 	if err != nil {
-		return wire.ShardResult{}, nil, err
+		return wire.ShardResult{}, wire.ResultBuf{}, err
 	}
 
-	// The reply carries exactly the core rows [ChLo, ChHi), contiguous in
-	// the output: the halo rows are left out, not trimmed by a copy.
-	coreLo := req.ChLo - gLo
-	coreN := req.ChHi - req.ChLo
-	data := out.Data[coreLo*out.Samples : (coreLo+coreN)*out.Samples]
 	res := wire.ShardResult{
-		Channels: coreN,
-		Samples:  out.Samples,
+		Channels: rows.n,
+		Samples:  samples,
 		Trace: wire.Trace{
 			Opens: tr.Opens, Reads: tr.Reads, BytesRead: tr.BytesRead,
 			Retries: tr.Retries, Faults: tr.Faults, SlowReads: tr.SlowReads,
@@ -518,7 +524,7 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 			ChLo: lo, ChHi: hi, TLo: g.TLo, THi: g.THi,
 		})
 	}
-	return res, data, nil
+	return res, rb, nil
 }
 
 // workloadOf bounds an analysis against the nch × nt window it is to run on,
@@ -538,35 +544,109 @@ func workloadOf(p detect.Params, nch, nt int) (arrayudf.Workload, error) {
 	return w, nil
 }
 
-// applyShard runs the shard's sub-view under FailDegrade: the read itself
-// when p is nil, else p through core.Framework.Run, as an in-process /detect
-// runs it, with the runs' reports normalized to (output, trace, gaps). With
-// entries — the sub-view's members, stamped — the output is assembled from
-// st's tiles and runs over what they lack.
-func applyShard(ctx context.Context, sub *dass.View, p detect.Params, cores int, entries []dass.Entry, st *scores.LRU) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+// coreRows are the rows of a shard's sub-view its reply carries, [lo,
+// lo+n), each samples values long: the sub-view's halo rows are left out.
+type coreRows struct{ lo, n, samples int }
+
+// applyShard runs the shard's sub-view under FailDegrade and returns the
+// core rows in a result buffer: the read itself when p is nil, else p
+// through core.Framework.Run, as an in-process /detect runs it, with the
+// runs' reports normalized to (values, trace, gaps). With a store the rows
+// are written from st's tiles and runs over what they lack straight into
+// the buffer; otherwise the run's output is encoded into it. Before a run
+// sizes a block from the frame's member shapes, they are checked against
+// the files (checkShapes); a shard served wholly from tiles reads nothing.
+func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p detect.Params, cores int, st *scores.LRU, rows coreRows) (wire.ResultBuf, pfs.Trace, []dass.Gap, error) {
+	var tr pfs.Trace
 	if p == nil {
-		return sub.ReadPolicy(dass.FailDegrade)
+		if err := checkShapes(ctx, entries); err != nil {
+			return wire.ResultBuf{}, tr, nil, err
+		}
+		out, tr, gaps, err := sub.ReadPolicy(dass.FailDegrade)
+		if err != nil {
+			return wire.ResultBuf{}, tr, nil, err
+		}
+		rb, err := rows.values(out)
+		return rb, tr, gaps, err
 	}
 	fw := core.New(core.Config{CoresPerNode: cores, FailPolicy: dass.FailDegrade})
-	var tr pfs.Trace
+	checked := false
 	run := func(ctx context.Context, part *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
+		if !checked {
+			if err := checkShapes(ctx, entries); err != nil {
+				return nil, nil, err
+			}
+			checked = true
+		}
 		out, rep, err := fw.Run(part.WithContext(ctx), p, "")
 		tr.Add(rep.ReadTrace)
 		return out, rep.Quality, err
 	}
-	if entries == nil {
+	if st == nil {
 		out, q, err := run(ctx, sub)
-		if err != nil || q == nil {
-			return out, tr, nil, err
+		if err != nil {
+			return wire.ResultBuf{}, tr, nil, err
 		}
-		return out, tr, q.Gaps, nil
+		var gaps []dass.Gap
+		if q != nil {
+			gaps = q.Gaps
+		}
+		rb, err := rows.values(out)
+		return rb, tr, gaps, err
 	}
-	m, err := scores.Compute(ctx, sub, entries, p, st, run)
+	rb, err := wire.NewResultBuf(rows.n * rows.samples)
+	if err != nil {
+		return rb, tr, nil, err
+	}
+	m, err := scores.Compute(ctx, sub, entries, p, st, run, func(c, c0 int, vals []float64) {
+		if c -= rows.lo; c >= 0 && c < rows.n {
+			wire.PutValues(rb.Values[8*(c*rows.samples+c0):], vals)
+		}
+	})
 	sp := trace.Current(ctx)
 	sp.SetAttrInt("tiles", int64(m.Tiles))
 	sp.SetAttrInt("tiles_hit", int64(m.TilesHit))
 	sp.SetAttrInt("cells_computed", int64(m.CellsComputed))
-	return m.Out, tr, m.Gaps, err
+	return rb, tr, m.Gaps, err
+}
+
+// values encodes the core rows of out, a run's output over the whole
+// sub-view, into a result buffer.
+func (r coreRows) values(out *dasf.Array2D) (wire.ResultBuf, error) {
+	return valuesBuf(out.Data[r.lo*out.Samples : (r.lo+r.n)*out.Samples])
+}
+
+// valuesBuf encodes data into a result buffer.
+func valuesBuf(data []float64) (wire.ResultBuf, error) {
+	rb, err := wire.NewResultBuf(len(data))
+	if err == nil {
+		wire.PutValues(rb.Values, data)
+	}
+	return rb, err
+}
+
+// checkShapes compares each member's declared sample count with its file
+// header, one header read each, before a cold run sizes a block from the
+// frame's numbers (DESIGN.md §15): a member declared longer than its file
+// would size the block past what the files hold, and shift every later
+// member's samples. A header that cannot be read is left to the read, which
+// degrades that member as it always did. A member declared wider than its
+// file also degrades: its rows past the file read as lost.
+func checkShapes(ctx context.Context, entries []dass.Entry) error {
+	for _, e := range entries {
+		info, _, err := dasf.ReadInfoContext(ctx, e.Path)
+		if err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			continue
+		}
+		if info.NumSamples != e.Info.NumSamples {
+			return fmt.Errorf("cluster: %s is declared %d samples long, its header says %d",
+				e.Path, e.Info.NumSamples, info.NumSamples)
+		}
+	}
+	return nil
 }
 
 // stamp fills in each member's size and modification time, one stat each,

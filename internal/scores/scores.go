@@ -36,26 +36,36 @@ type Stats struct {
 	CellsKept       int // the missing tiles' cells
 }
 
-// Map is one assembled map.
+// Map says how one map was assembled and what its sub-runs lost.
 type Map struct {
-	Out      *dasf.Array2D
 	Gaps     []dass.Gap // what the sub-runs lost, relative to the view
 	Degraded bool
 	Stats
 }
 
+// Dest receives a map's cells: vals are channel c's cells from cell c0 on.
+// Compute hands it every cell of the map once.
+type Dest func(c, c0 int, vals []float64)
+
+// Into is the Dest that writes the cells into a, an array of the map's
+// shape.
+func Into(a *dasf.Array2D) Dest {
+	return func(c, c0 int, vals []float64) { copy(a.Row(c)[c0:], vals) }
+}
+
 // Compute assembles p over the whole-file view v, whose members are entries,
-// from the tiles st holds and sub-runs of run over the missing ones, and
-// stores the tiles of every sub-run whose reads were clean. A nil st stores
-// nothing and runs the whole view once.
-func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.Params, st *LRU, run Runner) (Map, error) {
+// into dst, from the tiles st holds and sub-runs of run over the missing
+// ones, and stores the tiles of every sub-run whose reads were clean. A nil
+// st stores nothing and runs the whole view once. The map is v's channels ×
+// p's output cells over v.
+func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.Params, st *LRU, run Runner, dst Dest) (Map, error) {
 	pl := planScores(v, entries, p)
-	m := Map{Out: dasf.NewArray2D(pl.nch, pl.cells), Stats: Stats{Tiles: len(pl.tiles)}}
+	m := Map{Stats: Stats{Tiles: len(pl.tiles)}}
 	var missing []int
 	for i, tl := range pl.tiles {
 		if st != nil && tl.key != "" {
 			if arr, ok := st.Lookup(tl.key); ok {
-				place(m.Out, tl.c0, arr, 0, tl.c1-tl.c0)
+				place(dst, tl.c0, arr, 0, tl.c1-tl.c0)
 				continue
 			}
 		}
@@ -91,10 +101,10 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 		for _, i := range r {
 			tl := pl.tiles[i]
 			n := tl.c1 - tl.c0
-			place(m.Out, tl.c0, arr, tl.c0-first, n)
+			place(dst, tl.c0, arr, tl.c0-first, n)
 			if st != nil && tl.key != "" && clean {
 				tile := dasf.NewArray2D(pl.nch, n)
-				place(tile, 0, arr, tl.c0-first, n)
+				place(Into(tile), 0, arr, tl.c0-first, n)
 				st.Store(tl.key, tile)
 			}
 		}
@@ -228,10 +238,10 @@ func (pl *scorePlan) bounds(run []int, p detect.Params) (lo, hi int, err error) 
 	return lo, hi, nil
 }
 
-// place copies n cells of every channel from src, starting at its cell sc0,
-// into dst from its cell dc0.
-func place(dst *dasf.Array2D, dc0 int, src *dasf.Array2D, sc0, n int) {
-	for c := 0; c < dst.Channels; c++ {
-		copy(dst.Row(c)[dc0:dc0+n], src.Row(c)[sc0:sc0+n])
+// place hands dst n cells of every channel of src, from src's cell sc0, as
+// its cells from dc0.
+func place(dst Dest, dc0 int, src *dasf.Array2D, sc0, n int) {
+	for c := 0; c < src.Channels; c++ {
+		dst(c, dc0, src.Row(c)[sc0:sc0+n])
 	}
 }

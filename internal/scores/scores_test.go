@@ -112,7 +112,8 @@ func TestScorePlanArrival(t *testing.T) {
 }
 
 // TestComputeKeepsCleanTiles: a map asked again is assembled from the store
-// with no sub-run, bit for bit the cold run's; a run that lost data stores
+// with no sub-run, bit for bit the cold run's, every cell handed to the
+// destination once; a run that lost data stores
 // nothing, so the next one computes afresh; and a store evicts the least
 // recently used down to its budget and keeps no tile past an eighth of it.
 func TestComputeKeepsCleanTiles(t *testing.T) {
@@ -145,31 +146,49 @@ func TestComputeKeepsCleanTiles(t *testing.T) {
 		nch, nt := sub.Shape()
 		return out, &dass.QualityReport{Gaps: []dass.Gap{{ChHi: nch, TLo: 0, THi: nt}}}, nil
 	}
-	same := func(m Map) {
+	st := NewLRU(1 << 20)
+	// compute assembles the map into a fresh array through a Dest that counts
+	// the times each cell is handed over: a worker's destination is a pooled
+	// frame buffer that is not zeroed, so every cell must come exactly once.
+	compute := func() (Map, *dasf.Array2D, error) {
+		t.Helper()
+		out := dasf.NewArray2D(want.Channels, want.Samples)
+		into, puts := Into(out), make([]int, len(out.Data))
+		m, err := Compute(context.Background(), v, entries, p, st, run, func(c, c0 int, vals []float64) {
+			for i := range vals {
+				puts[c*out.Samples+c0+i]++
+			}
+			into(c, c0, vals)
+		})
+		if i := slices.IndexFunc(puts, func(n int) bool { return n != 1 }); err == nil && i >= 0 {
+			t.Fatalf("cell %d handed over %d times, want once", i, puts[i])
+		}
+		return m, out, err
+	}
+	same := func(out *dasf.Array2D) {
 		t.Helper()
 		for i := range want.Data {
-			if math.Float64bits(m.Out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("cell %d = %v, cold run %v", i, m.Out.Data[i], want.Data[i])
+			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("cell %d = %v, cold run %v", i, out.Data[i], want.Data[i])
 			}
 		}
 	}
 
-	st := NewLRU(1 << 20)
 	lose = true
-	m, err := Compute(context.Background(), v, entries, p, st, run)
+	m, _, err := compute()
 	if err != nil || !m.Degraded || len(m.Gaps) != 1 || st.Stats().Entries != 0 {
 		t.Fatalf("lossy run: err %v, degraded %v, gaps %v, %d tiles stored; want degraded, one gap, none stored", err, m.Degraded, m.Gaps, st.Stats().Entries)
 	}
 	lose = false
 	for pass, wantRuns := range []int{1, 0} {
-		m, err := Compute(context.Background(), v, entries, p, st, run)
+		m, out, err := compute()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.SubRuns != wantRuns || (wantRuns == 0 && m.TilesHit != m.Tiles) {
 			t.Fatalf("pass %d: %d sub-runs, %d of %d tiles hit; want %d sub-runs", pass, m.SubRuns, m.TilesHit, m.Tiles, wantRuns)
 		}
-		same(m)
+		same(out)
 	}
 
 	small := NewLRU(8 * 64) // eight tiles of 8 cells

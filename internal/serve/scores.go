@@ -101,8 +101,10 @@ func (s *Server) score(ctx context.Context, v *dass.View, entries []dass.Entry, 
 		s.quality.recordReport(rep.Quality)
 		return arr, rep.Quality, nil
 	}
-	m, err := scores.Compute(ctx, v.WithSlabReader(s.cache.SlabReader()), entries, p, s.tiles, run)
-	res.out, res.degraded, res.Stats = m.Out, m.Degraded, m.Stats
+	nch, nt := v.Shape()
+	res.out = dasf.NewArray2D(nch, p.Workload(nt).OutSamples(nt))
+	m, err := scores.Compute(ctx, v.WithSlabReader(s.cache.SlabReader()), entries, p, s.tiles, run, scores.Into(res.out))
+	res.degraded, res.Stats = m.Degraded, m.Stats
 	res.phases.Read, res.phases.Exchange = took[0].String(), took[1].String()
 	res.phases.Compute, res.phases.Write = took[2].String(), took[3].String()
 	return res, err

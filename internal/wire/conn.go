@@ -84,18 +84,19 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // writer drains the send queue in order until the queue closes or a write
 // fails. After a failure it keeps draining (discarding) so senders never
-// block, and records the error for Send to surface.
+// block, and records the error for Send to surface. A frame drawn from the
+// pool goes back to it once written or dropped: Send hands it over.
 func (c *Conn) writer() {
 	defer close(c.writerDone)
 	for f := range c.sendq {
-		if c.failed() != nil {
-			continue // drain-and-discard after first failure
+		if c.failed() == nil { // after the first failure, drain and discard
+			if err := c.writeFrame(f); err != nil {
+				c.werrMu.Lock()
+				c.writeErr = err
+				c.werrMu.Unlock()
+			}
 		}
-		if err := c.writeFrame(f); err != nil {
-			c.werrMu.Lock()
-			c.writeErr = err
-			c.werrMu.Unlock()
-		}
+		Recycle(f)
 	}
 }
 
@@ -130,7 +131,9 @@ func (c *Conn) failed() error {
 
 // Send enqueues one frame. It fails fast: ErrQueueFull when the bounded
 // queue is at capacity, ErrConnClosed after Close, or the writer's first
-// network error once one has happened.
+// network error once one has happened. A queued frame drawn from the pool
+// (a result EncodeResult or ResultBuf built) is the writer's from then on:
+// the caller must not touch its payload again.
 func (c *Conn) Send(f Frame) error {
 	if err := c.failed(); err != nil {
 		return err

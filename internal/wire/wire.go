@@ -41,8 +41,9 @@ const (
 
 	// readChunk bounds how far ahead of the received bytes the decoder
 	// allocates: a frame that declares a huge length but delivers ten
-	// bytes costs one chunk, not the declared length.
-	readChunk = 1 << 20
+	// bytes costs one chunk, not the declared length. It is also the
+	// largest payload the pool keeps (pool.go).
+	readChunk = 1 << maxClass
 )
 
 // Type identifies a frame's payload.
@@ -100,6 +101,10 @@ var (
 type Frame struct {
 	Type    Type
 	Payload []byte
+	// pooled marks a payload drawn from the pool (pool.go), and is the
+	// handle that recycles it. A hand-built frame has none and is never
+	// recycled.
+	pooled *[]byte
 }
 
 // bytesIn / bytesOut count every byte that crossed the wire layer,
@@ -174,9 +179,17 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if length > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: declared %d bytes", ErrTooLarge, length)
 	}
-	// The first chunk is read into the payload as allocated; only a frame
-	// longer than one chunk grows it, a chunk at a time.
-	payload := make([]byte, min(int(length), readChunk))
+	// A shard result up to one chunk long is read into a pooled buffer: it
+	// is the frame the merge hands back. Any other payload is allocated as
+	// read: the first chunk as allocated, and only a frame longer than one
+	// chunk grows it, a chunk at a time.
+	var payload []byte
+	var pooled *[]byte
+	if t == TypeShardResult && length <= readChunk {
+		payload, pooled = getPayload(int(length))
+	} else {
+		payload = make([]byte, min(int(length), readChunk))
+	}
 	for start := 0; ; start = len(payload) {
 		n, err := io.ReadFull(r, payload[start:])
 		bytesIn.Add(int64(n))
@@ -187,7 +200,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			return Frame{}, err
 		}
 		if len(payload) == int(length) {
-			return Frame{Type: t, Payload: payload}, nil
+			return Frame{Type: t, Payload: payload, pooled: pooled}, nil
 		}
 		payload = append(payload, make([]byte, min(int(length)-len(payload), readChunk))...)
 	}
@@ -358,26 +371,73 @@ func DecodeInto(f Frame, v any) error {
 // EncodeResult builds a ShardResult frame: 4-byte header length, JSON
 // header, then data as little-endian float64s.
 func EncodeResult(res ShardResult, data []float64) (Frame, error) {
-	if res.Channels*res.Samples != len(data) {
+	rb, err := NewResultBuf(len(data))
+	if err != nil {
+		return Frame{}, err
+	}
+	PutValues(rb.Values, data)
+	return rb.Frame(res)
+}
+
+// ResultBuf is a ShardResult frame built values first: Values, the frame's
+// value block, is filled (PutValues) before Frame writes the header in front
+// of it. The block sits at the tail of a pooled buffer, so a header that fits
+// the buffer's slack costs no copy.
+type ResultBuf struct {
+	Values []byte
+	buf    []byte
+	pooled *[]byte
+}
+
+// resultSlack is the least room NewResultBuf leaves for the header; an
+// untraced result's header is about 150 bytes.
+const resultSlack = 512
+
+// NewResultBuf draws the buffer of a result frame of cells values.
+func NewResultBuf(cells int) (ResultBuf, error) {
+	if cells < 0 || cells > MaxPayload/8 {
+		return ResultBuf{}, fmt.Errorf("%w: result of %d values", ErrTooLarge, cells)
+	}
+	buf, pooled := getPayload(8*cells + resultSlack)
+	if pooled != nil {
+		buf = *pooled // the whole size class: the slack grows to fill it
+	}
+	return ResultBuf{Values: buf[len(buf)-8*cells:], buf: buf, pooled: pooled}, nil
+}
+
+// Frame writes res's header in front of the values and returns the frame;
+// res must declare the values' shape. It consumes rb: the frame owns the
+// buffer from then on.
+func (rb ResultBuf) Frame(res ShardResult) (Frame, error) {
+	if cells, ok := cellCount(res.Channels, res.Samples); !ok || 8*cells != len(rb.Values) {
 		return Frame{}, fmt.Errorf("wire: result shape %d×%d != %d values",
-			res.Channels, res.Samples, len(data))
+			res.Channels, res.Samples, len(rb.Values)/8)
 	}
 	hdr, err := json.Marshal(res)
 	if err != nil {
 		return Frame{}, fmt.Errorf("wire: encode result: %w", err)
 	}
-	payload := make([]byte, 4+len(hdr)+8*len(data))
+	n := 4 + len(hdr) + len(rb.Values)
+	if n > MaxPayload {
+		return Frame{}, fmt.Errorf("%w: result %d bytes", ErrTooLarge, n)
+	}
+	payload, pooled := rb.buf[len(rb.buf)-min(n, len(rb.buf)):], rb.pooled
+	if len(payload) < n { // a header past the slack: move to a larger buffer
+		payload, pooled = getPayload(n)
+		copy(payload[n-len(rb.Values):], rb.Values)
+	}
 	binary.BigEndian.PutUint32(payload, uint32(len(hdr)))
 	copy(payload[4:], hdr)
-	off := 4 + len(hdr)
-	for _, v := range data {
-		binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(v))
-		off += 8
+	return Frame{Type: TypeShardResult, Payload: payload, pooled: pooled}, nil
+}
+
+// PutValues encodes vals into block as little-endian float64s: the one
+// value fill of every result frame.
+func PutValues(block []byte, vals []float64) {
+	block = block[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
 	}
-	if len(payload) > MaxPayload {
-		return Frame{}, fmt.Errorf("%w: result %d bytes", ErrTooLarge, len(payload))
-	}
-	return Frame{Type: TypeShardResult, Payload: payload}, nil
 }
 
 // DecodeResult parses a ShardResult frame into its header and a fresh

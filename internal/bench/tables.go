@@ -40,7 +40,7 @@ func RunTable2(o Options) ([]Table2Row, error) {
 	for i := range line {
 		line[i] = 3 - 0.25*float64(i)
 	}
-	daslib.DetrendInPlace(line)
+	daslib.DetrendInto(line, line)
 	resid := 0.0
 	for _, v := range line {
 		resid = math.Max(resid, math.Abs(v))

@@ -18,6 +18,7 @@ import (
 	"dassa/internal/dasgen"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
+	"dassa/internal/obs"
 	"dassa/internal/scores"
 	"dassa/internal/testutil/leakcheck"
 	"dassa/internal/wire"
@@ -78,10 +79,10 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 			r.Files = []wire.FileSpec{{Path: files[0].Path, NumChannels: 1 << 16, NumSamples: 1 << 20}}
 			r.ChLo, r.ChHi, r.T1 = 0, 1<<16, 1<<20
 		}, true},
-		{"more channels declared than the files hold degrades", func(r *wire.ShardRequest) {
+		{"more channels declared than the files hold", func(r *wire.ShardRequest) {
 			r.Files = withFiles(func(fs []wire.FileSpec) { fs[0].NumChannels, fs[1].NumChannels = 2*nch, 2*nch })
 			r.ChLo, r.ChHi, r.WinChHi = 0, 2*nch, 2*nch
-		}, false},
+		}, true},
 		{"window past the view", func(r *wire.ShardRequest) { r.WinChHi = nch + 1 }, true},
 		{"negative window", func(r *wire.ShardRequest) { r.WinChLo = -1 }, true},
 		{"shard rows below their window", func(r *wire.ShardRequest) { r.WinChLo = 3 }, true},
@@ -110,6 +111,19 @@ func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 	}
 	if st.Stats().Misses == 0 {
 		t.Error("no frame reached the score store")
+	}
+	// The shape check runs only before a block is sized: a shard served
+	// wholly from tiles opens no file, not even for a header.
+	simi := shardFrame(t, &detect.LocalSimiParams{M: 3, K: 1, L: 1, Stride: 4}, v, 2, 6)
+	opens := obs.Default().Counter("dassa_dasf_opens_total", "DASF files opened (metadata parses included)")
+	for _, warm := range []bool{false, true} {
+		before := opens.Value()
+		if _, _, err := executeShard(context.Background(), simi, 2, st); err != nil {
+			t.Fatal(err)
+		}
+		if n := opens.Value() - before; warm != (n == 0) {
+			t.Errorf("warm=%v: the shard opened %d files", warm, n)
+		}
 	}
 }
 
@@ -485,9 +499,10 @@ func TestCoordinatorRefusesMisshapenResult(t *testing.T) {
 }
 
 // TestWorkerChecksShapesAgainstHeaders: a frame that declares a real
-// 128 ch × 1 000-sample member fifty times longer is refused with a
-// ShardError before a cold run sizes a block from it, for a read and a
-// detection alike, and the refusal costs far less than the declared block.
+// 128 ch × 1 000-sample member fifty times longer, or fifty times wider, is
+// refused with a ShardError before a cold run sizes a block from it, for a
+// read and a detection alike, and the refusal costs far less than the
+// declared block.
 func TestWorkerChecksShapesAgainstHeaders(t *testing.T) {
 	dir := t.TempDir()
 	cfg := dasgen.Config{Channels: 128, SampleRate: 250, FileSeconds: 4, NumFiles: 1, Seed: 7, DType: dasf.Float32}
@@ -509,26 +524,37 @@ func TestWorkerChecksShapesAgainstHeaders(t *testing.T) {
 	if files[0].NumChannels != 128 || files[0].NumSamples != 1000 {
 		t.Fatalf("fixture is %d×%d, want 128×1000", files[0].NumChannels, files[0].NumSamples)
 	}
-	files[0].NumSamples *= 50
-	declared := uint64(8 * files[0].NumChannels * files[0].NumSamples) // the block's bytes
 	simi, err := json.Marshal(detect.DefaultLocalSimi(cfg.SampleRate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, addr := startWorker(t, WorkerConfig{Cores: 1})
 	sc := dialWorker(t, addr)
-	for i, req := range []wire.ShardRequest{
-		{Op: string(OpRead)},
-		{Op: detect.DefaultOp, Params: simi},
+	id := uint64(0)
+	for _, shape := range []struct {
+		name, msg string
+		mutate    func(f *wire.FileSpec)
+	}{
+		{"longer", "its header says 1000", func(f *wire.FileSpec) { f.NumSamples *= 50 }},
+		{"wider", "its header says 128", func(f *wire.FileSpec) { f.NumChannels *= 50 }},
 	} {
-		req.ID, req.Files = uint64(i+1), files
-		req.ChHi, req.WinChHi, req.T1 = 128, 128, files[0].NumSamples
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		sc.wantError(req, "its header says 1000")
-		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > declared/8 {
-			t.Errorf("%s: the refusal allocated %d B, want well under the declared block's %d B", req.Op, alloc, declared)
+		declared := []wire.FileSpec{files[0]}
+		shape.mutate(&declared[0])
+		block := uint64(8 * declared[0].NumChannels * declared[0].NumSamples) // the block's bytes
+		for _, req := range []wire.ShardRequest{
+			{Op: string(OpRead)},
+			{Op: detect.DefaultOp, Params: simi},
+		} {
+			id++
+			req.ID, req.Files = id, declared
+			req.ChHi, req.WinChHi, req.T1 = declared[0].NumChannels, declared[0].NumChannels, declared[0].NumSamples
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sc.wantError(req, shape.msg)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > block/8 {
+				t.Errorf("%s, %s: the refusal allocated %d B, want well under the declared block's %d B", shape.name, req.Op, alloc, block)
+			}
 		}
 	}
 }

@@ -625,13 +625,12 @@ func valuesBuf(data []float64) (wire.ResultBuf, error) {
 	return rb, err
 }
 
-// checkShapes compares each member's declared sample count with its file
-// header, one header read each, before a cold run sizes a block from the
-// frame's numbers (DESIGN.md §15): a member declared longer than its file
-// would size the block past what the files hold, and shift every later
-// member's samples. A header that cannot be read is left to the read, which
-// degrades that member as it always did. A member declared wider than its
-// file also degrades: its rows past the file read as lost.
+// checkShapes compares each member's declared channel and sample counts
+// with its file header, one header read each, before a cold run sizes a
+// block from the frame's numbers (DESIGN.md §15): a member declared longer
+// or wider than its file would size the block past what the files hold, and
+// a longer one shifts every later member's samples. A header that cannot be
+// read is left to the read, which degrades that member as it always did.
 func checkShapes(ctx context.Context, entries []dass.Entry) error {
 	for _, e := range entries {
 		info, _, err := dasf.ReadInfoContext(ctx, e.Path)
@@ -644,6 +643,10 @@ func checkShapes(ctx context.Context, entries []dass.Entry) error {
 		if info.NumSamples != e.Info.NumSamples {
 			return fmt.Errorf("cluster: %s is declared %d samples long, its header says %d",
 				e.Path, e.Info.NumSamples, info.NumSamples)
+		}
+		if info.NumChannels != e.Info.NumChannels {
+			return fmt.Errorf("cluster: %s is declared %d channels wide, its header says %d",
+				e.Path, e.Info.NumChannels, info.NumChannels)
 		}
 	}
 	return nil

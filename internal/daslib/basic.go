@@ -6,32 +6,40 @@ import (
 	"sync"
 )
 
-// DetrendInPlace removes the least-squares straight-line fit from x in
-// place, matching MATLAB's detrend (the paper's Das_detrend).
-func DetrendInPlace(x []float64) {
+// DetrendInto writes x less its least-squares straight-line fit into dst,
+// matching MATLAB's detrend (the paper's Das_detrend); len(dst) == len(x)
+// and dst may alias x. A NaN sample — a degraded read's gap marker — is read
+// as zero, so the fit and the filters after it stay finite. The copy into
+// dst and the sum for the mean are one pass.
+func DetrendInto(dst, x []float64) {
+	checkLen("DetrendInto dst", len(dst), len(x))
 	n := len(x)
 	if n == 0 {
 		return
 	}
 	if n == 1 {
-		x[0] = 0 // a single point detrends to zero
+		dst[0] = 0 // a single point detrends to zero
 		return
 	}
 	// Fit x[i] ≈ a + b·i by least squares on centered indices.
 	tMean := float64(n-1) / 2
 	var xMean, num, den float64
-	for _, v := range x {
+	for i, v := range x {
+		if math.IsNaN(v) {
+			v = 0
+		}
+		dst[i] = v
 		xMean += v
 	}
 	xMean /= float64(n)
-	for i, v := range x {
+	for i, v := range dst {
 		dt := float64(i) - tMean
 		num += dt * (v - xMean)
 		den += dt * dt
 	}
 	slope := num / den
-	for i, v := range x {
-		x[i] = v - (xMean + slope*(float64(i)-tMean))
+	for i, v := range dst {
+		dst[i] = v - (xMean + slope*(float64(i)-tMean))
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // detrended returns a detrended copy of x.
 func detrended(x []float64) []float64 {
-	out := append([]float64(nil), x...)
-	DetrendInPlace(out)
+	out := make([]float64, len(x))
+	DetrendInto(out, x)
 	return out
 }
 

@@ -79,7 +79,10 @@ func bitReversalSwaps(n int) []int32 {
 
 // fftPow2 is the in-place iterative radix-2 Cooley-Tukey transform over the
 // plan's power-of-two size: the bit-reversal permutation walks the plan's
-// swap table, the butterflies index its twiddle table.
+// swap table, the butterflies index its twiddle table. The size-2 and size-4
+// stages, whose blocks hold one and two butterflies, run as flat loops with
+// their twiddles tw[0] and tw[n/4] hoisted; every butterfly is the same
+// complex multiply, add and subtract at every stage.
 func (p *Plan) fftPow2(x []complex128) {
 	n := len(x)
 	if n <= 1 {
@@ -91,7 +94,23 @@ func (p *Plan) fftPow2(x []complex128) {
 		x[i], x[j] = x[j], x[i]
 	}
 	tw := p.tw
-	for size := 2; size <= n; size <<= 1 {
+	w0 := tw[0]
+	for start := 0; start+1 < n; start += 2 {
+		q := x[start : start+2 : start+2]
+		a, b := q[0], q[1]*w0
+		q[0], q[1] = a+b, a-b
+	}
+	if n >= 4 {
+		w1 := tw[n/4]
+		for start := 0; start+3 < n; start += 4 {
+			q := x[start : start+4 : start+4]
+			a0, b0 := q[0], q[2]*w0
+			a1, b1 := q[1], q[3]*w1
+			q[0], q[2] = a0+b0, a0-b0
+			q[1], q[3] = a1+b1, a1-b1
+		}
+	}
+	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
 		stride := n / size // index step into the full-size twiddle table
 		for start := 0; start < n; start += size {

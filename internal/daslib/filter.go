@@ -210,28 +210,82 @@ func Filter(b, a, x []float64, zi []float64) ([]float64, error) {
 		z = make([]float64, n-1)
 	}
 	y := make([]float64, len(x))
-	filterCore(bn, an, x, y, z)
+	filterRev(bn, an, x, y, z)
+	reverse(y)
 	return y, nil
 }
 
-// filterCore runs the transposed direct-form II loop with normalized,
-// equal-length coefficients (a[0] == 1). y may alias x — y[i] depends only
-// on x[i] and the delay line z (length len(bn)-1), which is updated in
-// place.
-func filterCore(bn, an, x, y, z []float64) {
-	n := len(bn)
-	for i, xv := range x {
-		var yv float64
-		if n == 1 {
-			yv = bn[0] * xv
-		} else {
-			yv = bn[0]*xv + z[0]
+// filterRev runs the transposed direct-form II loop with normalized,
+// equal-length coefficients (a[0] == 1) over x in index order and writes
+// its outputs back to front: y[len(x)-1-i] is the output at x[i]. The delay
+// line z (length len(bn)-1) supplies the state and receives the final one;
+// y must not overlap x. Designs of up to five coefficients — Butterworth
+// lowpass and highpass up to order 4, bandpass and bandstop up to order 2 —
+// keep the delay line in locals, one loop per length: zero-padding a short
+// design into a longer loop adds ±0 terms, which flips the sign of a zero
+// output. Every output and state is the slice loop's sum, in its order.
+func filterRev(bn, an, x, y, z []float64) {
+	y = y[:len(x)]
+	last := len(x) - 1
+	switch len(bn) {
+	case 1:
+		b0 := bn[0]
+		for i, xv := range x {
+			y[last-i] = b0 * xv
+		}
+	case 2:
+		b0, b1, a1 := bn[0], bn[1], an[1]
+		z0 := z[0]
+		for i, xv := range x {
+			yv := b0*xv + z0
+			z0 = b1*xv - a1*yv
+			y[last-i] = yv
+		}
+		z[0] = z0
+	case 3:
+		b0, b1, b2, a1, a2 := bn[0], bn[1], bn[2], an[1], an[2]
+		z0, z1 := z[0], z[1]
+		for i, xv := range x {
+			yv := b0*xv + z0
+			z0 = b1*xv + z1 - a1*yv
+			z1 = b2*xv - a2*yv
+			y[last-i] = yv
+		}
+		z[0], z[1] = z0, z1
+	case 4:
+		b0, b1, b2, b3, a1, a2, a3 := bn[0], bn[1], bn[2], bn[3], an[1], an[2], an[3]
+		z0, z1, z2 := z[0], z[1], z[2]
+		for i, xv := range x {
+			yv := b0*xv + z0
+			z0 = b1*xv + z1 - a1*yv
+			z1 = b2*xv + z2 - a2*yv
+			z2 = b3*xv - a3*yv
+			y[last-i] = yv
+		}
+		z[0], z[1], z[2] = z0, z1, z2
+	case 5:
+		b0, b1, b2, b3, b4 := bn[0], bn[1], bn[2], bn[3], bn[4]
+		a1, a2, a3, a4 := an[1], an[2], an[3], an[4]
+		z0, z1, z2, z3 := z[0], z[1], z[2], z[3]
+		for i, xv := range x {
+			yv := b0*xv + z0
+			z0 = b1*xv + z1 - a1*yv
+			z1 = b2*xv + z2 - a2*yv
+			z2 = b3*xv + z3 - a3*yv
+			z3 = b4*xv - a4*yv
+			y[last-i] = yv
+		}
+		z[0], z[1], z[2], z[3] = z0, z1, z2, z3
+	default:
+		n := len(bn)
+		for i, xv := range x {
+			yv := bn[0]*xv + z[0]
 			for j := 0; j < n-2; j++ {
 				z[j] = bn[j+1]*xv + z[j+1] - an[j+1]*yv
 			}
 			z[n-2] = bn[n-1]*xv - an[n-1]*yv
+			y[last-i] = yv
 		}
-		y[i] = yv
 	}
 }
 
@@ -365,47 +419,51 @@ func NewFilterPlan(b, a []float64) (*FilterPlan, error) {
 // FiltFiltInto applies the plan's filter forward and backward for zero-phase
 // filtering, matching MATLAB's filtfilt (the paper's Das_filtfilt): x is
 // extended by odd reflection at both ends, filtered with steady-state initial
-// conditions, reversed, filtered again, and trimmed into dst (len(dst) ==
-// len(x); dst may alias x). The extension and delay-line buffers are borrowed
-// from s and both passes run in place on the extension buffer, so a warm
-// scratch makes the whole call allocation-free.
+// conditions, reversed, filtered again, reversed and trimmed into dst
+// (len(dst) == len(x); dst may alias x). Each pass writes its outputs back
+// to front, so the reversals cost no pass of their own: the forward pass
+// reads the two reflections and x itself into one scratch buffer, and the
+// backward pass writes the samples the trim keeps straight into dst and
+// stops there. Its buffers are borrowed from s, so a warm scratch makes the
+// whole call allocation-free.
 func (fp *FilterPlan) FiltFiltInto(dst, x []float64, s *Scratch) error {
 	checkLen("FiltFiltInto dst", len(dst), len(x))
-	if fp.padlen == 0 {
-		filterCore(fp.bn, fp.an, x, dst, nil)
+	n, pad := len(x), fp.padlen
+	if pad == 0 {
+		b0 := fp.bn[0]
+		for i, v := range x {
+			dst[i] = b0 * v
+		}
 		return nil
 	}
-	if len(x) <= fp.padlen {
-		return fmt.Errorf("daslib: FiltFilt input length %d must exceed pad length %d", len(x), fp.padlen)
+	if n <= pad {
+		return fmt.Errorf("daslib: FiltFilt input length %d must exceed pad length %d", n, pad)
 	}
-	// Odd extension.
-	ext := s.Float(len(x) + 2*fp.padlen)
-	idx := 0
-	for i := fp.padlen; i >= 1; i-- {
-		ext[idx] = 2*x[0] - x[i]
-		idx++
+	// rev receives the forward pass; head and tail hold the odd extension.
+	buf := s.Float(n + 4*pad)
+	rev, head, tail := buf[:n+2*pad], buf[n+2*pad:n+3*pad], buf[n+3*pad:]
+	for i := range head {
+		head[i] = 2*x[0] - x[pad-i]
 	}
-	copy(ext[idx:], x)
-	idx += len(x)
-	for i := len(x) - 2; i >= len(x)-1-fp.padlen; i-- {
-		ext[idx] = 2*x[len(x)-1] - x[i]
-		idx++
+	for i := range tail {
+		tail[i] = 2*x[n-1] - x[n-2-i]
 	}
-	// Forward pass with zi scaled to the first sample.
 	zi := s.Float(len(fp.ziUnit))
 	for i, v := range fp.ziUnit {
-		zi[i] = v * ext[0]
+		zi[i] = v * head[0]
 	}
-	filterCore(fp.bn, fp.an, ext, ext, zi)
-	reverse(ext)
+	filterRev(fp.bn, fp.an, head, rev[n+pad:], zi)
+	filterRev(fp.bn, fp.an, x, rev[pad:n+pad], zi)
+	filterRev(fp.bn, fp.an, tail, rev[:pad], zi)
+	// Backward pass: its first pad outputs are trimmed (head is free
+	// scratch by now), the next n are dst, the rest are never read.
 	for i, v := range fp.ziUnit {
-		zi[i] = v * ext[0]
+		zi[i] = v * rev[0]
 	}
-	filterCore(fp.bn, fp.an, ext, ext, zi)
-	reverse(ext)
-	copy(dst, ext[fp.padlen:fp.padlen+len(x)])
+	filterRev(fp.bn, fp.an, rev[:pad], head, zi)
+	filterRev(fp.bn, fp.an, rev[pad:n+pad], dst, zi)
 	s.ReleaseFloat(zi)
-	s.ReleaseFloat(ext)
+	s.ReleaseFloat(buf)
 	return nil
 }
 

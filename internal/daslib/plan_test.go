@@ -404,7 +404,7 @@ func TestPlannedPathsAllocFree(t *testing.T) {
 		{"IFFTInto", func() { pow2.IFFTInto(cdst, xc, s) }},
 		{"RFFTInto", func() { RFFTInto(cdst, x, s) }},
 		{"IRFFTInto", func() { IRFFTInto(fdst, cdst, s) }},
-		{"DetrendInPlace", func() { DetrendInPlace(fdst) }},
+		{"DetrendInto", func() { DetrendInto(fdst, fdst) }},
 		{"TaperInPlace", func() { TaperInPlace(fdst, 0.1) }},
 		{"FiltFiltInto", func() {
 			if err := fp.FiltFiltInto(fdst, x, s); err != nil {

@@ -245,18 +245,11 @@ func (p InterferometryParams) preprocessor() (*preprocessor, error) {
 }
 
 // preprocessInto runs the chain into dst, borrowing every intermediate from
-// s: the working copy is detrended and filtered in place, then resampled
-// into dst.
+// s: x is detrended into a working copy (NaN read as zero), which is
+// filtered in place and resampled into dst.
 func (pp *preprocessor) preprocessInto(dst, x []float64, p InterferometryParams, s *daslib.Scratch) error {
 	w := s.Float(len(x))
-	for i, v := range x {
-		if math.IsNaN(v) {
-			w[i] = 0
-		} else {
-			w[i] = v
-		}
-	}
-	daslib.DetrendInPlace(w)
+	daslib.DetrendInto(w, x)
 	if err := pp.fp.FiltFiltInto(w, w, s); err != nil {
 		return err
 	}

@@ -72,7 +72,7 @@ func main() {
 		quarBO   = flag.Duration("quarantine-backoff", 0, "initial re-probe backoff for quarantined files (0 = 4x poll)")
 		quarMax  = flag.Duration("quarantine-max-backoff", 5*time.Minute, "re-probe backoff ceiling")
 		nodes    = flag.Int("nodes", 1, "simulated nodes for the analysis engine")
-		cores    = flag.Int("cores", 4, "cores per node for the analysis engine")
+		cores    = flag.Int("cores", 4, "cores per node for the analysis engine; also the threads that format /read rows")
 		workers  = flag.String("workers", "", "comma-separated dassw addresses; /read and /detect fan out across them")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	)

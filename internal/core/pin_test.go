@@ -10,6 +10,7 @@ import (
 
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 )
@@ -18,9 +19,10 @@ import (
 // (order-3 lowpass at rate/8, resample 1/2, ±128 lags against channel 0)
 // over a small seeded record, at one and two cores, clean and with its
 // middle member gone under FailDegrade (a NaN gap the row front reads as
-// zero), and checks the FNV-64a hash of every output bit against the
-// value the reverse-based filter loop, the separate NaN copy and the
-// re-slicing FFT stages produced. The row kernels promise the same
+// zero), each run on scratch arenas poisoned with NaN, and checks the
+// FNV-64a hash of every output bit against the value the reverse-based
+// filter loop, the separate NaN copy and the re-slicing FFT stages
+// produced. The row kernels promise the same
 // operations in the same order, so the hash must not move.
 //
 // The golden values hold on amd64 only: the Go compiler may fuse a
@@ -30,6 +32,7 @@ func TestInterferometryOutputPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are amd64 bits; %s may fuse multiply-adds", runtime.GOARCH)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name string
 		gap  bool
@@ -57,6 +60,7 @@ func TestInterferometryOutputPinned(t *testing.T) {
 			}
 		}
 		for _, cores := range []int{1, 2} {
+			poisonScratchPool()
 			fw := New(Config{Nodes: 1, CoresPerNode: cores, FailPolicy: dass.FailDegrade})
 			out, rep, err := fw.Run(v, detect.DefaultInterferometry(cfg.SampleRate), "")
 			if err != nil {
@@ -77,6 +81,33 @@ func TestInterferometryOutputPinned(t *testing.T) {
 				t.Errorf("%s, %d cores: output hash %#016x, want %#016x", tc.name, cores, got, tc.want)
 			}
 		}
+	}
+}
+
+// poisonScratchPool leaves four arenas in daslib's pool whose float buffers
+// all hold NaN, one of them 8 192 samples long. The engine's threads check
+// their arenas out of that pool, so a row kernel that read a borrowed buffer
+// before writing it would move the hash. Run with GOMAXPROCS 1 the pool
+// hands the engine exactly these arenas; with more it may make fresh ones.
+func poisonScratchPool() {
+	arenas := make([]*daslib.Scratch, 4)
+	for i := range arenas {
+		s := daslib.GetScratch()
+		held := [][]float64{s.Float(1 << 13)}
+		for len(held) < 12 {
+			held = append(held, s.Float(1))
+		}
+		for _, b := range held {
+			b = b[:cap(b)]
+			for j := range b {
+				b[j] = math.NaN()
+			}
+			s.ReleaseFloat(b)
+		}
+		arenas[i] = s
+	}
+	for _, s := range arenas {
+		daslib.PutScratch(s)
 	}
 }
 

@@ -80,6 +80,28 @@ func onDirtyArena(kernel func(s *Scratch)) {
 	kernel(s)
 }
 
+// TestScratchBorrowContents pins the arena's contract: a Float borrow is
+// the buffer as its last borrower left it, a Complex borrow is zeroed (the
+// correlation accumulator adds into it), and a fresh allocation is zero.
+func TestScratchBorrowContents(t *testing.T) {
+	s := NewScratch()
+	f, c := s.Float(64), s.Complex(64)
+	for i := range f {
+		if f[i] != 0 || c[i] != 0 {
+			t.Fatalf("fresh borrow [%d] = %v, %v", i, f[i], c[i])
+		}
+		f[i], c[i] = math.NaN(), complex(math.NaN(), 1)
+	}
+	s.ReleaseFloat(f)
+	s.ReleaseComplex(c)
+	f, c = s.Float(32), s.Complex(32)
+	for i := range f {
+		if !math.IsNaN(f[i]) || c[i] != 0 {
+			t.Fatalf("reused borrow [%d] = %v, %v; want NaN (as left) and 0", i, f[i], c[i])
+		}
+	}
+}
+
 func TestFFTIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range testLengths {

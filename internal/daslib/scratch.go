@@ -16,10 +16,13 @@ import (
 //
 // Ownership discipline (DESIGN.md §14): a buffer obtained from Complex/Float
 // is valid until the matching Release* call or until the Scratch is returned
-// to the pool, whichever comes first. Results that outlive the kernel call
-// must be copied out of scratch-owned memory before release. A nil *Scratch
-// is valid everywhere and simply allocates fresh buffers (Release* becomes a
-// no-op): it is how a serial caller with no arena spells the same call.
+// to the pool, whichever comes first. Complex buffers come zeroed (the
+// correlation accumulator adds into one); Float buffers hold whatever their
+// last borrower wrote, so every Float borrower writes before it reads.
+// Results that outlive the kernel call must be copied out of scratch-owned
+// memory before release. A nil *Scratch is valid everywhere and simply
+// allocates fresh buffers (Release* becomes a no-op): it is how a serial
+// caller with no arena spells the same call.
 type Scratch struct {
 	c [][]complex128
 	f [][]float64
@@ -77,7 +80,9 @@ func (s *Scratch) Complex(n int) []complex128 {
 	return make([]complex128, n)
 }
 
-// Float borrows a zeroed float64 buffer of length n.
+// Float borrows a float64 buffer of length n as its last borrower left it:
+// the caller writes every element it reads. Only a fresh allocation is
+// zeroed.
 func (s *Scratch) Float(n int) []float64 {
 	if s != nil {
 		for i, b := range s.f {
@@ -88,9 +93,7 @@ func (s *Scratch) Float(n int) []float64 {
 				s.f = s.f[:last]
 				scratchReuses.Inc()
 				scratchBytesSaved.Add(int64(n) * 8)
-				b = b[:n]
-				clear(b)
-				return b
+				return b[:n]
 			}
 		}
 	}

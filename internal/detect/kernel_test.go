@@ -211,7 +211,7 @@ func TestLocalSimiKernelMatchesOracle(t *testing.T) {
 		ghost := p.K * rng.Intn(2)
 		blk := hostileBlock(rng, 1+rng.Intn(5), nt, ghost)
 		udf, oracle, direct := p.UDFScratch(), localSimiOracle(p), simiDirect(p, nt)
-		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, direct, "arena")
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { poisonArena(scr); return udf(s, scr) }, oracle, direct, "arena")
 		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, direct, "nil-scratch")
 		// Off the stride grid every cell is one segment.
 		if p.Stride > 1 {
@@ -239,7 +239,7 @@ func TestSTALTAKernelMatchesOracle(t *testing.T) {
 		}
 		blk := hostileBlock(rng, 1+rng.Intn(4), nt, 0)
 		udf, oracle := p.UDFScratch(), staltaOracle(p)
-		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, scr) }, oracle, staltaDirect(p), "arena")
+		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { poisonArena(scr); return udf(s, scr) }, oracle, staltaDirect(p), "arena")
 		sameCells(t, blk, 0, p.Stride, func(s *arrayudf.Stencil) float64 { return udf(s, nil) }, oracle, staltaDirect(p), "nil-scratch")
 		if p.Stride > 1 {
 			first := 1 + rng.Intn(p.Stride-1)
@@ -248,6 +248,24 @@ func TestSTALTAKernelMatchesOracle(t *testing.T) {
 	}
 	if folded < 40 || folded > 120 {
 		t.Errorf("%d of 160 parameter sets assemble windows from partial sums: the draw no longer covers both sides", folded)
+	}
+}
+
+// poisonArena borrows every float buffer on scr's free list (a cell's
+// kernel leaves a handful at most), fills each to its capacity with NaN and
+// releases it: a borrower that reads before it writes finds NaN. The arena
+// keeps one 4 096-sample buffer, so a kernel's first borrow is poisoned too.
+func poisonArena(scr *daslib.Scratch) {
+	held := [][]float64{scr.Float(1 << 12)}
+	for len(held) < 8 {
+		held = append(held, scr.Float(1))
+	}
+	for _, b := range held {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.NaN()
+		}
+		scr.ReleaseFloat(b)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"dassa/internal/detect"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
+	"dassa/internal/omp"
 	"dassa/internal/scores"
 )
 
@@ -52,6 +54,8 @@ type Config struct {
 	// disconnects still cancel either way via the request context.
 	RequestTimeout time.Duration
 	// Nodes/CoresPerNode size the in-process HAEE engine (defaults 1/4).
+	// CoresPerNode also sizes the team that formats /read rows
+	// (runtime.NumCPU when unset).
 	Nodes        int
 	CoresPerNode int
 	// Workers lists cluster worker addresses (dassw instances). When
@@ -169,6 +173,7 @@ type Server struct {
 	ing        *Ingester
 	cache      *BlockCache
 	fw         *core.Framework
+	rowTeam    *omp.Team // formats /read rows
 	adm        *admission
 	co         *cluster.Coordinator
 	coFallback atomic.Int64
@@ -210,12 +215,13 @@ func NewServer(cfg Config) *Server {
 			CoresPerNode: cfg.CoresPerNode,
 			FailPolicy:   dass.FailDegrade,
 		}),
-		adm:    newAdmission(cfg),
-		jobs:   make(chan struct{}, cfg.DetectJobs),
-		start:  time.Now(),
-		traces: trace.NewStore(trace.DefaultRecent, trace.DefaultSlowest),
-		log:    obs.OrNop(cfg.Log),
-		reg:    reg,
+		rowTeam: omp.NewTeam(cfg.CoresPerNode),
+		adm:     newAdmission(cfg),
+		jobs:    make(chan struct{}, cfg.DetectJobs),
+		start:   time.Now(),
+		traces:  trace.NewStore(trace.DefaultRecent, trace.DefaultSlowest),
+		log:     obs.OrNop(cfg.Log),
+		reg:     reg,
 	}
 	s.registerMetrics()
 	s.initCluster()
@@ -542,15 +548,25 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	writeReadJSON(w, resp, arr)
+	writeReadJSON(r.Context(), w, s.rowTeam, resp, arr)
 }
+
+// rowBufs recycles the buffers /read's row formatters write into.
+var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeReadJSON answers a /read with its samples: resp is the summary and
 // arr goes out as its "data" rows, in the bytes encoding/json would write
 // for the whole map, except that a masked (NaN) sample is null. encoding/json
 // refuses NaN, and once the header is sent a refused body cannot be an
 // error any more.
-func writeReadJSON(w http.ResponseWriter, resp map[string]any, arr *dasf.Array2D) {
+//
+// The rows are formatted on team, each thread a contiguous run of them into
+// its own pooled buffer (Algorithm 1's private vectors). Thread 0 streams
+// the first run in 32 KB chunks while the others format theirs; their
+// buffers follow in row order once the team has joined. A team of one is
+// the serial writer. A failed Write stops the formatting early, and every
+// thread is joined before this returns.
+func writeReadJSON(ctx context.Context, w http.ResponseWriter, team *omp.Team, resp map[string]any, arr *dasf.Array2D) {
 	var summary bytes.Buffer
 	enc := json.NewEncoder(&summary)
 	enc.SetEscapeHTML(false)
@@ -558,11 +574,38 @@ func writeReadJSON(w http.ResponseWriter, resp map[string]any, arr *dasf.Array2D
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
+	_, sp := trace.Start(ctx, "serve.read_encode")
+	defer sp.End()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
+
+	// ForThread runs min(Threads, rows) threads; a row-less array is one.
+	bufs := make([]*[]byte, max(1, min(team.Threads(), arr.Channels)))
+	for h := range bufs {
+		bufs[h] = rowBufs.Get().(*[]byte)
+		*bufs[h] = (*bufs[h])[:0]
+	}
+	defer func() {
+		for _, b := range bufs {
+			rowBufs.Put(b)
+		}
+	}()
+	var sent int64
+	var gone atomic.Bool
+	write := func(b []byte) {
+		n, err := w.Write(b)
+		sent += int64(n)
+		if err != nil {
+			gone.Store(true)
+		}
+	}
 	// "data" sorts before every summary key, so it opens the object.
-	b := append(make([]byte, 0, 64<<10), `{"data":[`...)
-	for c := 0; c < arr.Channels; c++ {
+	*bufs[0] = append(*bufs[0], `{"data":[`...)
+	team.ForThread(arr.Channels, func(c, h int) {
+		if gone.Load() {
+			return
+		}
+		b := *bufs[h]
 		if c > 0 {
 			b = append(b, ',')
 		}
@@ -574,16 +617,27 @@ func writeReadJSON(w http.ResponseWriter, resp map[string]any, arr *dasf.Array2D
 			b = appendJSONFloat(b, v)
 		}
 		b = append(b, ']')
-		if len(b) >= 32<<10 {
-			if _, err := w.Write(b); err != nil {
-				return
-			}
+		if h == 0 && len(b) >= 32<<10 {
+			write(b)
 			b = b[:0]
 		}
+		*bufs[h] = b
+	})
+	last := bufs[len(bufs)-1]
+	*last = append(*last, "],"...)
+	*last = append(*last, summary.Bytes()[1:]...)
+	for _, b := range bufs {
+		if gone.Load() {
+			break
+		}
+		write(*b)
 	}
-	b = append(b, "],"...)
-	b = append(b, summary.Bytes()[1:]...)
-	_, _ = w.Write(b)
+	if gone.Load() {
+		sp.SetStatus("cancelled")
+	}
+	sp.SetAttrInt("bytes", sent)
+	sp.SetAttrInt("rows", int64(arr.Channels))
+	sp.SetAttrInt("threads", int64(len(bufs)))
 }
 
 // appendJSONFloat appends f the way encoding/json writes a float64, or

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,6 +139,40 @@ func TestTraceMiddleware(t *testing.T) {
 	}
 	if sc := cold["serve.scores"]; sc["sub_runs"] != "1" || sc["tiles_hit"] != "0" {
 		t.Errorf("cold detect: serve.scores %v, want one sub-run and no tile hit", sc)
+	}
+
+	// A /read with its samples times the body under serve.read_encode, a
+	// child of the root that counts the bytes sent, the rows and the team.
+	rresp, err := ts.Client().Get(ts.URL + "/read?ch0=1&ch1=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(rresp.Body)
+	rresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rtd trace.TraceData
+	getJSON(t, ts, "/debug/traces/"+rresp.Header.Get(trace.Header), &rtd)
+	var root, enc *trace.SpanData
+	for i, sp := range rtd.Spans {
+		switch sp.Name {
+		case "http /read":
+			root = &rtd.Spans[i]
+		case "serve.read_encode":
+			enc = &rtd.Spans[i]
+		}
+	}
+	if root == nil || enc == nil || enc.Parent != root.SpanID {
+		t.Fatalf("read trace: root %v, serve.read_encode %v, want the span under the root", root, enc)
+	}
+	attrs := map[string]string{}
+	for _, a := range enc.Attrs {
+		attrs[a.K] = a.V
+	}
+	want := map[string]string{"bytes": strconv.Itoa(len(body)), "rows": "5", "threads": "2"}
+	if !reflect.DeepEqual(attrs, want) {
+		t.Errorf("serve.read_encode attrs %v, want %v", attrs, want)
 	}
 }
 

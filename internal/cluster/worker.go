@@ -550,7 +550,7 @@ type coreRows struct{ lo, n, samples int }
 
 // applyShard runs the shard's sub-view under FailDegrade and returns the
 // core rows in a result buffer: the read itself when p is nil, else p
-// through core.Framework.Run, as an in-process /detect runs it, with the
+// through core.Framework.RunCells, as an in-process /detect runs it, with the
 // runs' reports normalized to (values, trace, gaps). With a store the rows
 // are written from st's tiles and runs over what they lack straight into
 // the buffer; otherwise the run's output is encoded into it. Before a run
@@ -571,19 +571,19 @@ func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p det
 	}
 	fw := core.New(core.Config{CoresPerNode: cores, FailPolicy: dass.FailDegrade})
 	checked := false
-	run := func(ctx context.Context, part *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
+	run := func(ctx context.Context, part *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
 		if !checked {
 			if err := checkShapes(ctx, entries); err != nil {
 				return nil, nil, err
 			}
 			checked = true
 		}
-		out, rep, err := fw.Run(part.WithContext(ctx), p, "")
+		out, rep, err := fw.RunCells(part.WithContext(ctx), p, k0, k1)
 		tr.Add(rep.ReadTrace)
 		return out, rep.Quality, err
 	}
 	if st == nil {
-		out, q, err := run(ctx, sub)
+		out, q, err := run(ctx, sub, 0, rows.samples)
 		if err != nil {
 			return wire.ResultBuf{}, tr, nil, err
 		}
@@ -607,6 +607,7 @@ func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p det
 	sp.SetAttrInt("tiles", int64(m.Tiles))
 	sp.SetAttrInt("tiles_hit", int64(m.TilesHit))
 	sp.SetAttrInt("cells_computed", int64(m.CellsComputed))
+	sp.SetAttrInt("cells_kept", int64(m.CellsKept))
 	return rb, tr, m.Gaps, err
 }
 

@@ -176,6 +176,25 @@ func reportOf(rep haee.Report) Report {
 // block is bounded against the view, told the framework's fail policy, and
 // run as the workload it builds. A non-empty outPath also gets the result.
 func (f *Framework) Run(v *dass.View, p detect.Params, outPath string) (*dasf.Array2D, Report, error) {
+	return f.runOp(v, p, func(eng *haee.Engine, v *dass.View, w arrayudf.Workload) (haee.Report, error) {
+		return eng.Run(v, w, outPath)
+	})
+}
+
+// RunCells is Run for the output cells [c0, c1) of every channel of v, with
+// no file written (haee.Engine.RunCells; a row analysis takes only its whole
+// row): the stencils read every sample those cells reach and clamp at v's
+// edges, so each value is Run's bit for bit, and the output holds c1−c0
+// cells a channel.
+func (f *Framework) RunCells(v *dass.View, p detect.Params, c0, c1 int) (*dasf.Array2D, Report, error) {
+	return f.runOp(v, p, func(eng *haee.Engine, v *dass.View, w arrayudf.Workload) (haee.Report, error) {
+		return eng.RunCells(v, w, c0, c1)
+	})
+}
+
+// runOp is what Run and RunCells share: the op's span, its parameters bounded
+// against v and told the fail policy, and run's engine call on its workload.
+func (f *Framework) runOp(v *dass.View, p detect.Params, run func(*haee.Engine, *dass.View, arrayudf.Workload) (haee.Report, error)) (*dasf.Array2D, Report, error) {
 	v, sp := traceOp(v, "core."+p.Op())
 	nch, nt := v.Shape()
 	if err := p.Validate(nch, nt); err != nil {
@@ -183,14 +202,13 @@ func (f *Framework) Run(v *dass.View, p detect.Params, outPath string) (*dasf.Ar
 		return nil, Report{}, err
 	}
 	detect.SetFailPolicy(p, f.cfg.FailPolicy)
-	out, rep, err := f.run(v, p.Workload(nt), outPath)
+	out, rep, err := f.result(run(f.engine(), v, p.Workload(nt)))
 	sp.EndErr(err)
 	return out, rep, err
 }
 
-// run is the tail every facade shares: engine, out-of-memory verdict, report.
-func (f *Framework) run(v *dass.View, w arrayudf.Workload, outPath string) (*dasf.Array2D, Report, error) {
-	rep, err := f.engine().Run(v, w, outPath)
+// result is the tail every facade shares: out-of-memory verdict, report.
+func (f *Framework) result(rep haee.Report, err error) (*dasf.Array2D, Report, error) {
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -269,10 +287,10 @@ func (f *Framework) Apply(v *dass.View, ghostChannels, timeStride int, udf func(
 		return nil, Report{}, fmt.Errorf("core: Apply needs a UDF")
 	}
 	v, sp := traceOp(v, "core.apply")
-	out, rep, err := f.run(v, arrayudf.Workload{
+	out, rep, err := f.result(f.engine().Run(v, arrayudf.Workload{
 		Spec:       arrayudf.Spec{GhostChannels: ghostChannels, TimeStride: timeStride},
 		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 { return udf(s) },
-	}, outPath)
+	}, outPath))
 	sp.EndErr(err)
 	return out, rep, err
 }

@@ -159,18 +159,25 @@ func teamScratch(team *omp.Team, blk arrayudf.Block) (scratches []*daslib.Scratc
 // stencil and one scratch arena per thread, so the loop itself allocates
 // nothing per cell.
 func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt int, udf func(s *arrayudf.Stencil, scr *daslib.Scratch) float64) *dasf.Array2D {
-	own := blk.OwnedChannels()
-	outT := spec.OutSamples(nt)
+	return applyCells(team, blk, spec, 0, spec.OutSamples(nt), udf)
+}
+
+// applyCells is ApplyMTScratch over the output cells [c0, c1) of every owned
+// channel: cell k sits at time k·stride of blk, the output holds c1−c0 cells
+// a channel, and the stencils read whatever the cells reach, so each value is
+// the one the whole range gives it.
+func applyCells(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, c0, c1 int, udf func(s *arrayudf.Stencil, scr *daslib.Scratch) float64) *dasf.Array2D {
+	own, n := blk.OwnedChannels(), c1-c0
 	if own <= 0 {
-		return dasf.NewArray2D(0, outT)
+		return dasf.NewArray2D(0, n)
 	}
 	stride := max(spec.TimeStride, 1)
-	out := dasf.NewArray2D(own, outT)
+	out := dasf.NewArray2D(own, n)
 	scratches, stencils, release := teamScratch(team, blk)
 	defer release()
-	team.ForThread(own*outT, func(i, h int) {
+	team.ForThread(own*n, func(i, h int) {
 		st := stencils[h]
-		st.SetPos(i/outT, (i%outT)*stride)
+		st.SetPos(i/n, (c0+i%n)*stride)
 		out.Data[i] = udf(st, scratches[h])
 	})
 	return out
@@ -200,17 +207,47 @@ func ApplyRowsInto(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *a
 // Run executes a workload over the view: B = Apply(A, f), points or rows as
 // the workload says. If outPath is non-empty, rank 0 writes the assembled
 // result as a DASF file (the single-big-array write both modes share in
-// Figure 8). Cancellation is checked once per channel row — a row UDF's call,
-// a point UDF's first strided cell — and its panic unwinds through the omp
-// team and mpi.Run to the caller as the context's error.
+// Figure 8).
 func (e *Engine) Run(v *dass.View, w arrayudf.Workload, outPath string) (Report, error) {
-	if err := e.cfg.validate(); err != nil {
+	if err := e.check(w); err != nil {
 		return Report{}, err
 	}
-	if (w.UDFScratch == nil) == (w.UDFInto == nil) || (w.UDFInto != nil && w.RowLen <= 0) {
-		return Report{}, fmt.Errorf("haee: a workload needs one UDF, and a row UDF a positive RowLen")
+	_, nt := v.Shape()
+	return e.apply(v, w, 0, w.OutSamples(nt), outPath)
+}
+
+// RunCells is Run for the output cells [c0, c1) of every channel, 0 ≤ c0 <
+// c1 ≤ w.OutSamples(nt), with no file written: the block is the whole view,
+// as data the stencils read, and the output holds c1−c0 cells a channel,
+// each the value Run gives it. A row workload's one range is the whole row.
+func (e *Engine) RunCells(v *dass.View, w arrayudf.Workload, c0, c1 int) (Report, error) {
+	if err := e.check(w); err != nil {
+		return Report{}, err
 	}
 	_, nt := v.Shape()
+	out := w.OutSamples(nt)
+	if c0 < 0 || c0 >= c1 || c1 > out || (w.UDFInto != nil && c1-c0 != out) {
+		return Report{}, fmt.Errorf("haee: cells [%d,%d) of a workload of %d a channel", c0, c1, out)
+	}
+	return e.apply(v, w, c0, c1, "")
+}
+
+// check refuses a layout or a workload the engine cannot run.
+func (e *Engine) check(w arrayudf.Workload) error {
+	if err := e.cfg.validate(); err != nil {
+		return err
+	}
+	if (w.UDFScratch == nil) == (w.UDFInto == nil) || (w.UDFInto != nil && w.RowLen <= 0) {
+		return fmt.Errorf("haee: a workload needs one UDF, and a row UDF a positive RowLen")
+	}
+	return nil
+}
+
+// apply runs w's cells [c0, c1) (a row workload: all of them). Cancellation
+// is checked once per channel row — a row UDF's call, a point UDF's first
+// cell in the range — and its panic unwinds through the omp team and
+// mpi.Run to the caller as the context's error.
+func (e *Engine) apply(v *dass.View, w arrayudf.Workload, c0, c1 int, outPath string) (Report, error) {
 	cancelled := func() {
 		if err := v.Context().Err(); err != nil {
 			panic(fmt.Errorf("haee: compute: %w", err))
@@ -218,8 +255,9 @@ func (e *Engine) Run(v *dass.View, w arrayudf.Workload, outPath string) (Report,
 	}
 	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
 		if w.UDFInto == nil {
-			return ApplyMTScratch(team, blk, w.Spec, nt, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-				if s.T() == 0 {
+			first := c0 * max(w.Spec.TimeStride, 1)
+			return applyCells(team, blk, w.Spec, c0, c1, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+				if s.T() == first {
 					cancelled()
 				}
 				return w.UDFScratch(s, scr)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dassa/internal/arrayudf"
@@ -137,6 +138,76 @@ func TestApplyMTDirect(t *testing.T) {
 	empty := ApplyMTScratch(team, arrayudf.Block{ChLo: 2, ChHi: 2}, arrayudf.Spec{}, 20, nil)
 	if empty.Channels != 0 {
 		t.Error("empty block should give empty output")
+	}
+}
+
+// TestRunCellsIsRunsSlice: RunCells' output is the matching cells of Run's,
+// bit for bit, for windows at either edge and inside, on every layout; a
+// window that is empty, outside the cells or short of a row workload's row
+// is refused; and a context cancelled inside a window that starts mid-view
+// stops the run before any thread begins another channel, with the
+// context's error.
+func TestRunCellsIsRunsSlice(t *testing.T) {
+	v, _, _ := makeView(t, 8, 3)
+	_, nt := v.Shape()
+	w := (&detect.LocalSimiParams{M: 5, K: 1, L: 2, Stride: 4}).Workload(nt)
+	cells := w.OutSamples(nt)
+	whole, err := New(Config{Nodes: 1, CoresPerNode: 1}).Run(v, w, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Nodes: 1, CoresPerNode: 1, Mode: Hybrid},
+		{Nodes: 1, CoresPerNode: 3, Mode: Hybrid},
+		{Nodes: 2, CoresPerNode: 2, Mode: PureMPI},
+	} {
+		for _, win := range [][2]int{{0, cells}, {0, 3}, {7, 19}, {cells - 4, cells}} {
+			rep, err := New(cfg).RunCells(v, w, win[0], win[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, n := rep.Output, win[1]-win[0]
+			if got.Channels != whole.Output.Channels || got.Samples != n {
+				t.Fatalf("%+v, cells %v: shape %d×%d, want %d×%d", cfg, win, got.Channels, got.Samples, whole.Output.Channels, n)
+			}
+			for c := 0; c < got.Channels; c++ {
+				for k := range n {
+					if g, want := got.At(c, k), whole.Output.At(c, win[0]+k); math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("%+v, cells %v: (%d,%d) = %v, Run's %v", cfg, win, c, k, g, want)
+					}
+				}
+			}
+		}
+	}
+
+	e := New(Config{Nodes: 1, CoresPerNode: 1})
+	for _, win := range [][2]int{{-1, 3}, {3, 3}, {0, cells + 1}} {
+		if _, err := e.RunCells(v, w, win[0], win[1]); err == nil {
+			t.Errorf("cells %v of %d: no error", win, cells)
+		}
+	}
+	rows := arrayudf.Workload{UDFInto: func(*arrayudf.Stencil, any, []float64, *daslib.Scratch) {}, RowLen: 10}
+	if _, err := e.RunCells(v, rows, 0, 5); err == nil {
+		t.Error("half a row workload's row: no error")
+	}
+	if _, err := e.RunCells(v, rows, 0, 10); err != nil {
+		t.Errorf("a row workload's whole row: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	began := map[int]bool{}
+	stop := arrayudf.Workload{Spec: w.Spec, UDFScratch: func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+		cancel()
+		mu.Lock()
+		began[s.Channel()] = true
+		mu.Unlock()
+		return w.UDFScratch(s, scr)
+	}}
+	_, err = New(Config{Nodes: 1, CoresPerNode: 2, Mode: Hybrid}).RunCells(v.WithContext(ctx), stop, 7, 19)
+	if !dass.IsCancellation(err) || len(began) > 2 {
+		t.Fatalf("cancelled in its first cell: %v, with %d of 8 channels begun on 2 threads; want a cancellation after at most 2", err, len(began))
 	}
 }
 

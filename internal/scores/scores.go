@@ -8,9 +8,10 @@
 // consecutive cells of a whole-file view whose reaches touch the same member
 // files and clamp at the same view edges, so its values depend on those
 // files and the stride phase alone and are the same in every view that
-// holds it. Missing tiles are computed by ordinary runs on time sub-views:
-// there is no second engine path, and every output carries the bits of a
-// cold run over the whole view.
+// holds it. Missing tiles are computed by ordinary runs on time sub-views
+// that score only the cells they keep — the rest of a sub-view is the reach
+// those cells read — so there is no second engine path, and every output
+// carries the bits of a cold run over the whole view.
 package scores
 
 import (
@@ -24,15 +25,17 @@ import (
 	"dassa/internal/detect"
 )
 
-// Runner computes the op over sub, a time sub-view of the view being
-// scored, and reports what its reads lost (gaps relative to sub).
-type Runner func(ctx context.Context, sub *dass.View) (*dasf.Array2D, *dass.QualityReport, error)
+// Runner computes the op's output cells [k0, k1) of every channel of sub, a
+// time sub-view of the view being scored, into an array of those cells alone
+// (core.Framework.RunCells), and reports what its reads lost (gaps relative
+// to sub).
+type Runner func(ctx context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error)
 
 // Stats says how one map was made.
 type Stats struct {
 	Tiles, TilesHit int
 	SubRuns         int
-	CellsComputed   int // by the sub-runs
+	CellsComputed   int // by the sub-runs: CellsKept, and any cached cells a sub-run spans (subRuns)
 	CellsKept       int // the missing tiles' cells
 }
 
@@ -84,7 +87,10 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 		if err != nil {
 			return m, err
 		}
-		arr, q, err := run(ctx, sub)
+		// The run's cells [c0, c1) of the view, counted in the sub-view from
+		// its first cell, lo/stride.
+		c0, c1 := pl.tiles[r[0]].c0, pl.tiles[r[len(r)-1]].c1
+		arr, q, err := run(ctx, sub, c0-lo/pl.stride, c1-lo/pl.stride)
 		if err != nil {
 			return m, err
 		}
@@ -97,14 +103,13 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 				m.Gaps = append(m.Gaps, g)
 			}
 		}
-		first := lo / pl.stride // the sub-view's first cell, in view cells
 		for _, i := range r {
 			tl := pl.tiles[i]
 			n := tl.c1 - tl.c0
-			place(dst, tl.c0, arr, tl.c0-first, n)
+			place(dst, tl.c0, arr, tl.c0-c0, n)
 			if st != nil && tl.key != "" && clean {
 				tile := dasf.NewArray2D(pl.nch, n)
-				place(Into(tile), 0, arr, tl.c0-first, n)
+				place(Into(tile), 0, arr, tl.c0-c0, n)
 				st.Store(tl.key, tile)
 			}
 		}
@@ -192,8 +197,9 @@ func planScores(v *dass.View, entries []dass.Entry, p detect.Params) scorePlan {
 
 // subRuns groups the missing tiles into sub-runs, each a list of tile
 // indices. A run swallows the cached cells up to the next missing tile when
-// they are at most back+fwd samples' worth: splitting there would recompute
-// as many cells at the two new sub-view edges as it saves.
+// they are at most back+fwd samples' worth, and computes them again: a split
+// there would cost a second engine run and the reads the two reaches share.
+// The threshold is not derived from that cost (DESIGN.md §8).
 func (pl *scorePlan) subRuns(missing []int) [][]int {
 	var runs [][]int
 	for _, i := range missing {
@@ -209,13 +215,14 @@ func (pl *scorePlan) subRuns(missing []int) [][]int {
 	return runs
 }
 
-// bounds returns the time sub-view [lo, hi) a run is computed on. It starts
+// bounds returns the time sub-view [lo, hi) a run reads. It starts
 // at 0 if the run holds a start-clamped cell, else at the last grid position
 // at or before its first cell's reach; it ends at nt if the run holds an
 // end-clamped cell, else one past its last cell's reach. Then it widens by
 // whole strides until p accepts it. Every kept cell reads the same samples
 // and clamps at the same edges in the sub-view as in the view, and lo is on
-// the view's grid, so it is the same value.
+// the view's grid, so it is the same value. Cells of the sub-view outside the
+// run's tiles are the reach its cells read; no sub-run scores them.
 func (pl *scorePlan) bounds(run []int, p detect.Params) (lo, hi int, err error) {
 	first, last, s := pl.tiles[run[0]], pl.tiles[run[len(run)-1]], pl.stride
 	lo, hi = 0, pl.nt

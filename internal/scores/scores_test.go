@@ -29,10 +29,11 @@ func strided(t *testing.T, op string, stride int) detect.Params {
 // 1 000-sample files, local similarity at its 250 Hz defaults (reach 66,
 // stride 50), a four-file window one file on from the window before. The
 // tiles are a head, an interior per file, a band per boundary and a tail;
-// the arrival misses four of them and computes them in two sub-runs,
-// [0,150) and [2850,4000) — 26 cells a channel for the 23 it keeps, not 80.
-// Cold, the one sub-run is the whole view; STA/LTA at stride 1, whose
-// interiors never fit the store, keeps today's single run.
+// the arrival misses four of them and computes them in two sub-runs that
+// read [0,150) and [2850,4000) and score the 23 cells a channel it keeps,
+// not 80, into the cold run's bits. Cold, the one sub-run is the whole
+// view; STA/LTA at stride 1, whose interiors never fit the store, keeps
+// today's single run.
 func TestScorePlanArrival(t *testing.T) {
 	dir := t.TempDir()
 	cfg := dasgen.Config{Channels: 2, SampleRate: 250, FileSeconds: 4, NumFiles: 5, Seed: 2, DType: dasf.Float32}
@@ -52,16 +53,15 @@ func TestScorePlanArrival(t *testing.T) {
 		return planScores(v, win, p)
 	}
 	type span struct{ lo, hi int }
-	runsOf := func(pl scorePlan, missing []int) (spans []span, cells int) {
+	runsOf := func(pl scorePlan, missing []int) (spans []span) {
 		for _, run := range pl.subRuns(missing) {
 			lo, hi, err := pl.bounds(run, strided(t, "localsimi", 50))
 			if err != nil {
 				t.Fatal(err)
 			}
 			spans = append(spans, span{lo, hi})
-			cells += (hi - lo + pl.stride - 1) / pl.stride
 		}
-		return spans, cells
+		return spans
 	}
 
 	simi := strided(t, "localsimi", 50)
@@ -86,12 +86,45 @@ func TestScorePlanArrival(t *testing.T) {
 			kept += tl.c1 - tl.c0
 		}
 	}
-	spans, cells := runsOf(cur, missing)
-	if !slices.Equal(spans, []span{{0, 150}, {2850, 4000}}) || cells != 26 || kept != 23 {
-		t.Errorf("arrival: sub-runs %v computing %d cells a channel, keeping %d; want [{0 150} {2850 4000}], 26, 23", spans, cells, kept)
+	if spans := runsOf(cur, missing); !slices.Equal(spans, []span{{0, 150}, {2850, 4000}}) || kept != 23 {
+		t.Errorf("arrival: sub-runs %v keeping %d cells a channel; want [{0 150} {2850 4000}], 23", spans, kept)
 	}
-	if spans, cells := runsOf(cur, all); !slices.Equal(spans, []span{{0, 4000}}) || cells != 80 {
-		t.Errorf("cold: sub-runs %v computing %d cells a channel, want the whole view", spans, cells)
+	if spans := runsOf(cur, all); !slices.Equal(spans, []span{{0, 4000}}) {
+		t.Errorf("cold: sub-runs %v, want the whole view", spans)
+	}
+
+	// The same arrival through Compute: the window before fills the store,
+	// and the arrival's two sub-runs score exactly the cells they keep.
+	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 2})
+	run := func(_ context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
+		out, rep, err := fw.RunCells(sub, simi, k0, k1)
+		return out, rep.Quality, err
+	}
+	st := NewLRU(1 << 20)
+	for i, win := range [][]dass.Entry{entries[:4], entries[1:]} {
+		v, err := dass.ViewOver(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := fw.Run(v, simi, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dasf.NewArray2D(want.Channels, want.Samples)
+		m, err := Compute(context.Background(), v, win, simi, st, run, Into(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRuns, wantKept := []int{1, 2}[i], []int{80, 23}[i]*cfg.Channels
+		if m.SubRuns != wantRuns || m.CellsComputed != m.CellsKept || m.CellsKept != wantKept {
+			t.Errorf("window %d: %d sub-runs computing %d cells, keeping %d; want %d computing and keeping %d",
+				i, m.SubRuns, m.CellsComputed, m.CellsKept, wantRuns, wantKept)
+		}
+		for j := range want.Data {
+			if math.Float64bits(got.Data[j]) != math.Float64bits(want.Data[j]) {
+				t.Fatalf("window %d: cell %d = %v, cold run %v", i, j, got.Data[j], want.Data[j])
+			}
+		}
 	}
 
 	stalta := strided(t, "stalta", 1)
@@ -138,8 +171,8 @@ func TestComputeKeepsCleanTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lose bool // the next run reports a gap
-	run := func(_ context.Context, sub *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
-		out, rep, err := fw.Run(sub, p, "")
+	run := func(_ context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
+		out, rep, err := fw.RunCells(sub, p, k0, k1)
 		if err != nil || !lose {
 			return out, rep.Quality, err
 		}

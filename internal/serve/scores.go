@@ -86,11 +86,11 @@ func (s *Server) score(ctx context.Context, v *dass.View, entries []dass.Entry, 
 	}
 
 	var took [4]time.Duration // the sub-runs' phases, summed
-	run := func(ctx context.Context, sub *dass.View) (*dasf.Array2D, *dass.QualityReport, error) {
+	run := func(ctx context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
 		if err := slot(ctx); err != nil {
 			return nil, nil, err
 		}
-		arr, rep, err := s.fw.Run(sub.WithContext(ctx), p, "")
+		arr, rep, err := s.fw.RunCells(sub.WithContext(ctx), p, k0, k1)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -11,18 +11,23 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/cluster"
 	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 	"dassa/internal/faults"
 	"dassa/internal/obs"
+	"dassa/internal/obs/trace"
 	"dassa/internal/scores"
 	"dassa/internal/testutil/leakcheck"
 )
@@ -141,6 +146,17 @@ func (pc placement) tileStats(s *Server) scores.LRUStats {
 		sum.Bytes, sum.Entries = sum.Bytes+st.Bytes, sum.Entries+st.Entries
 	}
 	return sum
+}
+
+// waitHealthy waits until every worker of the placement is healthy, so a
+// detection is distributed.
+func (pc placement) waitHealthy(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); pc.workers != nil && s.Cluster().HealthyWorkers() < len(pc.workers); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the workers never connected")
+		}
+	}
 }
 
 // eachPlacement runs a score-store property once per placement; test
@@ -381,4 +397,205 @@ func testConcurrentDetectsAgree(t *testing.T, pc placement) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPartlyCachedMapScoresOnlyKeptCells: with a seeded random subset of a
+// six-file window's tiles in the store — left there by detections over runs
+// of one or two of its files — the whole window's map is a cold run's bit for
+// bit, and its sub-runs score exactly the cells they keep, in process and on
+// the workers (whose counts come back in the request trace). At stride 50
+// and a reach of 66 no two missing tiles are close enough for a sub-run to
+// span the cached cells between them.
+func TestPartlyCachedMapScoresOnlyKeptCells(t *testing.T) {
+	eachPlacement(t, testPartlyCachedMapScoresOnlyKeptCells)
+}
+
+func testPartlyCachedMapScoresOnlyKeptCells(t *testing.T, pc placement) {
+	p := strided(t, "localsimi", 50)
+	var kept, hits int
+	for seed := int64(1); seed <= 4; seed++ {
+		dir := t.TempDir()
+		tileRecord(t, dir, 8, 6, seed)
+		s := NewServer(Config{Ingest: IngestConfig{Dir: dir, Poll: time.Hour}, Nodes: 1, CoresPerNode: 2, Workers: pc.workers, Registry: obs.NewRegistry()})
+		t.Cleanup(s.Close)
+		if err := s.Ingester().ScanOnce(); err != nil {
+			t.Fatal(err)
+		}
+		pc.waitHealthy(t, s)
+		entries := s.Ingester().Catalog().Entries()
+		rng := rand.New(rand.NewSource(seed))
+		for i := range entries {
+			for n := 1; n <= 2 && i+n <= len(entries); n++ {
+				if rng.Intn(2) == 0 {
+					if _, err := scoreOf(s, entries[i:i+n], p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+
+		store := trace.NewStore(1, 1)
+		id := trace.NewID()
+		ctx, root := trace.New(context.Background(), store, "test", id, "test")
+		v, err := dass.ViewOver(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.score(ctx, v, entries, p)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffBits(got.out, cold(t, entries, p)); d != "" || got.degraded || got.distributed != (pc.workers != nil) {
+			t.Fatalf("seed %d: %s (degraded %v, distributed %v)", seed, d, got.degraded, got.distributed)
+		}
+		sum := map[string]int{}
+		for _, sp := range store.Get(id).Spans {
+			for _, a := range sp.Attrs {
+				if n, err := strconv.Atoi(a.V); err == nil && (sp.Name == "serve.scores" || sp.Name == "worker.shard") {
+					sum[a.K] += n
+				}
+			}
+		}
+		if sum["cells_computed"] != sum["cells_kept"] {
+			t.Errorf("seed %d: %d cells computed for %d kept (%d of %d tiles hit)", seed, sum["cells_computed"], sum["cells_kept"], sum["tiles_hit"], sum["tiles"])
+		}
+		t.Logf("seed %d: %v", seed, sum)
+		kept, hits = kept+sum["cells_kept"], hits+sum["tiles_hit"]
+	}
+	if kept == 0 || hits == 0 {
+		t.Errorf("no seed made a partly cached map: %d cells kept, %d tiles hit", kept, hits)
+	}
+}
+
+// parked is a points op with a declared time reach, so /detect tiles it and
+// a window one file longer than a cached one computes it in a sub-run whose
+// cells start mid-view. While parkGate holds a gate, every cell waits on it.
+type parked struct {
+	Stride int `json:"stride" key:"stride" help:"evaluate every N samples"`
+}
+
+var parkGate atomic.Pointer[parking]
+
+// parking holds cells until release closes. It notes whether any held cell
+// sat at the start of its sub-view, and counts the cells after release that
+// began a channel for their thread: a run cancelled while cells are held
+// must begin none.
+type parking struct {
+	once             sync.Once
+	reached, release chan struct{}
+	released         atomic.Bool
+	mu               sync.Mutex
+	row              map[*arrayudf.Stencil]int // each thread's stencil → its channel
+	atStart, begun   int
+}
+
+func (g *parking) cell(s *arrayudf.Stencil) {
+	g.mu.Lock()
+	if row, ok := g.row[s]; !ok || row != s.Channel() {
+		g.row[s] = s.Channel()
+		if g.released.Load() {
+			g.begun++
+		}
+	}
+	if !g.released.Load() && s.T() == 0 {
+		g.atStart++
+	}
+	g.mu.Unlock()
+	g.once.Do(func() { close(g.reached) })
+	<-g.release
+}
+
+func (parked) Op() string { return "parked" }
+
+func (p parked) Validate(nch, nt int) error {
+	if nch < 1 || p.Stride < 1 || p.Stride > nt {
+		return fmt.Errorf("%w: parked %+v on a %d×%d view", detect.ErrBadParams, p, nch, nt)
+	}
+	return nil
+}
+
+func (parked) TimeReach() (back, fwd int) { return 66, 66 }
+
+func (p parked) Workload(int) arrayudf.Workload {
+	return arrayudf.Workload{
+		Spec: arrayudf.Spec{TimeStride: p.Stride},
+		UDFScratch: func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
+			if g := parkGate.Load(); g != nil {
+				g.cell(s)
+			}
+			return s.At(-66, 0) + s.At(66, 0)
+		},
+	}
+}
+
+func init() {
+	detect.Register(detect.Op{
+		Name:    parked{}.Op(),
+		Default: func(float64, int) detect.Params { return &parked{Stride: 50} },
+		Events:  detect.BandedEvents,
+		Summary: func(detect.Params, *dasf.Array2D, int, float64) string { return "parked map" },
+	})
+}
+
+// TestCancelInWindowedSubRun: a /detect whose deadline passes while its one
+// sub-run — cells from mid-view on — is computing answers a cancellation,
+// and no thread, in process or on a worker, begins another channel once the
+// held cells go on; nothing is left running.
+func TestCancelInWindowedSubRun(t *testing.T) { eachPlacement(t, testCancelInWindowedSubRun) }
+
+func testCancelInWindowedSubRun(t *testing.T, pc placement) {
+	dir := t.TempDir()
+	tileRecord(t, dir, 8, 5, 5)
+	s := NewServer(Config{Ingest: IngestConfig{Dir: dir, Poll: time.Hour}, Nodes: 1, CoresPerNode: 2, Workers: pc.workers, Registry: obs.NewRegistry()})
+	t.Cleanup(s.Close)
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	pc.waitHealthy(t, s)
+	entries := s.Ingester().Catalog().Entries()
+	p := &parked{Stride: 50}
+	if _, err := scoreOf(s, entries[:4], p); err != nil {
+		t.Fatal(err)
+	}
+
+	g := &parking{reached: make(chan struct{}), release: make(chan struct{}), row: map[*arrayudf.Stencil]int{}}
+	parkGate.Store(g)
+	defer parkGate.Store(nil)
+	// A worker's shard runs under the request's deadline, carried on the
+	// wire, so it expires there whichever frame arrives first, but on the
+	// worker's own timer: the held cells go on a margin after this one.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	v, err := dass.ViewOver(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.score(ctx, v, entries, p)
+		errc <- err
+	}()
+	select {
+	case <-g.reached:
+	case err := <-errc:
+		t.Fatalf("the detection ended before computing a cell: %v", err)
+	}
+	<-ctx.Done()
+	time.Sleep(200 * time.Millisecond)
+	g.released.Store(true)
+	close(g.release)
+	if err := <-errc; !dass.IsCancellation(err) {
+		t.Fatalf("a detection past its deadline: %v, want a cancellation", err)
+	}
+	for _, w := range pc.pool {
+		for w.InFlight() > 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.atStart != 0 || g.begun != 0 {
+		t.Errorf("%d held cells at a sub-view's start (want a sub-run from mid-view), %d channels begun after the deadline (want 0)", g.atStart, g.begun)
+	}
 }

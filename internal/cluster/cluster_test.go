@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -449,8 +450,9 @@ func TestExecuteShardScores(t *testing.T) {
 // set starts at sample 0 but does not span its files whole, so a worker must
 // not key its tiles as whole-file ones. One worker, with its store, serves
 // such a window and then the whole window twice, at seeded cut points inside
-// the last member and one on a member boundary; every result is the
-// in-process run's over the same view.
+// the last member and one on a member boundary. Then one worker serves
+// seeded [t0, t1) windows — head, tail and interior cuts — each followed by
+// the whole window. Every result is the in-process run's over the same view.
 func TestHeadCutWindowThenWholeWindow(t *testing.T) {
 	leakcheck.Check(t)
 	v, _ := makeView(t, 12, 3)
@@ -478,6 +480,43 @@ func TestHeadCutWindowThenWholeWindow(t *testing.T) {
 				}
 				if res.Degraded() {
 					t.Fatalf("request %d: degraded (%d shards lost)", i, res.DegradedShards)
+				}
+				want, _, err := fw.Run(win, p, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameValues(t, res.Data, want)
+			}
+		})
+	}
+
+	_, addr := startWorker(t, WorkerConfig{Cores: 2})
+	co := newCoord(t, []string{addr}, nil)
+	const minLen = 40
+	for i := range 12 {
+		t0, t1 := 0, nt
+		kind := [...]string{"head", "tail", "interior"}[i%3]
+		switch kind {
+		case "head":
+			t1 = minLen + rng.Intn(nt-minLen)
+		case "tail":
+			t0 = 1 + rng.Intn(nt-minLen)
+		case "interior":
+			t0 = 1 + rng.Intn(nt-minLen-1)
+			t1 = t0 + minLen + rng.Intn(nt-t0-minLen)
+		}
+		t.Run(fmt.Sprintf("%s/%d-%d", kind, t0, t1), func(t *testing.T) {
+			cut, err := v.Subset(0, nch, t0, t1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, win := range []*dass.View{cut, v} {
+				res, err := co.Run(context.Background(), Request{View: win, Params: p, Shards: 2})
+				if err != nil {
+					t.Fatalf("request %d: %v", j, err)
+				}
+				if res.Degraded() {
+					t.Fatalf("request %d: degraded (%d shards lost)", j, res.DegradedShards)
 				}
 				want, _, err := fw.Run(win, p, "")
 				if err != nil {

@@ -170,9 +170,6 @@ func (co *Coordinator) healthyCount() int {
 // connection (readiness probes report it).
 func (co *Coordinator) HealthyWorkers() int { return co.healthyCount() }
 
-// Workers returns the configured worker addresses.
-func (co *Coordinator) Workers() []string { return co.cfg.Workers }
-
 // pickLink places shard i. Its first attempt (failed nil) goes to the i-th
 // healthy link in configured order, modulo the healthy count, so a band of
 // a repeated window goes to the worker holding its tiles. A redispatch goes
@@ -414,7 +411,16 @@ func (l *workerLink) serve(conn *wire.Conn) {
 		case wire.TypeShardResult:
 			res, block, err := wire.ParseResult(f)
 			if err != nil {
+				// A header that parsed names its shard: a block that does not
+				// hold its cells fails that attempt, which redispatches like any
+				// other. No pending shard has ID 0, so an unparsed header, like
+				// a stale reply, routes to nothing.
 				cfg.Log.Warn("cluster: undecodable result", "worker", l.addr, "err", err)
+				wire.Recycle(f)
+				l.co.route(pendKey{res.ID, res.Shard}, shardReply{
+					err:    fmt.Errorf("cluster: worker %s: %w", l.addr, err),
+					worker: l.addr,
+				})
 				continue
 			}
 			l.co.route(pendKey{res.ID, res.Shard}, shardReply{res: res, block: block, frame: f, worker: l.addr})

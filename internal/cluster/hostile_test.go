@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
@@ -395,7 +396,9 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 
 // misshapenWorker is a worker reduced to its socket: it answers the
 // handshake and every shard request with reply's result, never a heartbeat.
-func misshapenWorker(t *testing.T, reply func(wire.ShardRequest) (wire.ShardResult, []float64)) string {
+// reply's last value cuts that many bytes from the encoded value block when
+// negative, or appends that many when positive, under the same header.
+func misshapenWorker(t *testing.T, reply func(wire.ShardRequest) (wire.ShardResult, []float64, int)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -429,11 +432,18 @@ func misshapenWorker(t *testing.T, reply func(wire.ShardRequest) (wire.ShardResu
 						if wire.DecodeInto(f, &req) != nil {
 							return
 						}
-						res, data := reply(req)
+						res, data, extra := reply(req)
 						res.ID, res.Shard = req.ID, req.Shard
-						if rf, err := wire.EncodeResult(res, data); err == nil {
-							_ = c.Send(rf)
+						rf, err := wire.EncodeResult(res, data)
+						if err != nil {
+							continue
 						}
+						if extra < 0 {
+							rf.Payload = rf.Payload[:len(rf.Payload)+extra]
+						} else {
+							rf.Payload = append(rf.Payload[:len(rf.Payload):len(rf.Payload)], make([]byte, extra)...)
+						}
+						_ = c.Send(rf)
 					}
 				}
 			}()
@@ -442,36 +452,83 @@ func misshapenWorker(t *testing.T, reply func(wire.ShardRequest) (wire.ShardResu
 	return ln.Addr().String()
 }
 
-// TestCoordinatorRefusesMisshapenResult: a well-formed result whose row
-// count is not its shard's is a lost shard, like one with the wrong sample
-// count — NaN-masked with its gap under FailDegrade, an error under
-// FailAbort. A row short once left a zero row reported clean, and a row
-// over wrote into the next shard or past the map.
+// misshape is what the bad shard's reply gets wrong: its header declares
+// rows and samples more (or fewer) than the shard's, and its value block
+// carries bytes more (or fewer) than that header declares.
+type misshape struct{ rows, samples, bytes int }
+
+func (m misshape) String() string {
+	return fmt.Sprintf("rows%+d,samples%+d,block%+dB", m.rows, m.samples, m.bytes)
+}
+
+// TestCoordinatorRefusesMisshapenResult: a result whose shape is not its
+// shard's, or whose value block does not hold the cells its header declares,
+// is a lost shard — NaN-masked with its gap under FailDegrade while the good
+// shard keeps its values, an error under FailAbort, and either way well
+// before the request's deadline. A row short once left a zero row reported
+// clean, a row over wrote into the next shard or past the map, and a block
+// short under a correct header left its shard waiting for the deadline with
+// the good shard's rows lost too. Beyond the fixed ±1-row and ±8-byte
+// cases, seeded ones vary the view's shape, the declared shape and the
+// block's length together.
 func TestCoordinatorRefusesMisshapenResult(t *testing.T) {
 	leakcheck.Check(t)
-	v, _ := makeView(t, 8, 1)
-	nch, nt := v.Shape()
-	const bad, value = 1, 7.0 // the last of two shards is misshapen
-	badLo, badHi := dass.Partition(nch, 2, bad)
-	for _, delta := range []int{-1, +1} {
-		addr := misshapenWorker(t, func(req wire.ShardRequest) (wire.ShardResult, []float64) {
-			rows := req.ChHi - req.ChLo
-			if req.Shard == bad {
-				rows += delta
+	type tcase struct {
+		name            string
+		channels, files int
+		m               misshape
+	}
+	cases := []tcase{
+		{"rows-1", 8, 1, misshape{rows: -1}},
+		{"rows+1", 8, 1, misshape{rows: +1}},
+		{"block-8B", 8, 1, misshape{bytes: -8}},
+		{"block+8B", 8, 1, misshape{bytes: +8}},
+	}
+	rng := rand.New(rand.NewSource(45))
+	for len(cases) < 12 {
+		c := tcase{channels: 4 + rng.Intn(9), files: 1 + rng.Intn(2)}
+		for c.m == (misshape{}) {
+			c.m = misshape{rows: rng.Intn(4) - 1, samples: rng.Intn(5) - 2}
+			if rng.Intn(3) > 0 { // else the block holds what the header declares
+				c.m.bytes = rng.Intn(41) - 20
 			}
-			data := make([]float64, rows*(req.T1-req.T0))
+		}
+		c.name = fmt.Sprintf("%dx%d/%s", c.channels, 100*c.files, c.m)
+		cases = append(cases, c)
+	}
+	const bad, value = 1, 7.0 // the last of two shards is misshapen
+	const deadline = 6 * time.Second
+	for _, tc := range cases {
+		v, _ := makeView(t, tc.channels, tc.files)
+		nch, nt := v.Shape()
+		badLo, badHi := dass.Partition(nch, 2, bad)
+		addr := misshapenWorker(t, func(req wire.ShardRequest) (wire.ShardResult, []float64, int) {
+			rows, samples, extra := req.ChHi-req.ChLo, req.T1-req.T0, 0
+			if req.Shard == bad {
+				rows, samples, extra = rows+tc.m.rows, samples+tc.m.samples, tc.m.bytes
+				if extra < -8*rows*samples {
+					extra = -8 * rows * samples // no shorter than an empty block
+				}
+			}
+			data := make([]float64, rows*samples)
 			for i := range data {
 				data[i] = value
 			}
-			return wire.ShardResult{Channels: rows, Samples: req.T1 - req.T0}, data
+			return wire.ShardResult{Channels: rows, Samples: samples}, data, extra
 		})
 		for _, policy := range []dass.FailPolicy{dass.FailDegrade, dass.FailAbort} {
-			t.Run(fmt.Sprintf("rows%+d/%s", delta, policy), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, policy), func(t *testing.T) {
 				co := newCoord(t, []string{addr}, func(c *Config) {
 					c.FailPolicy = policy
 					c.DeadAfter = time.Minute // the socket sends no heartbeat
 				})
-				res, err := co.Run(context.Background(), Request{View: v, Op: OpRead, Shards: 2})
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				defer cancel()
+				start := time.Now()
+				res, err := co.Run(ctx, Request{View: v, Op: OpRead, Shards: 2})
+				if took := time.Since(start); took > deadline/2 {
+					t.Fatalf("the run took %v of its %v deadline (err %v)", took, deadline, err)
+				}
 				if policy == dass.FailAbort {
 					if err == nil {
 						t.Fatal("a misshapen shard did not fail the run")

@@ -3,7 +3,6 @@ package daslib
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // DetrendInto writes x less its least-squares straight-line fit into dst,
@@ -248,40 +247,6 @@ func MovingAverage(x []float64, half int) []float64 {
 	return out
 }
 
-// hannCache holds the shared Hann window per length, built once like the
-// twiddle tables — STFT alone rebuilds the same window per call otherwise.
-var hannCache = struct {
-	sync.RWMutex
-	m map[int][]float64
-}{m: map[int][]float64{}}
-
-// hannWin returns the cached n-point Hann window. The returned slice is
-// shared and must not be modified.
-func hannWin(n int) []float64 {
-	hannCache.RLock()
-	w, ok := hannCache.m[n]
-	hannCache.RUnlock()
-	if ok {
-		return w
-	}
-	w = make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-	} else {
-		for i := range w {
-			w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-		}
-	}
-	hannCache.Lock()
-	if have, ok := hannCache.m[n]; ok {
-		w = have
-	} else {
-		hannCache.m[n] = w
-	}
-	hannCache.Unlock()
-	return w
-}
-
 // besselI0 evaluates the zeroth-order modified Bessel function by series.
 func besselI0(x float64) float64 {
 	sum := 1.0
@@ -297,75 +262,35 @@ func besselI0(x float64) float64 {
 	return sum
 }
 
-// kaiserCache holds the shared Kaiser window per (n, beta) — Resample's
-// anti-aliasing design rebuilds the same window for every call otherwise.
-var kaiserCache = struct {
-	sync.RWMutex
-	m map[kaiserKey][]float64
-}{m: map[kaiserKey][]float64{}}
-
-type kaiserKey struct {
-	n    int
-	beta float64
-}
-
-// kaiserWin returns the cached n-point Kaiser window. The returned slice is
-// shared and must not be modified.
+// kaiserWin returns the n-point Kaiser window. Its one caller builds a
+// resample plan, which is itself built once per ratio.
 func kaiserWin(n int, beta float64) []float64 {
-	key := kaiserKey{n, beta}
-	kaiserCache.RLock()
-	w, ok := kaiserCache.m[key]
-	kaiserCache.RUnlock()
-	if ok {
-		return w
-	}
-	w = make([]float64, n)
+	w := make([]float64, n)
 	if n == 1 {
 		w[0] = 1
-	} else {
-		denom := besselI0(beta)
-		m := float64(n - 1)
-		for i := range w {
-			t := 2*float64(i)/m - 1
-			w[i] = besselI0(beta*math.Sqrt(1-t*t)) / denom
-		}
+		return w
 	}
-	kaiserCache.Lock()
-	if have, ok := kaiserCache.m[key]; ok {
-		w = have
-	} else {
-		kaiserCache.m[key] = w
+	denom := besselI0(beta)
+	m := float64(n - 1)
+	for i := range w {
+		t := 2*float64(i)/m - 1
+		w[i] = besselI0(beta*math.Sqrt(1-t*t)) / denom
 	}
-	kaiserCache.Unlock()
 	return w
 }
 
-// taperCache holds the shared cosine ramp per taper width w: ramp[i] =
+// taperRamps holds the shared cosine ramp per taper width w: ramp[i] =
 // 0.5·(1-cos(πi/w)). Detection pipelines taper every channel of every
 // window with the same width, so the trig is paid once.
-var taperCache = struct {
-	sync.RWMutex
-	m map[int][]float64
-}{m: map[int][]float64{}}
+var taperRamps memo[int, []float64]
 
-func taperRamp(w int) []float64 {
-	taperCache.RLock()
-	r, ok := taperCache.m[w]
-	taperCache.RUnlock()
-	if ok {
-		return r
-	}
-	r = make([]float64, w)
+func taperRamp(w int) []float64 { return taperRamps.get(w, newTaperRamp) }
+
+func newTaperRamp(w int) []float64 {
+	r := make([]float64, w)
 	for i := range r {
 		r[i] = 0.5 * (1 - math.Cos(math.Pi*float64(i)/float64(w)))
 	}
-	taperCache.Lock()
-	if have, ok := taperCache.m[w]; ok {
-		r = have
-	} else {
-		taperCache.m[w] = r
-	}
-	taperCache.Unlock()
 	return r
 }
 

@@ -334,16 +334,6 @@ func TestMovingAverage(t *testing.T) {
 }
 
 func TestWindows(t *testing.T) {
-	h := hannWin(5)
-	want := []float64{0, 0.5, 1, 0.5, 0}
-	for i := range want {
-		if math.Abs(h[i]-want[i]) > 1e-12 {
-			t.Errorf("Hann[%d] = %g, want %g", i, h[i], want[i])
-		}
-	}
-	if got := hannWin(1); got[0] != 1 {
-		t.Error("Hann(1) should be [1]")
-	}
 	k := kaiserWin(11, 5)
 	if math.Abs(k[5]-1) > 1e-12 {
 		t.Errorf("Kaiser center = %g, want 1", k[5])

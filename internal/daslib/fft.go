@@ -4,9 +4,9 @@
 // one signature: it writes into a destination the caller owns and borrows its
 // intermediates from a *Scratch (nil = allocate fresh). The hybrid execution
 // engine (internal/haee) parallelizes these kernels over channels; nothing in
-// this package spawns goroutines or holds mutable global state —
-// the package-level caches (twiddles, windows, plans) are immutable once
-// published.
+// this package spawns goroutines or holds mutable global state — the
+// package-level tables (plans, twiddles, resample FIRs, taper ramps; see
+// memo) are immutable once published.
 package daslib
 
 import (
@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
 )
 
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
@@ -25,37 +24,18 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// twiddleCache holds precomputed unit-circle factors per transform size.
-// DAS pipelines transform the same window length millions of times, so the
-// cache pays for itself immediately; entries are immutable once stored.
-// A plain RWMutex-guarded map (not sync.Map) keeps the hit path free of
-// interface boxing, so lookups cost no allocation.
-var twiddleCache = struct {
-	sync.RWMutex
-	m map[int][]complex128
-}{m: map[int][]complex128{}}
+var twiddleTables memo[int, []complex128]
 
-// twiddles returns exp(-2πi·k/n) for k in [0, n/2). The returned slice is
-// shared and must not be modified.
-func twiddles(n int) []complex128 {
-	twiddleCache.RLock()
-	tw, ok := twiddleCache.m[n]
-	twiddleCache.RUnlock()
-	if ok {
-		return tw
-	}
-	tw = make([]complex128, n/2)
+// twiddles returns exp(-2πi·k/n) for k in [0, n/2), built once per size. The
+// returned slice is shared and must not be modified.
+func twiddles(n int) []complex128 { return twiddleTables.get(n, newTwiddles) }
+
+func newTwiddles(n int) []complex128 {
+	tw := make([]complex128, n/2)
 	for k := range tw {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		tw[k] = complex(c, s)
 	}
-	twiddleCache.Lock()
-	if have, ok := twiddleCache.m[n]; ok {
-		tw = have
-	} else {
-		twiddleCache.m[n] = tw
-	}
-	twiddleCache.Unlock()
 	return tw
 }
 

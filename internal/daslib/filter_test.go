@@ -397,3 +397,71 @@ func TestButterStabilityAcrossDesigns(t *testing.T) {
 		}
 	}
 }
+
+func TestButterBandstopResponse(t *testing.T) {
+	lo, hi := 0.25, 0.4
+	b, a, err := Butter(3, Bandstop, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != 7 || len(a) != 7 {
+		t.Fatalf("bandstop order 3 should give 7 coefficients, got %d/%d", len(b), len(a))
+	}
+	if g := FreqzMag(b, a, 1e-9); math.Abs(g-1) > 1e-6 {
+		t.Errorf("DC gain = %g, want 1", g)
+	}
+	if g := FreqzMag(b, a, 0.999999); math.Abs(g-1) > 1e-4 {
+		t.Errorf("Nyquist gain = %g, want 1", g)
+	}
+	center := math.Sqrt(lo * hi)
+	if g := FreqzMag(b, a, center); g > 1e-3 {
+		t.Errorf("notch center gain = %g, want ≈0", g)
+	}
+	for _, edge := range []float64{lo, hi} {
+		if g := FreqzMag(b, a, edge); math.Abs(g-math.Sqrt(0.5)) > 1e-5 {
+			t.Errorf("edge %g gain = %g, want -3dB", edge, g)
+		}
+	}
+	if Bandstop.String() != "bandstop" {
+		t.Error("Bandstop.String broken")
+	}
+}
+
+func TestFilterConveniences(t *testing.T) {
+	rate := 500.0
+	n := 4000
+	x := make([]float64, n)
+	for i := range x {
+		ti := float64(i) / rate
+		x[i] = math.Sin(2*math.Pi*5*ti) + math.Sin(2*math.Pi*60*ti) + math.Sin(2*math.Pi*150*ti)
+	}
+	// Lowpass keeps 5 Hz, kills 150 Hz.
+	y := butterFiltFiltOf(t, x, 4, Lowpass, rate, 20)
+	ref5 := sine(n, 5, rate)
+	if c := AbsCorr(y[500:3500], ref5[500:3500]); c < 0.95 {
+		t.Errorf("lowpass correlation with 5 Hz = %g", c)
+	}
+	// Highpass keeps 150 Hz.
+	y = butterFiltFiltOf(t, x, 4, Highpass, rate, 100)
+	ref150 := sine(n, 150, rate)
+	if c := AbsCorr(y[500:3500], ref150[500:3500]); c < 0.95 {
+		t.Errorf("highpass correlation with 150 Hz = %g", c)
+	}
+	// Notch removes 60 Hz hum, keeps the rest.
+	y = butterFiltFiltOf(t, x, 3, Bandstop, rate, 50, 70)
+	spec := rfftOf(y[500:3572])
+	var at60, at5 float64
+	for i := range spec {
+		f := fftFreqAbs(i, len(spec), rate)
+		mag := math.Hypot(real(spec[i]), imag(spec[i]))
+		if math.Abs(f-60) < 0.5 {
+			at60 = math.Max(at60, mag)
+		}
+		if math.Abs(f-5) < 0.5 {
+			at5 = math.Max(at5, mag)
+		}
+	}
+	if at60 > at5/20 {
+		t.Errorf("notch left 60 Hz at %g vs 5 Hz at %g", at60, at5)
+	}
+}

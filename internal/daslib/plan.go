@@ -3,7 +3,6 @@ package daslib
 import (
 	"math"
 	"math/cmplx"
-	"sync"
 )
 
 // Plan holds everything size-dependent a transform of length n needs:
@@ -27,32 +26,10 @@ type Plan struct {
 	bhat  []complex128 // forward FFT of the conjugate-chirp kernel, length conv.n
 }
 
-// planCache maps transform size to its Plan. Guarded by a plain RWMutex so
-// the hit path performs no interface boxing (sync.Map would allocate per
-// lookup for keys ≥ 256).
-var planCache = struct {
-	sync.RWMutex
-	m map[int]*Plan
-}{m: map[int]*Plan{}}
+var plans memo[int, *Plan]
 
 // PlanFFT returns the (cached) plan for transforms of length n ≥ 1.
-func PlanFFT(n int) *Plan {
-	planCache.RLock()
-	p, ok := planCache.m[n]
-	planCache.RUnlock()
-	if ok {
-		return p
-	}
-	p = newPlan(n)
-	planCache.Lock()
-	if have, ok := planCache.m[n]; ok {
-		p = have
-	} else {
-		planCache.m[n] = p
-	}
-	planCache.Unlock()
-	return p
-}
+func PlanFFT(n int) *Plan { return plans.get(n, newPlan) }
 
 func newPlan(n int) *Plan {
 	p := &Plan{n: n}

@@ -3,7 +3,6 @@ package daslib
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // gcd returns the greatest common divisor of a and b (both positive).
@@ -25,21 +24,16 @@ type resamplePlan struct {
 	hrev   []float64 // h reversed: hrev[j] = h[length-1-j], the decimation pass's window-aligned taps
 }
 
-var resampleCache = struct {
-	sync.RWMutex
-	m map[[2]int]*resamplePlan
-}{m: map[[2]int]*resamplePlan{}}
+var resamplePlans memo[[2]int, *resamplePlan]
 
 // resamplePlanFor returns the cached plan for the already-gcd-reduced
 // ratio p/q.
 func resamplePlanFor(p, q int) *resamplePlan {
-	key := [2]int{p, q}
-	resampleCache.RLock()
-	rp, ok := resampleCache.m[key]
-	resampleCache.RUnlock()
-	if ok {
-		return rp
-	}
+	return resamplePlans.get([2]int{p, q}, newResamplePlan)
+}
+
+func newResamplePlan(pq [2]int) *resamplePlan {
+	p, q := pq[0], pq[1]
 	// Anti-aliasing lowpass at min(π/p, π/q) in the upsampled domain.
 	// MATLAB default: N = 10, Kaiser beta = 5, length 2*N*max(p,q)+1.
 	const nTaps = 10
@@ -72,15 +66,7 @@ func resamplePlanFor(p, q int) *resamplePlan {
 	for i, v := range h {
 		hrev[length-1-i] = v
 	}
-	rp = &resamplePlan{p: p, q: q, half: half, length: length, h: h, hrev: hrev}
-	resampleCache.Lock()
-	if have, ok := resampleCache.m[key]; ok {
-		rp = have
-	} else {
-		resampleCache.m[key] = rp
-	}
-	resampleCache.Unlock()
-	return rp
+	return &resamplePlan{p: p, q: q, half: half, length: length, h: h, hrev: hrev}
 }
 
 // ResampleLen returns the output length of ResampleInto for an input of

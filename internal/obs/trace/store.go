@@ -133,7 +133,8 @@ func (s *Store) Add(td *TraceData) {
 	}
 }
 
-// Recent returns the ring's traces, newest first.
+// Recent returns the ring's traces, most recently added first. A trace is
+// added when its root ends, so this is end order, not start order.
 func (s *Store) Recent() []*TraceData {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -166,11 +166,19 @@ func TestStoreEvictionUnderChurn(t *testing.T) {
 	if len(st.Slowest()) != 4 {
 		t.Fatalf("slowest holds %d, want 4", len(st.Slowest()))
 	}
-	// Recent is newest-first.
-	for i := 1; i < len(recent); i++ {
-		if recent[i-1].StartUnixNano < recent[i].StartUnixNano {
-			t.Fatal("Recent not newest-first")
+	// Recent is most recently added first. Across goroutines the add order
+	// is the scheduler's, but each goroutine adds its own traces in i order,
+	// so within one goroutine's op-g-i the ring must give descending i.
+	last := map[int]int{}
+	for _, td := range recent {
+		var g, i int
+		if _, err := fmt.Sscanf(td.Root, "op-%d-%d", &g, &i); err != nil {
+			t.Fatalf("root %q: %v", td.Root, err)
 		}
+		if prev, seen := last[g]; seen && i >= prev {
+			t.Fatalf("Recent gives op-%d-%d after op-%d-%d: not most recently added first", g, i, g, prev)
+		}
+		last[g] = i
 	}
 }
 

@@ -34,8 +34,11 @@ var opPins = map[string]opPin{
 	// oracle's products in another order.
 	"localsimi": {0xd39e5653cb41cd9e, 0xb4f7b250cbe31758, 1e-12, localSimiDirect},
 	// The normalised lags of an FFT correlation against a time-domain sum.
-	"interferometry": {0x67ec55805ab2b7f4, 0xc2958ef55e89c4bc, 1e-12, interferometryDirect},
-	"stacked":        {0x3d48bb77bda261db, 0x34ba599a2ff94795, 1e-12, stackedDirect},
+	// The folded decimator (exact zero taps, pairs summed) moved both hashes
+	// from clean 0x67ec55805ab2b7f4, gap 0xc2958ef55e89c4bc (interferometry)
+	// and clean 0x3d48bb77bda261db, gap 0x34ba599a2ff94795 (stacked).
+	"interferometry": {0xb2328ec1a8b64de1, 0x0e58537ae562d9ff, 1e-12, interferometryDirect},
+	"stacked":        {0x6efc5ab4648dddaf, 0x6214c327cb2a65b4, 1e-12, stackedDirect},
 	// Window energies from running partial sums against a sum per cell.
 	"stalta": {0x125372bb466c300f, 0x3fa1ba761988862e, 1e-12, staltaDirect},
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // Every kernel has one signature, so what these tests pin is the kernel
-// against a naive oracle (dftNaive, xcorrDirectLags, resampleDirect) and the
-// arena against its absence: a kernel run on a reused arena whose buffers
-// another call left dirty must produce the bits it produces with a nil arena
-// — over randomized inputs, including odd and prime lengths that take the
-// Bluestein path — so a kernel that reads a borrowed buffer before writing
-// it, or an "optimization" that makes rounding depend on the arena, fails
-// loudly.
+// against a naive oracle (dftNaive, xcorrDirectLags, resampleDirect,
+// decimateFoldedDirect) and the arena against its absence: a kernel run on a
+// reused arena whose buffers another call left dirty must produce the bits
+// it produces with a nil arena — over randomized inputs, including odd and
+// prime lengths that take the Bluestein path — so a kernel that reads a
+// borrowed buffer before writing it, or an "optimization" that makes
+// rounding depend on the arena, fails loudly.
 
 // testLengths mixes power-of-two (radix-2), odd, and prime (Bluestein)
 // sizes.
@@ -237,6 +237,36 @@ func resampleDirect(x []float64, p, q int) []float64 {
 	return out
 }
 
+// decimateFoldedDirect is the direct form of the folded decimator, read off
+// the whole tap array: the centre product, then for each offset d ascending
+// whose tap is not zero, the tap times the sum of the pair of samples d
+// either side, a pair clipped to its in-range sample.
+func decimateFoldedDirect(x []float64, q int) []float64 {
+	rp := resamplePlanFor(1, q)
+	h, half := rp.h, rp.half
+	out := make([]float64, ResampleLen(len(x), 1, q))
+	for m := range out {
+		c := m * q
+		acc := h[half] * x[c]
+		for d := 1; d <= half; d++ {
+			if h[half+d] == 0 {
+				continue
+			}
+			l, r := c-d, c+d
+			switch {
+			case l >= 0 && r < len(x):
+				acc += h[half+d] * (x[l] + x[r])
+			case l >= 0:
+				acc += h[half+d] * x[l]
+			case r < len(x):
+				acc += h[half+d] * x[r]
+			}
+		}
+		out[m] = acc
+	}
+	return out
+}
+
 func TestResampleIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, c := range []struct{ n, p, q int }{{128, 1, 2}, {1000, 2, 5}, {997, 3, 7}, {4096, 1, 4}, {50, 4, 6}, {7, 5, 1}} {
@@ -245,7 +275,11 @@ func TestResampleIntoBitIdentical(t *testing.T) {
 		if err := ResampleInto(dst, x, c.p, c.q, nil); err != nil {
 			t.Fatal(err)
 		}
-		bitIdenticalF(t, "ResampleInto", c.n, dst, resampleDirect(x, c.p, c.q))
+		if g := gcd(c.p, c.q); c.p/g == 1 {
+			bitIdenticalF(t, "ResampleInto folded", c.n, dst, decimateFoldedDirect(x, c.q/g))
+		} else {
+			bitIdenticalF(t, "ResampleInto", c.n, dst, resampleDirect(x, c.p, c.q))
+		}
 	}
 }
 

@@ -15,13 +15,18 @@ func gcd(a, b int) int {
 
 // resamplePlan holds the polyphase anti-aliasing FIR for a reduced p/q
 // ratio: the design (Kaiser window, windowed sinc, DC normalization) is
-// computed once per ratio and shared.
+// computed once per ratio and shared. The taps are exactly symmetric about
+// h[half], and every tap a nonzero multiple of max(p, q) from the centre is
+// exactly 0. The decimation pass sums only the others, folded: offs holds
+// the offsets d of the nonzero taps right of the centre, in ascending
+// order, and taps[j] = h[half+offs[j]].
 type resamplePlan struct {
 	p, q   int
 	half   int
 	length int
 	h      []float64
-	hrev   []float64 // h reversed: hrev[j] = h[length-1-j], the decimation pass's window-aligned taps
+	offs   []int
+	taps   []float64
 }
 
 var resamplePlans memo[[2]int, *resamplePlan]
@@ -44,29 +49,36 @@ func newResamplePlan(pq [2]int) *resamplePlan {
 	fc := 1.0 / float64(2*maxPQ) // cycles/sample in the upsampled domain
 	win := kaiserWin(length, beta)
 	h := make([]float64, length)
-	var sum float64
-	for i := range h {
-		t := float64(i - half)
-		var s float64
-		if t == 0 {
-			s = 2 * fc
-		} else {
-			s = math.Sin(2*math.Pi*fc*t) / (math.Pi * t)
+	// The right half is designed and mirrored. The ideal response
+	// sin(πd/maxPQ)/(πd) is zero at every nonzero multiple of maxPQ; those
+	// taps are set to 0 rather than computed as the sine of a rounded
+	// multiple of π.
+	h[half] = 2 * fc * win[half]
+	for d := 1; d <= half; d++ {
+		if d%maxPQ != 0 {
+			t := float64(d)
+			h[half+d] = math.Sin(2*math.Pi*fc*t) / (math.Pi * t) * win[half+d]
 		}
-		h[i] = s * win[i]
-		sum += h[i]
+		h[half-d] = h[half+d]
 	}
 	// Normalize DC gain to p (upsampling inserts p-1 zeros, which divides
 	// the signal's amplitude by p before filtering).
+	var sum float64
+	for _, v := range h {
+		sum += v
+	}
 	scale := float64(p) / sum
+	rp := &resamplePlan{p: p, q: q, half: half, length: length, h: h}
 	for i := range h {
 		h[i] *= scale
 	}
-	hrev := make([]float64, length)
-	for i, v := range h {
-		hrev[length-1-i] = v
+	for d := 1; d <= half; d++ {
+		if h[half+d] != 0 {
+			rp.offs = append(rp.offs, d)
+			rp.taps = append(rp.taps, h[half+d])
+		}
 	}
-	return &resamplePlan{p: p, q: q, half: half, length: length, h: h, hrev: hrev}
+	return rp
 }
 
 // ResampleLen returns the output length of ResampleInto for an input of
@@ -85,9 +97,16 @@ func ResampleLen(n, p, q int) int {
 // resample(x, p, q) — the paper's Das_resample. dst has ResampleLen(len(x),
 // p, q) = ceil(len(x)·p/q) samples and is group-delay compensated, so dst[k]
 // corresponds to x at time k·q/p. The FIR design comes from the per-ratio
-// plan cache and the polyphase loop writes straight into dst, so the call
-// does not allocate. The scratch parameter is accepted for signature
-// symmetry with the other Into kernels; this kernel needs no intermediates.
+// plan cache and the loops write straight into dst, so the call does not
+// allocate. The scratch parameter is accepted for signature symmetry with
+// the other Into kernels; this kernel needs no intermediates.
+//
+// NaN: a decimation (p == 1) output sums only the samples at the filter's
+// nonzero taps, so it is NaN exactly when one of those holds a NaN; a NaN
+// at a tap that is zero by design (an offset from the centre that is a
+// nonzero multiple of q) does not reach it. With p > 1 every tap of the
+// output's polyphase branch multiplies its sample, zero taps included, so a
+// NaN the branch reaches poisons the output.
 func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 	if p < 1 || q < 1 {
 		return fmt.Errorf("daslib: Resample factors must be positive, got %d/%d", p, q)
@@ -108,46 +127,72 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 		rp.scalar(dst, x, 0, outLen)
 		return nil
 	}
-	// Decimation (p == 1): y[m] = sum_k h[k] · x[m*q + half - k]. Outputs
-	// whose whole tap window lies inside x — m*q in [half, len(x)-1-half] —
-	// are computed four per pass over re-sliced windows, each accumulator
-	// summing its taps in the scalar loop's order (k ascending), so the
-	// result is bit-identical; the edges keep the scalar loop.
-	hrev, half := rp.hrev, rp.half
+	// Decimation (p == 1), folded: y[m] = h[half]·x[mq] + Σ_d h[half+d] ·
+	// (x[mq−d] + x[mq+d]) over the nonzero offsets d, ascending. Outputs
+	// whose whole window lies inside x — mq in [half, len(x)-1-half] — are
+	// computed four per pass, each accumulator adding its terms in folded's
+	// order, so the result is bit-identical to it; the edges run folded.
+	offs, taps, h0, half := rp.offs, rp.taps[:len(rp.offs)], rp.h[rp.half], rp.half
 	lo := min((half+q-1)/q, outLen)
 	hi := lo
 	if last := len(x) - 1 - half; last >= lo*q {
 		hi = last/q + 1
 	}
-	rp.scalar(dst, x, 0, lo)
+	rp.folded(dst, x, 0, lo)
 	m := lo
 	for ; m+4 <= hi; m += 4 {
-		c := m*q - half // first sample of output m's window
-		w0 := x[c:][:len(hrev)]
-		w1 := x[c+q:][:len(hrev)]
-		w2 := x[c+2*q:][:len(hrev)]
-		w3 := x[c+3*q:][:len(hrev)]
-		var a0, a1, a2, a3 float64
-		for j := len(hrev) - 1; j >= 0; j-- { // j descending = tap k ascending
-			hk := hrev[j]
-			a0 += hk * w0[j]
-			a1 += hk * w1[j]
-			a2 += hk * w2[j]
-			a3 += hk * w3[j]
+		c := m * q
+		w := x[c-half : c+3*q+half+1]
+		c0, c1, c2, c3 := half, half+q, half+2*q, half+3*q
+		a0, a1, a2, a3 := h0*w[c0], h0*w[c1], h0*w[c2], h0*w[c3]
+		for j, d := range offs {
+			t := taps[j]
+			a0 += t * (w[c0-d] + w[c0+d])
+			a1 += t * (w[c1-d] + w[c1+d])
+			a2 += t * (w[c2-d] + w[c2+d])
+			a3 += t * (w[c3-d] + w[c3+d])
 		}
 		dst[m], dst[m+1], dst[m+2], dst[m+3] = a0, a1, a2, a3
 	}
-	rp.scalar(dst, x, m, outLen)
+	rp.folded(dst, x, m, outLen)
 	return nil
+}
+
+// folded computes decimation outputs [lo, hi) one at a time in the folded
+// order: h[half]·x[mq], then each nonzero offset d ascending adds
+// h[half+d]·(x[mq−d] + x[mq+d]), a pair clipped to its in-range sample at
+// the edges of x. It is the reference the four-output pass reproduces bit
+// for bit (TestResampleDecimateMatchesScalar).
+func (rp *resamplePlan) folded(dst, x []float64, lo, hi int) {
+	q, h0 := rp.q, rp.h[rp.half]
+	for m := lo; m < hi; m++ {
+		c := m * q
+		acc := h0 * x[c]
+		for j, d := range rp.offs {
+			var s float64
+			switch l, r := c-d, c+d; {
+			case l >= 0 && r < len(x):
+				s = x[l] + x[r]
+			case l >= 0:
+				s = x[l]
+			case r < len(x):
+				s = x[r]
+			default:
+				continue
+			}
+			acc += rp.taps[j] * s
+		}
+		dst[m] = acc
+	}
 }
 
 // scalar computes outputs [lo, hi) of the polyphase resample one serial add
 // chain at a time: y[m] = sum_k h[k] · xup[m*q + half - k], where xup[i] =
 // x[i/p] when i % p == 0. The +half centers the filter, compensating group
 // delay. Along one polyphase branch the source index decreases by exactly
-// one per tap, so it is carried down the loop instead of divided out. This
-// is the reference summation order the four-output decimation pass
-// reproduces (TestResampleDecimateMatchesScalar).
+// one per tap, so it is carried down the loop instead of divided out. The
+// upsampling branch (p > 1) runs it; TestResampleIntoBitIdentical holds it
+// to the direct form.
 func (rp *resamplePlan) scalar(dst, x []float64, lo, hi int) {
 	p, q, h, half, length := rp.p, rp.q, rp.h, rp.half, rp.length
 	for m := lo; m < hi; m++ {

@@ -130,8 +130,10 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 	// Decimation (p == 1), folded: y[m] = h[half]·x[mq] + Σ_d h[half+d] ·
 	// (x[mq−d] + x[mq+d]) over the nonzero offsets d, ascending. Outputs
 	// whose whole window lies inside x — mq in [half, len(x)-1-half] — are
-	// computed four per pass, each accumulator adding its terms in folded's
-	// order, so the result is bit-identical to it; the edges run folded.
+	// computed eight per pass, eight independent add chains over one
+	// window (a single chain an output waits on each add's latency), each
+	// adding its terms in folded's order, so the result is bit-identical
+	// to it; the edges and the remainder run folded.
 	offs, taps, h0, half := rp.offs, rp.taps[:len(rp.offs)], rp.h[rp.half], rp.half
 	lo := min((half+q-1)/q, outLen)
 	hi := lo
@@ -140,19 +142,26 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 	}
 	rp.folded(dst, x, 0, lo)
 	m := lo
-	for ; m+4 <= hi; m += 4 {
+	for ; m+8 <= hi; m += 8 {
 		c := m * q
-		w := x[c-half : c+3*q+half+1]
+		w := x[c-half : c+7*q+half+1]
 		c0, c1, c2, c3 := half, half+q, half+2*q, half+3*q
+		c4, c5, c6, c7 := half+4*q, half+5*q, half+6*q, half+7*q
 		a0, a1, a2, a3 := h0*w[c0], h0*w[c1], h0*w[c2], h0*w[c3]
+		a4, a5, a6, a7 := h0*w[c4], h0*w[c5], h0*w[c6], h0*w[c7]
 		for j, d := range offs {
 			t := taps[j]
 			a0 += t * (w[c0-d] + w[c0+d])
 			a1 += t * (w[c1-d] + w[c1+d])
 			a2 += t * (w[c2-d] + w[c2+d])
 			a3 += t * (w[c3-d] + w[c3+d])
+			a4 += t * (w[c4-d] + w[c4+d])
+			a5 += t * (w[c5-d] + w[c5+d])
+			a6 += t * (w[c6-d] + w[c6+d])
+			a7 += t * (w[c7-d] + w[c7+d])
 		}
 		dst[m], dst[m+1], dst[m+2], dst[m+3] = a0, a1, a2, a3
+		dst[m+4], dst[m+5], dst[m+6], dst[m+7] = a4, a5, a6, a7
 	}
 	rp.folded(dst, x, m, outLen)
 	return nil
@@ -161,7 +170,7 @@ func ResampleInto(dst, x []float64, p, q int, _ *Scratch) error {
 // folded computes decimation outputs [lo, hi) one at a time in the folded
 // order: h[half]·x[mq], then each nonzero offset d ascending adds
 // h[half+d]·(x[mq−d] + x[mq+d]), a pair clipped to its in-range sample at
-// the edges of x. It is the reference the four-output pass reproduces bit
+// the edges of x. It is the reference the eight-output pass reproduces bit
 // for bit (TestResampleDecimateMatchesScalar).
 func (rp *resamplePlan) folded(dst, x []float64, lo, hi int) {
 	q, h0 := rp.q, rp.h[rp.half]

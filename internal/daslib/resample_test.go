@@ -132,9 +132,9 @@ func TestResampleRejectsAliases(t *testing.T) {
 	}
 }
 
-// TestResampleDecimateMatchesScalar pins the four-output decimation pass to
+// TestResampleDecimateMatchesScalar pins the eight-output decimation pass to
 // the folded scalar loop, bit for bit: every length that puts the
-// interior/edge boundaries and the 4-wide remainder somewhere different,
+// interior/edge boundaries and the 8-wide remainder somewhere different,
 // plus the benchmark's row length.
 func TestResampleDecimateMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -260,7 +260,7 @@ func TestResampleNearParentDesign(t *testing.T) {
 
 // TestResampleNaNReach: a decimation output is NaN exactly when a NaN sits
 // at one of its nonzero taps — the centre x[mq], or an offset d ≤ 10q that
-// is not a multiple of q — at the edges and through the four-output pass.
+// is not a multiple of q — at the edges and through the eight-output pass.
 func TestResampleNaNReach(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, c := range []struct{ q, n int }{{2, 97}, {3, 131}, {2, 15}, {3, 40}} {

@@ -68,10 +68,10 @@ func newResamplePlan(pq [2]int) *resamplePlan {
 		sum += v
 	}
 	scale := float64(p) / sum
-	rp := &resamplePlan{p: p, q: q, half: half, length: length, h: h}
 	for i := range h {
 		h[i] *= scale
 	}
+	rp := &resamplePlan{p: p, q: q, half: half, length: length, h: h}
 	for d := 1; d <= half; d++ {
 		if h[half+d] != 0 {
 			rp.offs = append(rp.offs, d)

@@ -292,7 +292,11 @@ func TestResampleNaNReach(t *testing.T) {
 func BenchmarkResampleDecimate(b *testing.B) {
 	x := randFloats(rand.New(rand.NewSource(1)), 64000)
 	dst := make([]float64, ResampleLen(len(x), 1, 2))
+	if err := ResampleInto(dst, x, 1, 2, nil); err != nil { // warm the plan cache
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ResampleInto(dst, x, 1, 2, nil); err != nil {
 			b.Fatal(err)

@@ -219,13 +219,29 @@ type Block struct {
 	Ghost int // ghost width actually applied below ChLo
 }
 
-// LoadBlock reads the calling rank's ghost-extended channel block. The
-// strategy runs on every rank — including ranks whose partition is empty —
-// because strategies may contain collective operations. The QualityReport
-// is non-nil only on rank 0 under dass.FailDegrade.
+// Cells is a rectangle of a workload's output: the kept rows [ChLo, ChHi) of
+// a view × the kept cells [C0, C1) of each row. Only these are scored; the
+// rows and samples around them that the stencils reach are read, as ghost
+// zones are, and clamp at the view's edges.
+type Cells struct{ ChLo, ChHi, C0, C1 int }
+
+// LoadBlock reads the calling rank's ghost-extended block of the whole view:
+// Cells.Load over every row.
 func LoadBlock(c *mpi.Comm, v *dass.View, spec Spec) (Block, pfs.Trace, *dass.QualityReport) {
 	nch, _ := v.Shape()
-	lo, hi := dass.Partition(nch, c.Size(), c.Rank())
+	return Cells{ChHi: nch}.Load(c, v, spec)
+}
+
+// Load reads the calling rank's block of k's rows: the ranks partition
+// [k.ChLo, k.ChHi), and each reads its share widened by spec.GhostChannels,
+// clamped to the view. The strategy runs on every rank — including ranks
+// whose partition is empty — because strategies may contain collective
+// operations. The QualityReport is non-nil only on rank 0 under
+// dass.FailDegrade.
+func (k Cells) Load(c *mpi.Comm, v *dass.View, spec Spec) (Block, pfs.Trace, *dass.QualityReport) {
+	nch, _ := v.Shape()
+	lo, hi := dass.Partition(k.ChHi-k.ChLo, c.Size(), c.Rank())
+	lo, hi = lo+k.ChLo, hi+k.ChLo
 	gLo := max(lo-spec.GhostChannels, 0)
 	gHi := min(hi+spec.GhostChannels, nch)
 	if lo >= hi {
@@ -303,7 +319,8 @@ func Apply(c *mpi.Comm, v *dass.View, spec Spec, udf PointUDF) Result {
 }
 
 // Gather assembles the per-rank results into the full output on rank 0
-// (nil on other ranks).
+// (nil on other ranks): totalChannels rows, each rank's at its partition of
+// them, which for a run over kept rows is its share of those rows.
 func Gather(c *mpi.Comm, totalChannels int, res Result) *dasf.Array2D {
 	var flat []float64
 	if res.Data != nil {

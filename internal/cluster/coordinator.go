@@ -525,8 +525,8 @@ func (co *Coordinator) run(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	// One band per healthy worker, as HAEE runs one rank per node: the
-	// worker's own team computes the band, and fewer bands compute fewer
-	// halo rows twice.
+	// worker's own team computes the band, and fewer bands read fewer halo
+	// rows twice.
 	nshards := req.Shards
 	if nshards <= 0 {
 		nshards = max(co.healthyCount(), 1)

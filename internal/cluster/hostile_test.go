@@ -31,8 +31,8 @@ import (
 
 // TestExecuteShardRejectsHostileFrames tables the frames whose numbers used
 // to reach an index or an allocation unchecked. The frame carries no halo:
-// the worker takes the reach from the op it decodes, so a negative or huge
-// one cannot be sent.
+// the engine takes the reach from the op the worker decodes, so a negative or
+// huge one cannot be sent.
 func TestExecuteShardRejectsHostileFrames(t *testing.T) {
 	v, _ := makeView(t, 8, 2)
 	files, err := filesOf(v)

@@ -450,11 +450,12 @@ func (w *Worker) execute(ctx context.Context, req wire.ShardRequest) (wire.Shard
 
 // computeShard runs one shard's slice of the pipeline the way dassd runs a
 // window: rebuild the view with dass.ViewOver, bound the op against the
-// request window and take its channel reach, subset to the shard rows plus
-// that reach, and run the op under FailDegrade — assembled from st's tiles
-// when the shard spans its files whole — into the reply's value block, which
-// holds the core rows only. Gaps are lifted back to absolute channel
-// coordinates.
+// request window, and run it over that window keeping the shard's rows under
+// FailDegrade — assembled from st's tiles when the shard spans its files
+// whole — into the reply's value block. The engine reads the rows around
+// them that the op reaches, clamped at the window's edges as the in-process
+// stencil clamps at the view's. A read takes the shard's rows alone. Gaps
+// are lifted back to absolute channel coordinates.
 func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *scores.LRU) (wire.ShardResult, wire.ResultBuf, error) {
 	entries := entriesOf(req.Files)
 	full, err := dass.ViewOver(entries)
@@ -469,12 +470,10 @@ func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 			req.ChLo, req.ChHi, req.WinChLo, req.WinChHi, req.T0, req.T1, nch, nt)
 	}
 	// The parameter block is bytes from the network: decode it, then bound
-	// it against the request window, as the coordinator did, before its
-	// reach widens the read. The reach is clamped to the window's rows — the
-	// in-process stencil clamps at the view's edge, so a shard touching it
-	// must — and the window sits inside the view ViewOver bounded.
+	// it against the request window, as the coordinator did, before the
+	// engine reads around the shard's rows.
 	var p detect.Params
-	halo, samples := 0, req.T1-req.T0
+	lo, hi, samples := req.ChLo, req.ChHi, req.T1-req.T0
 	if Op(req.Op) != OpRead {
 		if p, err = detect.Decode(req.Op, req.Params); err != nil {
 			return wire.ShardResult{}, wire.ResultBuf{}, err
@@ -483,11 +482,9 @@ func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 		if err != nil {
 			return wire.ShardResult{}, wire.ResultBuf{}, err
 		}
-		halo, samples = w.Spec.GhostChannels, w.OutSamples(samples)
+		lo, hi, samples = req.WinChLo, req.WinChHi, w.OutSamples(samples)
 	}
-	gLo := req.ChLo - min(halo, req.ChLo-req.WinChLo)
-	gHi := req.ChHi + min(halo, req.WinChHi-req.ChHi)
-	sub, err := full.Subset(gLo, gHi, req.T0, req.T1)
+	sub, err := full.Subset(lo, hi, req.T0, req.T1)
 	if err != nil {
 		return wire.ShardResult{}, wire.ResultBuf{}, err
 	}
@@ -496,14 +493,14 @@ func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 	if p == nil || req.T0 != 0 || req.T1 != nt || stamp(entries) == nil {
 		st = nil
 	}
-	rows := coreRows{lo: req.ChLo - gLo, n: req.ChHi - req.ChLo, samples: samples}
-	rb, tr, gaps, err := applyShard(ctx, sub.WithContext(ctx), entries, p, cores, st, rows)
+	k := arrayudf.Cells{ChLo: req.ChLo - lo, ChHi: req.ChHi - lo, C1: samples}
+	rb, tr, gaps, err := applyShard(ctx, sub.WithContext(ctx), entries, p, cores, st, k)
 	if err != nil {
 		return wire.ShardResult{}, wire.ResultBuf{}, err
 	}
 
 	res := wire.ShardResult{
-		Channels: rows.n,
+		Channels: req.ChHi - req.ChLo,
 		Samples:  samples,
 		Trace: wire.Trace{
 			Opens: tr.Opens, Reads: tr.Reads, BytesRead: tr.BytesRead,
@@ -512,16 +509,16 @@ func computeShard(ctx context.Context, req wire.ShardRequest, cores int, st *sco
 		},
 	}
 	// Lift gaps from sub-relative to absolute channels, clipped to the
-	// core rows (halo losses are the neighbouring shard's to report).
+	// shard's rows (losses in the rows around them are the neighbouring
+	// shard's to report).
 	for _, g := range gaps {
-		lo := max(g.ChLo+gLo, req.ChLo)
-		hi := min(g.ChHi+gLo, req.ChHi)
-		if lo >= hi {
+		gLo, gHi := max(g.ChLo+lo, req.ChLo), min(g.ChHi+lo, req.ChHi)
+		if gLo >= gHi {
 			continue
 		}
 		res.Gaps = append(res.Gaps, wire.Gap{
 			Member: g.Member, File: g.File,
-			ChLo: lo, ChHi: hi, TLo: g.TLo, THi: g.THi,
+			ChLo: gLo, ChHi: gHi, TLo: g.TLo, THi: g.THi,
 		})
 	}
 	return res, rb, nil
@@ -544,19 +541,16 @@ func workloadOf(p detect.Params, nch, nt int) (arrayudf.Workload, error) {
 	return w, nil
 }
 
-// coreRows are the rows of a shard's sub-view its reply carries, [lo,
-// lo+n), each samples values long: the sub-view's halo rows are left out.
-type coreRows struct{ lo, n, samples int }
-
 // applyShard runs the shard's sub-view under FailDegrade and returns the
-// core rows in a result buffer: the read itself when p is nil, else p
-// through core.Framework.RunCells, as an in-process /detect runs it, with the
-// runs' reports normalized to (values, trace, gaps). With a store the rows
-// are written from st's tiles and runs over what they lack straight into
-// the buffer; otherwise the run's output is encoded into it. Before a run
-// sizes a block from the frame's member shapes, they are checked against
-// the files (checkShapes); a shard served wholly from tiles reads nothing.
-func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p detect.Params, cores int, st *scores.LRU, rows coreRows) (wire.ResultBuf, pfs.Trace, []dass.Gap, error) {
+// rectangle k of its output in a result buffer: the read itself when p is
+// nil (k is then the whole sub-view), else p through core.Framework.RunCells,
+// as an in-process /detect runs it, with the runs' reports normalized to
+// (values, trace, gaps). scores.Compute writes the rows straight into the
+// buffer from st's tiles and runs over what they lack (a nil st: one run).
+// Before a run sizes a block from the frame's member shapes, they are
+// checked against the files (checkShapes); a shard served wholly from tiles
+// reads nothing.
+func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p detect.Params, cores int, st *scores.LRU, k arrayudf.Cells) (wire.ResultBuf, pfs.Trace, []dass.Gap, error) {
 	var tr pfs.Trace
 	if p == nil {
 		if err := checkShapes(ctx, entries); err != nil {
@@ -566,55 +560,36 @@ func applyShard(ctx context.Context, sub *dass.View, entries []dass.Entry, p det
 		if err != nil {
 			return wire.ResultBuf{}, tr, nil, err
 		}
-		rb, err := rows.values(out)
+		rb, err := valuesBuf(out.Data)
 		return rb, tr, gaps, err
 	}
 	fw := core.New(core.Config{CoresPerNode: cores, FailPolicy: dass.FailDegrade})
 	checked := false
-	run := func(ctx context.Context, part *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
+	run := func(ctx context.Context, part *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error) {
 		if !checked {
 			if err := checkShapes(ctx, entries); err != nil {
 				return nil, nil, err
 			}
 			checked = true
 		}
-		out, rep, err := fw.RunCells(part.WithContext(ctx), p, k0, k1)
+		out, rep, err := fw.RunCells(part.WithContext(ctx), p, k)
 		tr.Add(rep.ReadTrace)
 		return out, rep.Quality, err
 	}
-	if st == nil {
-		out, q, err := run(ctx, sub, 0, rows.samples)
-		if err != nil {
-			return wire.ResultBuf{}, tr, nil, err
-		}
-		var gaps []dass.Gap
-		if q != nil {
-			gaps = q.Gaps
-		}
-		rb, err := rows.values(out)
-		return rb, tr, gaps, err
-	}
-	rb, err := wire.NewResultBuf(rows.n * rows.samples)
+	rb, err := wire.NewResultBuf((k.ChHi - k.ChLo) * k.C1)
 	if err != nil {
 		return rb, tr, nil, err
 	}
-	m, err := scores.Compute(ctx, sub, entries, p, st, run, func(c, c0 int, vals []float64) {
-		if c -= rows.lo; c >= 0 && c < rows.n {
-			wire.PutValues(rb.Values[8*(c*rows.samples+c0):], vals)
-		}
+	m, err := scores.Compute(ctx, sub, entries, k.ChLo, k.ChHi, p, st, run, func(c, c0 int, vals []float64) {
+		wire.PutValues(rb.Values[8*(c*k.C1+c0):], vals)
 	})
 	sp := trace.Current(ctx)
 	sp.SetAttrInt("tiles", int64(m.Tiles))
 	sp.SetAttrInt("tiles_hit", int64(m.TilesHit))
+	sp.SetAttrInt("sub_runs", int64(m.SubRuns))
 	sp.SetAttrInt("cells_computed", int64(m.CellsComputed))
 	sp.SetAttrInt("cells_kept", int64(m.CellsKept))
 	return rb, tr, m.Gaps, err
-}
-
-// values encodes the core rows of out, a run's output over the whole
-// sub-view, into a result buffer.
-func (r coreRows) values(out *dasf.Array2D) (wire.ResultBuf, error) {
-	return valuesBuf(out.Data[r.lo*out.Samples : (r.lo+r.n)*out.Samples])
 }
 
 // valuesBuf encodes data into a result buffer.

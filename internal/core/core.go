@@ -181,14 +181,14 @@ func (f *Framework) Run(v *dass.View, p detect.Params, outPath string) (*dasf.Ar
 	})
 }
 
-// RunCells is Run for the output cells [c0, c1) of every channel of v, with
-// no file written (haee.Engine.RunCells; a row analysis takes only its whole
-// row): the stencils read every sample those cells reach and clamp at v's
-// edges, so each value is Run's bit for bit, and the output holds c1−c0
-// cells a channel.
-func (f *Framework) RunCells(v *dass.View, p detect.Params, c0, c1 int) (*dasf.Array2D, Report, error) {
+// RunCells is Run for the rectangle k of its output, kept rows × kept cells
+// of v, with no file written (haee.Engine.RunCells; a row analysis takes only
+// whole rows): the stencils read every row and sample those cells reach and
+// clamp at v's edges, so each value is Run's bit for bit, and the output holds
+// k's rows × k.C1−k.C0 cells.
+func (f *Framework) RunCells(v *dass.View, p detect.Params, k arrayudf.Cells) (*dasf.Array2D, Report, error) {
 	return f.runOp(v, p, func(eng *haee.Engine, v *dass.View, w arrayudf.Workload) (haee.Report, error) {
-		return eng.RunCells(v, w, c0, c1)
+		return eng.RunCells(v, w, k)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/daslib"
@@ -47,7 +48,8 @@ var opPins = map[string]opPin{
 // a small seeded record (8 channels × 3 000 samples at 250 Hz, three
 // members), clean and with its middle member gone under FailDegrade (a NaN
 // gap), at one and two cores on scratch arenas poisoned with NaN, and
-// through RunCells over a seeded kept window (a row op keeps its whole row).
+// through RunCells over a seeded kept rectangle of rows × cells (a row op
+// keeps its whole rows).
 // Every run must give the same bits, whose FNV-64a hash is pinned in
 // opPins, and the output must agree with the op's direct-form oracle at the
 // pin's bound. A registered op without a pin fails.
@@ -123,21 +125,23 @@ func TestOpOutputsPinned(t *testing.T) {
 				first = out.Data
 			}
 
-			c0, c1 := 0, outLen
+			kept := arrayudf.Cells{C1: outLen}
+			kept.ChLo = rng.Intn(nch)
+			kept.ChHi = kept.ChLo + 1 + rng.Intn(nch-kept.ChLo)
 			if p.Workload(nt).UDFInto == nil {
-				c0 = rng.Intn(outLen)
-				c1 = c0 + 1 + rng.Intn(outLen-c0)
+				kept.C0 = rng.Intn(outLen)
+				kept.C1 = kept.C0 + 1 + rng.Intn(outLen-kept.C0)
 			}
 			poisonScratchPool()
 			fw := New(Config{Nodes: 1, CoresPerNode: 2, FailPolicy: dass.FailDegrade})
-			cells, _, err := fw.RunCells(v, p, c0, c1)
+			cells, _, err := fw.RunCells(v, p, kept)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for ch := 0; ch < nch; ch++ {
-				for k := c0; k < c1; k++ {
-					if g, w := cells.Row(ch)[k-c0], first[ch*outLen+k]; math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("%s gap=%v: RunCells [%d,%d) cell (%d,%d) = %v, Run %v", op.Name, gap, c0, c1, ch, k, g, w)
+			for ch := kept.ChLo; ch < kept.ChHi; ch++ {
+				for k := kept.C0; k < kept.C1; k++ {
+					if g, w := cells.Row(ch - kept.ChLo)[k-kept.C0], first[ch*outLen+k]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s gap=%v: RunCells %+v cell (%d,%d) = %v, Run %v", op.Name, gap, kept, ch, k, g, w)
 					}
 				}
 			}

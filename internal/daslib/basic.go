@@ -226,27 +226,6 @@ func Interp1(x0, y0, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// MovingAverage returns the centered moving average of x with window
-// 2*half+1, shrinking the window at the edges.
-func MovingAverage(x []float64, half int) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if half <= 0 {
-		copy(out, x)
-		return out
-	}
-	for i := range x {
-		lo := max(i-half, 0)
-		hi := min(i+half, n-1)
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += x[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out
-}
-
 // besselI0 evaluates the zeroth-order modified Bessel function by series.
 func besselI0(x float64) float64 {
 	sum := 1.0
@@ -277,57 +256,6 @@ func kaiserWin(n int, beta float64) []float64 {
 		w[i] = besselI0(beta*math.Sqrt(1-t*t)) / denom
 	}
 	return w
-}
-
-// taperRamps holds the shared cosine ramp per taper width w: ramp[i] =
-// 0.5·(1-cos(πi/w)). Detection pipelines taper every channel of every
-// window with the same width, so the trig is paid once.
-var taperRamps memo[int, []float64]
-
-func taperRamp(w int) []float64 { return taperRamps.get(w, newTaperRamp) }
-
-func newTaperRamp(w int) []float64 {
-	r := make([]float64, w)
-	for i := range r {
-		r[i] = 0.5 * (1 - math.Cos(math.Pi*float64(i)/float64(w)))
-	}
-	return r
-}
-
-// TaperInPlace applies a cosine (Tukey-style) taper covering frac of each
-// end of x in place, the standard pre-processing step before spectral
-// analysis of seismic windows; the cosine ramp is served from the per-width
-// cache.
-func TaperInPlace(x []float64, frac float64) {
-	n := len(x)
-	w := int(frac * float64(n))
-	if w <= 0 || n == 0 {
-		return
-	}
-	if w > n/2 {
-		w = n / 2
-	}
-	ramp := taperRamp(w)
-	for i := 0; i < w; i++ {
-		g := ramp[i]
-		x[i] *= g
-		x[n-1-i] *= g
-	}
-}
-
-// OneBitNormalize replaces each sample by its sign — a standard
-// ambient-noise pre-processing step that suppresses transient bursts.
-func OneBitNormalize(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		switch {
-		case v > 0:
-			out[i] = 1
-		case v < 0:
-			out[i] = -1
-		}
-	}
-	return out
 }
 
 // SpectralWhitenInto flattens the amplitude spectrum of x (keeping phase)

@@ -316,23 +316,6 @@ func TestInterp1RecoversSamplesProperty(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(x, 1)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MovingAverage[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	got = MovingAverage(x, 0)
-	for i := range x {
-		if got[i] != x[i] {
-			t.Error("half=0 should be identity")
-		}
-	}
-}
-
 func TestWindows(t *testing.T) {
 	k := kaiserWin(11, 5)
 	if math.Abs(k[5]-1) > 1e-12 {
@@ -363,41 +346,6 @@ func TestBesselI0(t *testing.T) {
 	for x, want := range cases {
 		if got := besselI0(x); math.Abs(got-want) > 1e-9*want {
 			t.Errorf("I0(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestTaper(t *testing.T) {
-	x := make([]float64, 100)
-	for i := range x {
-		x[i] = 1
-	}
-	TaperInPlace(x, 0.1)
-	if x[0] != 0 || x[99] != 0 {
-		t.Error("taper endpoints should be 0")
-	}
-	if x[50] != 1 {
-		t.Error("taper middle should be untouched")
-	}
-	for i := 1; i < 10; i++ {
-		if x[i] <= x[i-1] {
-			t.Error("taper should rise monotonically")
-		}
-	}
-	// frac 0 is a no-op.
-	y := []float64{1, 2, 3}
-	TaperInPlace(y, 0)
-	if y[0] != 1 || y[2] != 3 {
-		t.Error("frac=0 should not modify")
-	}
-}
-
-func TestOneBitNormalize(t *testing.T) {
-	got := OneBitNormalize([]float64{-3, 0, 0.5, -0.1})
-	want := []float64{-1, 0, 1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("OneBit[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
 }

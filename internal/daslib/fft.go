@@ -5,8 +5,8 @@
 // intermediates from a *Scratch (nil = allocate fresh). The hybrid execution
 // engine (internal/haee) parallelizes these kernels over channels; nothing in
 // this package spawns goroutines or holds mutable global state — the
-// package-level tables (plans, twiddles, resample FIRs, taper ramps; see
-// memo) are immutable once published.
+// package-level tables (plans, twiddles, resample FIRs; see memo) are
+// immutable once published.
 package daslib
 
 import (

@@ -3,7 +3,7 @@ package daslib
 import "sync"
 
 // memo is a table of immutable values built once per key, the one shape of
-// every daslib plan table (FFT plans, twiddles, resample FIRs, taper ramps).
+// every daslib plan table (FFT plans, twiddles, resample FIRs).
 // A plain RWMutex-guarded map, not sync.Map, keeps the hit path free of
 // interface boxing, so a lookup allocates nothing. The zero value is ready.
 type memo[K comparable, V any] struct {

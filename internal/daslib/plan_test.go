@@ -461,7 +461,6 @@ func TestPlannedPathsAllocFree(t *testing.T) {
 		{"RFFTInto", func() { RFFTInto(cdst, x, s) }},
 		{"IRFFTInto", func() { IRFFTInto(fdst, cdst, s) }},
 		{"DetrendInto", func() { DetrendInto(fdst, fdst) }},
-		{"TaperInPlace", func() { TaperInPlace(fdst, 0.1) }},
 		{"FiltFiltInto", func() {
 			if err := fp.FiltFiltInto(fdst, x, s); err != nil {
 				t.Fatal(err)

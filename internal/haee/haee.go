@@ -212,24 +212,29 @@ func (e *Engine) Run(v *dass.View, w arrayudf.Workload, outPath string) (Report,
 	if err := e.check(w); err != nil {
 		return Report{}, err
 	}
-	_, nt := v.Shape()
-	return e.apply(v, w, 0, w.OutSamples(nt), outPath)
+	nch, nt := v.Shape()
+	return e.apply(v, w, arrayudf.Cells{ChHi: nch, C1: w.OutSamples(nt)}, outPath)
 }
 
-// RunCells is Run for the output cells [c0, c1) of every channel, 0 ≤ c0 <
-// c1 ≤ w.OutSamples(nt), with no file written: the block is the whole view,
-// as data the stencils read, and the output holds c1−c0 cells a channel,
-// each the value Run gives it. A row workload's one range is the whole row.
-func (e *Engine) RunCells(v *dass.View, w arrayudf.Workload, c0, c1 int) (Report, error) {
+// RunCells is Run for the rectangle k of its output, 0 ≤ k.ChLo < k.ChHi ≤
+// nch and 0 ≤ k.C0 < k.C1 ≤ w.OutSamples(nt), with no file written. The ranks
+// partition k's rows, each reads its share plus the workload's ghost
+// channels clamped to the view, and the stencils read whatever samples the
+// kept cells reach, so the output holds k's rows × k.C1−k.C0 cells, each the
+// value Run gives it. A row workload's one range is the whole row. A read
+// strategy loads partitions of the whole view, so with one configured k must
+// keep every row.
+func (e *Engine) RunCells(v *dass.View, w arrayudf.Workload, k arrayudf.Cells) (Report, error) {
 	if err := e.check(w); err != nil {
 		return Report{}, err
 	}
-	_, nt := v.Shape()
+	nch, nt := v.Shape()
 	out := w.OutSamples(nt)
-	if c0 < 0 || c0 >= c1 || c1 > out || (w.UDFInto != nil && c1-c0 != out) {
-		return Report{}, fmt.Errorf("haee: cells [%d,%d) of a workload of %d a channel", c0, c1, out)
+	if k.ChLo < 0 || k.ChLo >= k.ChHi || k.ChHi > nch || k.C0 < 0 || k.C0 >= k.C1 || k.C1 > out ||
+		(w.UDFInto != nil && k.C1-k.C0 != out) || (e.cfg.ReadStrategy != nil && k.ChHi-k.ChLo != nch) {
+		return Report{}, fmt.Errorf("haee: cells %+v of a workload of %d channels × %d cells", k, nch, out)
 	}
-	return e.apply(v, w, c0, c1, "")
+	return e.apply(v, w, k, "")
 }
 
 // check refuses a layout or a workload the engine cannot run.
@@ -243,20 +248,20 @@ func (e *Engine) check(w arrayudf.Workload) error {
 	return nil
 }
 
-// apply runs w's cells [c0, c1) (a row workload: all of them). Cancellation
+// apply runs w's cells k (a row workload: whole rows). Cancellation
 // is checked once per channel row — a row UDF's call, a point UDF's first
 // cell in the range — and its panic unwinds through the omp team and
 // mpi.Run to the caller as the context's error.
-func (e *Engine) apply(v *dass.View, w arrayudf.Workload, c0, c1 int, outPath string) (Report, error) {
+func (e *Engine) apply(v *dass.View, w arrayudf.Workload, k arrayudf.Cells, outPath string) (Report, error) {
 	cancelled := func() {
 		if err := v.Context().Err(); err != nil {
 			panic(fmt.Errorf("haee: compute: %w", err))
 		}
 	}
-	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
+	return e.run(v, w.Spec, k, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
 		if w.UDFInto == nil {
-			first := c0 * max(w.Spec.TimeStride, 1)
-			return applyCells(team, blk, w.Spec, c0, c1, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+			first := k.C0 * max(w.Spec.TimeStride, 1)
+			return applyCells(team, blk, w.Spec, k.C0, k.C1, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 				if s.T() == first {
 					cancelled()
 				}
@@ -277,9 +282,9 @@ func (e *Engine) apply(v *dass.View, w arrayudf.Workload, c0, c1 int, outPath st
 	})
 }
 
-// run is the shared phase loop: read → compute → gather/write, each phase
-// measured once per rank into one recorder that the report reduces.
-func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
+// run is the shared phase loop: read k's rows → compute → gather/write, each
+// phase measured once per rank into one recorder that the report reduces.
+func (e *Engine) run(v *dass.View, spec arrayudf.Spec, k arrayudf.Cells,
 	outPath string,
 	compute func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace),
 ) (Report, error) {
@@ -289,7 +294,7 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	spec.FailPolicy = cfg.FailPolicy
 
 	rep := Report{Mode: cfg.Mode, Nodes: cfg.Nodes, CoresPerNode: cfg.CoresPerNode}
-	nch, _ := v.Shape()
+	rows := k.ChHi - k.ChLo
 	// Per-rank phase recorder, carried in the view's context next to the
 	// request trace: the readers record read and exchange, the rank body
 	// below compute and write.
@@ -311,7 +316,7 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 		// The team that computes on the block also reads it: the view fans
 		// its member files over the rank's threads (one thread in PureMPI).
 		cancelled("load")
-		blk, readTr, quality := arrayudf.LoadBlock(c, v.WithTeam(team), spec)
+		blk, readTr, quality := k.Load(c, v.WithTeam(team), spec)
 
 		cancelled("compute")
 		t0 := time.Now()
@@ -361,7 +366,7 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 			outT = int(widths[0])
 			if c.Rank() == 0 {
 				meta := dasf.Meta{"Producer": dasf.S("dassa-haee"), "Mode": dasf.S(cfg.Mode.String())}
-				pw, err := dasf.CreateData(outPath, meta, nch, outT, dasf.Float64)
+				pw, err := dasf.CreateData(outPath, meta, rows, outT, dasf.Float64)
 				if err != nil {
 					runErr = err
 				} else if err := pw.Close(); err != nil {
@@ -374,7 +379,7 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 				if err != nil {
 					panic(fmt.Errorf("haee: parallel write: %w", err))
 				}
-				if err := pw.WriteRows(blk.ChLo, out); err != nil {
+				if err := pw.WriteRows(blk.ChLo-k.ChLo, out); err != nil {
 					pw.Close()
 					panic(fmt.Errorf("haee: parallel write: %w", err))
 				}
@@ -391,7 +396,7 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 		if c.Rank() == 0 {
 			writeTr.Opens, writeTr.Writes, writeTr.BytesWritten = wr[0], wr[1], wr[2]
 		}
-		full := arrayudf.Gather(c, nch, arrayudf.Result{Data: out, ChLo: blk.ChLo, ChHi: blk.ChHi})
+		full := arrayudf.Gather(c, rows, arrayudf.Result{Data: out, ChLo: blk.ChLo, ChHi: blk.ChHi})
 		spans.Add(c.Rank(), obs.PhaseWrite, time.Since(t0))
 
 		if c.Rank() == 0 {

@@ -3,6 +3,7 @@ package haee
 import (
 	"context"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -141,57 +142,101 @@ func TestApplyMTDirect(t *testing.T) {
 	}
 }
 
-// TestRunCellsIsRunsSlice: RunCells' output is the matching cells of Run's,
-// bit for bit, for windows at either edge and inside, on every layout; a
-// window that is empty, outside the cells or short of a row workload's row
-// is refused; and a context cancelled inside a window that starts mid-view
-// stops the run before any thread begins another channel, with the
-// context's error.
+// TestRunCellsIsRunsSlice: RunCells' output is the matching rectangle of
+// Run's, bit for bit, over seeded random rectangles of kept rows × kept
+// cells on every layout, for a points workload and a rows workload (whole
+// rows) that reach past their row, and on a PureMPI world with more ranks
+// than kept rows. Each rank with rows reads its share of the kept rows
+// widened by the ghost channels and clamped to the view, plus the member
+// headers every open reads, and nothing else, so a rectangle of every row
+// reads what Run reads. A rectangle whose rows or cells are
+// empty, inverted or outside the view, that cuts a row workload's row, or
+// that keeps some rows under a read strategy is refused; and a context
+// cancelled inside a window that starts mid-view stops the run before any
+// thread begins another channel, with the context's error.
 func TestRunCellsIsRunsSlice(t *testing.T) {
 	v, _, _ := makeView(t, 8, 3)
-	_, nt := v.Shape()
+	nch, nt := v.Shape()
 	w := (&detect.LocalSimiParams{M: 5, K: 1, L: 2, Stride: 4}).Workload(nt)
-	cells := w.OutSamples(nt)
-	whole, err := New(Config{Nodes: 1, CoresPerNode: 1}).Run(v, w, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Nodes: 1, CoresPerNode: 1, Mode: Hybrid},
-		{Nodes: 1, CoresPerNode: 3, Mode: Hybrid},
-		{Nodes: 2, CoresPerNode: 2, Mode: PureMPI},
-	} {
-		for _, win := range [][2]int{{0, cells}, {0, 3}, {7, 19}, {cells - 4, cells}} {
-			rep, err := New(cfg).RunCells(v, w, win[0], win[1])
-			if err != nil {
-				t.Fatal(err)
+	rows := arrayudf.Workload{Spec: arrayudf.Spec{GhostChannels: 2}, RowLen: nt / 2,
+		UDFInto: func(s *arrayudf.Stencil, _ any, dst []float64, _ *daslib.Scratch) {
+			for i := range dst {
+				dst[i] = s.At(2*i, -2) - s.At(2*i+1, 0) + 3*s.At(2*i, 2)
 			}
-			got, n := rep.Output, win[1]-win[0]
-			if got.Channels != whole.Output.Channels || got.Samples != n {
-				t.Fatalf("%+v, cells %v: shape %d×%d, want %d×%d", cfg, win, got.Channels, got.Samples, whole.Output.Channels, n)
-			}
-			for c := 0; c < got.Channels; c++ {
-				for k := range n {
-					if g, want := got.At(c, k), whole.Output.At(c, win[0]+k); math.Float64bits(g) != math.Float64bits(want) {
-						t.Fatalf("%+v, cells %v: (%d,%d) = %v, Run's %v", cfg, win, c, k, g, want)
+		}}
+	rowBytes := int64(nt) * 8 // the record is float64
+	rng := rand.New(rand.NewSource(28))
+	for _, wl := range []arrayudf.Workload{w, rows} {
+		cells, g := wl.OutSamples(nt), wl.Spec.GhostChannels
+		whole, err := New(Config{Nodes: 1, CoresPerNode: 1}).Run(v, wl, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		headers := whole.ReadTrace.BytesRead - int64(nch)*rowBytes // one rank's opens
+		for _, cfg := range []Config{
+			{Nodes: 1, CoresPerNode: 1, Mode: Hybrid},
+			{Nodes: 1, CoresPerNode: 3, Mode: Hybrid},
+			{Nodes: 2, CoresPerNode: 2, Mode: PureMPI},
+			{Nodes: 5, CoresPerNode: 2, Mode: PureMPI},
+		} {
+			world, _ := cfg.ranks()
+			for draw := range 6 {
+				k := arrayudf.Cells{ChHi: nch, C1: cells}
+				if draw > 0 {
+					k.ChLo = rng.Intn(nch)
+					k.ChHi = k.ChLo + 1 + rng.Intn(nch-k.ChLo)
+					if wl.UDFInto == nil {
+						k.C0 = rng.Intn(cells)
+						k.C1 = k.C0 + 1 + rng.Intn(cells-k.C0)
 					}
+				}
+				rep, err := New(cfg).RunCells(v, wl, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, n := rep.Output, k.C1-k.C0
+				if got.Channels != k.ChHi-k.ChLo || got.Samples != n {
+					t.Fatalf("%+v, %+v: shape %d×%d, want %d×%d", cfg, k, got.Channels, got.Samples, k.ChHi-k.ChLo, n)
+				}
+				for c := 0; c < got.Channels; c++ {
+					for i := range n {
+						if g, want := got.At(c, i), whole.Output.At(k.ChLo+c, k.C0+i); math.Float64bits(g) != math.Float64bits(want) {
+							t.Fatalf("%+v, %+v: (%d,%d) = %v, Run's %v", cfg, k, c, i, g, want)
+						}
+					}
+				}
+				var want int64
+				for r := range world {
+					if lo, hi := dass.Partition(k.ChHi-k.ChLo, world, r); lo < hi {
+						want += int64(min(k.ChLo+hi+g, nch)-max(k.ChLo+lo-g, 0))*rowBytes + headers
+					}
+				}
+				if rep.ReadTrace.BytesRead != want {
+					t.Errorf("%+v, %+v: read %d bytes, want %d (the ranks' kept rows ±%d, clamped, and headers)", cfg, k, rep.ReadTrace.BytesRead, want, g)
 				}
 			}
 		}
 	}
 
 	e := New(Config{Nodes: 1, CoresPerNode: 1})
-	for _, win := range [][2]int{{-1, 3}, {3, 3}, {0, cells + 1}} {
-		if _, err := e.RunCells(v, w, win[0], win[1]); err == nil {
-			t.Errorf("cells %v of %d: no error", win, cells)
+	cells := w.OutSamples(nt)
+	for _, k := range []arrayudf.Cells{
+		{ChHi: nch, C0: -1, C1: 3}, {ChHi: nch, C0: 3, C1: 3}, {ChHi: nch, C0: 5, C1: 2}, {ChHi: nch, C1: cells + 1},
+		{ChLo: -1, ChHi: 2, C1: 3}, {ChLo: 2, ChHi: nch + 1, C1: 3}, {ChLo: 3, ChHi: 3, C1: 3}, {ChLo: 5, ChHi: 2, C1: 3},
+	} {
+		if _, err := e.RunCells(v, w, k); err == nil {
+			t.Errorf("cells %+v of %d×%d: no error", k, nch, cells)
 		}
 	}
-	rows := arrayudf.Workload{UDFInto: func(*arrayudf.Stencil, any, []float64, *daslib.Scratch) {}, RowLen: 10}
-	if _, err := e.RunCells(v, rows, 0, 5); err == nil {
+	if _, err := e.RunCells(v, rows, arrayudf.Cells{ChHi: nch, C1: rows.RowLen / 2}); err == nil {
 		t.Error("half a row workload's row: no error")
 	}
-	if _, err := e.RunCells(v, rows, 0, 10); err != nil {
-		t.Errorf("a row workload's whole row: %v", err)
+	if _, err := e.RunCells(v, rows, arrayudf.Cells{ChLo: 1, ChHi: 3, C1: rows.RowLen}); err != nil {
+		t.Errorf("a row workload's whole rows: %v", err)
+	}
+	ca := New(Config{Nodes: 2, CoresPerNode: 1, ReadStrategy: arrayudf.CommAvoidingRead})
+	if _, err := ca.RunCells(v, w, arrayudf.Cells{ChLo: 1, ChHi: nch, C1: cells}); err == nil {
+		t.Error("some rows under a read strategy: no error")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -205,7 +250,7 @@ func TestRunCellsIsRunsSlice(t *testing.T) {
 		mu.Unlock()
 		return w.UDFScratch(s, scr)
 	}}
-	_, err = New(Config{Nodes: 1, CoresPerNode: 2, Mode: Hybrid}).RunCells(v.WithContext(ctx), stop, 7, 19)
+	_, err := New(Config{Nodes: 1, CoresPerNode: 2, Mode: Hybrid}).RunCells(v.WithContext(ctx), stop, arrayudf.Cells{ChHi: nch, C0: 7, C1: 19})
 	if !dass.IsCancellation(err) || len(began) > 2 {
 		t.Fatalf("cancelled in its first cell: %v, with %d of 8 channels begun on 2 threads; want a cancellation after at most 2", err, len(began))
 	}

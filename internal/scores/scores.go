@@ -8,10 +8,12 @@
 // consecutive cells of a whole-file view whose reaches touch the same member
 // files and clamp at the same view edges, so its values depend on those
 // files and the stride phase alone and are the same in every view that
-// holds it. Missing tiles are computed by ordinary runs on time sub-views
-// that score only the cells they keep — the rest of a sub-view is the reach
-// those cells read — so there is no second engine path, and every output
-// carries the bits of a cold run over the whole view.
+// holds it. A map may keep a band of the view's rows, as a cluster worker
+// keeps its shard's: its tiles hold those rows alone, and the rows around
+// them are read, not scored. Missing tiles are computed by ordinary runs on
+// time sub-views that score only the rows and cells they keep — the rest of
+// a sub-view is the reach those cells read — so there is no second engine
+// path, and every output carries the bits of a cold run over the whole view.
 package scores
 
 import (
@@ -20,23 +22,24 @@ import (
 	"sort"
 	"strconv"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 )
 
-// Runner computes the op's output cells [k0, k1) of every channel of sub, a
-// time sub-view of the view being scored, into an array of those cells alone
+// Runner computes the op's output rectangle k of sub, a time sub-view of the
+// view being scored, into an array of k's rows and cells alone
 // (core.Framework.RunCells), and reports what its reads lost (gaps relative
 // to sub).
-type Runner func(ctx context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error)
+type Runner func(ctx context.Context, sub *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error)
 
 // Stats says how one map was made.
 type Stats struct {
 	Tiles, TilesHit int
 	SubRuns         int
 	CellsComputed   int // by the sub-runs: CellsKept, and any cached cells a sub-run spans (subRuns)
-	CellsKept       int // the missing tiles' cells
+	CellsKept       int // the missing tiles' cells, kept rows × cells
 }
 
 // Map says how one map was assembled and what its sub-runs lost.
@@ -46,8 +49,9 @@ type Map struct {
 	Stats
 }
 
-// Dest receives a map's cells: vals are channel c's cells from cell c0 on.
-// Compute hands it every cell of the map once.
+// Dest receives a map's cells: vals are the cells of the map's row c (the
+// c-th kept row) from cell c0 on. Compute hands it every cell of the map
+// once.
 type Dest func(c, c0 int, vals []float64)
 
 // Into is the Dest that writes the cells into a, an array of the map's
@@ -56,13 +60,13 @@ func Into(a *dasf.Array2D) Dest {
 	return func(c, c0 int, vals []float64) { copy(a.Row(c)[c0:], vals) }
 }
 
-// Compute assembles p over the whole-file view v, whose members are entries,
-// into dst, from the tiles st holds and sub-runs of run over the missing
-// ones, and stores the tiles of every sub-run whose reads were clean. A nil
-// st stores nothing and runs the whole view once. The map is v's channels ×
-// p's output cells over v.
-func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.Params, st *LRU, run Runner, dst Dest) (Map, error) {
-	pl := planScores(v, entries, p)
+// Compute assembles p over the kept rows [chLo, chHi) of the whole-file view
+// v, whose members are entries, into dst, from the tiles st holds and
+// sub-runs of run over the missing ones, and stores the tiles of every
+// sub-run whose reads were clean. A nil st stores nothing and computes the
+// map in one run. The map is the kept rows × p's output cells over v.
+func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, chLo, chHi int, p detect.Params, st *LRU, run Runner, dst Dest) (Map, error) {
+	pl := planScores(v, entries, chLo, chHi, p)
 	m := Map{Stats: Stats{Tiles: len(pl.tiles)}}
 	var missing []int
 	for i, tl := range pl.tiles {
@@ -73,7 +77,7 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 			}
 		}
 		missing = append(missing, i)
-		m.CellsKept += pl.nch * (tl.c1 - tl.c0)
+		m.CellsKept += (chHi - chLo) * (tl.c1 - tl.c0)
 	}
 	m.TilesHit = len(pl.tiles) - len(missing)
 	runs := pl.subRuns(missing)
@@ -88,9 +92,9 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 			return m, err
 		}
 		// The run's cells [c0, c1) of the view, counted in the sub-view from
-		// its first cell, lo/stride.
+		// its first cell, lo/stride, of the kept rows.
 		c0, c1 := pl.tiles[r[0]].c0, pl.tiles[r[len(r)-1]].c1
-		arr, q, err := run(ctx, sub, c0-lo/pl.stride, c1-lo/pl.stride)
+		arr, q, err := run(ctx, sub, arrayudf.Cells{ChLo: chLo, ChHi: chHi, C0: c0 - lo/pl.stride, C1: c1 - lo/pl.stride})
 		if err != nil {
 			return m, err
 		}
@@ -108,7 +112,7 @@ func Compute(ctx context.Context, v *dass.View, entries []dass.Entry, p detect.P
 			n := tl.c1 - tl.c0
 			place(dst, tl.c0, arr, tl.c0-c0, n)
 			if st != nil && tl.key != "" && clean {
-				tile := dasf.NewArray2D(pl.nch, n)
+				tile := dasf.NewArray2D(arr.Channels, n)
 				place(Into(tile), 0, arr, tl.c0-c0, n)
 				st.Store(tl.key, tile)
 			}
@@ -142,10 +146,11 @@ type scorePlan struct {
 	tiles          []scoreTile
 }
 
-// planScores tiles the cells of p over the whole-file view v, whose members
-// are entries. An op without a declared reach is one keyless tile: the
-// whole view, computed by one run, as if there were no store.
-func planScores(v *dass.View, entries []dass.Entry, p detect.Params) scorePlan {
+// planScores tiles the cells of p over the rows [chLo, chHi) of the
+// whole-file view v, whose members are entries. An op without a declared
+// reach is one keyless tile: the whole map, computed by one run, as if there
+// were no store.
+func planScores(v *dass.View, entries []dass.Entry, chLo, chHi int, p detect.Params) scorePlan {
 	nch, nt := v.Shape()
 	w := p.Workload(nt)
 	pl := scorePlan{nch: nch, nt: nt, cells: w.OutSamples(nt), stride: max(w.Spec.TimeStride, 1)}
@@ -172,15 +177,17 @@ func planScores(v *dass.View, entries []dass.Entry, p detect.Params) scorePlan {
 		pl.tiles = append(pl.tiles, scoreTile{c0: c, c1: c + 1, tileSig: sig})
 	}
 	// The key: the op and its parameters as their wire form, the channel
-	// window, the stride phase of the first touched member, the edge flags,
-	// and each touched member's path and stamp.
+	// window and the kept rows in it, the stride phase of the first touched
+	// member, the edge flags, and each touched member's path and stamp.
 	raw, _ := json.Marshal(p)
-	chLo, chHi, _, _ := v.Window()
+	winLo, winHi, _, _ := v.Window()
 	var b []byte
 	for i := range pl.tiles {
 		tl := &pl.tiles[i]
 		b = append(append(append(b[:0], p.Op()...), ' '), raw...)
-		b = strconv.AppendInt(append(b, " ch "...), int64(chLo), 10)
+		b = strconv.AppendInt(append(b, " ch "...), int64(winLo), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(winHi), 10)
+		b = strconv.AppendInt(append(b, " rows "...), int64(chLo), 10)
 		b = strconv.AppendInt(append(b, ' '), int64(chHi), 10)
 		b = strconv.AppendInt(append(b, " phase "...), int64(offs[tl.m0]%pl.stride), 10)
 		b = strconv.AppendBool(append(b, " head "...), tl.head)

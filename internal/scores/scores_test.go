@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
@@ -50,7 +52,8 @@ func TestScorePlanArrival(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return planScores(v, win, p)
+		nch, _ := v.Shape()
+		return planScores(v, win, 0, nch, p)
 	}
 	type span struct{ lo, hi int }
 	runsOf := func(pl scorePlan, missing []int) (spans []span) {
@@ -96,8 +99,8 @@ func TestScorePlanArrival(t *testing.T) {
 	// The same arrival through Compute: the window before fills the store,
 	// and the arrival's two sub-runs score exactly the cells they keep.
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 2})
-	run := func(_ context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
-		out, rep, err := fw.RunCells(sub, simi, k0, k1)
+	run := func(_ context.Context, sub *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error) {
+		out, rep, err := fw.RunCells(sub, simi, k)
 		return out, rep.Quality, err
 	}
 	st := NewLRU(1 << 20)
@@ -111,7 +114,7 @@ func TestScorePlanArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := dasf.NewArray2D(want.Channels, want.Samples)
-		m, err := Compute(context.Background(), v, win, simi, st, run, Into(got))
+		m, err := Compute(context.Background(), v, win, 0, want.Channels, simi, st, run, Into(got))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,8 +174,8 @@ func TestComputeKeepsCleanTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lose bool // the next run reports a gap
-	run := func(_ context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
-		out, rep, err := fw.RunCells(sub, p, k0, k1)
+	run := func(_ context.Context, sub *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error) {
+		out, rep, err := fw.RunCells(sub, p, k)
 		if err != nil || !lose {
 			return out, rep.Quality, err
 		}
@@ -187,7 +190,7 @@ func TestComputeKeepsCleanTiles(t *testing.T) {
 		t.Helper()
 		out := dasf.NewArray2D(want.Channels, want.Samples)
 		into, puts := Into(out), make([]int, len(out.Data))
-		m, err := Compute(context.Background(), v, entries, p, st, run, func(c, c0 int, vals []float64) {
+		m, err := Compute(context.Background(), v, entries, 0, want.Channels, p, st, run, func(c, c0 int, vals []float64) {
 			for i := range vals {
 				puts[c*out.Samples+c0+i]++
 			}
@@ -233,5 +236,102 @@ func TestComputeKeepsCleanTiles(t *testing.T) {
 	_, big := small.Lookup("big")
 	if s := small.Stats(); s.Entries != 8 || s.Evictions != 2 || s.Bytes != 8*64 || oldest || big {
 		t.Fatalf("small store: %+v, oldest kept %v, oversized kept %v", s, oldest, big)
+	}
+}
+
+// TestScoreTransparencyOverChannelWindows: over seeded random channel windows
+// of a whole-file record, two random kept-row bands inside each and channel
+// reaches of one and two rows, a map assembled cold, partly cached (from the
+// tiles of maps over runs of one or two of its files, same window and band)
+// and warm carries the bits of a cold core.Run over the window, sliced to the
+// band. Every sub-run computes the band's rows alone, and one store serves
+// every map, so a tile of another window or band is never served.
+func TestScoreTransparencyOverChannelWindows(t *testing.T) {
+	dir := t.TempDir()
+	cfg := dasgen.Config{Channels: 10, SampleRate: 250, FileSeconds: 4, NumFiles: 4, Seed: 7, DType: dasf.Float32}
+	if _, err := dasgen.Generate(dir, cfg, dasgen.Fig10Events(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := dass.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := cat.Entries()
+	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 2})
+	shared := NewLRU(1 << 20)
+	rng := rand.New(rand.NewSource(11))
+	partly := 0
+	for draw := range 6 {
+		p := strided(t, "localsimi", 50)
+		reach := 1 + rng.Intn(2)
+		if err := detect.Set(p, "K", fmt.Sprint(reach)); err != nil {
+			t.Fatal(err)
+		}
+		w0 := rng.Intn(cfg.Channels - reach)
+		w1 := w0 + reach + 1 + rng.Intn(cfg.Channels-w0-reach)
+		for range 2 {
+			b0 := rng.Intn(w1 - w0)
+			b1 := b0 + 1 + rng.Intn(w1-w0-b0)
+			run := func(_ context.Context, sub *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error) {
+				if k.ChLo != b0 || k.ChHi != b1 {
+					t.Fatalf("draw %d: a sub-run keeps rows [%d,%d), want the band [%d,%d)", draw, k.ChLo, k.ChHi, b0, b1)
+				}
+				out, rep, err := fw.RunCells(sub, p, k)
+				return out, rep.Quality, err
+			}
+			// mapOf assembles the band over files [f0, f1) of the window from
+			// st and checks it against the cold run's.
+			mapOf := func(st *LRU, f0, f1 int) Map {
+				t.Helper()
+				win := entries[f0:f1]
+				whole, err := dass.ViewOver(win)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := whole.SubsetChannels(w0, w1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := fw.Run(v, p, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := dasf.NewArray2D(b1-b0, want.Samples)
+				m, err := Compute(context.Background(), v, win, b0, b1, p, st, run, Into(got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range got.Channels {
+					for i, g := range got.Row(c) {
+						if w := want.At(b0+c, i); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("draw %d, window [%d,%d) band [%d,%d) files [%d,%d): (%d,%d) = %v, cold run %v",
+								draw, w0, w1, b0, b1, f0, f1, c, i, g, w)
+						}
+					}
+				}
+				return m
+			}
+
+			n := len(entries)
+			if m := mapOf(NewLRU(1<<20), 0, n); m.TilesHit != 0 || m.SubRuns != 1 || m.CellsComputed != m.CellsKept {
+				t.Errorf("draw %d cold: %+v; want one sub-run computing what it keeps", draw, m.Stats)
+			}
+			for f := range n {
+				for k := 1; k <= 2 && f+k <= n; k++ {
+					if rng.Intn(2) == 0 {
+						mapOf(shared, f, f+k)
+					}
+				}
+			}
+			if m := mapOf(shared, 0, n); m.TilesHit > 0 && m.TilesHit < m.Tiles {
+				partly++
+			}
+			if m := mapOf(shared, 0, n); m.SubRuns != 0 || m.TilesHit != m.Tiles {
+				t.Errorf("draw %d warm: %+v; want every tile hit", draw, m.Stats)
+			}
+		}
+	}
+	if partly == 0 {
+		t.Error("no draw made a partly cached map")
 	}
 }

@@ -39,8 +39,8 @@ type roughStall struct{ reached, release chan struct{} }
 
 func (roughness) Op() string { return "roughness" }
 
-// Validate also runs on a worker, against one shard's rows plus halo: what
-// it asks of nch must hold for two rows.
+// Validate also runs on a worker, against the request window, as it does on
+// the coordinator.
 func (p roughness) Validate(nch, nt int) error {
 	if nch < 2 || p.Stride < 1 || p.Stride > nt {
 		return fmt.Errorf("%w: roughness %+v on a %d×%d view", detect.ErrBadParams, p, nch, nt)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"time"
 
+	"dassa/internal/arrayudf"
 	"dassa/internal/cluster"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
@@ -86,11 +87,11 @@ func (s *Server) score(ctx context.Context, v *dass.View, entries []dass.Entry, 
 	}
 
 	var took [4]time.Duration // the sub-runs' phases, summed
-	run := func(ctx context.Context, sub *dass.View, k0, k1 int) (*dasf.Array2D, *dass.QualityReport, error) {
+	run := func(ctx context.Context, sub *dass.View, k arrayudf.Cells) (*dasf.Array2D, *dass.QualityReport, error) {
 		if err := slot(ctx); err != nil {
 			return nil, nil, err
 		}
-		arr, rep, err := s.fw.RunCells(sub.WithContext(ctx), p, k0, k1)
+		arr, rep, err := s.fw.RunCells(sub.WithContext(ctx), p, k)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -103,7 +104,7 @@ func (s *Server) score(ctx context.Context, v *dass.View, entries []dass.Entry, 
 	}
 	nch, nt := v.Shape()
 	res.out = dasf.NewArray2D(nch, p.Workload(nt).OutSamples(nt))
-	m, err := scores.Compute(ctx, v.WithSlabReader(s.cache.SlabReader()), entries, p, s.tiles, run, scores.Into(res.out))
+	m, err := scores.Compute(ctx, v.WithSlabReader(s.cache.SlabReader()), entries, 0, nch, p, s.tiles, run, scores.Into(res.out))
 	res.degraded, res.Stats = m.Degraded, m.Stats
 	res.phases.Read, res.phases.Exchange = took[0].String(), took[1].String()
 	res.phases.Compute, res.phases.Write = took[2].String(), took[3].String()

@@ -403,9 +403,11 @@ func testConcurrentDetectsAgree(t *testing.T, pc placement) {
 // six-file window's tiles in the store — left there by detections over runs
 // of one or two of its files — the whole window's map is a cold run's bit for
 // bit, and its sub-runs score exactly the cells they keep, in process and on
-// the workers (whose counts come back in the request trace). At stride 50
-// and a reach of 66 no two missing tiles are close enough for a sub-run to
-// span the cached cells between them.
+// the workers (whose counts come back in the request trace). The workers
+// together compute what the same map computes in process: each scores its
+// shard's rows and reads the rows around them. At stride 50 and a reach of 66
+// no two missing tiles are close enough for a sub-run to span the cached
+// cells between them.
 func TestPartlyCachedMapScoresOnlyKeptCells(t *testing.T) {
 	eachPlacement(t, testPartlyCachedMapScoresOnlyKeptCells)
 }
@@ -416,49 +418,14 @@ func testPartlyCachedMapScoresOnlyKeptCells(t *testing.T, pc placement) {
 	for seed := int64(1); seed <= 4; seed++ {
 		dir := t.TempDir()
 		tileRecord(t, dir, 8, 6, seed)
-		s := NewServer(Config{Ingest: IngestConfig{Dir: dir, Poll: time.Hour}, Nodes: 1, CoresPerNode: 2, Workers: pc.workers, Registry: obs.NewRegistry()})
-		t.Cleanup(s.Close)
-		if err := s.Ingester().ScanOnce(); err != nil {
-			t.Fatal(err)
-		}
-		pc.waitHealthy(t, s)
-		entries := s.Ingester().Catalog().Entries()
-		rng := rand.New(rand.NewSource(seed))
-		for i := range entries {
-			for n := 1; n <= 2 && i+n <= len(entries); n++ {
-				if rng.Intn(2) == 0 {
-					if _, err := scoreOf(s, entries[i:i+n], p); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-
-		store := trace.NewStore(1, 1)
-		id := trace.NewID()
-		ctx, root := trace.New(context.Background(), store, "test", id, "test")
-		v, err := dass.ViewOver(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.score(ctx, v, entries, p)
-		root.End()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diffBits(got.out, cold(t, entries, p)); d != "" || got.degraded || got.distributed != (pc.workers != nil) {
-			t.Fatalf("seed %d: %s (degraded %v, distributed %v)", seed, d, got.degraded, got.distributed)
-		}
-		sum := map[string]int{}
-		for _, sp := range store.Get(id).Spans {
-			for _, a := range sp.Attrs {
-				if n, err := strconv.Atoi(a.V); err == nil && (sp.Name == "serve.scores" || sp.Name == "worker.shard") {
-					sum[a.K] += n
-				}
-			}
-		}
+		sum := partlyCachedMap(t, dir, seed, p, pc)
 		if sum["cells_computed"] != sum["cells_kept"] {
 			t.Errorf("seed %d: %d cells computed for %d kept (%d of %d tiles hit)", seed, sum["cells_computed"], sum["cells_kept"], sum["tiles_hit"], sum["tiles"])
+		}
+		if pc.workers != nil {
+			if local := partlyCachedMap(t, dir, seed, p, placement{}); sum["cells_computed"] != local["cells_computed"] {
+				t.Errorf("seed %d: the workers computed %d cells, the same map in process %d", seed, sum["cells_computed"], local["cells_computed"])
+			}
 		}
 		t.Logf("seed %d: %v", seed, sum)
 		kept, hits = kept+sum["cells_kept"], hits+sum["tiles_hit"]
@@ -466,6 +433,57 @@ func testPartlyCachedMapScoresOnlyKeptCells(t *testing.T, pc placement) {
 	if kept == 0 || hits == 0 {
 		t.Errorf("no seed made a partly cached map: %d cells kept, %d tiles hit", kept, hits)
 	}
+}
+
+// partlyCachedMap serves the record in dir from a new server on pc, leaves
+// the tiles of a seeded random choice of runs of one or two files in its
+// stores, then assembles the whole record's map under a trace, checks it
+// against the cold run, and returns the serve.scores and worker.shard spans'
+// counts, summed.
+func partlyCachedMap(t *testing.T, dir string, seed int64, p detect.Params, pc placement) map[string]int {
+	t.Helper()
+	s := NewServer(Config{Ingest: IngestConfig{Dir: dir, Poll: time.Hour}, Nodes: 1, CoresPerNode: 2, Workers: pc.workers, Registry: obs.NewRegistry()})
+	t.Cleanup(s.Close)
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	pc.waitHealthy(t, s)
+	entries := s.Ingester().Catalog().Entries()
+	rng := rand.New(rand.NewSource(seed))
+	for i := range entries {
+		for n := 1; n <= 2 && i+n <= len(entries); n++ {
+			if rng.Intn(2) == 0 {
+				if _, err := scoreOf(s, entries[i:i+n], p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	store := trace.NewStore(1, 1)
+	id := trace.NewID()
+	ctx, root := trace.New(context.Background(), store, "test", id, "test")
+	v, err := dass.ViewOver(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.score(ctx, v, entries, p)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffBits(got.out, cold(t, entries, p)); d != "" || got.degraded || got.distributed != (pc.workers != nil) {
+		t.Fatalf("seed %d: %s (degraded %v, distributed %v)", seed, d, got.degraded, got.distributed)
+	}
+	sum := map[string]int{}
+	for _, sp := range store.Get(id).Spans {
+		for _, a := range sp.Attrs {
+			if n, err := strconv.Atoi(a.V); err == nil && (sp.Name == "serve.scores" || sp.Name == "worker.shard") {
+				sum[a.K] += n
+			}
+		}
+	}
+	return sum
 }
 
 // parked is a points op with a declared time reach, so /detect tiles it and

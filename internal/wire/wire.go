@@ -273,11 +273,11 @@ type ShardRequest struct {
 	Op     string          `json:"op"`
 	Params json.RawMessage `json:"params,omitempty"`
 	Files  []FileSpec      `json:"files"`
-	// ChLo/ChHi are the shard's core channel rows. The worker widens the
-	// read below/above by the stencil's ghost reach, which it takes from the
-	// op it decodes, so shard borders compute exactly (it trims those rows
-	// before replying) — but never past WinChLo/WinChHi, the request
-	// window's rows, where the stencil clamps.
+	// ChLo/ChHi are the shard's channel rows, the rows its reply carries.
+	// An analysis runs over the request window's rows, WinChLo/WinChHi, and
+	// keeps the shard's: the engine scores those rows alone and reads the
+	// rows around them that the op reaches as its ghost zone, clamped where
+	// the window ends, so shard borders compute exactly.
 	ChLo    int `json:"ch_lo"`
 	ChHi    int `json:"ch_hi"`
 	WinChLo int `json:"win_ch_lo,omitempty"`

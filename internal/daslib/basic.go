@@ -160,24 +160,6 @@ func MaxAbsCorrLags(w []float64, wSq float64, span []float64) float64 {
 	return best
 }
 
-// AbsCorrComplex is AbsCorr for spectra: |⟨c1, c2⟩| / (‖c1‖‖c2‖).
-func AbsCorrComplex(c1, c2 []complex128) float64 {
-	checkLen("AbsCorrComplex", len(c2), len(c1))
-	var dotRe, dotIm, n1, n2 float64
-	for i := range c1 {
-		a, b := c1[i], c2[i]
-		// conj(a) * b
-		dotRe += real(a)*real(b) + imag(a)*imag(b)
-		dotIm += real(a)*imag(b) - imag(a)*real(b)
-		n1 += real(a)*real(a) + imag(a)*imag(a)
-		n2 += real(b)*real(b) + imag(b)*imag(b)
-	}
-	if n1 == 0 || n2 == 0 {
-		return 0
-	}
-	return math.Hypot(dotRe, dotIm) / math.Sqrt(n1*n2)
-}
-
 // Interp1 linearly interpolates the function defined by (x0, y0) — x0
 // strictly increasing — at the query points x, matching MATLAB's
 // interp1(..., 'linear') with end-value extrapolation clamped

@@ -241,22 +241,6 @@ func TestAbsCorrRangeProperty(t *testing.T) {
 	}
 }
 
-func TestAbsCorrComplex(t *testing.T) {
-	a := []complex128{complex(1, 1), complex(2, -1)}
-	if got := AbsCorrComplex(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self = %g", got)
-	}
-	// Multiplying by a global phase must not change |corr|.
-	phase := complex(math.Cos(0.7), math.Sin(0.7))
-	b := []complex128{a[0] * phase, a[1] * phase}
-	if got := AbsCorrComplex(a, b); math.Abs(got-1) > 1e-12 {
-		t.Errorf("phase-shifted = %g, want 1", got)
-	}
-	if got := AbsCorrComplex([]complex128{0, 0}, a); got != 0 {
-		t.Errorf("zero = %g", got)
-	}
-}
-
 func TestInterp1(t *testing.T) {
 	x0 := []float64{0, 1, 2}
 	y0 := []float64{0, 10, 0}
@@ -469,28 +453,5 @@ func TestXCorrDetectsShift(t *testing.T) {
 	}
 	if bestLag != -shift {
 		t.Errorf("peak at lag %d, want %d", bestLag, -shift)
-	}
-}
-
-func TestCrossSpectrum(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	cs, err := CrossSpectrum(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Self cross-spectrum is real and non-negative (|FFT|²).
-	for i, v := range cs {
-		if math.Abs(imag(v)) > 1e-9 {
-			t.Errorf("imag at %d = %g", i, imag(v))
-		}
-		if real(v) < -1e-9 {
-			t.Errorf("negative power at %d = %g", i, real(v))
-		}
-	}
-	if _, err := CrossSpectrum(a, a[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := CrossSpectrum(nil, nil); err == nil {
-		t.Error("empty input should fail")
 	}
 }

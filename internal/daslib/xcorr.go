@@ -1,7 +1,6 @@
 package daslib
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -268,31 +267,4 @@ func (mst *XCorrMaster) XCorrNormalizedInto(dst, a []float64, s *Scratch) {
 	s.ReleaseFloat(edge)
 	s.ReleaseComplex(x)
 	s.ReleaseComplex(acc)
-}
-
-// CrossSpectrum returns FFT(a) ⊙ conj(FFT(b)) zero-padded to a power of two
-// ≥ len(a)+len(b)-1 — the frequency-domain cross-correlation kernel used by
-// ambient-noise interferometry.
-func CrossSpectrum(a, b []float64) ([]complex128, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("daslib: CrossSpectrum needs equal lengths, got %d and %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return nil, fmt.Errorf("daslib: CrossSpectrum needs non-empty input")
-	}
-	m := NextPow2(2*len(a) - 1)
-	fa := make([]complex128, m)
-	s := GetScratch()
-	rfftZeroPad(fa, a, s)
-	fb := s.Complex(m)
-	rfftZeroPad(fb, b, s)
-	for i := range fa {
-		// fa · conj(fb)
-		ar, ai := real(fa[i]), imag(fa[i])
-		br, bi := real(fb[i]), imag(fb[i])
-		fa[i] = complex(ar*br+ai*bi, ai*br-ar*bi)
-	}
-	s.ReleaseComplex(fb)
-	PutScratch(s)
-	return fa, nil
 }

@@ -13,9 +13,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"dassa/internal/dasf"
+	"dassa/internal/dasgen"
 	"dassa/internal/omp"
 	"dassa/internal/testutil/leakcheck"
 )
@@ -177,23 +179,186 @@ func TestReadJSONFailedWriteJoins(t *testing.T) {
 	}
 }
 
-// BenchmarkReadJSON formats the harness's /read body — 32 channels of
-// 2 000 float32 samples — on teams of one and two threads, into a writer
-// that keeps nothing.
-func BenchmarkReadJSON(b *testing.B) {
-	arr := float32Exact(rand.New(rand.NewSource(1)), dasf.NewArray2D(32, 2000))
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("team=%d", threads), func(b *testing.B) {
-			team := omp.NewTeam(threads)
-			w := &cutWriter{header: http.Header{}, limit: math.MaxInt}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w.n = 0
-				writeReadJSON(context.Background(), w, team, readJSONSummary(arr), arr)
+// strconvJSONFloat is the /read formatter before the float32 fast path:
+// strconv's shortest digits laid out as encoding/json lays them out. It is
+// the oracle appendJSONFloat is held to.
+func strconvJSONFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// takesFastPath reports whether appendFloat32JSON should take f: a widened
+// float32 with 1e-6 ≤ |f| < 2^30 whose significand is not a power of two.
+func takesFastPath(f float64) bool {
+	abs := math.Abs(f)
+	return float64(float32(f)) == f && abs >= 1e-6 && abs < 1<<30 &&
+		math.Float32bits(float32(f))&(1<<23-1) != 0
+}
+
+// checkJSONFloat requires appendJSONFloat to write the oracle's bytes for f
+// and the fast path to take f exactly when takesFastPath says so.
+func checkJSONFloat(t testing.TB, f float64) {
+	prefix := []byte("[1,")
+	got := appendJSONFloat(prefix[:len(prefix):len(prefix)], f)
+	want := strconvJSONFloat(prefix[:len(prefix):len(prefix)], f)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%x: wrote %s, strconv writes %s", math.Float64bits(f), got, want)
+	}
+	fast, ok := appendFloat32JSON(nil, f)
+	if ok != takesFastPath(f) || !ok && len(fast) != 0 {
+		t.Fatalf("%s (%x): fast path took it %v, appended %q", want[len(prefix):], math.Float64bits(f), ok, fast)
+	}
+}
+
+// TestAppendJSONFloatMatchesStrconv: the fast path writes strconv's bytes
+// over every binade it accepts, with both signs (each binade's first and
+// last 512 significands and 4 096 seeded ones), every power of two, and the
+// float32 neighbours of each power of ten in range, of 1e-6 and of 2^30. It
+// takes exactly the values it promises to take: a range that narrows, or a
+// power-of-two significand let in, fails here.
+func TestAppendJSONFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	fast := 0
+	check := func(f float64) {
+		for _, v := range []float64{f, -f} {
+			checkJSONFloat(t, v)
+			if takesFastPath(v) {
+				fast++
 			}
-			b.SetBytes(int64(w.n))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(arr.Data)), "ns/value")
-		})
+		}
+	}
+	// Binade q holds m·2^q for 2^23 ≤ m < 2^24; 1e-6 falls in q = −43 and
+	// 2^30 starts q = 7.
+	for q := -43; q <= 6; q++ {
+		for i := range 512 {
+			check(math.Ldexp(float64(1<<23+i), q))
+			check(math.Ldexp(float64(1<<24-1-i), q))
+		}
+		for range 4096 {
+			check(math.Ldexp(float64(1<<23+rng.Intn(1<<23)), q))
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		check(math.Ldexp(1, e))
+	}
+	edges := []float64{1e-6, 1 << 30, math.MaxFloat32, math.SmallestNonzeroFloat32}
+	for e := -6; e <= 9; e++ {
+		edges = append(edges, math.Pow(10, float64(e)))
+	}
+	for _, p := range edges {
+		lo, hi := float32(p), float32(p)
+		for range 8 {
+			check(float64(lo))
+			check(float64(hi))
+			lo, hi = math.Nextafter32(lo, 0), math.Nextafter32(hi, math.MaxFloat32)
+		}
+	}
+	for _, f := range []float64{0, math.NaN(), math.Inf(1), 0.1, 1e21, 5e-324} {
+		check(f)
+	}
+	// 50 binades × 2 signs × (1 024 + 4 096) draws, less the edge binade's
+	// values under 1e-6 and the binades' first significand, plus the edges.
+	if fast < 500_000 {
+		t.Fatalf("only %d values took the fast path", fast)
+	}
+}
+
+// FuzzAppendJSONFloat: a widened float32 and a float64, each from raw bits,
+// come out as strconv writes them, through the path takesFastPath names.
+func FuzzAppendJSONFloat(f *testing.F) {
+	f.Add(math.Float32bits(0.1), math.Float64bits(0.1))
+	f.Add(math.Float32bits(1e-6), math.Float64bits(1e-6))
+	f.Add(math.Float32bits(1<<30-64), math.Float64bits(1<<30))
+	f.Add(math.Float32bits(-123.456), math.Float64bits(-123.456))
+	f.Fuzz(func(t *testing.T, b32 uint32, b64 uint64) {
+		checkJSONFloat(t, float64(math.Float32frombits(b32)))
+		checkJSONFloat(t, math.Float64frombits(b64))
+	})
+}
+
+// TestReadJSONFastPathCoversDasgen: every sample of the benchmark's seed-12
+// record at 128 channels, as the daemon reads it from the float32 files,
+// takes the fast path, so the /read formatter's speed-up is measured on the
+// samples the daemon serves.
+func TestReadJSONFastPathCoversDasgen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := dasgen.Config{Channels: 128, SampleRate: 250, FileSeconds: 4, NumFiles: 4, Seed: 12, DType: dasf.Float32}
+	paths, err := dasgen.Generate(dir, cfg, dasgen.Fig10Events(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	total, smallest := 0, math.Inf(1)
+	for _, p := range paths {
+		r, err := dasf.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr, err := r.ReadSlab(0, cfg.Channels, 0, cfg.SamplesPerFile())
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range arr.Data {
+			var ok bool
+			if buf, ok = appendFloat32JSON(buf[:0], v); !ok {
+				t.Fatalf("%s: sample %v (%x) goes to strconv", p, v, math.Float64bits(v))
+			}
+			total++
+			smallest = min(smallest, math.Abs(v))
+		}
+	}
+	if total != cfg.Channels*cfg.TotalSamples() {
+		t.Fatalf("read %d samples of %d", total, cfg.Channels*cfg.TotalSamples())
+	}
+	t.Logf("%d samples, all on the fast path; smallest |x| %.3g", total, smallest)
+}
+
+// BenchmarkReadJSON formats the harness's /read body — 32 channels of
+// 2 000 samples — on teams of one and two threads, into a writer that
+// keeps nothing: float32 samples, which take the fast path, and float64
+// ones, which all go to strconv.
+func BenchmarkReadJSON(b *testing.B) {
+	f32 := float32Exact(rand.New(rand.NewSource(1)), dasf.NewArray2D(32, 2000))
+	f64 := dasf.NewArray2D(32, 2000)
+	rng := rand.New(rand.NewSource(1))
+	for i := range f64.Data {
+		f64.Data[i] = rng.NormFloat64() * 1e3
+		if takesFastPath(f64.Data[i]) {
+			b.Fatalf("float64 sample %v takes the fast path", f64.Data[i])
+		}
+	}
+	for _, c := range []struct {
+		name string
+		arr  *dasf.Array2D
+	}{{"", f32}, {"float64/", f64}} {
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%steam=%d", c.name, threads), func(b *testing.B) {
+				arr := c.arr
+				team := omp.NewTeam(threads)
+				w := &cutWriter{header: http.Header{}, limit: math.MaxInt}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					w.n = 0
+					writeReadJSON(context.Background(), w, team, readJSONSummary(arr), arr)
+				}
+				b.SetBytes(int64(w.n))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(arr.Data)), "ns/value")
+			})
+		}
 	}
 }
 

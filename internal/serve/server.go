@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
@@ -638,27 +637,6 @@ func writeReadJSON(ctx context.Context, w http.ResponseWriter, team *omp.Team, r
 	sp.SetAttrInt("bytes", sent)
 	sp.SetAttrInt("rows", int64(arr.Channels))
 	sp.SetAttrInt("threads", int64(len(bufs)))
-}
-
-// appendJSONFloat appends f the way encoding/json writes a float64, or
-// null when f is not finite.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json writes it.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // handleDetect is GET /detect — a windowed detection job over the /search
